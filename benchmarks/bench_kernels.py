@@ -7,18 +7,22 @@ Usage:
 With numba installed (and SURVROUTE_DISABLE_NUMBA unset) each kernel is timed
 twice: compiled, and via its uncompiled implementation. The dominance matrix
 compares the jitted loop kernel against the vectorized numpy fallback.
+Route walks run on valid genotypes (from ``random_assignment``) at 40 and
+200 MRs. A last case times what local search consumes of the lazy
+neighborhood (its first 20 neighbors) against building the full list.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from itertools import islice
 
 import numpy as np
 
 from survroute import kernels
 from survroute.kernels import python_impl
-from survroute.netmodel import parse_instance
+from survroute.netmodel import RouteAssignment, iter_neighbors, neighborhood, parse_instance, random_assignment
 
 
 def synthetic_instance(n_mr: int, links_per_mr: int, seed: int = 0):
@@ -48,26 +52,35 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
+def route_batch(n_mr: int, count: int, seed: int):
+    """Instance plus ``count`` valid genotypes from random_assignment, so every walk runs in full."""
+    inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=seed)
+    rng = np.random.default_rng(seed)
+    batch = [random_assignment(inst, rng).as_array() for _ in range(count)]
+    c = inst.compiled
+    args = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
+            c.ar_bs_fail, inst.n_ar, inst.max_depth)
+    valid = sum(bool(kernels.eval_route(row, *args)[2]) for row in batch) / count
+    return inst, batch, args, valid
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
     rng = np.random.default_rng(42)
-    rows = []
 
-    # single-assignment evaluation walks
-    inst = synthetic_instance(n_mr=40, links_per_mr=6, seed=1)
-    c = inst.compiled
-    choice_batch = np.stack(
-        [rng.integers(0, c.radices, size=inst.n_mr).astype(np.int64) for _ in range(2000)]
-    )
-    eval_args = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-                 c.ar_bs_fail, inst.n_ar, inst.max_depth)
+    # single-assignment evaluation walks on valid genotypes
+    walk_sets = {n_mr: route_batch(n_mr, count, seed=1) for n_mr, count in ((40, 2000), (200, 400))}
+    for n_mr, (_inst, batch, _args, valid) in walk_sets.items():
+        print(f"eval_route genotypes at {n_mr} MRs: {len(batch)}, valid share {valid:.0%}")
 
-    def eval_many(fn):
+    def eval_many(fn, n_mr):
+        _inst, batch, eval_args, _valid = walk_sets[n_mr]
+
         def body():
-            for row in choice_batch:
+            for row in batch:
                 fn(row, *eval_args)
         return body
 
@@ -83,7 +96,10 @@ def main() -> None:
     front[:, 1] = front[::-1, 1]
 
     cases = [
-        ("eval_route x2000 (40 MRs)", eval_many(kernels.eval_route), eval_many(python_impl(kernels.eval_route))),
+        ("eval_route x2000 (40 MRs)",
+         eval_many(kernels.eval_route, 40), eval_many(python_impl(kernels.eval_route), 40)),
+        ("eval_route x400 (200 MRs)",
+         eval_many(kernels.eval_route, 200), eval_many(python_impl(kernels.eval_route), 200)),
         (f"enumerate_routes ({sc.search_space} assignments)",
          lambda: kernels.enumerate_routes(*enum_args),
          lambda: python_impl(kernels.enumerate_routes)(*enum_args)),
@@ -105,13 +121,23 @@ def main() -> None:
             fast()  # compile before timing
             t_fast = best_of(fast, args.repeats)
             t_slow = best_of(slow, args.repeats)
-            rows.append((name, t_fast, t_slow))
             print(f"{name:<40} {t_fast * 1e3:>10.2f}ms {t_slow * 1e3:>10.2f}ms {t_slow / t_fast:>8.1f}x")
     else:
         print("numba disabled (SURVROUTE_DISABLE_NUMBA set or numba missing); timing fallback only")
         print(f"{'kernel':<40} {'fallback':>12}")
         for name, fast, _slow in cases:
             print(f"{name:<40} {best_of(fast, args.repeats) * 1e3:>10.2f}ms")
+
+    # local search pulls at most its budget (20) of the lazy neighborhood;
+    # the eager list validates every single-MR reattachment
+    inst, batch, _args, _valid = walk_sets[40]
+    starts = [RouteAssignment(tuple(int(k) for k in row)) for row in batch[:20]]
+    sizes = [len(neighborhood(inst, a)) for a in starts]
+    t_lazy = best_of(lambda: [list(islice(iter_neighbors(inst, a), 20)) for a in starts], args.repeats)
+    t_full = best_of(lambda: [neighborhood(inst, a) for a in starts], args.repeats)
+    print(f"neighborhood at 40 MRs, per genotype ({sum(sizes) / len(sizes):.0f} valid neighbors on average):")
+    print(f"  first 20 of iter_neighbors {t_lazy / len(starts) * 1e3:>8.2f}ms")
+    print(f"  full neighborhood list     {t_full / len(starts) * 1e3:>8.2f}ms  ({t_full / t_lazy:.1f}x)")
 
 
 if __name__ == "__main__":

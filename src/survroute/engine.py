@@ -26,7 +26,7 @@ from .archive import (
 )
 from .errors import ConfigError, InstanceError
 from .measures import ReferencePoint
-from .moo import CandidateSolution, Dominance, Problem, dominates
+from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
 
 SELECTION_OPERATORS = ("tournament", "uniform")
@@ -116,11 +116,16 @@ class Evaluator:
     def remaining(self) -> float:
         return math.inf if self.budget is None else self.budget - self.count
 
-    def evaluate(self, genotype) -> CandidateSolution:
+    def evaluate(self, genotype, objectives: ObjectiveVector | None = None) -> CandidateSolution:
+        """Count one evaluation of ``genotype``.
+
+        Pass ``objectives`` when they are already known (local search gets
+        them from the neighborhood); the problem's evaluate is then skipped.
+        """
         self.count += 1
         return CandidateSolution(
             genotype=genotype,
-            objectives=self.problem.evaluate(genotype),
+            objectives=self.problem.evaluate(genotype) if objectives is None else objectives,
             genotype_key=self.problem.genotype_key(genotype),
         )
 
@@ -228,10 +233,8 @@ def local_search(
         improved = True
         while improved and used < budget and evaluator.remaining > 0:
             improved = False
-            for g in problem.neighborhood(current.genotype):
-                if used >= budget or evaluator.remaining <= 0:
-                    break
-                cand = evaluator.evaluate(g)
+            for g, objectives in problem.neighborhood(current.genotype):
+                cand = evaluator.evaluate(g, objectives)
                 used += 1
                 if operator == "chebyshev":
                     cand_score = score(cand)
@@ -242,6 +245,9 @@ def local_search(
                 elif dominates(cand.objectives, current.objectives) is Dominance.DOMINATES:
                     current = cand
                     improved = True
+                    break
+                # gate after each evaluation, so a lazy neighborhood never walks an unused neighbor
+                if used >= budget or evaluator.remaining <= 0:
                     break
         out.append(current)
     return out
@@ -343,8 +349,13 @@ def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedA
 
 
 def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
+    """Frozen hypervolume reference: 10% beyond the worst value of each objective.
+
+    The margin is taken on abs(w), so a negative worst value moves up too and
+    every initial point strictly dominates the reference.
+    """
     worst = np.array([s.objectives.values for s in pop], dtype=np.float64).max(axis=0)
-    return ReferencePoint(tuple(w * 1.1 + 1e-9 for w in worst))
+    return ReferencePoint(tuple(w * 1.1 + 1e-9 if w >= 0 else w + abs(w) * 0.1 + 1e-9 for w in worst))
 
 
 def run(problem: Problem, params: RunParams | None = None, seed: int | None = None) -> RunResult:

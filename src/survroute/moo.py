@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,7 +75,8 @@ class Problem:
 
     ``evaluate`` must be pure and deterministic: the same genotype always
     maps to the same objective vector, bit for bit, and it must be safe to
-    call concurrently.
+    call concurrently. ``neighborhood`` yields ``(neighbor, objectives)``
+    pairs whose objectives are exactly what ``evaluate`` would return.
     """
 
     objective_count: int = 0
@@ -108,7 +109,13 @@ class Problem:
         raise NotImplementedError
 
     # local-move neighborhood (LS pools walk this in the returned order)
-    def neighborhood(self, genotype) -> Sequence[Any]:
+    def neighborhood(self, genotype) -> Iterable[tuple[Any, ObjectiveVector]]:
+        """Valid neighbors of ``genotype`` as ``(neighbor, objectives)`` pairs, in a fixed order.
+
+        Each pair's objectives must equal ``evaluate(neighbor)`` bit for bit;
+        local search uses them in place of a second evaluation. Yield lazily
+        where neighbors are costly: local search stops after its budget.
+        """
         raise NotImplementedError
 
 

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class _Compiled:
     link_fail: np.ndarray
     ar_bs_fail: np.ndarray
     link_parent_ids: tuple[str, ...]
+    link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
+    mr_link_offset_ints: tuple[int, ...]  # mr_link_offset as plain ints, for string building
     search_space: int
 
 
@@ -76,6 +79,7 @@ class NetworkInstance:
         cost = np.empty(len(self.links), dtype=np.float64)
         fail = np.empty(len(self.links), dtype=np.float64)
         parent_ids = []
+        labels = []
         # links are sorted by (child, parent), so the flat order is already
         # grouped per MR in canonical order
         for i, link in enumerate(self.links):
@@ -87,6 +91,7 @@ class NetworkInstance:
             cost[i] = link.cost
             fail[i] = link.fail_prob
             parent_ids.append(link.parent)
+            labels.append(f"{link.child}={link.parent}")
 
         offsets = np.zeros(len(self.mobile_routers), dtype=np.int64)
         if len(counts) > 1:
@@ -106,6 +111,8 @@ class NetworkInstance:
             link_fail=fail,
             ar_bs_fail=np.array([bs_fail[bs] for _ar, bs in self.access_routers], dtype=np.float64),
             link_parent_ids=tuple(parent_ids),
+            link_labels=tuple(labels),
+            mr_link_offset_ints=tuple(offsets.tolist()),
             search_space=space,
         )
 
@@ -286,20 +293,19 @@ def validate_assignment(inst: NetworkInstance, a: RouteAssignment) -> bool:
     return invalid_reason(inst, a) is None
 
 
+def _walk(inst: NetworkInstance, choices: np.ndarray) -> tuple[float, float, bool]:
+    """One ``kernels.eval_route`` walk of a choices array: (z1, z2, valid)."""
+    c = inst.compiled
+    return kernels.eval_route(
+        choices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
+        c.ar_bs_fail, inst.n_ar, inst.max_depth,
+    )
+
+
 def evaluate_assignment(inst: NetworkInstance, a: RouteAssignment) -> tuple[float, float]:
     """(z1, z2) of a valid assignment; raises ContractViolation otherwise."""
     _check_choices(inst, a)
-    c = inst.compiled
-    z1, z2, ok = kernels.eval_route(
-        a.as_array(),
-        c.mr_link_offset,
-        c.link_parent_code,
-        c.link_cost,
-        c.link_fail,
-        c.ar_bs_fail,
-        inst.n_ar,
-        inst.max_depth,
-    )
+    z1, z2, ok = _walk(inst, a.as_array())
     if not ok:
         raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
     return float(z1), float(z2)
@@ -324,8 +330,9 @@ def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
 
 def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
     """Canonical 'mr=parent;...' serialization (MRs in sorted id order)."""
-    pm = parent_map(inst, a)
-    return ";".join(f"{mr}={pm[mr]}" for mr in inst.mobile_routers)
+    _check_choices(inst, a)
+    c = inst.compiled
+    return ";".join([c.link_labels[off + k] for off, k in zip(c.mr_link_offset_ints, a.choices)])
 
 
 def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -> RouteAssignment:
@@ -394,15 +401,6 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
-def _is_valid_array(inst: NetworkInstance, choices: np.ndarray) -> bool:
-    c = inst.compiled
-    _z1, _z2, ok = kernels.eval_route(
-        choices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-        c.ar_bs_fail, inst.n_ar, inst.max_depth,
-    )
-    return bool(ok)
-
-
 def _feasible_alternatives(inst: NetworkInstance, work: np.ndarray, m: int) -> list[int]:
     c = inst.compiled
     current = int(work[m])
@@ -411,7 +409,7 @@ def _feasible_alternatives(inst: NetworkInstance, work: np.ndarray, m: int) -> l
         if k == current:
             continue
         work[m] = k
-        if _is_valid_array(inst, work):
+        if _walk(inst, work)[2]:
             feasible.append(k)
     work[m] = current
     return feasible
@@ -528,22 +526,33 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     return random_assignment(inst, rng)
 
 
-def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignment]:
-    """All valid single-MR reattachments, in (MR index, link index) order."""
+def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
+    """Valid single-MR reattachments with their objectives, lazily, in (MR index, link index) order.
+
+    One route walk per candidate both decides validity and gives the
+    objectives, bit-identical to ``RouteProblem.evaluate``; a consumer that
+    stops early walks no further candidates.
+    """
     _check_choices(inst, a)
     c = inst.compiled
+    choices = a.choices
     work = a.as_array()
-    out = []
     for m in range(inst.n_mr):
-        current = int(work[m])
+        current = choices[m]
         for k in range(int(c.radices[m])):
             if k == current:
                 continue
             work[m] = k
-            if _is_valid_array(inst, work):
-                out.append(RouteAssignment(tuple(int(x) for x in work)))
+            z1, z2, ok = _walk(inst, work)
+            if ok:
+                neighbor = RouteAssignment(choices[:m] + (k,) + choices[m + 1:])
+                yield neighbor, ObjectiveVector((float(z1), float(z2)))
         work[m] = current
-    return out
+
+
+def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignment]:
+    """All valid single-MR reattachments, in (MR index, link index) order."""
+    return [g for g, _objectives in iter_neighbors(inst, a)]
 
 
 def brute_force_pareto(
@@ -598,17 +607,7 @@ class RouteProblem(Problem):
     def evaluate(self, genotype: RouteAssignment) -> ObjectiveVector:
         inst = self.instance
         _check_choices(inst, genotype)
-        c = inst.compiled
-        z1, z2, ok = kernels.eval_route(
-            genotype.as_array(),
-            c.mr_link_offset,
-            c.link_parent_code,
-            c.link_cost,
-            c.link_fail,
-            c.ar_bs_fail,
-            inst.n_ar,
-            inst.max_depth,
-        )
+        z1, z2, ok = _walk(inst, genotype.as_array())
         if not ok:
             raise ValidityError(f"invalid assignment ({invalid_reason(inst, genotype)})")
         return ObjectiveVector((float(z1), float(z2)))
@@ -634,5 +633,5 @@ class RouteProblem(Problem):
     def heavy_mutate(self, genotype, rng) -> RouteAssignment:
         return heavy_reattach(self.instance, genotype, rng)
 
-    def neighborhood(self, genotype) -> list[RouteAssignment]:
-        return neighborhood(self.instance, genotype)
+    def neighborhood(self, genotype) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
+        return iter_neighbors(self.instance, genotype)

@@ -1,14 +1,15 @@
-"""Shared fixtures: instance paths, parsed instances, a toy grid problem."""
+"""Shared fixtures: instance paths, parsed instances, a seeded synthetic instance, a toy grid problem."""
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
 from survroute import kernels
 from survroute.moo import CandidateSolution, ObjectiveVector, Problem
-from survroute.netmodel import load_instance
+from survroute.netmodel import load_instance, parse_instance
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -32,6 +33,29 @@ def standard_instance():
 @pytest.fixture(scope="session")
 def stress_instance():
     return load_instance(INSTANCE_DIR / "stress_5mr.net")
+
+
+def synthetic_net_text(n_mr: int, links_per_mr: int, max_depth: int, seed: int) -> str:
+    """Seeded feasible instance: each MR gets one access-router link plus MR-MR links."""
+    rng = random.Random(seed)
+    lines = ["BS b0 0.05", "BS b1 0.2", "AR a0 b0", "AR a1 b1"]
+    mrs = [f"m{i:03d}" for i in range(n_mr)]
+    lines += [f"MR {m}" for m in mrs]
+    for i, m in enumerate(mrs):
+        parents = {f"a{rng.randrange(2)}"}
+        while len(parents) < links_per_mr:
+            j = rng.randrange(n_mr)
+            if j != i:
+                parents.add(mrs[j])
+        for p in sorted(parents):
+            lines.append(f"LINK {m} {p} {rng.uniform(0.5, 5.0):.3f} {rng.uniform(0.0, 0.3):.3f}")
+    lines.append(f"MAXDEPTH {max_depth}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def synthetic40_instance():
+    return parse_instance(synthetic_net_text(40, 6, 6, seed=11))
 
 
 def make_sol(*values, key: str | None = None) -> CandidateSolution:
@@ -92,9 +116,7 @@ class GridProblem(Problem):
 
     def neighborhood(self, genotype):
         x, y = genotype
-        out = []
         for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < self.n and 0 <= ny < self.n:
-                out.append((nx, ny))
-        return out
+            g = (x + dx, y + dy)
+            if self.is_valid(g):
+                yield g, self.evaluate(g)

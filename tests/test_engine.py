@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, nondom
 from survroute.engine import (
+    LOCAL_SEARCH_OPERATORS,
     Evaluator,
     RunParams,
     initialize,
@@ -18,14 +20,18 @@ from survroute.engine import (
     vary,
 )
 from survroute.errors import ConfigError
-from survroute.moo import Dominance, dominates
+from survroute.moo import Dominance, ObjectiveVector, Problem, dominates
 from survroute.netmodel import RouteProblem, brute_force_pareto
 
 from conftest import GridProblem, make_sol
 
 
 class CountingProblem:
-    """Delegating wrapper that independently counts evaluate() calls."""
+    """Delegating wrapper that independently counts objective computations.
+
+    Both sources count: evaluate() calls, and neighbors the neighborhood
+    hands out together with their objectives.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -37,6 +43,33 @@ class CountingProblem:
     def evaluate(self, genotype):
         self.calls += 1
         return self.inner.evaluate(genotype)
+
+    def neighborhood(self, genotype):
+        for pair in self.inner.neighborhood(genotype):
+            self.calls += 1
+            yield pair
+
+
+class NegatedLine(Problem):
+    """Toy problem with negative objectives: genotype x in [0, n), objectives (-(x + 1), -(n - x)).
+
+    Every point is nondominated, and the worst value of each objective is
+    negative. Only initialization runs on it (evaluation budget 0).
+    """
+
+    objective_count = 2
+
+    def __init__(self, n: int = 30):
+        self.n = n
+
+    def evaluate(self, genotype):
+        return ObjectiveVector((-(genotype + 1), -(self.n - genotype)))
+
+    def random_genotype(self, rng):
+        return int(rng.integers(self.n))
+
+    def is_valid(self, genotype):
+        return 0 <= genotype < self.n
 
 
 class TestRunParams:
@@ -200,6 +233,28 @@ class TestLocalSearch:
         start = Evaluator(problem).evaluate(problem.random_genotype(rng))
         local_search([start, start], problem, "pareto_step", 100, rng, evaluator)
         assert evaluator.count <= 3
+
+
+def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeypatch):
+    problem = RouteProblem(synthetic40_instance)
+    rng = np.random.default_rng(5)
+    starts = [Evaluator(problem).evaluate(problem.random_genotype(rng)) for _ in range(4)]
+    walks = {True: 0, False: 0}
+    original = kernels.eval_route
+
+    def counting_eval_route(*args):
+        result = original(*args)
+        walks[bool(result[2])] += 1
+        return result
+
+    monkeypatch.setattr(kernels, "eval_route", counting_eval_route)
+    for op in LOCAL_SEARCH_OPERATORS:
+        evaluator = Evaluator(problem)
+        walks[True] = walks[False] = 0
+        local_search(starts, problem, op, 20, np.random.default_rng(6), evaluator)
+        assert evaluator.count > 0
+        # each walk is either a neighbor that was evaluated or an invalid one that was skipped
+        assert walks[True] + walks[False] <= evaluator.count + walks[False]
 
 
 def _naive_rank(front):
@@ -369,6 +424,15 @@ class TestRun:
         assert result.archive.objective_set() == nondom(pop).objective_set()
         assert result.evaluations == 15
         assert len(result.hv_trace) == 1
+
+    def test_negative_objectives_all_initial_points_count(self):
+        params = RunParams(population_size=12, offspring_size=12, evaluation_budget=0, seed=7)
+        result = run(NegatedLine(), params)
+        assert all(r < 0 for r in result.reference_point)
+        init = result.archive.objective_matrix()
+        assert init.shape[0] > 1
+        # hypervolume() rejects any point that does not strictly dominate the reference
+        assert result.hv_trace[0] == measures.hypervolume(init, result.reference_point) > 0
 
     def test_budget_accounting_exact_and_bounded(self, standard_instance):
         wrapper = CountingProblem(RouteProblem(standard_instance))

@@ -1,0 +1,36 @@
+"""Golden front hashes: `survroute run` output pinned across code changes.
+
+Each case runs the CLI with default local search and a fixed seed and
+compares the sha1 of the written ``front.csv`` bytes with a recorded value.
+The other determinism tests compare two runs of the same code; this one
+fails when a refactor changes any front, RNG draw order or tie-break.
+A deliberate change of results must update these values and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from survroute.cli import main
+
+from conftest import INSTANCE_DIR, synthetic_net_text
+
+
+GOLDEN = {
+    "standard_3mr": ("5000", "7", "e536b57affe97bb7a7b9f7422d8d6330aae2bf84"),
+    "stress_5mr": ("5000", "7", "1d95d5c42a8551db42ebb0ed50994be92fb1a604"),
+    "synthetic_40mr": ("2000", "3", "3b8d331e7435727bf6e615dfb68ebded47bce1f1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_front_hash(case, tmp_path):
+    budget, seed, expected = GOLDEN[case]
+    if case.startswith("synthetic"):
+        instance = tmp_path / "synthetic.net"
+        instance.write_text(synthetic_net_text(40, 6, 6, seed=11), encoding="utf-8")
+    else:
+        instance = INSTANCE_DIR / f"{case}.net"
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(instance), "--out", str(out), "--budget", budget, "--seed", seed]) == 0
+    assert hashlib.sha1((out / "front.csv").read_bytes()).hexdigest() == expected

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survroute.errors import ContractViolation, InstanceError, OracleScopeError, ParseError
 from survroute.netmodel import (
@@ -19,6 +20,7 @@ from survroute.netmodel import (
     evaluate_assignment,
     heavy_reattach,
     invalid_reason,
+    iter_neighbors,
     mutate_reattach,
     neighborhood,
     parent_map,
@@ -411,6 +413,25 @@ class TestNeighborhood:
         a = random_assignment(standard_instance, np.random.default_rng(16))
         assert neighborhood(standard_instance, a) == neighborhood(standard_instance, a)
 
+    @pytest.mark.parametrize("fixture", ["stress_instance", "synthetic40_instance"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_iter_neighbors_matches_reference_with_exact_objectives(self, fixture, request, seed):
+        inst = request.getfixturevalue(fixture)
+        a = random_assignment(inst, np.random.default_rng(seed))
+        # reference order and membership from the separate invalid_reason walker
+        expected = []
+        for m in range(inst.n_mr):
+            for k in range(int(inst.compiled.radices[m])):
+                if k != a.choices[m]:
+                    b = RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
+                    if validate_assignment(inst, b):
+                        expected.append(b)
+        pairs = list(iter_neighbors(inst, a))
+        assert [g for g, _ov in pairs] == expected == neighborhood(inst, a)
+        for g, ov in pairs:
+            assert ov.values == evaluate_assignment(inst, g)
+
 
 class TestBruteForce:
     def test_trivial_two_point_front(self, trivial_instance):
@@ -464,4 +485,6 @@ def test_route_problem_surface(standard_instance):
     assert problem.is_valid(problem.mutate(g, rng))
     assert problem.is_valid(problem.crossover(g, problem.random_genotype(rng), rng))
     assert problem.is_valid(problem.heavy_mutate(g, rng))
-    assert all(problem.is_valid(n) for n in problem.neighborhood(g))
+    for n, objectives in problem.neighborhood(g):
+        assert problem.is_valid(n)
+        assert objectives == problem.evaluate(n)
