@@ -8,8 +8,10 @@ With numba installed (and SURVROUTE_DISABLE_NUMBA unset) each kernel is timed
 twice: compiled, and via its uncompiled implementation. The dominance matrix
 compares the jitted loop kernel against the vectorized numpy fallback.
 Route walks run on valid genotypes (from ``random_assignment``) at 40 and
-200 MRs. A last case times what local search consumes of the lazy
-neighborhood (its first 20 neighbors) against building the full list.
+200 MRs. ``enumerate_routes`` is a numpy block walk on both paths; it is
+timed against one ``eval_route`` walk per assignment of the same space. A
+last case times what local search consumes of the lazy neighborhood (its
+first 20 neighbors) against building the full list.
 """
 
 from __future__ import annotations
@@ -84,12 +86,6 @@ def main() -> None:
                 fn(row, *eval_args)
         return body
 
-    # exhaustive enumeration (the oracle's inner loop)
-    small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
-    sc = small.compiled
-    enum_args = (sc.radices, sc.mr_link_offset, sc.link_parent_code, sc.link_cost,
-                 sc.link_fail, sc.ar_bs_fail, small.n_ar, small.max_depth)
-
     # batch objective-space kernels
     F = rng.random((200, 2))
     front = np.sort(rng.random((500, 2)), axis=0)
@@ -100,9 +96,6 @@ def main() -> None:
          eval_many(kernels.eval_route, 40), eval_many(python_impl(kernels.eval_route), 40)),
         ("eval_route x400 (200 MRs)",
          eval_many(kernels.eval_route, 200), eval_many(python_impl(kernels.eval_route), 200)),
-        (f"enumerate_routes ({sc.search_space} assignments)",
-         lambda: kernels.enumerate_routes(*enum_args),
-         lambda: python_impl(kernels.enumerate_routes)(*enum_args)),
         ("dominance_matrix (200x2)",
          lambda: kernels.dominance_matrix(F),
          lambda: kernels._dominance_matrix_numpy(F)),
@@ -127,6 +120,19 @@ def main() -> None:
         print(f"{'kernel':<40} {'fallback':>12}")
         for name, fast, _slow in cases:
             print(f"{name:<40} {best_of(fast, args.repeats) * 1e3:>10.2f}ms")
+
+    # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
+    small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
+    sc = small.compiled
+    walk_args = (sc.mr_link_offset, sc.link_parent_code, sc.link_cost, sc.link_fail,
+                 sc.ar_bs_fail, small.n_ar, small.max_depth)
+    shape = tuple(int(r) for r in sc.radices)
+    space = [np.array(np.unravel_index(flat, shape), dtype=np.int64) for flat in range(sc.search_space)]
+    t_block = best_of(lambda: kernels.enumerate_routes(sc.radices, *walk_args), args.repeats)
+    t_loop = best_of(lambda: [kernels.eval_route(row, *walk_args) for row in space], args.repeats)
+    print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
+    print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
+    print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")
 
     # local search pulls at most its budget (20) of the lazy neighborhood;
     # the eager list validates every single-MR reattachment

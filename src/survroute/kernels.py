@@ -7,11 +7,16 @@ interpreted by CPython, so results are bit-identical on both paths; the
 dominance matrix falls back to a vectorized numpy formulation (boolean
 output, hence also exact).
 
+``enumerate_routes``, the oracle's exhaustive enumeration, is compiled on
+neither path: it is a numpy block walk over many assignments at once,
+bit-identical to ``eval_route`` on each assignment.
+
 ``benchmarks/bench_kernels.py`` times both paths side by side.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -40,6 +45,9 @@ else:
         return func
 
 
+_BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
+
+
 def python_impl(kernel):
     """Return the uncompiled implementation of a kernel (the kernel itself on the fallback path)."""
     return getattr(kernel, "py_func", kernel)
@@ -60,6 +68,9 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
     The accumulation order is part of the determinism contract.
     """
     n_mr = choices.shape[0]
+    # a walk of more than n_mr links has revisited an MR and can never reach
+    # an access router, so larger depth limits need no more steps
+    steps = min(max_depth, n_mr)
     z1 = 0.0
     z2 = 0.0
     for m in range(n_mr):
@@ -67,7 +78,7 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
         cost = 0.0
         surv = 1.0
         ok = False
-        for _step in range(max_depth):
+        for _step in range(steps):
             li = mr_link_offset[cur] + choices[cur]
             cost += link_cost[li]
             surv *= 1.0 - link_fail[li]
@@ -85,58 +96,58 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
     return z1, z2, True
 
 
-@_jit
 def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
     """Evaluate every assignment in the full mixed-radix space.
 
     Returns (valid, z1, z2) arrays of length prod(radices), indexed in
-    row-major order (last MR varies fastest), matching np.unravel_index.
-    The walk is inlined from eval_route and must accumulate in the same
-    order, so both produce bit-identical objectives.
+    row-major order (last MR varies fastest), matching np.unravel_index;
+    z1 and z2 are 0.0 on invalid rows.
+
+    The space is walked in blocks of ``_BLOCK_ROWS`` assignments. Within a
+    block every MR's walk of every assignment advances together, one masked
+    step per depth level, and the per-MR terms are summed in MR order. Each
+    valid row thus sees the same floating-point operations, in the same
+    order, as ``eval_route`` on that assignment, so the objectives are
+    bit-identical.
     """
     n_mr = radices.shape[0]
-    total = 1
-    for m in range(n_mr):
-        total *= radices[m]
+    total = math.prod(int(r) for r in radices)
     valid = np.zeros(total, np.bool_)
     z1 = np.zeros(total, np.float64)
     z2 = np.zeros(total, np.float64)
-    choices = np.zeros(n_mr, np.int64)
-    for idx in range(total):
-        total_cost = 0.0
-        total_risk = 0.0
-        all_ok = True
-        for m in range(n_mr):
-            cur = m
-            cost = 0.0
-            surv = 1.0
-            ok = False
-            for _step in range(max_depth):
-                li = mr_link_offset[cur] + choices[cur]
-                cost += link_cost[li]
-                surv *= 1.0 - link_fail[li]
-                parent = link_parent[li]
-                if parent < n_ar:
-                    surv *= 1.0 - ar_bs_fail[parent]
-                    ok = True
-                    break
-                cur = parent - n_ar
-            if not ok:
-                all_ok = False
+    if n_mr == 0:  # the one, empty assignment
+        valid[:] = True
+        return valid, z1, z2
+    steps = min(max_depth, n_mr)  # as in eval_route
+    strides = np.ones(n_mr, np.int64)
+    strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
+    link_surv = 1.0 - link_fail
+    bs_surv = 1.0 - ar_bs_fail
+    for start in range(0, total, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        # links[row, m]: the link MR m chooses in assignment start + row
+        links = mr_link_offset + (idx[:, None] // strides) % radices
+        rows = np.arange(idx.size)[:, None]
+        cur = np.broadcast_to(np.arange(n_mr), links.shape)
+        cost = np.zeros(links.shape)
+        surv = np.ones(links.shape)
+        active = np.ones(links.shape, np.bool_)
+        for _step in range(steps):
+            li = links[rows, cur]
+            np.add(cost, link_cost[li], out=cost, where=active)
+            np.multiply(surv, link_surv[li], out=surv, where=active)
+            parent = link_parent[li]
+            at_ar = active & (parent < n_ar)
+            surv[at_ar] *= bs_surv[parent[at_ar]]
+            active &= ~at_ar
+            if not active.any():
                 break
-            total_cost += cost
-            total_risk += 1.0 - surv
-        if all_ok:
-            valid[idx] = True
-            z1[idx] = total_cost
-            z2[idx] = total_risk
-        k = n_mr - 1
-        while k >= 0:
-            choices[k] += 1
-            if choices[k] < radices[k]:
-                break
-            choices[k] = 0
-            k -= 1
+            cur = np.where(active, parent - n_ar, cur)
+        ok = ~active.any(axis=1)
+        valid[start:stop] = ok
+        z1[start:stop] = np.where(ok, np.add.accumulate(cost, axis=1)[:, -1], 0.0)
+        z2[start:stop] = np.where(ok, np.add.accumulate(1.0 - surv, axis=1)[:, -1], 0.0)
     return valid, z1, z2
 
 
@@ -230,7 +241,6 @@ def warmup():
     fail = np.zeros(1, np.float64)
     bs = np.zeros(1, np.float64)
     eval_route(choices, off, parent, cost, fail, bs, 1, 2)
-    enumerate_routes(np.ones(1, np.int64), off, parent, cost, fail, bs, 1, 2)
     pts = np.array([[0.0, 1.0], [1.0, 0.0]])
     dominance_matrix(pts)
     crowding_distance(pts)

@@ -54,6 +54,7 @@ class _Compiled:
     link_parent_ids: tuple[str, ...]
     link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
     mr_link_offset_ints: tuple[int, ...]  # mr_link_offset as plain ints, for string building
+    radix_ints: tuple[int, ...]  # radices as plain ints, for choice range checks
     search_space: int
 
 
@@ -113,6 +114,7 @@ class NetworkInstance:
             link_parent_ids=tuple(parent_ids),
             link_labels=tuple(labels),
             mr_link_offset_ints=tuple(offsets.tolist()),
+            radix_ints=tuple(counts.tolist()),
             search_space=space,
         )
 
@@ -258,11 +260,9 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
     c = inst.compiled
     if len(a.choices) != inst.n_mr:
         raise ContractViolation(f"assignment has {len(a.choices)} entries, instance has {inst.n_mr} MRs")
-    for m, k in enumerate(a.choices):
-        if not 0 <= k < c.radices[m]:
-            raise ContractViolation(
-                f"choice {k} out of range for {inst.mobile_routers[m]!r} (has {c.radices[m]} links)"
-            )
+    for m, (k, r) in enumerate(zip(a.choices, c.radix_ints)):
+        if not 0 <= k < r:
+            raise ContractViolation(f"choice {k} out of range for {inst.mobile_routers[m]!r} (has {r} links)")
 
 
 def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
@@ -555,6 +555,18 @@ def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignm
     return [g for g, _objectives in iter_neighbors(inst, a)]
 
 
+def _front_rows(z1: np.ndarray, z2: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Rows of the Pareto front of points (z1, z2), one per distinct point, in ascending z1.
+
+    Of equal points the row with the smallest ``key`` is kept. In (z1, z2,
+    key) order a row is on the front exactly when its z2 is below every z2
+    before it, that is, when it lowers the running minimum of z2.
+    """
+    order = np.lexsort((key, z2, z1))
+    best = np.minimum.accumulate(z2[order])
+    return order[best < np.r_[np.inf, best[:-1]]]
+
+
 def brute_force_pareto(
     inst: NetworkInstance, guard: int = 1_000_000
 ) -> list[tuple[ObjectiveVector, RouteAssignment]]:
@@ -581,19 +593,11 @@ def brute_force_pareto(
         inst.max_depth,
     )
     idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return []
-    z1v, z2v = z1[idx], z2[idx]
-    order = np.lexsort((idx, z2v, z1v))
-    shape = tuple(int(r) for r in c.radices)
-    front = []
-    best = math.inf
-    for j in order:
-        if z2v[j] < best:
-            best = float(z2v[j])
-            choices = tuple(int(x) for x in np.unravel_index(int(idx[j]), shape))
-            front.append((ObjectiveVector((float(z1v[j]), best)), RouteAssignment(choices)))
-    return front
+    z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
+    rows = _front_rows(z1, z2, idx)
+    shape = tuple(c.radix_ints)
+    choices = zip(*(col.tolist() for col in np.unravel_index(idx[rows], shape)))
+    return [(ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(ch)) for i, ch in zip(rows, choices)]
 
 
 class RouteProblem(Problem):

@@ -1,8 +1,10 @@
-"""Kernel-level checks: both execution paths agree, hand-verifiable values hold."""
+"""Kernel-level checks: both paths agree, enumeration matches single walks, hand-verifiable values hold."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from survroute import kernels
 from survroute.kernels import (
     _dominance_matrix_loops,
     _dominance_matrix_numpy,
@@ -14,6 +16,9 @@ from survroute.kernels import (
     nondominated_mask,
     python_impl,
 )
+from survroute.netmodel import parse_instance
+
+from conftest import synthetic_net_text
 
 
 def _route_args(inst, choices):
@@ -40,37 +45,69 @@ def test_eval_route_paths_bit_identical(standard_instance):
         assert eval_route(*args) == py(*args)
 
 
-def test_enumerate_routes_paths_bit_identical(standard_instance):
-    c = standard_instance.compiled
-    args = (
-        c.radices,
-        c.mr_link_offset,
-        c.link_parent_code,
-        c.link_cost,
-        c.link_fail,
-        c.ar_bs_fail,
-        standard_instance.n_ar,
-        standard_instance.max_depth,
+def _assert_enumeration_matches_eval_route(inst):
+    """enumerate_routes equals one eval_route walk per flat index: validity exactly, floats bit for bit."""
+    c = inst.compiled
+    valid, z1, z2 = enumerate_routes(
+        c.radices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
+        c.ar_bs_fail, inst.n_ar, inst.max_depth,
     )
-    v1, a1, b1 = enumerate_routes(*args)
-    v2, a2, b2 = python_impl(enumerate_routes)(*args)
-    assert (v1 == v2).all()
-    assert (a1 == a2).all() and (b1 == b2).all()
+    shape = tuple(int(r) for r in c.radices)
+    size = int(np.prod(shape))
+    assert valid.shape == z1.shape == z2.shape == (size,)
+    ref = [eval_route(*_route_args(inst, np.unravel_index(flat, shape))) for flat in range(size)]
+    assert valid.tolist() == [ok for _a, _b, ok in ref]
+    assert z1.tobytes() == np.array([a for a, _b, _ok in ref], dtype=np.float64).tobytes()
+    assert z2.tobytes() == np.array([b for _a, b, _ok in ref], dtype=np.float64).tobytes()
+    return valid
 
 
 def test_enumerate_matches_single_eval(standard_instance):
-    c = standard_instance.compiled
-    valid, z1, z2 = enumerate_routes(
-        c.radices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-        c.ar_bs_fail, standard_instance.n_ar, standard_instance.max_depth,
-    )
-    shape = tuple(int(r) for r in c.radices)
-    for flat in range(int(np.prod(shape))):
-        choices = np.array(np.unravel_index(flat, shape), dtype=np.int64)
-        a, b, ok = eval_route(*_route_args(standard_instance, choices))
-        assert ok == valid[flat]
-        if ok:
-            assert (a, b) == (z1[flat], z2[flat])
+    _assert_enumeration_matches_eval_route(standard_instance)
+
+
+@st.composite
+def small_net_texts(draw):
+    """Instances of up to 5 MRs whose MR-MR links can form cycles; possibly no access router at all."""
+    n_ar = draw(st.integers(0, 2))
+    mrs = [f"m{i}" for i in range(draw(st.integers(2 if n_ar == 0 else 1, 5)))]
+    ars = [f"a{i}" for i in range(n_ar)]
+    lines = ["BS b0 0.1", "BS b1 0.25"] + [f"AR {a} b{i % 2}" for i, a in enumerate(ars)]
+    lines += [f"MR {m}" for m in mrs]
+    unit = st.floats(0.0, 1.0)
+    for m in mrs:
+        candidates = ars + [p for p in mrs if p != m]
+        for p in draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True)):
+            lines.append(f"LINK {m} {p} {draw(st.floats(0.0, 100.0))!r} {draw(unit)!r}")
+    lines.append(f"MAXDEPTH {draw(st.integers(1, len(mrs) + 1))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=small_net_texts())
+def test_enumerate_routes_matches_eval_route(text):
+    _assert_enumeration_matches_eval_route(parse_instance(text))
+
+
+def test_enumerate_routes_depth_one():
+    inst = parse_instance(synthetic_net_text(5, 3, 1, seed=4))
+    valid = _assert_enumeration_matches_eval_route(inst)
+    assert 0 < valid.sum() < valid.size
+
+
+def test_enumerate_routes_without_access_router_links():
+    text = "BS b 0.1\nAR a b\nMR m1\nMR m2\nMR m3\n"
+    text += "LINK m1 m2 1 0.1\nLINK m2 m3 1 0.1\nLINK m2 m1 1 0.1\nLINK m3 m1 2 0.2\n"
+    valid = _assert_enumeration_matches_eval_route(parse_instance(text))
+    assert not valid.any()
+
+
+def test_enumerate_routes_across_blocks():
+    inst = parse_instance(synthetic_net_text(9, 3, 4, seed=5))
+    space = inst.compiled.search_space
+    assert space > kernels._BLOCK_ROWS and space % kernels._BLOCK_ROWS != 0
+    valid = _assert_enumeration_matches_eval_route(inst)
+    assert 0 < valid.sum() < valid.size
 
 
 def test_dominance_matrix_implementations_agree():

@@ -2,15 +2,20 @@
 
 import dataclasses
 import itertools
+import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from survroute.cli import main as cli_main
 from survroute.errors import ContractViolation, InstanceError, OracleScopeError, ParseError
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
+    _front_rows,
     assignment_from_parent_map,
     assignment_from_string,
     assignment_string,
@@ -21,6 +26,7 @@ from survroute.netmodel import (
     heavy_reattach,
     invalid_reason,
     iter_neighbors,
+    load_instance,
     mutate_reattach,
     neighborhood,
     parent_map,
@@ -470,6 +476,22 @@ class TestBruteForce:
             assert validate_assignment(inst, witness)
             assert evaluate_assignment(inst, witness) == ov.values
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_front_rows_match_sequential_scan(self, data):
+        # few distinct values, so ties in z1, in z2 and in both are common
+        n = data.draw(st.integers(0, 30))
+        z1 = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64)
+        z2 = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64) / 8
+        key = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        # the scan brute_force_pareto made before the mask
+        expected, best = [], math.inf
+        for j in np.lexsort((key, z2, z1)):
+            if z2[j] < best:
+                best = z2[j]
+                expected.append(int(j))
+        assert _front_rows(z1, z2, key).tolist() == expected
+
     def test_search_space_size(self, standard_instance, stress_instance):
         assert search_space_size(standard_instance) == 64
         assert search_space_size(stress_instance) == 4 * 4 * 4 * 4 * 4
@@ -488,3 +510,47 @@ def test_route_problem_surface(standard_instance):
     for n, objectives in problem.neighborhood(g):
         assert problem.is_valid(n)
         assert objectives == problem.evaluate(n)
+
+
+CYCLE_2MR = """
+BS b 0.1
+AR a b
+MR m1
+MR m2
+LINK m1 a 1 0.1
+LINK m1 m2 1 0.1
+LINK m2 a 1 0.1
+LINK m2 m1 1 0.1
+MAXDEPTH {depth}
+"""
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(_signum, _frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cycle_with_huge_max_depth_finishes(tmp_path):
+    # route walks stop after n_mr links: a longer walk has revisited an MR
+    results = {}
+    for depth in (2, 1_000_000_000):
+        path = tmp_path / f"cycle{depth}.net"
+        path.write_text(CYCLE_2MR.format(depth=depth))
+        out = tmp_path / f"front{depth}.csv"
+        with _time_limit(20):
+            assert cli_main(["oracle", str(path), "--out", str(out)]) == 0
+            inst = load_instance(path)
+            neighbors = neighborhood(inst, assignment_from_string(inst, "m1=a;m2=m1"))
+        results[depth] = (out.read_text(), [assignment_string(inst, g) for g in neighbors])
+    assert results[1_000_000_000] == results[2]
+    assert results[2][0].splitlines()[1:] == ["2,0.38,m1=a;m2=a"]
+    assert results[2][1] == ["m1=a;m2=a"]
