@@ -8,7 +8,10 @@ With numba installed (and SURVROUTE_DISABLE_NUMBA unset) each kernel is timed
 twice: compiled, and via its uncompiled implementation. The dominance matrix
 compares the jitted loop kernel against the vectorized numpy fallback.
 Route walks run on valid genotypes (from ``random_assignment``) at 40 and
-200 MRs. ``enumerate_routes`` is a numpy block walk on both paths; it is
+200 MRs, on the inputs ``netmodel`` passes (``kernels.walk_input``: numpy
+arrays when compiled, plain tuples on the fallback). The interpreted walk is
+also timed on plain tuples against numpy arrays, with the ratio printed.
+``enumerate_routes`` is a numpy block walk on both paths; it is
 timed against one ``eval_route`` walk per assignment of the same space. A
 last case times what local search consumes of the lazy neighborhood (its
 first 20 neighbors) against building the full list.
@@ -24,7 +27,7 @@ import numpy as np
 
 from survroute import kernels
 from survroute.kernels import python_impl
-from survroute.netmodel import RouteAssignment, iter_neighbors, neighborhood, parse_instance, random_assignment
+from survroute.netmodel import iter_neighbors, neighborhood, parse_instance, random_assignment
 
 
 def synthetic_instance(n_mr: int, links_per_mr: int, seed: int = 0):
@@ -54,16 +57,32 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
+def _array_tables(c):
+    return (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail)
+
+
 def route_batch(n_mr: int, count: int, seed: int):
-    """Instance plus ``count`` valid genotypes from random_assignment, so every walk runs in full."""
+    """eval_route arguments for ``count`` valid genotypes from random_assignment, and their valid share.
+
+    Every walk runs in full. The arguments come in three forms: as
+    ``netmodel`` passes them (``production``), as plain tuples and as numpy
+    arrays.
+    """
     inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=seed)
     rng = np.random.default_rng(seed)
-    batch = [random_assignment(inst, rng).as_array() for _ in range(count)]
+    batch = [random_assignment(inst, rng).choices for _ in range(count)]
     c = inst.compiled
-    args = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-            c.ar_bs_fail, inst.n_ar, inst.max_depth)
-    valid = sum(bool(kernels.eval_route(row, *args)[2]) for row in batch) / count
-    return inst, batch, args, valid
+    tables = {
+        "production": (c.walk_tables, lambda ch: kernels.walk_input(ch, np.int64)),
+        "tuples": (tuple(tuple(t.tolist()) for t in _array_tables(c)), lambda ch: ch),
+        "arrays": (_array_tables(c), lambda ch: np.asarray(ch, dtype=np.int64)),
+    }
+    walks = {
+        form: [(as_input(ch), *tabs, inst.n_ar, inst.max_depth) for ch in batch]
+        for form, (tabs, as_input) in tables.items()
+    }
+    valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks["production"]) / count
+    return walks, valid
 
 
 def main() -> None:
@@ -75,15 +94,15 @@ def main() -> None:
 
     # single-assignment evaluation walks on valid genotypes
     walk_sets = {n_mr: route_batch(n_mr, count, seed=1) for n_mr, count in ((40, 2000), (200, 400))}
-    for n_mr, (_inst, batch, _args, valid) in walk_sets.items():
-        print(f"eval_route genotypes at {n_mr} MRs: {len(batch)}, valid share {valid:.0%}")
+    for n_mr, (walks, valid) in walk_sets.items():
+        print(f"eval_route genotypes at {n_mr} MRs: {len(walks['production'])}, valid share {valid:.0%}")
 
-    def eval_many(fn, n_mr):
-        _inst, batch, eval_args, _valid = walk_sets[n_mr]
+    def eval_many(fn, n_mr, form="production"):
+        walks = walk_sets[n_mr][0][form]
 
         def body():
-            for row in batch:
-                fn(row, *eval_args)
+            for args in walks:
+                fn(*args)
         return body
 
     # batch objective-space kernels
@@ -93,9 +112,9 @@ def main() -> None:
 
     cases = [
         ("eval_route x2000 (40 MRs)",
-         eval_many(kernels.eval_route, 40), eval_many(python_impl(kernels.eval_route), 40)),
+         eval_many(kernels.eval_route, 40), eval_many(python_impl(kernels.eval_route), 40, "tuples")),
         ("eval_route x400 (200 MRs)",
-         eval_many(kernels.eval_route, 200), eval_many(python_impl(kernels.eval_route), 200)),
+         eval_many(kernels.eval_route, 200), eval_many(python_impl(kernels.eval_route), 200, "tuples")),
         ("dominance_matrix (200x2)",
          lambda: kernels.dominance_matrix(F),
          lambda: kernels._dominance_matrix_numpy(F)),
@@ -121,23 +140,34 @@ def main() -> None:
         for name, fast, _slow in cases:
             print(f"{name:<40} {best_of(fast, args.repeats) * 1e3:>10.2f}ms")
 
+    # the interpreted walk on plain tuples (the fallback's walk tables) against numpy arrays
+    py_walk = python_impl(kernels.eval_route)
+    print("interpreted eval_route, plain tuples vs numpy arrays:")
+    for n_mr, (walks, _valid) in walk_sets.items():
+        t_tuples = best_of(eval_many(py_walk, n_mr, "tuples"), args.repeats)
+        t_arrays = best_of(eval_many(py_walk, n_mr, "arrays"), args.repeats)
+        per = 1e6 / len(walks["tuples"])
+        print(f"  {n_mr} MRs: tuples {t_tuples * per:>8.1f}us  arrays {t_arrays * per:>8.1f}us per walk"
+              f"  ({t_arrays / t_tuples:.1f}x)")
+
     # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
     sc = small.compiled
-    walk_args = (sc.mr_link_offset, sc.link_parent_code, sc.link_cost, sc.link_fail,
-                 sc.ar_bs_fail, small.n_ar, small.max_depth)
-    shape = tuple(int(r) for r in sc.radices)
-    space = [np.array(np.unravel_index(flat, shape), dtype=np.int64) for flat in range(sc.search_space)]
-    t_block = best_of(lambda: kernels.enumerate_routes(sc.radices, *walk_args), args.repeats)
-    t_loop = best_of(lambda: [kernels.eval_route(row, *walk_args) for row in space], args.repeats)
+    space = [kernels.walk_input(tuple(int(k) for k in np.unravel_index(flat, sc.radix_ints)), np.int64)
+             for flat in range(sc.search_space)]
+    t_block = best_of(lambda: kernels.enumerate_routes(sc.radices, *_array_tables(sc), small.n_ar, small.max_depth),
+                      args.repeats)
+    t_loop = best_of(lambda: [kernels.eval_route(row, *sc.walk_tables, small.n_ar, small.max_depth) for row in space],
+                     args.repeats)
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
     print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
     print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")
 
     # local search pulls at most its budget (20) of the lazy neighborhood;
     # the eager list validates every single-MR reattachment
-    inst, batch, _args, _valid = walk_sets[40]
-    starts = [RouteAssignment(tuple(int(k) for k in row)) for row in batch[:20]]
+    inst = synthetic_instance(n_mr=40, links_per_mr=6, seed=1)
+    rng = np.random.default_rng(1)
+    starts = [random_assignment(inst, rng) for _ in range(20)]
     sizes = [len(neighborhood(inst, a)) for a in starts]
     t_lazy = best_of(lambda: [list(islice(iter_neighbors(inst, a), 20)) for a in starts], args.repeats)
     t_full = best_of(lambda: [neighborhood(inst, a) for a in starts], args.repeats)

@@ -7,6 +7,12 @@ interpreted by CPython, so results are bit-identical on both paths; the
 dominance matrix falls back to a vectorized numpy formulation (boolean
 output, hence also exact).
 
+``walk_input`` gives ``eval_route``'s inputs the form each path walks
+fastest: the compiled walk takes numpy arrays, the interpreted walk plain
+tuples and lists, which CPython indexes without boxing a numpy scalar per
+element. Both forms hold the same IEEE doubles and ints, so the walk gives
+the same objectives either way.
+
 ``enumerate_routes``, the oracle's exhaustive enumeration, is compiled on
 neither path: it is a numpy block walk over many assignments at once,
 bit-identical to ``eval_route`` on each assignment.
@@ -48,6 +54,19 @@ else:
 _BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
 
 
+if NUMBA_ENABLED:
+
+    def walk_input(values, dtype):
+        """``values`` as an ``eval_route`` input for the compiled walk: a numpy array of ``dtype``."""
+        return np.asarray(values, dtype=dtype)
+
+else:
+
+    def walk_input(values, dtype):
+        """``values`` (a tuple or list) as an ``eval_route`` input for the interpreted walk: unchanged."""
+        return values
+
+
 def python_impl(kernel):
     """Return the uncompiled implementation of a kernel (the kernel itself on the fallback path)."""
     return getattr(kernel, "py_func", kernel)
@@ -57,6 +76,8 @@ def python_impl(kernel):
 def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
     """Evaluate one route assignment; returns (z1, z2, valid).
 
+    The sequences come as ``walk_input`` gives them: numpy arrays on the
+    compiled path, plain tuples or lists on the interpreted one.
     ``choices[m]`` indexes into MR m's candidate-link block starting at
     ``mr_link_offset[m]``. ``link_parent[li] < n_ar`` means the link attaches
     to access router ``li``'s index, otherwise to MR ``link_parent[li] - n_ar``.
@@ -67,7 +88,7 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
     walk order, then the base station behind the terminating access router.
     The accumulation order is part of the determinism contract.
     """
-    n_mr = choices.shape[0]
+    n_mr = len(choices)
     # a walk of more than n_mr links has revisited an MR and can never reach
     # an access router, so larger depth limits need no more steps
     steps = min(max_depth, n_mr)

@@ -13,6 +13,7 @@ small instances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class CandidateLink:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """Flat array view of an instance for the evaluation kernels."""
+    """Flat view of an instance: numpy arrays for the oracle's block walk, plain tuples for per-element loops."""
 
     mr_index: dict
     ar_index: dict
@@ -53,8 +54,13 @@ class _Compiled:
     ar_bs_fail: np.ndarray
     link_parent_ids: tuple[str, ...]
     link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
-    mr_link_offset_ints: tuple[int, ...]  # mr_link_offset as plain ints, for string building
-    radix_ints: tuple[int, ...]  # radices as plain ints, for choice range checks
+    # plain-int copies of mr_link_offset, radices and link_parent_code
+    mr_link_offset_ints: tuple[int, ...]
+    radix_ints: tuple[int, ...]
+    link_parent_ints: tuple[int, ...]
+    # eval_route's table arguments (mr_link_offset, link_parent, link_cost,
+    # link_fail, ar_bs_fail) in the form kernels.walk_input gives them
+    walk_tables: tuple
     search_space: int
 
 
@@ -75,47 +81,44 @@ class NetworkInstance:
         bs_fail = {bs: p for bs, p in self.base_stations}
         n_ar = len(self.access_routers)
 
-        counts = np.zeros(len(self.mobile_routers), dtype=np.int64)
-        parent_code = np.empty(len(self.links), dtype=np.int64)
-        cost = np.empty(len(self.links), dtype=np.float64)
-        fail = np.empty(len(self.links), dtype=np.float64)
-        parent_ids = []
-        labels = []
+        counts = [0] * len(self.mobile_routers)
+        parent_code = []
         # links are sorted by (child, parent), so the flat order is already
         # grouped per MR in canonical order
-        for i, link in enumerate(self.links):
+        for link in self.links:
             counts[mr_index[link.child]] += 1
             if link.parent in ar_index:
-                parent_code[i] = ar_index[link.parent]
+                parent_code.append(ar_index[link.parent])
             else:
-                parent_code[i] = n_ar + mr_index[link.parent]
-            cost[i] = link.cost
-            fail[i] = link.fail_prob
-            parent_ids.append(link.parent)
-            labels.append(f"{link.child}={link.parent}")
-
-        offsets = np.zeros(len(self.mobile_routers), dtype=np.int64)
-        if len(counts) > 1:
-            offsets[1:] = np.cumsum(counts)[:-1]
-
-        space = 1
-        for c in counts:
-            space *= int(c)
+                parent_code.append(n_ar + mr_index[link.parent])
+        parent_code = tuple(parent_code)
+        offsets = (0, *itertools.accumulate(counts))[:-1]
+        cost = tuple(link.cost for link in self.links)
+        fail = tuple(link.fail_prob for link in self.links)
+        ar_bs_fail = tuple(bs_fail[bs] for _ar, bs in self.access_routers)
 
         return _Compiled(
             mr_index=mr_index,
             ar_index=ar_index,
-            radices=counts,
-            mr_link_offset=offsets,
-            link_parent_code=parent_code,
-            link_cost=cost,
-            link_fail=fail,
-            ar_bs_fail=np.array([bs_fail[bs] for _ar, bs in self.access_routers], dtype=np.float64),
-            link_parent_ids=tuple(parent_ids),
-            link_labels=tuple(labels),
-            mr_link_offset_ints=tuple(offsets.tolist()),
-            radix_ints=tuple(counts.tolist()),
-            search_space=space,
+            radices=np.array(counts, dtype=np.int64),
+            mr_link_offset=np.array(offsets, dtype=np.int64),
+            link_parent_code=np.array(parent_code, dtype=np.int64),
+            link_cost=np.array(cost, dtype=np.float64),
+            link_fail=np.array(fail, dtype=np.float64),
+            ar_bs_fail=np.array(ar_bs_fail, dtype=np.float64),
+            link_parent_ids=tuple(link.parent for link in self.links),
+            link_labels=tuple(f"{link.child}={link.parent}" for link in self.links),
+            mr_link_offset_ints=offsets,
+            radix_ints=tuple(counts),
+            link_parent_ints=parent_code,
+            walk_tables=(
+                kernels.walk_input(offsets, np.int64),
+                kernels.walk_input(parent_code, np.int64),
+                kernels.walk_input(cost, np.float64),
+                kernels.walk_input(fail, np.float64),
+                kernels.walk_input(ar_bs_fail, np.float64),
+            ),
+            search_space=math.prod(counts),
         )
 
     @property
@@ -132,9 +135,6 @@ class RouteAssignment:
     """Genotype: per MR (in instance order), the index of its chosen candidate link."""
 
     choices: tuple[int, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.choices, dtype=np.int64)
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -270,14 +270,14 @@ def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
     _check_choices(inst, a)
     c = inst.compiled
     n_ar = inst.n_ar
+    offsets, parents, choices = c.mr_link_offset_ints, c.link_parent_ints, a.choices
     for m in range(inst.n_mr):
         cur = m
         steps = 0
         visited = {m}
         while True:
-            li = int(c.mr_link_offset[cur]) + a.choices[cur]
+            parent = parents[offsets[cur] + choices[cur]]
             steps += 1
-            parent = int(c.link_parent_code[li])
             if parent < n_ar:
                 if steps > inst.max_depth:
                     return "depth"
@@ -293,19 +293,18 @@ def validate_assignment(inst: NetworkInstance, a: RouteAssignment) -> bool:
     return invalid_reason(inst, a) is None
 
 
-def _walk(inst: NetworkInstance, choices: np.ndarray) -> tuple[float, float, bool]:
-    """One ``kernels.eval_route`` walk of a choices array: (z1, z2, valid)."""
+def _walk(inst: NetworkInstance, choices) -> tuple[float, float, bool]:
+    """One ``kernels.eval_route`` walk of a choices tuple or list: (z1, z2, valid)."""
     c = inst.compiled
     return kernels.eval_route(
-        choices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-        c.ar_bs_fail, inst.n_ar, inst.max_depth,
+        kernels.walk_input(choices, np.int64), *c.walk_tables, inst.n_ar, inst.max_depth,
     )
 
 
 def evaluate_assignment(inst: NetworkInstance, a: RouteAssignment) -> tuple[float, float]:
     """(z1, z2) of a valid assignment; raises ContractViolation otherwise."""
     _check_choices(inst, a)
-    z1, z2, ok = _walk(inst, a.as_array())
+    z1, z2, ok = _walk(inst, a.choices)
     if not ok:
         raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
     return float(z1), float(z2)
@@ -323,8 +322,8 @@ def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
     _check_choices(inst, a)
     c = inst.compiled
     return {
-        mr: c.link_parent_ids[int(c.mr_link_offset[m]) + a.choices[m]]
-        for m, mr in enumerate(inst.mobile_routers)
+        mr: c.link_parent_ids[off + k]
+        for mr, off, k in zip(inst.mobile_routers, c.mr_link_offset_ints, a.choices)
     }
 
 
@@ -340,9 +339,8 @@ def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -
         raise ContractViolation("parent map must be keyed exactly by the instance's MR ids")
     c = inst.compiled
     choices = []
-    for m, mr in enumerate(inst.mobile_routers):
-        off = int(c.mr_link_offset[m])
-        block = c.link_parent_ids[off : off + int(c.radices[m])]
+    for mr, off, r in zip(inst.mobile_routers, c.mr_link_offset_ints, c.radix_ints):
+        block = c.link_parent_ids[off : off + r]
         try:
             choices.append(block.index(mapping[mr]))
         except ValueError:
@@ -360,28 +358,25 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> RouteAssignment:
-    """Random valid forest via randomized topological attachment.
+def _attach(inst: NetworkInstance, rng, choices: list[int], depth: dict[int, int], pending: list[int]) -> bool:
+    """Randomized topological attachment of the MRs in ``pending``, in place.
 
-    MRs are processed in a random order, each picking uniformly among
-    candidate links whose parent is already rooted (an AR, or an MR attached
-    earlier in this pass) without exceeding max_depth. Infeasible orders are
-    retried with a fresh permutation.
+    Sweeps ``pending`` in order. Each MR picks uniformly among its candidate
+    links whose parent is rooted (an AR, or an MR in ``depth``) without
+    exceeding max_depth, and enters ``depth``; an MR with no such link waits
+    for the next sweep. Sweeps repeat until every MR is attached (True) or a
+    sweep attaches none (False).
     """
     c = inst.compiled
     n_ar = inst.n_ar
-    if inst.n_mr == 0:
-        return RouteAssignment(())
-    for _attempt in range(max_attempts):
-        order = rng.permutation(inst.n_mr)
-        depth: dict[int, int] = {}
-        choices = [0] * inst.n_mr
-        ok = True
-        for m in order:
-            m = int(m)
+    offsets, radices, parents = c.mr_link_offset_ints, c.radix_ints, c.link_parent_ints
+    while pending:
+        deferred = []
+        for m in pending:
             feasible = []
-            for k in range(int(c.radices[m])):
-                parent = int(c.link_parent_code[int(c.mr_link_offset[m]) + k])
+            off = offsets[m]
+            for k in range(radices[m]):
+                parent = parents[off + k]
                 if parent < n_ar:
                     d = 1
                 elif (parent - n_ar) in depth:
@@ -390,22 +385,37 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
                     continue
                 if d <= inst.max_depth:
                     feasible.append((k, d))
-            if not feasible:
-                ok = False
-                break
-            k, d = feasible[int(rng.integers(len(feasible)))]
-            choices[m] = k
-            depth[m] = d
-        if ok:
+            if feasible:
+                k, d = feasible[int(rng.integers(len(feasible)))]
+                choices[m] = k
+                depth[m] = d
+            else:
+                deferred.append(m)
+        if len(deferred) == len(pending):
+            return False
+        pending = deferred
+    return True
+
+
+def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> RouteAssignment:
+    """Random valid forest via randomized topological attachment (``_attach``).
+
+    All MRs are attached in a random order; an attempt that stalls is
+    retried with a fresh permutation.
+    """
+    if inst.n_mr == 0:
+        return RouteAssignment(())
+    for _attempt in range(max_attempts):
+        choices = [0] * inst.n_mr
+        if _attach(inst, rng, choices, {}, rng.permutation(inst.n_mr).tolist()):
             return RouteAssignment(tuple(choices))
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
-def _feasible_alternatives(inst: NetworkInstance, work: np.ndarray, m: int) -> list[int]:
-    c = inst.compiled
-    current = int(work[m])
+def _feasible_alternatives(inst: NetworkInstance, work: list[int], m: int) -> list[int]:
+    current = work[m]
     feasible = []
-    for k in range(int(c.radices[m])):
+    for k in range(inst.compiled.radix_ints[m]):
         if k == current:
             continue
         work[m] = k
@@ -422,13 +432,13 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     """
     if inst.n_mr == 0:
         return a
-    work = a.as_array()
+    work = list(a.choices)
     m = int(rng.integers(inst.n_mr))
     feasible = _feasible_alternatives(inst, work, m)
     if not feasible:
         return a
     work[m] = feasible[int(rng.integers(len(feasible)))]
-    return RouteAssignment(tuple(int(k) for k in work))
+    return RouteAssignment(tuple(work))
 
 
 def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
@@ -436,18 +446,19 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     if inst.n_mr == 0:
         return a
     count = (inst.n_mr + 1) // 2
-    work = a.as_array()
-    for m in rng.permutation(inst.n_mr)[:count]:
-        feasible = _feasible_alternatives(inst, work, int(m))
+    work = list(a.choices)
+    for m in rng.permutation(inst.n_mr)[:count].tolist():
+        feasible = _feasible_alternatives(inst, work, m)
         if feasible:
-            work[int(m)] = feasible[int(rng.integers(len(feasible)))]
-    return RouteAssignment(tuple(int(k) for k in work))
+            work[m] = feasible[int(rng.integers(len(feasible)))]
+    return RouteAssignment(tuple(work))
 
 
-def _broken_mrs(inst: NetworkInstance, choices: np.ndarray) -> tuple[list[int], dict[int, int]]:
+def _broken_mrs(inst: NetworkInstance, choices: list[int]) -> tuple[list[int], dict[int, int]]:
     """MR indices whose walk fails, plus depths of the intact ones."""
     c = inst.compiled
     n_ar = inst.n_ar
+    offsets, parents = c.mr_link_offset_ints, c.link_parent_ints
     broken = []
     depth: dict[int, int] = {}
     for m in range(inst.n_mr):
@@ -456,9 +467,8 @@ def _broken_mrs(inst: NetworkInstance, choices: np.ndarray) -> tuple[list[int], 
         visited = {m}
         reached = False
         while True:
-            li = int(c.mr_link_offset[cur]) + int(choices[cur])
+            parent = parents[offsets[cur] + choices[cur]]
             steps += 1
-            parent = int(c.link_parent_code[li])
             if parent < n_ar:
                 reached = steps <= inst.max_depth
                 break
@@ -482,47 +492,16 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     """
     if inst.n_mr == 0:
         return a
-    c = inst.compiled
-    n_ar = inst.n_ar
-    child = np.empty(inst.n_mr, dtype=np.int64)
-    for m in range(inst.n_mr):
-        child[m] = a.choices[m] if rng.random() < 0.5 else b.choices[m]
+    child = [ka if rng.random() < 0.5 else kb for ka, kb in zip(a.choices, b.choices)]
     broken, intact_depth = _broken_mrs(inst, child)
     if not broken:
-        return RouteAssignment(tuple(int(k) for k in child))
+        return RouteAssignment(tuple(child))
 
     for _attempt in range(50):
-        depth = dict(intact_depth)
-        trial = child.copy()
-        pending = [int(m) for m in rng.permutation(len(broken))]
-        pending = [broken[i] for i in pending]
-        while pending:
-            progressed = False
-            still = []
-            for m in pending:
-                feasible = []
-                for k in range(int(c.radices[m])):
-                    parent = int(c.link_parent_code[int(c.mr_link_offset[m]) + k])
-                    if parent < n_ar:
-                        d = 1
-                    elif (parent - n_ar) in depth:
-                        d = depth[parent - n_ar] + 1
-                    else:
-                        continue
-                    if d <= inst.max_depth:
-                        feasible.append((k, d))
-                if feasible:
-                    k, d = feasible[int(rng.integers(len(feasible)))]
-                    trial[m] = k
-                    depth[m] = d
-                    progressed = True
-                else:
-                    still.append(m)
-            pending = still
-            if not progressed:
-                break
-        if not pending:
-            return RouteAssignment(tuple(int(k) for k in trial))
+        trial = list(child)
+        pending = [broken[i] for i in rng.permutation(len(broken)).tolist()]
+        if _attach(inst, rng, trial, dict(intact_depth), pending):
+            return RouteAssignment(tuple(trial))
     return random_assignment(inst, rng)
 
 
@@ -534,12 +513,11 @@ def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[
     stops early walks no further candidates.
     """
     _check_choices(inst, a)
-    c = inst.compiled
     choices = a.choices
-    work = a.as_array()
-    for m in range(inst.n_mr):
+    work = list(choices)
+    for m, radix in enumerate(inst.compiled.radix_ints):
         current = choices[m]
-        for k in range(int(c.radices[m])):
+        for k in range(radix):
             if k == current:
                 continue
             work[m] = k
@@ -611,7 +589,7 @@ class RouteProblem(Problem):
     def evaluate(self, genotype: RouteAssignment) -> ObjectiveVector:
         inst = self.instance
         _check_choices(inst, genotype)
-        z1, z2, ok = _walk(inst, genotype.as_array())
+        z1, z2, ok = _walk(inst, genotype.choices)
         if not ok:
             raise ValidityError(f"invalid assignment ({invalid_reason(inst, genotype)})")
         return ObjectiveVector((float(z1), float(z2)))

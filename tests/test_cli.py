@@ -63,6 +63,19 @@ class TestRun:
         want = {(z1, z2) for z1, z2, _g in read_front_csv(oracle_csv)}
         assert got == want
 
+    def test_chain_instance_runs_to_oracle_front(self, tmp_path):
+        # m_i's only link goes beneath m_{i-1}: feasible, but a single random
+        # attachment pass succeeds only when the order is the chain's own (1 in 8!)
+        lines = ["BS b 0.1", "AR a b", *(f"MR m{i}" for i in range(8)), "LINK m0 a 1.0 0.1"]
+        lines += [f"LINK m{i} m{i - 1} {i}.5 0.05" for i in range(1, 8)]
+        net = tmp_path / "chain.net"
+        net.write_text("\n".join(lines + ["MAXDEPTH 8"]) + "\n")
+        out = tmp_path / "run"
+        assert run_cli("run", "--instance", str(net), "--out", str(out), "--budget", "200", "--seed", "1") == 0
+        oracle_csv = tmp_path / "oracle.csv"
+        assert run_cli("oracle", str(net), "--out", str(oracle_csv)) == 0
+        assert (out / "front.csv").read_bytes() == oracle_csv.read_bytes()
+
     def test_missing_instance_exits_3(self, tmp_path, capsys):
         code = run_cli("run", "--instance", str(tmp_path / "nope.net"), "--out", str(tmp_path / "o"))
         assert code == 3

@@ -16,12 +16,23 @@ from survroute.kernels import (
     nondominated_mask,
     python_impl,
 )
-from survroute.netmodel import parse_instance
+from survroute.netmodel import parse_instance, random_assignment
 
 from conftest import synthetic_net_text
 
 
 def _route_args(inst, choices):
+    """eval_route's arguments for ``choices``, as ``netmodel._walk`` passes them."""
+    return (
+        kernels.walk_input(tuple(int(k) for k in choices), np.int64),
+        *inst.compiled.walk_tables,
+        inst.n_ar,
+        inst.max_depth,
+    )
+
+
+def _array_route_args(inst, choices):
+    """The same walk on the numpy tables that ``enumerate_routes`` reads."""
     c = inst.compiled
     return (
         np.asarray(choices, dtype=np.int64),
@@ -40,9 +51,39 @@ def test_eval_route_paths_bit_identical(standard_instance):
     py = python_impl(eval_route)
     c = standard_instance.compiled
     for _ in range(200):
-        choices = np.array([rng.integers(r) for r in c.radices], dtype=np.int64)
+        choices = [rng.integers(r) for r in c.radix_ints]
         args = _route_args(standard_instance, choices)
         assert eval_route(*args) == py(*args)
+
+
+def test_walk_tables_are_plain_tuples_on_fallback(standard_instance):
+    tables = standard_instance.compiled.walk_tables
+    if kernels.NUMBA_ENABLED:
+        assert all(isinstance(t, np.ndarray) for t in tables)
+    else:
+        assert all(type(t) is tuple for t in tables)
+        assert all(type(v) is int for v in tables[0] + tables[1])
+        assert all(type(v) is float for v in tables[2] + tables[3] + tables[4])
+
+
+def test_eval_route_tuple_and_array_tables_bit_identical(synthetic40_instance):
+    """The walk on plain tuples equals the walk on numpy arrays, bit for bit, on valid and invalid genotypes."""
+    inst = synthetic40_instance
+    rng = np.random.default_rng(12)
+    py = python_impl(eval_route)
+    valid = 0
+    for i in range(300):
+        if i % 2:
+            choices = list(random_assignment(inst, rng).choices)
+        else:
+            choices = [int(rng.integers(r)) for r in inst.compiled.radix_ints]
+        got = py(*_route_args(inst, choices))
+        want = py(*_array_route_args(inst, choices))
+        valid += got[2]
+        assert got[2] == want[2]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert 0 < valid < 300
 
 
 def _assert_enumeration_matches_eval_route(inst):
@@ -52,9 +93,10 @@ def _assert_enumeration_matches_eval_route(inst):
         c.radices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
         c.ar_bs_fail, inst.n_ar, inst.max_depth,
     )
-    shape = tuple(int(r) for r in c.radices)
+    shape = c.radix_ints
     size = int(np.prod(shape))
     assert valid.shape == z1.shape == z2.shape == (size,)
+    # the reference walks the same tables as netmodel._walk, one assignment at a time
     ref = [eval_route(*_route_args(inst, np.unravel_index(flat, shape))) for flat in range(size)]
     assert valid.tolist() == [ok for _a, _b, ok in ref]
     assert z1.tobytes() == np.array([a for a, _b, _ok in ref], dtype=np.float64).tobytes()
