@@ -12,9 +12,11 @@ Route walks run on valid genotypes (from ``random_assignment``) at 40 and
 arrays when compiled, plain tuples on the fallback). The interpreted walk is
 also timed on plain tuples against numpy arrays, with the ratio printed.
 ``enumerate_routes`` is a numpy block walk on both paths; it is
-timed against one ``eval_route`` walk per assignment of the same space. A
-last case times what local search consumes of the lazy neighborhood (its
-first 20 neighbors) against building the full list.
+timed against one ``eval_route`` walk per assignment of the same space.
+``mutate_reattach``, which decides each candidate link on the forest, is
+timed at 40 and 200 MRs against a reference that decides each candidate by
+a full route walk. A last case times what local search consumes of the lazy
+neighborhood (its first 20 neighbors) against building the full list.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import numpy as np
 
 from survroute import kernels
 from survroute.kernels import python_impl
-from survroute.netmodel import iter_neighbors, neighborhood, parse_instance, random_assignment
+from survroute.netmodel import (
+    RouteAssignment, iter_neighbors, mutate_reattach, neighborhood, parse_instance, random_assignment,
+)
 
 
 def synthetic_instance(n_mr: int, links_per_mr: int, seed: int = 0):
@@ -83,6 +87,23 @@ def route_batch(n_mr: int, count: int, seed: int):
     }
     valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks["production"]) / count
     return walks, valid
+
+
+def walk_mutate(inst, a, rng):
+    """``mutate_reattach`` with each candidate link decided by a full route walk (same RNG draws)."""
+    c = inst.compiled
+    m = int(rng.integers(inst.n_mr))
+    work = list(a.choices)
+    feasible = []
+    for k in range(c.radix_ints[m]):
+        if k != a.choices[m]:
+            work[m] = k
+            if kernels.eval_route(kernels.walk_input(work, np.int64), *c.walk_tables, inst.n_ar, inst.max_depth)[2]:
+                feasible.append(k)
+    if not feasible:
+        return a
+    work[m] = feasible[int(rng.integers(len(feasible)))]
+    return RouteAssignment(tuple(work))
 
 
 def main() -> None:
@@ -162,6 +183,25 @@ def main() -> None:
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
     print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
     print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")
+
+    # mutation: the forest check against one route walk per candidate link
+    print("mutate_reattach per call, forest check vs a route walk per candidate:")
+    for n_mr in (40, 200):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+        rng = np.random.default_rng(1)
+        starts = [random_assignment(inst, rng) for _ in range(200)]
+
+        def mutate_all(fn):
+            draws = np.random.default_rng(2)
+            return [fn(inst, a, draws) for a in starts]
+
+        if mutate_all(mutate_reattach) != mutate_all(walk_mutate):
+            raise AssertionError("mutate_reattach disagrees with the walk-per-candidate reference")
+        t_forest = best_of(lambda: mutate_all(mutate_reattach), args.repeats)
+        t_walk = best_of(lambda: mutate_all(walk_mutate), args.repeats)
+        per = 1e6 / len(starts)
+        print(f"  {n_mr} MRs: forest {t_forest * per:>8.1f}us  walks {t_walk * per:>8.1f}us"
+              f"  ({t_walk / t_forest:.1f}x)")
 
     # local search pulls at most its budget (20) of the lazy neighborhood;
     # the eager list validates every single-MR reattachment

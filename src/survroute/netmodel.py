@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -258,34 +259,73 @@ def search_space_size(inst: NetworkInstance) -> int:
 
 def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
     c = inst.compiled
-    if len(a.choices) != inst.n_mr:
-        raise ContractViolation(f"assignment has {len(a.choices)} entries, instance has {inst.n_mr} MRs")
-    for m, (k, r) in enumerate(zip(a.choices, c.radix_ints)):
+    choices = a.choices
+    if len(choices) != inst.n_mr:
+        raise ContractViolation(f"assignment has {len(choices)} entries, instance has {inst.n_mr} MRs")
+    # fast path: a sum of plain ints is a plain int; a float or any other
+    # type among the choices sends them to the full check below
+    try:
+        plain = type(sum(choices)) is int
+    except TypeError:
+        plain = False
+    if plain:
+        for k, r in zip(choices, c.radix_ints):
+            if not 0 <= k < r:
+                break
+        else:
+            return
+    for m, (k, r) in enumerate(zip(choices, c.radix_ints)):
+        try:
+            operator.index(k)
+        except TypeError:
+            raise ContractViolation(f"choice {k!r} for {inst.mobile_routers[m]!r} is not an integer") from None
         if not 0 <= k < r:
             raise ContractViolation(f"choice {k} out of range for {inst.mobile_routers[m]!r} (has {r} links)")
 
 
-def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
-    """None when the assignment is a valid forest, else 'cycle' or 'depth'."""
-    _check_choices(inst, a)
+def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
+    """Per MR, the index of the MR its chosen link attaches to, or a negative number for an access router."""
     c = inst.compiled
     n_ar = inst.n_ar
-    offsets, parents, choices = c.mr_link_offset_ints, c.link_parent_ints, a.choices
-    for m in range(inst.n_mr):
-        cur = m
-        steps = 0
-        visited = {m}
-        while True:
-            parent = parents[offsets[cur] + choices[cur]]
-            steps += 1
-            if parent < n_ar:
-                if steps > inst.max_depth:
-                    return "depth"
-                break
-            cur = parent - n_ar
-            if cur in visited:
-                return "cycle"
-            visited.add(cur)
+    parents = c.link_parent_ints
+    return [parents[off + k] - n_ar for off, k in zip(c.mr_link_offset_ints, choices)]
+
+
+def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
+    """Per MR, the number of links on its path to an access router, or -1 when that path runs into a cycle.
+
+    Depths are not capped at max_depth. Each sweep gives every pending MR
+    whose parent's depth is known that depth plus one; the MRs left when a
+    sweep settles none lead into a cycle.
+    """
+    up = _parent_mrs(inst, choices)
+    depth = [1 if p < 0 else 0 for p in up]  # 0: not known yet
+    pending = [m for m, p in enumerate(up) if p >= 0]
+    while pending:
+        left = []
+        for m in pending:
+            d = depth[up[m]]
+            if d:
+                depth[m] = d + 1
+            else:
+                left.append(m)
+        if len(left) == len(pending):
+            for m in left:
+                depth[m] = -1
+            break
+        pending = left
+    return depth
+
+
+def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
+    """None when the assignment is a valid forest, else 'cycle' or 'depth' for the first failing MR in index order."""
+    _check_choices(inst, a)
+    max_depth = inst.max_depth
+    for d in _forest_depths(inst, a.choices):
+        if d < 0:
+            return "cycle"
+        if d > max_depth:
+            return "depth"
     return None
 
 
@@ -412,37 +452,67 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
-def _feasible_alternatives(inst: NetworkInstance, work: list[int], m: int) -> list[int]:
-    current = work[m]
+def _feasible_alternatives(inst: NetworkInstance, choices, m: int) -> list[int]:
+    """MR m's links, other than its current one, under which ``choices`` stays a valid forest, in link order.
+
+    Precondition: ``choices`` is a valid forest. Then the list holds exactly
+    the links whose genotype a full route walk finds valid, without walking:
+    moving m under parent p keeps the forest valid if and only if p is an AR
+    or an MR outside m's subtree, and depth(p) + 1 + height(m) <= max_depth.
+    On an invalid ``choices`` every scan is capped, so the call still returns.
+    """
+    c = inst.compiled
+    n_ar = inst.n_ar
+    up = _parent_mrs(inst, choices)
+    limit = min(inst.max_depth, inst.n_mr)  # as in kernels.eval_route
+    # m's subtree and its height, one scan of ``up`` per level
+    level = {m}
+    subtree = {m}
+    height = 0
+    while height < limit:
+        level = {i for i, p in enumerate(up) if p in level}
+        if not level:
+            break
+        subtree |= level
+        height += 1
+    room = limit - 1 - height  # the largest depth(p) that m's subtree still fits under
+    parents = c.link_parent_ints
+    off = c.mr_link_offset_ints[m]
     feasible = []
-    for k in range(inst.compiled.radix_ints[m]):
-        if k == current:
+    for k in range(c.radix_ints[m]):
+        p = parents[off + k] - n_ar
+        if k == choices[m] or p in subtree:
             continue
-        work[m] = k
-        if _walk(inst, work)[2]:
+        d = 0
+        while p >= 0 and d < room:
+            d += 1
+            p = up[p]
+        if p < 0:
             feasible.append(k)
-    work[m] = current
     return feasible
 
 
 def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
     """Reassign one uniformly chosen MR to another feasible candidate link.
 
+    Precondition: ``a`` is a valid forest (the result is then valid too).
     Returns the input unchanged when the drawn MR has no feasible alternative.
     """
     if inst.n_mr == 0:
         return a
-    work = list(a.choices)
     m = int(rng.integers(inst.n_mr))
-    feasible = _feasible_alternatives(inst, work, m)
+    feasible = _feasible_alternatives(inst, a.choices, m)
     if not feasible:
         return a
-    work[m] = feasible[int(rng.integers(len(feasible)))]
-    return RouteAssignment(tuple(work))
+    k = feasible[int(rng.integers(len(feasible)))]
+    return RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
 
 
 def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
-    """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence."""
+    """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence.
+
+    Precondition: ``a`` is a valid forest; each step keeps it valid.
+    """
     if inst.n_mr == 0:
         return a
     count = (inst.n_mr + 1) // 2
@@ -456,28 +526,12 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
 
 def _broken_mrs(inst: NetworkInstance, choices: list[int]) -> tuple[list[int], dict[int, int]]:
     """MR indices whose walk fails, plus depths of the intact ones."""
-    c = inst.compiled
-    n_ar = inst.n_ar
-    offsets, parents = c.mr_link_offset_ints, c.link_parent_ints
+    max_depth = inst.max_depth
     broken = []
     depth: dict[int, int] = {}
-    for m in range(inst.n_mr):
-        cur = m
-        steps = 0
-        visited = {m}
-        reached = False
-        while True:
-            parent = parents[offsets[cur] + choices[cur]]
-            steps += 1
-            if parent < n_ar:
-                reached = steps <= inst.max_depth
-                break
-            cur = parent - n_ar
-            if cur in visited:
-                break
-            visited.add(cur)
-        if reached:
-            depth[m] = steps
+    for m, d in enumerate(_forest_depths(inst, choices)):
+        if 0 < d <= max_depth:
+            depth[m] = d
         else:
             broken.append(m)
     return broken, depth
@@ -492,7 +546,8 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     """
     if inst.n_mr == 0:
         return a
-    child = [ka if rng.random() < 0.5 else kb for ka, kb in zip(a.choices, b.choices)]
+    coins = rng.random(inst.n_mr).tolist()  # the same doubles as one rng.random() per MR
+    child = [ka if u < 0.5 else kb for ka, kb, u in zip(a.choices, b.choices, coins)]
     broken, intact_depth = _broken_mrs(inst, child)
     if not broken:
         return RouteAssignment(tuple(child))

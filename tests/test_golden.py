@@ -1,7 +1,8 @@
 """Golden front hashes: `survroute run` output pinned across code changes.
 
-Each case runs the CLI with default local search and a fixed seed and
-compares the sha1 of the written ``front.csv`` bytes with a recorded value.
+Each case runs the CLI with a fixed seed (default local search, or the
+evolutionary-only settings of the last case) and compares the sha1 of the
+written ``front.csv`` bytes with a recorded value.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
 A deliberate change of results must update these values and say why.
@@ -34,3 +35,15 @@ def test_front_hash(case, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--instance", str(instance), "--out", str(out), "--budget", budget, "--seed", seed]) == 0
     assert hashlib.sha1((out / "front.csv").read_bytes()).hexdigest() == expected
+
+
+def test_front_hash_200mr_without_local_search(tmp_path):
+    # 200 MRs, no local search: mutation, crossover repair and long route walks
+    instance = tmp_path / "synthetic200.net"
+    instance.write_text(synthetic_net_text(200, 6, 6, seed=13), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([
+        "run", "--instance", str(instance), "--out", str(out), "--budget", "500", "--seed", "5",
+        "--ls-budget", "0", "--population", "100", "--offspring", "100", "--capacity", "100",
+    ]) == 0
+    assert hashlib.sha1((out / "front.csv").read_bytes()).hexdigest() == "203363065ac6798c4c91690da826fc4153dec94f"

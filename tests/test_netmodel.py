@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import signal
 from contextlib import contextmanager
 
@@ -15,7 +16,10 @@ from survroute.errors import ContractViolation, InstanceError, OracleScopeError,
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
+    _broken_mrs,
+    _feasible_alternatives,
     _front_rows,
+    _walk,
     assignment_from_parent_map,
     assignment_from_string,
     assignment_string,
@@ -108,6 +112,83 @@ def all_parent_maps(inst):
         per_mr[l.child].append(l.parent)
     for combo in itertools.product(*(per_mr[mr] for mr in inst.mobile_routers)):
         yield dict(zip(inst.mobile_routers, combo))
+
+
+def walk_feasible(inst, choices, m):
+    """MR m's other links whose genotype a full route walk finds valid: one walk per alternative."""
+    return [
+        k for k in range(inst.compiled.radix_ints[m])
+        if k != choices[m] and _walk(inst, choices[:m] + (k,) + choices[m + 1:])[2]
+    ]
+
+
+def walk_mutate(inst, a, rng):
+    """mutate_reattach with walk_feasible: the same RNG draws in the same order."""
+    m = int(rng.integers(inst.n_mr))
+    feasible = walk_feasible(inst, a.choices, m)
+    if not feasible:
+        return a
+    k = feasible[int(rng.integers(len(feasible)))]
+    return RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
+
+
+def walk_heavy(inst, a, rng):
+    """heavy_reattach with walk_feasible: the same RNG draws in the same order."""
+    work = a.choices
+    for m in rng.permutation(inst.n_mr)[: (inst.n_mr + 1) // 2].tolist():
+        feasible = walk_feasible(inst, work, m)
+        if feasible:
+            work = work[:m] + (feasible[int(rng.integers(len(feasible)))],) + work[m + 1:]
+    return RouteAssignment(work)
+
+
+def reference_walks(inst, choices):
+    """Per MR, (None, depth) or (why its walk fails, steps walked): one walk per MR, no shared state."""
+    c = inst.compiled
+    reasons = []
+    for m in range(inst.n_mr):
+        cur, steps, seen, reason = m, 0, {m}, None
+        while True:
+            parent = c.link_parent_ints[c.mr_link_offset_ints[cur] + choices[cur]]
+            steps += 1
+            if parent < inst.n_ar:
+                reason = "depth" if steps > inst.max_depth else None
+                break
+            cur = parent - inst.n_ar
+            if cur in seen:
+                reason = "cycle"
+                break
+            seen.add(cur)
+        reasons.append((reason, steps))
+    return reasons
+
+
+def forest_instance(rng, n_mr, n_ar, max_depth):
+    """Random instance with MR-MR candidate links, plus one valid forest of it (its choices).
+
+    The witness forest attaches the MRs in a random order, each beneath an AR
+    or an already attached MR with room below max_depth; every MR also gets
+    up to five more candidate links, to ARs or to any other MR.
+    """
+    mrs = [f"m{i:02d}" for i in range(n_mr)]
+    ars = [f"a{i}" for i in range(n_ar)]
+    depth, witness = {}, {}
+    for i in rng.sample(range(n_mr), n_mr):
+        rooted = [j for j in depth if depth[j] < max_depth]
+        if rooted and rng.random() < 0.7:
+            j = rng.choice(rooted)
+            witness[mrs[i]], depth[i] = mrs[j], depth[j] + 1
+        else:
+            witness[mrs[i]], depth[i] = rng.choice(ars), 1
+    lines = ["BS b0 0.1", "BS b1 0.25"] + [f"AR {a} b{i % 2}" for i, a in enumerate(ars)]
+    lines += [f"MR {m}" for m in mrs]
+    for m in mrs:
+        others = ars + [p for p in mrs if p != m]
+        parents = {witness[m], *rng.sample(others, min(len(others), rng.randint(0, 5)))}
+        lines += [f"LINK {m} {p} {rng.uniform(0.5, 5.0):.3f} {rng.uniform(0.0, 0.3):.3f}" for p in sorted(parents)]
+    lines.append(f"MAXDEPTH {max_depth}")
+    inst = parse_instance("\n".join(lines) + "\n")
+    return inst, assignment_from_parent_map(inst, witness)
 
 
 class TestParse:
@@ -212,6 +293,36 @@ MAXDEPTH 2
             else:
                 with pytest.raises(ContractViolation):
                     evaluate_assignment(standard_instance, a)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_non_integer_choice_is_contract_violation(self, standard_instance, bad):
+        a = RouteAssignment((bad, 0, 0))
+        for check in (RouteProblem(standard_instance).evaluate,
+                      lambda g: assignment_string(standard_instance, g),
+                      lambda g: invalid_reason(standard_instance, g)):
+            with pytest.raises(ContractViolation, match="not an integer"):
+                check(a)
+
+    def test_integer_like_choices_accepted(self, standard_instance):
+        expected = assignment_string(standard_instance, RouteAssignment((1, 1, 0)))
+        assert assignment_string(standard_instance, RouteAssignment((np.int64(1), True, 0))) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reason_and_broken_match_per_mr_walks(self, data):
+        # random choices, mostly invalid: cycles, over-deep paths, or both
+        inst, _witness = forest_instance(
+            random.Random(data.draw(st.integers(0, 2**32 - 1))),
+            data.draw(st.integers(1, 12)), 1, data.draw(st.integers(1, 4)),
+        )
+        choices = tuple(data.draw(st.integers(0, r - 1)) for r in inst.compiled.radix_ints)
+        walks = reference_walks(inst, choices)
+        first = next((reason for reason, _steps in walks if reason is not None), None)
+        assert invalid_reason(inst, RouteAssignment(choices)) == first
+        assert _broken_mrs(inst, list(choices)) == (
+            [m for m, (reason, _steps) in enumerate(walks) if reason is not None],
+            {m: steps for m, (reason, steps) in enumerate(walks) if reason is None},
+        )
 
 
 class TestObjectives:
@@ -352,6 +463,40 @@ class TestMutate:
             assert validate_assignment(stress_instance, b)
             assert sum(x != y for x, y in zip(a.choices, b.choices)) <= limit
             a = b
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_reattach_matches_walk_per_alternative(self, data):
+        n_mr = data.draw(st.integers(1, 40))
+        inst, a = forest_instance(
+            random.Random(data.draw(st.integers(0, 2**32 - 1))),
+            n_mr, data.draw(st.integers(1, 2)), data.draw(st.integers(1, n_mr + 1)),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(6):
+            assert validate_assignment(inst, a)
+            for m in range(n_mr):
+                assert _feasible_alternatives(inst, a.choices, m) == walk_feasible(inst, a.choices, m)
+                assert _feasible_alternatives(inst, list(a.choices), m) == walk_feasible(inst, a.choices, m)
+            if step % 2:
+                a, expected = heavy_reattach(inst, a, rng), walk_heavy(inst, a, ref_rng)
+            else:
+                a, expected = mutate_reattach(inst, a, rng), walk_mutate(inst, a, ref_rng)
+            assert a == expected
+            assert rng.random() == ref_rng.random()  # same draws, so the generators stay in step
+
+    def test_cyclic_input_still_returns(self):
+        # m1 -> m2 -> m1: invalid input; the scans are capped, so each call returns
+        for depth in (2, 1_000_000_000):
+            inst = parse_instance(CYCLE_2MR.format(depth=depth))
+            a = assignment_from_string(inst, "m1=m2;m2=m1")
+            rng = np.random.default_rng(0)
+            with _time_limit(20):
+                for m in range(inst.n_mr):
+                    assert _feasible_alternatives(inst, a.choices, m) in ([], [0])
+                assert len(mutate_reattach(inst, a, rng).choices) == 2
+                assert len(heavy_reattach(inst, a, rng).choices) == 2
 
 
 class TestCrossover:
