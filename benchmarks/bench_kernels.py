@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the JIT-compiled kernels against the pure-Python/numpy fallback.
+"""Benchmark the numeric kernels and the mutation and neighborhood operators.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats 5]
 
-With numba installed (and SURVROUTE_DISABLE_NUMBA unset) each kernel is timed
-twice: compiled, and via its uncompiled implementation. The dominance matrix
-compares the jitted loop kernel against the vectorized numpy fallback.
-Route walks run on valid genotypes (from ``random_assignment``) at 40 and
-200 MRs, on the inputs ``netmodel`` passes (``kernels.walk_input``: numpy
-arrays when compiled, plain tuples on the fallback). The interpreted walk is
-also timed on plain tuples against numpy arrays, with the ratio printed.
-``enumerate_routes`` is a numpy block walk on both paths; it is
-timed against one ``eval_route`` walk per assignment of the same space.
-``mutate_reattach``, which decides each candidate link on the forest, is
-timed at 40 and 200 MRs against a reference that decides each candidate by
-a full route walk. A last case times what local search consumes of the lazy
-neighborhood (its first 20 neighbors) against building the full list.
+Each case reports the best of ``--repeats`` timings. Route walks run on
+valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on the
+plain-tuple link tables ``netmodel`` passes; the same walks are also timed
+on numpy arrays of those tables, with the ratio printed. ``enumerate_routes``,
+the oracle's numpy block walk, is timed against one ``eval_route`` walk per
+assignment of the same space. ``mutate_reattach``, which decides each
+candidate link on the forest, is timed at 40 and 200 MRs against a
+reference that decides each candidate by a full route walk, and
+``heavy_reattach`` per call at 200 MRs. A last case times what local search
+consumes of the lazy neighborhood (its first 20 neighbors) against building
+the full list.
 """
 
 from __future__ import annotations
@@ -28,9 +26,9 @@ from itertools import islice
 import numpy as np
 
 from survroute import kernels
-from survroute.kernels import python_impl
 from survroute.netmodel import (
-    RouteAssignment, iter_neighbors, mutate_reattach, neighborhood, parse_instance, random_assignment,
+    RouteAssignment, _walk, heavy_reattach, iter_neighbors, mutate_reattach, neighborhood, parse_instance,
+    random_assignment,
 )
 
 
@@ -61,44 +59,36 @@ def best_of(fn, repeats: int) -> float:
     return min(times)
 
 
-def _array_tables(c):
-    return (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail)
-
-
 def route_batch(n_mr: int, count: int, seed: int):
     """eval_route arguments for ``count`` valid genotypes from random_assignment, and their valid share.
 
-    Every walk runs in full. The arguments come in three forms: as
-    ``netmodel`` passes them (``production``), as plain tuples and as numpy
-    arrays.
+    Every walk runs in full. The arguments come in two forms: the plain
+    tuples ``netmodel`` passes (``tuples``), and numpy arrays of the same
+    values (``arrays``).
     """
     inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=seed)
     rng = np.random.default_rng(seed)
     batch = [random_assignment(inst, rng).choices for _ in range(count)]
     c = inst.compiled
-    tables = {
-        "production": (c.walk_tables, lambda ch: kernels.walk_input(ch, np.int64)),
-        "tuples": (tuple(tuple(t.tolist()) for t in _array_tables(c)), lambda ch: ch),
-        "arrays": (_array_tables(c), lambda ch: np.asarray(ch, dtype=np.int64)),
-    }
+    tables = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail)
+    arrays = tuple(np.asarray(t) for t in tables)
     walks = {
-        form: [(as_input(ch), *tabs, inst.n_ar, inst.max_depth) for ch in batch]
-        for form, (tabs, as_input) in tables.items()
+        "tuples": [(ch, *tables, inst.n_ar, inst.max_depth) for ch in batch],
+        "arrays": [(np.asarray(ch, dtype=np.int64), *arrays, inst.n_ar, inst.max_depth) for ch in batch],
     }
-    valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks["production"]) / count
+    valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks["tuples"]) / count
     return walks, valid
 
 
 def walk_mutate(inst, a, rng):
     """``mutate_reattach`` with each candidate link decided by a full route walk (same RNG draws)."""
-    c = inst.compiled
     m = int(rng.integers(inst.n_mr))
     work = list(a.choices)
     feasible = []
-    for k in range(c.radix_ints[m]):
+    for k in range(inst.compiled.radices[m]):
         if k != a.choices[m]:
             work[m] = k
-            if kernels.eval_route(kernels.walk_input(work, np.int64), *c.walk_tables, inst.n_ar, inst.max_depth)[2]:
+            if _walk(inst, work)[2]:
                 feasible.append(k)
     if not feasible:
         return a
@@ -116,14 +106,14 @@ def main() -> None:
     # single-assignment evaluation walks on valid genotypes
     walk_sets = {n_mr: route_batch(n_mr, count, seed=1) for n_mr, count in ((40, 2000), (200, 400))}
     for n_mr, (walks, valid) in walk_sets.items():
-        print(f"eval_route genotypes at {n_mr} MRs: {len(walks['production'])}, valid share {valid:.0%}")
+        print(f"eval_route genotypes at {n_mr} MRs: {len(walks['tuples'])}, valid share {valid:.0%}")
 
-    def eval_many(fn, n_mr, form="production"):
+    def eval_many(n_mr, form="tuples"):
         walks = walk_sets[n_mr][0][form]
 
         def body():
             for args in walks:
-                fn(*args)
+                kernels.eval_route(*args)
         return body
 
     # batch objective-space kernels
@@ -132,41 +122,21 @@ def main() -> None:
     front[:, 1] = front[::-1, 1]
 
     cases = [
-        ("eval_route x2000 (40 MRs)",
-         eval_many(kernels.eval_route, 40), eval_many(python_impl(kernels.eval_route), 40, "tuples")),
-        ("eval_route x400 (200 MRs)",
-         eval_many(kernels.eval_route, 200), eval_many(python_impl(kernels.eval_route), 200, "tuples")),
-        ("dominance_matrix (200x2)",
-         lambda: kernels.dominance_matrix(F),
-         lambda: kernels._dominance_matrix_numpy(F)),
-        ("crowding_distance (200x2)",
-         lambda: kernels.crowding_distance(F),
-         lambda: python_impl(kernels.crowding_distance)(F)),
-        ("hv2d_sweep (500 pts)",
-         lambda: kernels.hv2d_sweep(front, 2.0, 2.0),
-         lambda: python_impl(kernels.hv2d_sweep)(front, 2.0, 2.0)),
+        ("eval_route x2000 (40 MRs)", eval_many(40)),
+        ("eval_route x400 (200 MRs)", eval_many(200)),
+        ("dominance_matrix (200x2)", lambda: kernels.dominance_matrix(F)),
+        ("crowding_distance (200x2)", lambda: kernels.crowding_distance(F)),
+        ("hv2d_sweep (500 pts)", lambda: kernels.hv2d_sweep(front, 2.0, 2.0)),
     ]
+    print(f"{'kernel':<40} {'time':>12}")
+    for name, fn in cases:
+        print(f"{name:<40} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
 
-    if kernels.NUMBA_ENABLED:
-        kernels.warmup()
-        print(f"{'kernel':<40} {'jit':>12} {'fallback':>12} {'speedup':>9}")
-        for name, fast, slow in cases:
-            fast()  # compile before timing
-            t_fast = best_of(fast, args.repeats)
-            t_slow = best_of(slow, args.repeats)
-            print(f"{name:<40} {t_fast * 1e3:>10.2f}ms {t_slow * 1e3:>10.2f}ms {t_slow / t_fast:>8.1f}x")
-    else:
-        print("numba disabled (SURVROUTE_DISABLE_NUMBA set or numba missing); timing fallback only")
-        print(f"{'kernel':<40} {'fallback':>12}")
-        for name, fast, _slow in cases:
-            print(f"{name:<40} {best_of(fast, args.repeats) * 1e3:>10.2f}ms")
-
-    # the interpreted walk on plain tuples (the fallback's walk tables) against numpy arrays
-    py_walk = python_impl(kernels.eval_route)
-    print("interpreted eval_route, plain tuples vs numpy arrays:")
+    # the walk on the plain tuples netmodel passes against numpy arrays of the same tables
+    print("eval_route, plain tuples vs numpy arrays:")
     for n_mr, (walks, _valid) in walk_sets.items():
-        t_tuples = best_of(eval_many(py_walk, n_mr, "tuples"), args.repeats)
-        t_arrays = best_of(eval_many(py_walk, n_mr, "arrays"), args.repeats)
+        t_tuples = best_of(eval_many(n_mr, "tuples"), args.repeats)
+        t_arrays = best_of(eval_many(n_mr, "arrays"), args.repeats)
         per = 1e6 / len(walks["tuples"])
         print(f"  {n_mr} MRs: tuples {t_tuples * per:>8.1f}us  arrays {t_arrays * per:>8.1f}us per walk"
               f"  ({t_arrays / t_tuples:.1f}x)")
@@ -174,12 +144,12 @@ def main() -> None:
     # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
     sc = small.compiled
-    space = [kernels.walk_input(tuple(int(k) for k in np.unravel_index(flat, sc.radix_ints)), np.int64)
-             for flat in range(sc.search_space)]
-    t_block = best_of(lambda: kernels.enumerate_routes(sc.radices, *_array_tables(sc), small.n_ar, small.max_depth),
-                      args.repeats)
-    t_loop = best_of(lambda: [kernels.eval_route(row, *sc.walk_tables, small.n_ar, small.max_depth) for row in space],
-                     args.repeats)
+    space = [tuple(int(k) for k in np.unravel_index(flat, sc.radices)) for flat in range(sc.search_space)]
+    t_block = best_of(lambda: kernels.enumerate_routes(
+        sc.radices, sc.mr_link_offset, sc.link_parent_code, sc.link_cost, sc.link_fail, sc.ar_bs_fail,
+        small.n_ar, small.max_depth,
+    ), args.repeats)
+    t_loop = best_of(lambda: [_walk(small, row) for row in space], args.repeats)
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
     print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
     print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")
@@ -202,6 +172,13 @@ def main() -> None:
         per = 1e6 / len(starts)
         print(f"  {n_mr} MRs: forest {t_forest * per:>8.1f}us  walks {t_walk * per:>8.1f}us"
               f"  ({t_walk / t_forest:.1f}x)")
+
+    # heavy mutation reattaches half the MRs, each on the forest the moves before it left
+    inst = synthetic_instance(n_mr=200, links_per_mr=6, seed=1)
+    rng = np.random.default_rng(1)
+    starts = [random_assignment(inst, rng) for _ in range(50)]
+    t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
+    print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
 
     # local search pulls at most its budget (20) of the lazy neighborhood;
     # the eager list validates every single-MR reattachment

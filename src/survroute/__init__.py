@@ -17,7 +17,6 @@ from .errors import (
     SurvrouteError,
     ValidityError,
 )
-from .kernels import NUMBA_ENABLED
 from .measures import ReferencePoint, additive_epsilon, coverage, hypervolume
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates, evaluate, make_solution
 from .netmodel import (
@@ -38,7 +37,6 @@ __all__ = [
     "ContractViolation",
     "Dominance",
     "InstanceError",
-    "NUMBA_ENABLED",
     "NetworkInstance",
     "NondominatedArchive",
     "ObjectiveVector",

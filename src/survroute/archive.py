@@ -96,11 +96,9 @@ def insert(
     sv = s.objectives.as_array()
     if members:
         F = archive.objective_matrix()
-        le = (F <= sv).all(axis=1)
-        lt = (F < sv).any(axis=1)
-        if bool((le & lt).any()):
+        if bool(kernels.dominance(F, sv).any()):
             return archive, False
-        dominated = (sv <= F).all(axis=1) & (sv < F).any(axis=1)
+        dominated = kernels.dominance(sv, F)
         survivors = [m for m, gone in zip(members, dominated) if not gone]
     else:
         survivors = []

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import measures
+from . import kernels, measures
 from .archive import (
     REDUCTION_OPERATORS,
     NondominatedArchive,
@@ -344,7 +344,7 @@ def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedA
     if A.size == 0:
         return 1.0
     P = np.array([s.objectives.values for s in pop], dtype=np.float64)
-    dominated = ((A[:, None, :] <= P[None, :, :]).all(axis=2) & (A[:, None, :] < P[None, :, :]).any(axis=2)).any(axis=0)
+    dominated = kernels.dominance(A[:, None], P[None]).any(axis=0)
     return float(1.0 - dominated.mean())
 
 

@@ -1,83 +1,29 @@
-"""Hot numeric kernels: route evaluation walks, dominance filtering, crowding, 2-D hypervolume.
+"""Hot numeric kernels: route evaluation walks, Pareto dominance, crowding, 2-D hypervolume.
 
-Kernels are JIT-compiled with numba when available. Setting the environment
-variable ``SURVROUTE_DISABLE_NUMBA=1`` (or numba being absent) selects the
-fallback path. Scalar-walk kernels fall back to the *same* function body
-interpreted by CPython, so results are bit-identical on both paths; the
-dominance matrix falls back to a vectorized numpy formulation (boolean
-output, hence also exact).
+Every kernel has one form, run by CPython and numpy. ``eval_route`` walks
+the link tables as plain tuples, which CPython indexes several times faster
+than numpy arrays one element at a time; ``netmodel`` builds those tuples
+once per instance. ``enumerate_routes``, the oracle's exhaustive
+enumeration, turns the same tuples into numpy arrays and walks blocks of
+assignments at once, bit-identical to ``eval_route`` on each assignment.
 
-``walk_input`` gives ``eval_route``'s inputs the form each path walks
-fastest: the compiled walk takes numpy arrays, the interpreted walk plain
-tuples and lists, which CPython indexes without boxing a numpy scalar per
-element. Both forms hold the same IEEE doubles and ints, so the walk gives
-the same objectives either way.
-
-``enumerate_routes``, the oracle's exhaustive enumeration, is compiled on
-neither path: it is a numpy block walk over many assignments at once,
-bit-identical to ``eval_route`` on each assignment.
-
-``benchmarks/bench_kernels.py`` times both paths side by side.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_flag = os.environ.get("SURVROUTE_DISABLE_NUMBA", "").strip().lower()
-_disabled = _flag in {"1", "true", "yes", "on"}
-
-if _disabled:
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    def _jit(func):
-        return _njit(cache=True)(func)
-
-else:
-
-    def _jit(func):
-        return func
-
 
 _BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
 
 
-if NUMBA_ENABLED:
-
-    def walk_input(values, dtype):
-        """``values`` as an ``eval_route`` input for the compiled walk: a numpy array of ``dtype``."""
-        return np.asarray(values, dtype=dtype)
-
-else:
-
-    def walk_input(values, dtype):
-        """``values`` (a tuple or list) as an ``eval_route`` input for the interpreted walk: unchanged."""
-        return values
-
-
-def python_impl(kernel):
-    """Return the uncompiled implementation of a kernel (the kernel itself on the fallback path)."""
-    return getattr(kernel, "py_func", kernel)
-
-
-@_jit
 def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
     """Evaluate one route assignment; returns (z1, z2, valid).
 
-    The sequences come as ``walk_input`` gives them: numpy arrays on the
-    compiled path, plain tuples or lists on the interpreted one.
+    ``choices`` and the tables are sequences indexed one element at a time:
+    plain tuples or lists walk fastest, numpy arrays give the same result.
     ``choices[m]`` indexes into MR m's candidate-link block starting at
     ``mr_link_offset[m]``. ``link_parent[li] < n_ar`` means the link attaches
     to access router ``li``'s index, otherwise to MR ``link_parent[li] - n_ar``.
@@ -120,6 +66,8 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
 def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
     """Evaluate every assignment in the full mixed-radix space.
 
+    The tables are those ``eval_route`` takes, plus each MR's link count in
+    ``radices``; they become numpy arrays once per call.
     Returns (valid, z1, z2) arrays of length prod(radices), indexed in
     row-major order (last MR varies fastest), matching np.unravel_index;
     z1 and z2 are 0.0 on invalid rows.
@@ -131,6 +79,12 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
     order, as ``eval_route`` on that assignment, so the objectives are
     bit-identical.
     """
+    radices = np.asarray(radices, np.int64)
+    mr_link_offset = np.asarray(mr_link_offset, np.int64)
+    link_parent = np.asarray(link_parent, np.int64)
+    link_cost = np.asarray(link_cost, np.float64)
+    link_fail = np.asarray(link_fail, np.float64)
+    ar_bs_fail = np.asarray(ar_bs_fail, np.float64)
     n_mr = radices.shape[0]
     total = math.prod(int(r) for r in radices)
     valid = np.zeros(total, np.bool_)
@@ -172,39 +126,17 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
     return valid, z1, z2
 
 
-def _dominance_matrix_loops(F):
-    """dom[i, j] = vector i Pareto-dominates vector j (minimization)."""
-    n, d = F.shape
-    out = np.zeros((n, n), np.bool_)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            le = True
-            lt = False
-            for k in range(d):
-                a = F[i, k]
-                b = F[j, k]
-                if a > b:
-                    le = False
-                    break
-                elif a < b:
-                    lt = True
-            out[i, j] = le and lt
-    return out
+def dominance(a, b):
+    """a Pareto-dominates b (minimization), over the last axis, broadcast over the others.
+
+    True where a is no worse than b in every objective and better in at least one.
+    """
+    return (a <= b).all(-1) & (a < b).any(-1)
 
 
-def _dominance_matrix_numpy(F):
-    """Vectorized equivalent of the loop kernel; identical boolean output."""
-    le = (F[:, None, :] <= F[None, :, :]).all(axis=2)
-    lt = (F[:, None, :] < F[None, :, :]).any(axis=2)
-    return le & lt
-
-
-if NUMBA_ENABLED:
-    dominance_matrix = _jit(_dominance_matrix_loops)
-else:
-    dominance_matrix = _dominance_matrix_numpy
+def dominance_matrix(F):
+    """dom[i, j] = row i of F Pareto-dominates row j (so the diagonal is False)."""
+    return dominance(F[:, None], F[None])
 
 
 def nondominated_mask(F):
@@ -215,12 +147,11 @@ def nondominated_mask(F):
     return ~dominance_matrix(F).any(axis=0)
 
 
-@_jit
 def crowding_distance(F):
     """NSGA-II crowding distance per row of a mutually nondominated set.
 
     Boundary rows per objective get +inf. Ties in an objective are ordered
-    stably (mergesort) so both execution paths agree bit for bit.
+    stably (mergesort), so the result depends only on the row order of F.
     """
     n, d = F.shape
     dist = np.zeros(n, np.float64)
@@ -237,7 +168,6 @@ def crowding_distance(F):
     return dist
 
 
-@_jit
 def hv2d_sweep(F, ref0, ref1):
     """2-D hypervolume of a cleaned front vs reference (ref0, ref1).
 
@@ -252,17 +182,3 @@ def hv2d_sweep(F, ref0, ref1):
         prev_y = F[i, 1]
     return vol
 
-
-def warmup():
-    """Force JIT compilation of every kernel (no-op on the fallback path)."""
-    choices = np.zeros(1, np.int64)
-    off = np.zeros(1, np.int64)
-    parent = np.zeros(1, np.int64)
-    cost = np.ones(1, np.float64)
-    fail = np.zeros(1, np.float64)
-    bs = np.zeros(1, np.float64)
-    eval_route(choices, off, parent, cost, fail, bs, 1, 2)
-    pts = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dominance_matrix(pts)
-    crowding_distance(pts)
-    hv2d_sweep(pts, 2.0, 2.0)

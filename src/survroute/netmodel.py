@@ -43,25 +43,18 @@ class CandidateLink:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """Flat view of an instance: numpy arrays for the oracle's block walk, plain tuples for per-element loops."""
+    """Flat view of an instance, each table a plain tuple (CPython indexes those fastest, one element at a time)."""
 
     mr_index: dict
     ar_index: dict
-    radices: np.ndarray
-    mr_link_offset: np.ndarray
-    link_parent_code: np.ndarray
-    link_cost: np.ndarray
-    link_fail: np.ndarray
-    ar_bs_fail: np.ndarray
+    radices: tuple[int, ...]  # candidate links per MR
+    mr_link_offset: tuple[int, ...]  # start of each MR's block in the link tables
+    link_parent_code: tuple[int, ...]  # AR index, or n_ar + MR index
+    link_cost: tuple[float, ...]
+    link_fail: tuple[float, ...]
+    ar_bs_fail: tuple[float, ...]  # failure probability of each AR's base station
     link_parent_ids: tuple[str, ...]
     link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
-    # plain-int copies of mr_link_offset, radices and link_parent_code
-    mr_link_offset_ints: tuple[int, ...]
-    radix_ints: tuple[int, ...]
-    link_parent_ints: tuple[int, ...]
-    # eval_route's table arguments (mr_link_offset, link_parent, link_cost,
-    # link_fail, ar_bs_fail) in the form kernels.walk_input gives them
-    walk_tables: tuple
     search_space: int
 
 
@@ -92,33 +85,18 @@ class NetworkInstance:
                 parent_code.append(ar_index[link.parent])
             else:
                 parent_code.append(n_ar + mr_index[link.parent])
-        parent_code = tuple(parent_code)
-        offsets = (0, *itertools.accumulate(counts))[:-1]
-        cost = tuple(link.cost for link in self.links)
-        fail = tuple(link.fail_prob for link in self.links)
-        ar_bs_fail = tuple(bs_fail[bs] for _ar, bs in self.access_routers)
 
         return _Compiled(
             mr_index=mr_index,
             ar_index=ar_index,
-            radices=np.array(counts, dtype=np.int64),
-            mr_link_offset=np.array(offsets, dtype=np.int64),
-            link_parent_code=np.array(parent_code, dtype=np.int64),
-            link_cost=np.array(cost, dtype=np.float64),
-            link_fail=np.array(fail, dtype=np.float64),
-            ar_bs_fail=np.array(ar_bs_fail, dtype=np.float64),
+            radices=tuple(counts),
+            mr_link_offset=(0, *itertools.accumulate(counts))[:-1],
+            link_parent_code=tuple(parent_code),
+            link_cost=tuple(link.cost for link in self.links),
+            link_fail=tuple(link.fail_prob for link in self.links),
+            ar_bs_fail=tuple(bs_fail[bs] for _ar, bs in self.access_routers),
             link_parent_ids=tuple(link.parent for link in self.links),
             link_labels=tuple(f"{link.child}={link.parent}" for link in self.links),
-            mr_link_offset_ints=offsets,
-            radix_ints=tuple(counts),
-            link_parent_ints=parent_code,
-            walk_tables=(
-                kernels.walk_input(offsets, np.int64),
-                kernels.walk_input(parent_code, np.int64),
-                kernels.walk_input(cost, np.float64),
-                kernels.walk_input(fail, np.float64),
-                kernels.walk_input(ar_bs_fail, np.float64),
-            ),
             search_space=math.prod(counts),
         )
 
@@ -269,12 +247,12 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
     except TypeError:
         plain = False
     if plain:
-        for k, r in zip(choices, c.radix_ints):
+        for k, r in zip(choices, c.radices):
             if not 0 <= k < r:
                 break
         else:
             return
-    for m, (k, r) in enumerate(zip(choices, c.radix_ints)):
+    for m, (k, r) in enumerate(zip(choices, c.radices)):
         try:
             operator.index(k)
         except TypeError:
@@ -287,8 +265,8 @@ def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
     """Per MR, the index of the MR its chosen link attaches to, or a negative number for an access router."""
     c = inst.compiled
     n_ar = inst.n_ar
-    parents = c.link_parent_ints
-    return [parents[off + k] - n_ar for off, k in zip(c.mr_link_offset_ints, choices)]
+    parents = c.link_parent_code
+    return [parents[off + k] - n_ar for off, k in zip(c.mr_link_offset, choices)]
 
 
 def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
@@ -337,7 +315,8 @@ def _walk(inst: NetworkInstance, choices) -> tuple[float, float, bool]:
     """One ``kernels.eval_route`` walk of a choices tuple or list: (z1, z2, valid)."""
     c = inst.compiled
     return kernels.eval_route(
-        kernels.walk_input(choices, np.int64), *c.walk_tables, inst.n_ar, inst.max_depth,
+        choices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail,
+        inst.n_ar, inst.max_depth,
     )
 
 
@@ -363,7 +342,7 @@ def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
     c = inst.compiled
     return {
         mr: c.link_parent_ids[off + k]
-        for mr, off, k in zip(inst.mobile_routers, c.mr_link_offset_ints, a.choices)
+        for mr, off, k in zip(inst.mobile_routers, c.mr_link_offset, a.choices)
     }
 
 
@@ -371,7 +350,7 @@ def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
     """Canonical 'mr=parent;...' serialization (MRs in sorted id order)."""
     _check_choices(inst, a)
     c = inst.compiled
-    return ";".join([c.link_labels[off + k] for off, k in zip(c.mr_link_offset_ints, a.choices)])
+    return ";".join([c.link_labels[off + k] for off, k in zip(c.mr_link_offset, a.choices)])
 
 
 def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -> RouteAssignment:
@@ -379,7 +358,7 @@ def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -
         raise ContractViolation("parent map must be keyed exactly by the instance's MR ids")
     c = inst.compiled
     choices = []
-    for mr, off, r in zip(inst.mobile_routers, c.mr_link_offset_ints, c.radix_ints):
+    for mr, off, r in zip(inst.mobile_routers, c.mr_link_offset, c.radices):
         block = c.link_parent_ids[off : off + r]
         try:
             choices.append(block.index(mapping[mr]))
@@ -409,7 +388,7 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: dict[int, int
     """
     c = inst.compiled
     n_ar = inst.n_ar
-    offsets, radices, parents = c.mr_link_offset_ints, c.radix_ints, c.link_parent_ints
+    offsets, radices, parents = c.mr_link_offset, c.radices, c.link_parent_code
     while pending:
         deferred = []
         for m in pending:
@@ -452,8 +431,10 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
-def _feasible_alternatives(inst: NetworkInstance, choices, m: int) -> list[int]:
+def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int) -> list[int]:
     """MR m's links, other than its current one, under which ``choices`` stays a valid forest, in link order.
+
+    ``up`` is ``_parent_mrs(inst, choices)``.
 
     Precondition: ``choices`` is a valid forest. Then the list holds exactly
     the links whose genotype a full route walk finds valid, without walking:
@@ -463,7 +444,6 @@ def _feasible_alternatives(inst: NetworkInstance, choices, m: int) -> list[int]:
     """
     c = inst.compiled
     n_ar = inst.n_ar
-    up = _parent_mrs(inst, choices)
     limit = min(inst.max_depth, inst.n_mr)  # as in kernels.eval_route
     # m's subtree and its height, one scan of ``up`` per level
     level = {m}
@@ -476,10 +456,10 @@ def _feasible_alternatives(inst: NetworkInstance, choices, m: int) -> list[int]:
         subtree |= level
         height += 1
     room = limit - 1 - height  # the largest depth(p) that m's subtree still fits under
-    parents = c.link_parent_ints
-    off = c.mr_link_offset_ints[m]
+    parents = c.link_parent_code
+    off = c.mr_link_offset[m]
     feasible = []
-    for k in range(c.radix_ints[m]):
+    for k in range(c.radices[m]):
         p = parents[off + k] - n_ar
         if k == choices[m] or p in subtree:
             continue
@@ -501,7 +481,7 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     if inst.n_mr == 0:
         return a
     m = int(rng.integers(inst.n_mr))
-    feasible = _feasible_alternatives(inst, a.choices, m)
+    feasible = _feasible_alternatives(inst, a.choices, _parent_mrs(inst, a.choices), m)
     if not feasible:
         return a
     k = feasible[int(rng.integers(len(feasible)))]
@@ -515,12 +495,16 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     """
     if inst.n_mr == 0:
         return a
+    c = inst.compiled
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
+    up = _parent_mrs(inst, work)  # kept in step with work
     for m in rng.permutation(inst.n_mr)[:count].tolist():
-        feasible = _feasible_alternatives(inst, work, m)
+        feasible = _feasible_alternatives(inst, work, up, m)
         if feasible:
-            work[m] = feasible[int(rng.integers(len(feasible)))]
+            k = feasible[int(rng.integers(len(feasible)))]
+            work[m] = k
+            up[m] = c.link_parent_code[c.mr_link_offset[m] + k] - inst.n_ar
     return RouteAssignment(tuple(work))
 
 
@@ -570,7 +554,7 @@ def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[
     _check_choices(inst, a)
     choices = a.choices
     work = list(choices)
-    for m, radix in enumerate(inst.compiled.radix_ints):
+    for m, radix in enumerate(inst.compiled.radices):
         current = choices[m]
         for k in range(radix):
             if k == current:
@@ -628,8 +612,7 @@ def brute_force_pareto(
     idx = np.flatnonzero(valid)
     z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
     rows = _front_rows(z1, z2, idx)
-    shape = tuple(c.radix_ints)
-    choices = zip(*(col.tolist() for col in np.unravel_index(idx[rows], shape)))
+    choices = zip(*(col.tolist() for col in np.unravel_index(idx[rows], c.radices)))
     return [(ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(ch)) for i, ch in zip(rows, choices)]
 
 

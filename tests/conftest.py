@@ -7,17 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from survroute import kernels
 from survroute.moo import CandidateSolution, ObjectiveVector, Problem
 from survroute.netmodel import load_instance, parse_instance
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # JIT-compile everything up front so per-test timing stays meaningful
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

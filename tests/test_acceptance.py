@@ -42,7 +42,6 @@ def criterion(name: str, ok: bool, detail: str = ""):
 def oracle_runs(standard_instance):
     """20 seeded engine runs on the standard fixture at B=1e4 (criteria 1 and 4)."""
     problem = RouteProblem(standard_instance)
-    kernels.warmup()
     runs = []
     for seed in range(20):
         t0 = time.perf_counter()

@@ -51,7 +51,7 @@ class TestNondom:
         # nondom over every valid assignment must equal the exact front
         problem = RouteProblem(standard_instance)
         solutions = []
-        ranges = [range(int(r)) for r in standard_instance.compiled.radices]
+        ranges = [range(r) for r in standard_instance.compiled.radices]
         from survroute.netmodel import RouteAssignment, validate_assignment
 
         for choices in itertools.product(*ranges):

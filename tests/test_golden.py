@@ -21,15 +21,18 @@ GOLDEN = {
     "standard_3mr": ("5000", "7", "e536b57affe97bb7a7b9f7422d8d6330aae2bf84"),
     "stress_5mr": ("5000", "7", "1d95d5c42a8551db42ebb0ed50994be92fb1a604"),
     "synthetic_40mr": ("2000", "3", "3b8d331e7435727bf6e615dfb68ebded47bce1f1"),
+    "synthetic_200mr": ("1000", "5", "4a6adbc52e3037797fde01f17520f8668e7ee05b"),
 }
+SYNTHETIC = {"synthetic_40mr": (40, 11), "synthetic_200mr": (200, 13)}  # case -> (MRs, instance seed)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_front_hash(case, tmp_path):
     budget, seed, expected = GOLDEN[case]
-    if case.startswith("synthetic"):
+    if case in SYNTHETIC:
+        n_mr, instance_seed = SYNTHETIC[case]
         instance = tmp_path / "synthetic.net"
-        instance.write_text(synthetic_net_text(40, 6, 6, seed=11), encoding="utf-8")
+        instance.write_text(synthetic_net_text(n_mr, 6, 6, seed=instance_seed), encoding="utf-8")
     else:
         instance = INSTANCE_DIR / f"{case}.net"
     out = tmp_path / "out"

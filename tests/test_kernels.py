@@ -1,4 +1,6 @@
-"""Kernel-level checks: both paths agree, enumeration matches single walks, hand-verifiable values hold."""
+"""Kernel-level checks: enumeration matches single walks, dominance matches the scalar classifier, hand-verifiable values hold."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,84 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from survroute import kernels
 from survroute.kernels import (
-    _dominance_matrix_loops,
-    _dominance_matrix_numpy,
     crowding_distance,
+    dominance,
     dominance_matrix,
-    eval_route,
     enumerate_routes,
     hv2d_sweep,
     nondominated_mask,
-    python_impl,
 )
-from survroute.netmodel import parse_instance, random_assignment
+from survroute.moo import Dominance, ObjectiveVector, dominates
+from survroute.netmodel import _walk, parse_instance
 
 from conftest import synthetic_net_text
 
 
-def _route_args(inst, choices):
-    """eval_route's arguments for ``choices``, as ``netmodel._walk`` passes them."""
-    return (
-        kernels.walk_input(tuple(int(k) for k in choices), np.int64),
-        *inst.compiled.walk_tables,
-        inst.n_ar,
-        inst.max_depth,
-    )
-
-
-def _array_route_args(inst, choices):
-    """The same walk on the numpy tables that ``enumerate_routes`` reads."""
-    c = inst.compiled
-    return (
-        np.asarray(choices, dtype=np.int64),
-        c.mr_link_offset,
-        c.link_parent_code,
-        c.link_cost,
-        c.link_fail,
-        c.ar_bs_fail,
-        inst.n_ar,
-        inst.max_depth,
-    )
-
-
-def test_eval_route_paths_bit_identical(standard_instance):
-    rng = np.random.default_rng(11)
-    py = python_impl(eval_route)
+def test_compiled_tables_are_plain_tuples(standard_instance):
     c = standard_instance.compiled
-    for _ in range(200):
-        choices = [rng.integers(r) for r in c.radix_ints]
-        args = _route_args(standard_instance, choices)
-        assert eval_route(*args) == py(*args)
-
-
-def test_walk_tables_are_plain_tuples_on_fallback(standard_instance):
-    tables = standard_instance.compiled.walk_tables
-    if kernels.NUMBA_ENABLED:
-        assert all(isinstance(t, np.ndarray) for t in tables)
-    else:
-        assert all(type(t) is tuple for t in tables)
-        assert all(type(v) is int for v in tables[0] + tables[1])
-        assert all(type(v) is float for v in tables[2] + tables[3] + tables[4])
-
-
-def test_eval_route_tuple_and_array_tables_bit_identical(synthetic40_instance):
-    """The walk on plain tuples equals the walk on numpy arrays, bit for bit, on valid and invalid genotypes."""
-    inst = synthetic40_instance
-    rng = np.random.default_rng(12)
-    py = python_impl(eval_route)
-    valid = 0
-    for i in range(300):
-        if i % 2:
-            choices = list(random_assignment(inst, rng).choices)
-        else:
-            choices = [int(rng.integers(r)) for r in inst.compiled.radix_ints]
-        got = py(*_route_args(inst, choices))
-        want = py(*_array_route_args(inst, choices))
-        valid += got[2]
-        assert got[2] == want[2]
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-    assert 0 < valid < 300
+    assert not any(isinstance(getattr(c, f.name), np.ndarray) for f in dataclasses.fields(c))
+    for table in (c.radices, c.mr_link_offset, c.link_parent_code):
+        assert type(table) is tuple and all(type(v) is int for v in table)
+    for table in (c.link_cost, c.link_fail, c.ar_bs_fail):
+        assert type(table) is tuple and all(type(v) is float for v in table)
 
 
 def _assert_enumeration_matches_eval_route(inst):
@@ -93,11 +37,10 @@ def _assert_enumeration_matches_eval_route(inst):
         c.radices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
         c.ar_bs_fail, inst.n_ar, inst.max_depth,
     )
-    shape = c.radix_ints
-    size = int(np.prod(shape))
+    size = c.search_space
     assert valid.shape == z1.shape == z2.shape == (size,)
-    # the reference walks the same tables as netmodel._walk, one assignment at a time
-    ref = [eval_route(*_route_args(inst, np.unravel_index(flat, shape))) for flat in range(size)]
+    # the reference is netmodel's eval_route walk, one assignment at a time
+    ref = [_walk(inst, tuple(int(k) for k in np.unravel_index(flat, c.radices))) for flat in range(size)]
     assert valid.tolist() == [ok for _a, _b, ok in ref]
     assert z1.tobytes() == np.array([a for a, _b, _ok in ref], dtype=np.float64).tobytes()
     assert z2.tobytes() == np.array([b for _a, b, _ok in ref], dtype=np.float64).tobytes()
@@ -152,11 +95,17 @@ def test_enumerate_routes_across_blocks():
     assert 0 < valid.sum() < valid.size
 
 
-def test_dominance_matrix_implementations_agree():
+def test_dominance_matrix_matches_pairwise_dominates():
+    # a small integer range gives many ties and duplicate rows
     rng = np.random.default_rng(5)
-    for n, d in ((1, 2), (7, 2), (20, 3), (40, 2)):
+    for n, d in ((1, 2), (7, 2), (40, 2), (7, 3), (20, 3), (40, 3)):
         F = rng.integers(0, 4, size=(n, d)).astype(np.float64)
-        assert (_dominance_matrix_numpy(F) == np.asarray(_dominance_matrix_loops(F))).all()
+        vectors = [ObjectiveVector(tuple(row)) for row in F.tolist()]
+        expected = np.array([[dominates(a, b) is Dominance.DOMINATES for b in vectors] for a in vectors])
+        assert (dominance_matrix(F) == expected).all()
+        for i in range(n):  # one vector against many, both ways, as the archive asks
+            assert (dominance(F, F[i]) == expected[:, i]).all()
+            assert (dominance(F[i], F) == expected[i]).all()
 
 
 def test_dominance_matrix_orientation():
@@ -187,17 +136,6 @@ def test_crowding_distance_all_equal_objectives():
     assert d[1] == 0.0 and d[2] == 0.0
 
 
-def test_crowding_paths_bit_identical():
-    rng = np.random.default_rng(3)
-    py = python_impl(crowding_distance)
-    for _ in range(50):
-        F = rng.random((rng.integers(1, 12), 2))
-        expected = py(F)
-        got = crowding_distance(F)
-        assert (np.asarray(got) == np.asarray(expected)).all()
-
-
 def test_hv2d_sweep_worked_example():
     F = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert hv2d_sweep(F, 3.0, 3.0) == 3.0
-    assert python_impl(hv2d_sweep)(F, 3.0, 3.0) == 3.0

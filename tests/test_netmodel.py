@@ -19,6 +19,7 @@ from survroute.netmodel import (
     _broken_mrs,
     _feasible_alternatives,
     _front_rows,
+    _parent_mrs,
     _walk,
     assignment_from_parent_map,
     assignment_from_string,
@@ -117,7 +118,7 @@ def all_parent_maps(inst):
 def walk_feasible(inst, choices, m):
     """MR m's other links whose genotype a full route walk finds valid: one walk per alternative."""
     return [
-        k for k in range(inst.compiled.radix_ints[m])
+        k for k in range(inst.compiled.radices[m])
         if k != choices[m] and _walk(inst, choices[:m] + (k,) + choices[m + 1:])[2]
     ]
 
@@ -149,7 +150,7 @@ def reference_walks(inst, choices):
     for m in range(inst.n_mr):
         cur, steps, seen, reason = m, 0, {m}, None
         while True:
-            parent = c.link_parent_ints[c.mr_link_offset_ints[cur] + choices[cur]]
+            parent = c.link_parent_code[c.mr_link_offset[cur] + choices[cur]]
             steps += 1
             if parent < inst.n_ar:
                 reason = "depth" if steps > inst.max_depth else None
@@ -285,7 +286,7 @@ MAXDEPTH 2
     def test_reason_agrees_with_kernel_flag(self, standard_instance):
         # the python reason walk and the kernel validity flag must agree
         c = standard_instance.compiled
-        for choices in itertools.product(*(range(int(r)) for r in c.radices)):
+        for choices in itertools.product(*(range(r) for r in c.radices)):
             a = RouteAssignment(choices)
             reason = invalid_reason(standard_instance, a)
             if reason is None:
@@ -315,7 +316,7 @@ MAXDEPTH 2
             random.Random(data.draw(st.integers(0, 2**32 - 1))),
             data.draw(st.integers(1, 12)), 1, data.draw(st.integers(1, 4)),
         )
-        choices = tuple(data.draw(st.integers(0, r - 1)) for r in inst.compiled.radix_ints)
+        choices = tuple(data.draw(st.integers(0, r - 1)) for r in inst.compiled.radices)
         walks = reference_walks(inst, choices)
         first = next((reason for reason, _steps in walks if reason is not None), None)
         assert invalid_reason(inst, RouteAssignment(choices)) == first
@@ -476,9 +477,10 @@ class TestMutate:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(6):
             assert validate_assignment(inst, a)
+            up = _parent_mrs(inst, a.choices)
             for m in range(n_mr):
-                assert _feasible_alternatives(inst, a.choices, m) == walk_feasible(inst, a.choices, m)
-                assert _feasible_alternatives(inst, list(a.choices), m) == walk_feasible(inst, a.choices, m)
+                assert _feasible_alternatives(inst, a.choices, up, m) == walk_feasible(inst, a.choices, m)
+                assert _feasible_alternatives(inst, list(a.choices), up, m) == walk_feasible(inst, a.choices, m)
             if step % 2:
                 a, expected = heavy_reattach(inst, a, rng), walk_heavy(inst, a, ref_rng)
             else:
@@ -493,8 +495,9 @@ class TestMutate:
             a = assignment_from_string(inst, "m1=m2;m2=m1")
             rng = np.random.default_rng(0)
             with _time_limit(20):
+                up = _parent_mrs(inst, a.choices)
                 for m in range(inst.n_mr):
-                    assert _feasible_alternatives(inst, a.choices, m) in ([], [0])
+                    assert _feasible_alternatives(inst, a.choices, up, m) in ([], [0])
                 assert len(mutate_reattach(inst, a, rng).choices) == 2
                 assert len(heavy_reattach(inst, a, rng).choices) == 2
 
@@ -573,7 +576,7 @@ class TestNeighborhood:
         # reference order and membership from the separate invalid_reason walker
         expected = []
         for m in range(inst.n_mr):
-            for k in range(int(inst.compiled.radices[m])):
+            for k in range(inst.compiled.radices[m]):
                 if k != a.choices[m]:
                     b = RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
                     if validate_assignment(inst, b):
