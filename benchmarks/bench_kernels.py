@@ -12,9 +12,12 @@ the oracle's numpy block walk, is timed against one ``eval_route`` walk per
 assignment of the same space. ``mutate_reattach``, which decides each
 candidate link on the forest, is timed at 40 and 200 MRs against a
 reference that decides each candidate by a full route walk, and
-``heavy_reattach`` per call at 200 MRs. A last case times what local search
-consumes of the lazy neighborhood (its first 20 neighbors) against building
-the full list.
+``heavy_reattach`` per call at 200 MRs. A last case times the
+delta-scored neighborhood (``iter_neighbors``: one term walk of the
+genotype, then a re-walk of the moved subtree per neighbor) against one full
+route walk per candidate, at 40, 200 and 1000 MRs, both for the first 20
+neighbors (local search's default budget) and for the full list; it checks
+that both yield the same pairs, bit for bit, and prints the ratios.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from itertools import islice
 import numpy as np
 
 from survroute import kernels
+from survroute.moo import ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, _walk, heavy_reattach, iter_neighbors, mutate_reattach, neighborhood, parse_instance,
-    random_assignment,
+    RouteAssignment, _walk, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
 
 
@@ -94,6 +97,19 @@ def walk_mutate(inst, a, rng):
         return a
     work[m] = feasible[int(rng.integers(len(feasible)))]
     return RouteAssignment(tuple(work))
+
+
+def walk_neighbors(inst, a):
+    """``iter_neighbors`` with each candidate decided and scored by one full route walk (same pairs, same order)."""
+    work = list(a.choices)
+    for m, radix in enumerate(inst.compiled.radices):
+        for k in range(radix):
+            if k != a.choices[m]:
+                work[m] = k
+                z1, z2, ok = _walk(inst, work)
+                if ok:
+                    yield RouteAssignment(tuple(work)), ObjectiveVector((z1, z2))
+        work[m] = a.choices[m]
 
 
 def main() -> None:
@@ -180,17 +196,23 @@ def main() -> None:
     t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
     print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
 
-    # local search pulls at most its budget (20) of the lazy neighborhood;
-    # the eager list validates every single-MR reattachment
-    inst = synthetic_instance(n_mr=40, links_per_mr=6, seed=1)
-    rng = np.random.default_rng(1)
-    starts = [random_assignment(inst, rng) for _ in range(20)]
-    sizes = [len(neighborhood(inst, a)) for a in starts]
-    t_lazy = best_of(lambda: [list(islice(iter_neighbors(inst, a), 20)) for a in starts], args.repeats)
-    t_full = best_of(lambda: [neighborhood(inst, a) for a in starts], args.repeats)
-    print(f"neighborhood at 40 MRs, per genotype ({sum(sizes) / len(sizes):.0f} valid neighbors on average):")
-    print(f"  first 20 of iter_neighbors {t_lazy / len(starts) * 1e3:>8.2f}ms")
-    print(f"  full neighborhood list     {t_full / len(starts) * 1e3:>8.2f}ms  ({t_full / t_lazy:.1f}x)")
+    # delta scoring: one term walk per genotype, then only the moved subtree per neighbor;
+    # local search pulls at most its budget (20) of the lazy neighborhood
+    print("neighborhood per genotype, delta-scored iter_neighbors vs a route walk per candidate:")
+    for n_mr, count in ((40, 20), (200, 5), (1000, 1)):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+        rng = np.random.default_rng(1)
+        starts = [random_assignment(inst, rng) for _ in range(count)]
+        for a in starts:
+            if list(iter_neighbors(inst, a)) != list(walk_neighbors(inst, a)):
+                raise AssertionError("iter_neighbors disagrees with the walk-per-candidate reference")
+        size = sum(len(list(iter_neighbors(inst, a))) for a in starts) / count
+        print(f"  {n_mr} MRs ({size:.0f} valid neighbors on average):")
+        for label, limit in (("first 20", 20), ("full list", None)):
+            t_delta = best_of(lambda: [list(islice(iter_neighbors(inst, a), limit)) for a in starts], args.repeats)
+            t_walk = best_of(lambda: [list(islice(walk_neighbors(inst, a), limit)) for a in starts], args.repeats)
+            print(f"    {label:<10} delta {t_delta / count * 1e3:>9.2f}ms  walks {t_walk / count * 1e3:>9.2f}ms"
+                  f"  ({t_walk / t_delta:.1f}x)")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def write_front_csv(path, rows) -> None:
 def read_front_csv(path) -> list[tuple[float, float, str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read front file {path}: {exc}") from None
     lines = text.splitlines()
     if not lines or lines[0] != FRONT_HEADER:
@@ -64,9 +65,12 @@ def read_front_csv(path) -> list[tuple[float, float, str]]:
         if len(parts) != 3:
             raise ConfigError(f"{path}:{i}: expected 3 comma-separated fields")
         try:
-            rows.append((float(parts[0]), float(parts[1]), parts[2]))
+            z1, z2 = float(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigError(f"{path}:{i}: malformed objective value") from None
+        if not (math.isfinite(z1) and math.isfinite(z2)):
+            raise ConfigError(f"{path}:{i}: objective values must be finite")
+        rows.append((z1, z2, parts[2]))
     return rows
 
 
@@ -74,7 +78,7 @@ def parse_config_file(path) -> dict:
     """Flat key=value config; '#' comments; unknown keys rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     out: dict = {}
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -179,6 +183,8 @@ def _parse_ref(text: str) -> tuple[float, ...]:
         raise ConfigError(f"malformed reference point {text!r}") from None
     if len(values) != 2:
         raise ConfigError("reference point must have exactly 2 components, e.g. --ref 10,5")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"reference point components must be finite, got {text!r}")
     return values
 
 

@@ -82,6 +82,8 @@ class RunParams:
             raise ConfigError("scheduler_window must be >= 1")
         if not 0.0 <= self.scheduler_floor <= 0.5:
             raise ConfigError("scheduler_floor must be in [0, 0.5] (pools have 2 operators)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -121,12 +123,14 @@ class Evaluator:
 
         Pass ``objectives`` when they are already known (local search gets
         them from the neighborhood); the problem's evaluate is then skipped.
+        The solution builds its ``genotype_key`` on first use, so a
+        candidate that local search scores and drops never builds one.
         """
         self.count += 1
         return CandidateSolution(
-            genotype=genotype,
-            objectives=self.problem.evaluate(genotype) if objectives is None else objectives,
-            genotype_key=self.problem.genotype_key(genotype),
+            genotype,
+            self.problem.evaluate(genotype) if objectives is None else objectives,
+            key_of=self.problem.genotype_key,
         )
 
 
@@ -376,16 +380,19 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     per-immigrant draws. This order is part of the reproducibility contract.
 
     Credit: SEL/VAR/LS score one outcome per offspring (accepted into the
-    archive or not); REP scores whether the population's archive-nondominated
-    fraction strictly improved; RED and IMM score whether the hypervolume
-    avoided decline over the following inner iteration (unresolved at budget
-    exhaustion means no report).
+    archive or not), reported to each pool as one batch per iteration; REP
+    scores whether the population's archive-nondominated fraction strictly
+    improved; RED and IMM score whether the hypervolume avoided decline over
+    the following inner iteration (unresolved at budget exhaustion means no
+    report).
     """
     params = params or RunParams()
     if problem.objective_count not in (2, 3):
         raise ConfigError("hypervolume-guided run requires 2 or 3 objectives")
     if seed is None:
         seed = params.seed
+    elif seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
 
@@ -398,10 +405,10 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     }
     stats = {kind: {op: [0, 0] for op in ops} for kind, ops in POOL_OPERATORS.items()}
 
-    def note(kind: str, op: str, success: bool) -> None:
-        pools[kind] = report(pools[kind], op, success)
-        stats[kind][op][0] += 1
-        stats[kind][op][1] += int(success)
+    def note(kind: str, op: str, *successes: bool) -> None:
+        pools[kind] = report(pools[kind], op, *successes)
+        stats[kind][op][0] += len(successes)
+        stats[kind][op][1] += sum(map(int, successes))
 
     pop = initialize(problem, params, rng, evaluator)
     arch = nondom(pop, capacity=params.archive_capacity)
@@ -436,10 +443,9 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
                 accepted.append(ok)
             hv = measures.hypervolume_clipped(arch.objective_matrix(), ref)
 
-            for ok in accepted:
-                note("SEL", sel_op, ok)
-                note("VAR", var_op, ok)
-                note("LS", ls_op, ok)
+            note("SEL", sel_op, *accepted)
+            note("VAR", var_op, *accepted)
+            note("LS", ls_op, *accepted)
             note("REP", rep_op, _nondominated_fraction(new_pop, arch) > _nondominated_fraction(pop, arch))
             if pending_red is not None:
                 note("RED", pending_red[0], hv >= pending_red[1])

@@ -3,9 +3,13 @@
 Every kernel has one form, run by CPython and numpy. ``eval_route`` walks
 the link tables as plain tuples, which CPython indexes several times faster
 than numpy arrays one element at a time; ``netmodel`` builds those tuples
-once per instance. ``enumerate_routes``, the oracle's exhaustive
-enumeration, turns the same tuples into numpy arrays and walks blocks of
-assignments at once, bit-identical to ``eval_route`` on each assignment.
+once per instance. ``route_terms`` makes the same per-MR walk for chosen
+MRs only and keeps each MR's terms instead of their sums; local search uses
+it to re-walk just the subtree a move changes (``netmodel.iter_neighbors``).
+``enumerate_routes``, the oracle's exhaustive enumeration, turns the same
+tuples into numpy arrays and walks blocks of assignments at once. All three
+make the same floating-point operations per MR in the same order, so their
+objectives are bit-identical.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -33,6 +37,9 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
     probability that any component on that path fails: chosen links first in
     walk order, then the base station behind the terminating access router.
     The accumulation order is part of the determinism contract.
+
+    ``route_terms`` makes the same per-MR operations; the two must stay
+    operation-identical, or delta-scored neighbors stop matching this walk.
     """
     n_mr = len(choices)
     # a walk of more than n_mr links has revisited an MR and can never reach
@@ -61,6 +68,37 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
         z1 += cost
         z2 += 1.0 - surv
     return z1, z2, True
+
+
+def route_terms(choices, mrs, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth, cost_out, risk_out):
+    """Per-MR terms of ``eval_route`` for the MRs in ``mrs``; returns False at the first MR whose walk fails.
+
+    Writes ``cost_out[m]``, MR m's path cost, and ``risk_out[m]``, 1 - its
+    path survival, for each m in ``mrs``; ``choices`` and the tables are
+    those ``eval_route`` takes. Adding the costs (the risks) from 0.0 in MR
+    order gives ``eval_route``'s z1 (z2) bit for bit. Each MR's walk
+    makes exactly ``eval_route``'s operations in the same order; the two
+    must stay operation-identical.
+    """
+    steps = min(max_depth, len(choices))  # as in eval_route
+    for m in mrs:
+        cur = m
+        cost = 0.0
+        surv = 1.0
+        for _step in range(steps):
+            li = mr_link_offset[cur] + choices[cur]
+            cost += link_cost[li]
+            surv *= 1.0 - link_fail[li]
+            parent = link_parent[li]
+            if parent < n_ar:
+                surv *= 1.0 - ar_bs_fail[parent]
+                break
+            cur = parent - n_ar
+        else:
+            return False
+        cost_out[m] = cost
+        risk_out[m] = 1.0 - surv
+    return True
 
 
 def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,18 +53,68 @@ class ObjectiveVector:
         return np.asarray(self.values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
 class CandidateSolution:
     """An evaluated solution: genotype plus its objective vector.
 
     ``genotype_key`` is the problem's canonical serialization of the
     genotype; it drives duplicate detection and deterministic tie-breaking,
     and it defines equality (the raw genotype may be any opaque object).
+
+    Give either the key itself or ``key_of``, a function of the genotype
+    that returns it; ``key_of`` is then called once, on the first read of
+    ``genotype_key`` (an equality test, a hash or ``sort_key`` reads it), so
+    a solution that is scored and dropped never builds its key. Instances
+    are immutable, compare and hash by (objectives, genotype_key), and print
+    like the frozen dataclass they replace.
     """
 
-    genotype: Any = field(compare=False)
-    objectives: ObjectiveVector
-    genotype_key: str
+    __slots__ = ("genotype", "objectives", "genotype_key", "_key_of")
+
+    def __init__(
+        self,
+        genotype: Any,
+        objectives: ObjectiveVector,
+        genotype_key: str | None = None,
+        *,
+        key_of: Callable[[Any], str] | None = None,
+    ):
+        if (genotype_key is None) == (key_of is None):
+            raise ContractViolation("give exactly one of genotype_key and key_of")
+        setattr_ = object.__setattr__
+        setattr_(self, "genotype", genotype)
+        setattr_(self, "objectives", objectives)
+        setattr_(self, "_key_of", key_of)
+        if genotype_key is not None:
+            setattr_(self, "genotype_key", genotype_key)
+
+    def __getattr__(self, name):
+        # reached only while a deferred genotype_key slot is still empty
+        if name != "genotype_key":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        key = self._key_of(self.genotype)
+        object.__setattr__(self, "genotype_key", key)
+        object.__setattr__(self, "_key_of", None)
+        return key
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.objectives, self.genotype_key) == (other.objectives, other.genotype_key)
+
+    def __hash__(self) -> int:
+        return hash((self.objectives, self.genotype_key))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(genotype={self.genotype!r}, "
+            f"objectives={self.objectives!r}, genotype_key={self.genotype_key!r})"
+        )
 
     def sort_key(self) -> tuple[tuple[float, ...], str]:
         return (self.objectives.values, self.genotype_key)

@@ -18,7 +18,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterator
 
@@ -228,7 +228,11 @@ def parse_instance(text: str) -> NetworkInstance:
 
 
 def load_instance(path) -> NetworkInstance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_instance(text)
 
 
 def search_space_size(inst: NetworkInstance) -> int:
@@ -431,13 +435,27 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
-def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int) -> list[int]:
-    """MR m's links, other than its current one, under which ``choices`` stays a valid forest, in link order.
+def _children(up: list[int]) -> list[list[int]]:
+    """Per MR, the MRs whose parent it is in ``up`` (a ``_parent_mrs`` list), in index order."""
+    children: list[list[int]] = [[] for _ in up]
+    for i, p in enumerate(up):
+        if p >= 0:
+            children[p].append(i)
+    return children
 
-    ``up`` is ``_parent_mrs(inst, choices)``.
 
-    Precondition: ``choices`` is a valid forest. Then the list holds exactly
-    the links whose genotype a full route walk finds valid, without walking:
+def _reattach_options(inst: NetworkInstance, choices, up: list[int], m: int, children: list[list[int]] | None = None):
+    """The forest test for moving MR m: (its feasible links, the MRs of its subtree).
+
+    ``up`` is ``_parent_mrs(inst, choices)``. The links are m's links other
+    than its current one, in link order, under which ``choices`` stays a
+    valid forest; the subtree is the set of MRs whose paths run through m,
+    m included. With ``children`` (``_children(up)``) each level of the
+    subtree is read off those lists; without, each level costs one scan of
+    ``up``, which is cheaper when a single MR is tested.
+
+    Precondition: ``choices`` is a valid forest. Then the links are exactly
+    those whose genotype a full route walk finds valid, without walking:
     moving m under parent p keeps the forest valid if and only if p is an AR
     or an MR outside m's subtree, and depth(p) + 1 + height(m) <= max_depth.
     On an invalid ``choices`` every scan is capped, so the call still returns.
@@ -445,15 +463,18 @@ def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int
     c = inst.compiled
     n_ar = inst.n_ar
     limit = min(inst.max_depth, inst.n_mr)  # as in kernels.eval_route
-    # m's subtree and its height, one scan of ``up`` per level
+    # m's subtree and its height, one level at a time
     level = {m}
     subtree = {m}
     height = 0
     while height < limit:
-        level = {i for i, p in enumerate(up) if p in level}
+        if children is None:
+            level = {i for i, p in enumerate(up) if p in level}
+        else:
+            level = [i for p in level for i in children[p]]
         if not level:
             break
-        subtree |= level
+        subtree.update(level)
         height += 1
     room = limit - 1 - height  # the largest depth(p) that m's subtree still fits under
     parents = c.link_parent_code
@@ -469,7 +490,16 @@ def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int
             p = up[p]
         if p < 0:
             feasible.append(k)
-    return feasible
+    return feasible, subtree
+
+
+def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int) -> list[int]:
+    """MR m's links, other than its current one, under which ``choices`` stays a valid forest, in link order.
+
+    ``up`` is ``_parent_mrs(inst, choices)``; ``_reattach_options`` holds
+    the test and its precondition.
+    """
+    return _reattach_options(inst, choices, up, m)[0]
 
 
 def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
@@ -547,24 +577,53 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
 def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
     """Valid single-MR reattachments with their objectives, lazily, in (MR index, link index) order.
 
-    One route walk per candidate both decides validity and gives the
-    objectives, bit-identical to ``RouteProblem.evaluate``; a consumer that
-    stops early walks no further candidates.
+    Precondition: ``a`` is a valid forest; an invalid one raises
+    ContractViolation here, before anything is yielded.
+
+    The objectives are delta-scored. One walk of ``a`` keeps each MR's path
+    cost and risk (``kernels.route_terms``). A neighbor that moves MR m
+    re-walks only the MRs of m's subtree, the only paths that change, and
+    continues the running sums of ``a``'s terms from the subtree's smallest
+    MR index, adding in MR order as ``kernels.eval_route`` does; so the
+    objectives are bit-identical to ``RouteProblem.evaluate``. The forest
+    test of ``_reattach_options`` decides validity, so an invalid candidate
+    is never walked, and a consumer that stops early walks no further ones.
     """
     _check_choices(inst, a)
-    choices = a.choices
+    c = inst.compiled
+    tables = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail, inst.n_ar, inst.max_depth)
+    cost = [0.0] * inst.n_mr
+    risk = [0.0] * inst.n_mr
+    if not kernels.route_terms(a.choices, range(inst.n_mr), *tables, cost, risk):
+        raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
+    return _delta_neighbors(inst, a.choices, tables, cost, risk)
+
+
+def _delta_neighbors(inst: NetworkInstance, choices, tables, cost: list[float], risk: list[float]):
+    """The generator behind ``iter_neighbors``, given the valid ``choices`` and their per-MR terms."""
+    # running sums as the walk adds them; never sum(), which compensates float sums from Python 3.12
+    z1_prefix = list(itertools.accumulate(cost, initial=0.0))
+    z2_prefix = list(itertools.accumulate(risk, initial=0.0))
+    up = _parent_mrs(inst, choices)
+    children = _children(up)
     work = list(choices)
-    for m, radix in enumerate(inst.compiled.radices):
-        current = choices[m]
-        for k in range(radix):
-            if k == current:
-                continue
+    moved_cost = list(cost)  # the terms under work; differ from cost only on the moved subtree
+    moved_risk = list(risk)
+    for m in range(inst.n_mr):
+        feasible, subtree = _reattach_options(inst, choices, up, m, children)
+        if not feasible:
+            continue
+        lo = min(subtree)
+        for k in feasible:
             work[m] = k
-            z1, z2, ok = _walk(inst, work)
-            if ok:
-                neighbor = RouteAssignment(choices[:m] + (k,) + choices[m + 1:])
-                yield neighbor, ObjectiveVector((float(z1), float(z2)))
-        work[m] = current
+            kernels.route_terms(work, subtree, *tables, moved_cost, moved_risk)
+            z1 = reduce(operator.add, moved_cost[lo:], z1_prefix[lo])
+            z2 = reduce(operator.add, moved_risk[lo:], z2_prefix[lo])
+            yield RouteAssignment(choices[:m] + (k,) + choices[m + 1:]), ObjectiveVector((z1, z2))
+        work[m] = choices[m]
+        for i in subtree:
+            moved_cost[i] = cost[i]
+            moved_risk[i] = risk[i]
 
 
 def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignment]:

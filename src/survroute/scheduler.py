@@ -79,9 +79,12 @@ def choose(pool: OperatorPool, rng) -> str:
     return pool.operators[-1]  # guard against cumulative rounding just below 1
 
 
-def report(pool: OperatorPool, op: str, success: bool) -> OperatorPool:
-    """Push an outcome flag into the operator's window, evicting beyond W."""
+def report(pool: OperatorPool, op: str, *successes: bool) -> OperatorPool:
+    """Push outcome flags, oldest first, into the operator's window, evicting beyond W.
+
+    One call with a batch of flags gives the same pool as one call per flag.
+    """
     idx = pool.operator_index(op)
     windows = list(pool.outcomes)
-    windows[idx] = (windows[idx] + (1 if success else 0,))[-pool.window :]
+    windows[idx] = (windows[idx] + tuple(1 if s else 0 for s in successes))[-pool.window :]
     return replace(pool, outcomes=tuple(windows))

@@ -179,6 +179,62 @@ class TestMeasure:
         assert run_cli("measure", f, f, "--ref", "3,3") == 2
 
 
+def _bad_input_argv(case, tmp_path):
+    """argv for one kind of bad input; files it needs are written under tmp_path."""
+    good = tmp_path / "good.csv"
+    write_front_csv(good, [(1.0, 2.0, "g")])
+    out = str(tmp_path / "out")
+    if case == "instance_not_utf8":
+        net = tmp_path / "latin1.net"
+        net.write_bytes("BS b 0.1\nAR a b\nMR m\u00e9\nLINK m\u00e9 a 1 0.1\n".encode("latin-1"))
+        return ["run", "--instance", str(net), "--out", out]
+    if case == "oracle_instance_not_utf8":
+        net = tmp_path / "binary.net"
+        net.write_bytes(b"\xff\xfe\x00B\x00S")
+        return ["oracle", str(net), "--out", str(tmp_path / "front.csv")]
+    if case == "config_not_utf8":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1 # \xe9\n")
+        return ["run", "--config", str(cfg), "--instance", STANDARD, "--out", out]
+    if case in ("ref_nan", "ref_inf"):
+        return ["measure", str(good), str(good), "--ref", "nan,nan" if case == "ref_nan" else "inf,inf"]
+    if case in ("front_nan", "front_inf"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"z1,z2,genotype\n1,{case[-3:]},g\n")
+        return ["measure", str(bad), str(good), "--ref", "3,3"]
+    if case == "front_not_utf8":
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"z1,z2,genotype\n1,2,g\xff\n")
+        return ["measure", str(bad), str(good), "--ref", "3,3"]
+    if case == "seed_negative":
+        return ["run", "--instance", STANDARD, "--out", out, "--budget", "10", "--seed", "-1"]
+    if case == "config_seed_negative":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"instance = {STANDARD}\nbudget = 10\nseed = -1\n")
+        return ["run", "--config", str(cfg), "--out", out]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("instance_not_utf8", 3),
+    ("oracle_instance_not_utf8", 3),
+    ("config_not_utf8", 2),
+    ("ref_nan", 2),
+    ("ref_inf", 2),
+    ("front_nan", 2),
+    ("front_inf", 2),
+    ("front_not_utf8", 2),
+    ("seed_negative", 2),
+    ("config_seed_negative", 2),
+])
+def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
+    capsys.readouterr()
+    assert run_cli(*_bad_input_argv(case, tmp_path)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""  # in particular no measure report with NaN or Infinity
+    assert captured.err.startswith("survroute: ")
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "front.csv"
     proc = subprocess.run(

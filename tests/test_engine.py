@@ -257,6 +257,29 @@ def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeyp
         assert walks[True] + walks[False] <= evaluator.count + walks[False]
 
 
+def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
+    problem = RouteProblem(synthetic40_instance)
+    keyed = []
+    build_key = problem.genotype_key
+
+    def counting_key(genotype):
+        keyed.append(genotype)
+        return build_key(genotype)
+
+    problem.genotype_key = counting_key
+    rng = np.random.default_rng(7)
+    for op in LOCAL_SEARCH_OPERATORS:
+        starts = [Evaluator(problem).evaluate(problem.random_genotype(rng)) for _ in range(4)]
+        evaluator = Evaluator(problem)
+        keyed.clear()
+        out = local_search(starts, problem, op, 20, rng, evaluator)
+        assert evaluator.count > len(out)  # candidates were scored and dropped
+        assert keyed == []  # scoring and comparing objectives builds no key
+        keys = [s.genotype_key for s in out]
+        assert [s.genotype_key for s in out] == keys == [build_key(s.genotype) for s in out]
+        assert keyed == [s.genotype for s in out]  # each kept solution's key, built once, on first read
+
+
 def _naive_rank(front):
     pts = [s.objectives.values for s in front]
     remaining = set(range(len(pts)))

@@ -1,6 +1,8 @@
 """Kernel-level checks: enumeration matches single walks, dominance matches the scalar classifier, hand-verifiable values hold."""
 
 import dataclasses
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -72,6 +74,25 @@ def small_net_texts(draw):
 @given(text=small_net_texts())
 def test_enumerate_routes_matches_eval_route(text):
     _assert_enumeration_matches_eval_route(parse_instance(text))
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=small_net_texts(), data=st.data())
+def test_route_terms_sum_to_eval_route(text, data):
+    # the terms, added from 0.0 in MR order, are eval_route's objectives bit for bit; validity agrees
+    inst = parse_instance(text)
+    c = inst.compiled
+    choices = tuple(data.draw(st.integers(0, r - 1)) for r in c.radices)
+    cost, risk = [0.0] * inst.n_mr, [0.0] * inst.n_mr
+    ok = kernels.route_terms(
+        choices, range(inst.n_mr), c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
+        c.ar_bs_fail, inst.n_ar, inst.max_depth, cost, risk,
+    )
+    z1, z2, valid = _walk(inst, choices)
+    assert ok == valid
+    if valid:
+        assert functools.reduce(operator.add, cost, 0.0).hex() == z1.hex()
+        assert functools.reduce(operator.add, risk, 0.0).hex() == z2.hex()
 
 
 def test_enumerate_routes_depth_one():

@@ -1,5 +1,6 @@
 """Dominance relation, objective-vector invariants, evaluation contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from survroute.errors import ContractViolation, ValidityError
-from survroute.moo import Dominance, ObjectiveVector, dominates, evaluate, make_solution
+from survroute.moo import CandidateSolution, Dominance, ObjectiveVector, dominates, evaluate, make_solution
 from survroute.netmodel import RouteProblem, RouteAssignment, brute_force_pareto
 
 from conftest import GridProblem
@@ -123,3 +124,29 @@ def test_make_solution_carries_key():
     assert s.genotype_key == "1,2"
     assert s.objectives.values == (3.0, 4.0)
     assert math.isfinite(s.objectives[0])
+
+
+def test_deferred_key_is_built_once_and_behaves_like_a_given_key():
+    calls = []
+
+    def key_of(genotype):
+        calls.append(genotype)
+        return f"{genotype[0]},{genotype[1]}"
+
+    ov = ObjectiveVector((1.0, 2.0))
+    given_key = CandidateSolution(genotype=(1, 2), objectives=ov, genotype_key="1,2")
+    deferred = CandidateSolution((1, 2), ov, key_of=key_of)
+    assert calls == []
+    assert deferred == given_key and hash(deferred) == hash(given_key)
+    assert deferred.sort_key() == given_key.sort_key() == ((1.0, 2.0), "1,2")
+    assert repr(deferred) == repr(given_key) == (
+        "CandidateSolution(genotype=(1, 2), objectives=ObjectiveVector(values=(1.0, 2.0)), genotype_key='1,2')"
+    )
+    assert calls == [(1, 2)]
+    assert deferred != CandidateSolution((1, 2), ov, genotype_key="other")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        deferred.genotype_key = "x"
+    with pytest.raises(ContractViolation):
+        CandidateSolution((1, 2), ov)
+    with pytest.raises(ContractViolation):
+        CandidateSolution((1, 2), ov, "1,2", key_of=key_of)

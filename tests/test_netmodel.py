@@ -586,6 +586,35 @@ class TestNeighborhood:
         for g, ov in pairs:
             assert ov.values == evaluate_assignment(inst, g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_delta_scores_match_one_walk_per_candidate(self, data):
+        # MR-MR links and MAXDEPTH from 1 to n_mr + 1; the start is the witness forest or a few moves from it
+        n_mr = data.draw(st.integers(1, 40))
+        inst, a = forest_instance(
+            random.Random(data.draw(st.integers(0, 2**32 - 1))),
+            n_mr, data.draw(st.integers(1, 2)), data.draw(st.integers(1, n_mr + 1)),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            a = mutate_reattach(inst, a, rng)
+        expected = []
+        for m in range(n_mr):
+            for k in range(inst.compiled.radices[m]):
+                if k != a.choices[m]:
+                    choices = a.choices[:m] + (k,) + a.choices[m + 1:]
+                    z1, z2, ok = _walk(inst, choices)
+                    if ok:
+                        expected.append((choices, z1.hex(), z2.hex()))
+        got = [(g.choices, ov[0].hex(), ov[1].hex()) for g, ov in iter_neighbors(inst, a)]
+        assert got == expected
+
+    def test_invalid_genotype_raises(self):
+        for depth in (2, 1_000_000_000):
+            inst = parse_instance(CYCLE_2MR.format(depth=depth))
+            with pytest.raises(ContractViolation, match="cycle"):
+                iter_neighbors(inst, assignment_from_string(inst, "m1=m2;m2=m1"))
+
 
 class TestBruteForce:
     def test_trivial_two_point_front(self, trivial_instance):

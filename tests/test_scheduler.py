@@ -120,3 +120,21 @@ def test_success_monotonicity(outcome_pair):
     before = probabilities(pool)[0]
     after = probabilities(report(pool, "a", True))[0]
     assert after >= before - 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.booleans(), max_size=40),
+    st.lists(st.booleans(), max_size=60),
+    st.integers(min_value=1, max_value=25),
+)
+def test_batch_report_equals_one_by_one(earlier, batch, window):
+    # flag sequences run longer than the window, so batches evict as single reports do
+    pool = OperatorPool(kind="LS", operators=("a", "b"), window=window, p_min=0.05)
+    for flag in earlier:
+        pool = report(pool, "b", flag)
+    one_by_one = pool
+    for flag in batch:
+        one_by_one = report(one_by_one, "b", flag)
+    assert report(pool, "b", *batch) == one_by_one
+    assert one_by_one.outcomes[1] == tuple(int(flag) for flag in earlier + batch)[-window:]
