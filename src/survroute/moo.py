@@ -65,7 +65,9 @@ class CandidateSolution:
     ``genotype_key`` (an equality test, a hash or ``sort_key`` reads it), so
     a solution that is scored and dropped never builds its key. Instances
     are immutable, compare and hash by (objectives, genotype_key), and print
-    like the frozen dataclass they replace.
+    like the frozen dataclass they replace; they are not a dataclass (no
+    ``dataclasses.fields`` or ``replace``). A copy or pickle carries the
+    built key, never ``key_of``.
     """
 
     __slots__ = ("genotype", "objectives", "genotype_key", "_key_of")
@@ -101,6 +103,10 @@ class CandidateSolution:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild from the key, not from key_of
+        return (CandidateSolution, (self.genotype, self.objectives, self.genotype_key))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

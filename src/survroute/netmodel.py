@@ -436,7 +436,7 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
 
 
 def _children(up: list[int]) -> list[list[int]]:
-    """Per MR, the MRs whose parent it is in ``up`` (a ``_parent_mrs`` list), in index order."""
+    """Per MR, the MRs whose parent it is in ``up`` (a ``_parent_mrs`` list)."""
     children: list[list[int]] = [[] for _ in up]
     for i, p in enumerate(up):
         if p >= 0:
@@ -444,15 +444,13 @@ def _children(up: list[int]) -> list[list[int]]:
     return children
 
 
-def _reattach_options(inst: NetworkInstance, choices, up: list[int], m: int, children: list[list[int]] | None = None):
+def _reattach_options(inst: NetworkInstance, choices, up: list[int], children: list[list[int]], m: int):
     """The forest test for moving MR m: (its feasible links, the MRs of its subtree).
 
-    ``up`` is ``_parent_mrs(inst, choices)``. The links are m's links other
-    than its current one, in link order, under which ``choices`` stays a
-    valid forest; the subtree is the set of MRs whose paths run through m,
-    m included. With ``children`` (``_children(up)``) each level of the
-    subtree is read off those lists; without, each level costs one scan of
-    ``up``, which is cheaper when a single MR is tested.
+    ``up`` is ``_parent_mrs(inst, choices)`` and ``children`` is
+    ``_children(up)``. The links are m's links other than its current one,
+    in link order, under which ``choices`` stays a valid forest; the subtree
+    is the set of MRs whose paths run through m, m included.
 
     Precondition: ``choices`` is a valid forest. Then the links are exactly
     those whose genotype a full route walk finds valid, without walking:
@@ -464,14 +462,11 @@ def _reattach_options(inst: NetworkInstance, choices, up: list[int], m: int, chi
     n_ar = inst.n_ar
     limit = min(inst.max_depth, inst.n_mr)  # as in kernels.eval_route
     # m's subtree and its height, one level at a time
-    level = {m}
+    level = [m]
     subtree = {m}
     height = 0
     while height < limit:
-        if children is None:
-            level = {i for i, p in enumerate(up) if p in level}
-        else:
-            level = [i for p in level for i in children[p]]
+        level = [i for p in level for i in children[p]]
         if not level:
             break
         subtree.update(level)
@@ -493,15 +488,6 @@ def _reattach_options(inst: NetworkInstance, choices, up: list[int], m: int, chi
     return feasible, subtree
 
 
-def _feasible_alternatives(inst: NetworkInstance, choices, up: list[int], m: int) -> list[int]:
-    """MR m's links, other than its current one, under which ``choices`` stays a valid forest, in link order.
-
-    ``up`` is ``_parent_mrs(inst, choices)``; ``_reattach_options`` holds
-    the test and its precondition.
-    """
-    return _reattach_options(inst, choices, up, m)[0]
-
-
 def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
     """Reassign one uniformly chosen MR to another feasible candidate link.
 
@@ -511,7 +497,8 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     if inst.n_mr == 0:
         return a
     m = int(rng.integers(inst.n_mr))
-    feasible = _feasible_alternatives(inst, a.choices, _parent_mrs(inst, a.choices), m)
+    up = _parent_mrs(inst, a.choices)
+    feasible = _reattach_options(inst, a.choices, up, _children(up), m)[0]
     if not feasible:
         return a
     k = feasible[int(rng.integers(len(feasible)))]
@@ -528,13 +515,18 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     c = inst.compiled
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
-    up = _parent_mrs(inst, work)  # kept in step with work
+    up = _parent_mrs(inst, work)  # up and children are kept in step with work
+    children = _children(up)
     for m in rng.permutation(inst.n_mr)[:count].tolist():
-        feasible = _feasible_alternatives(inst, work, up, m)
+        feasible = _reattach_options(inst, work, up, children, m)[0]
         if feasible:
             k = feasible[int(rng.integers(len(feasible)))]
             work[m] = k
+            if up[m] >= 0:
+                children[up[m]].remove(m)
             up[m] = c.link_parent_code[c.mr_link_offset[m] + k] - inst.n_ar
+            if up[m] >= 0:
+                children[up[m]].append(m)
     return RouteAssignment(tuple(work))
 
 
@@ -610,7 +602,7 @@ def _delta_neighbors(inst: NetworkInstance, choices, tables, cost: list[float], 
     moved_cost = list(cost)  # the terms under work; differ from cost only on the moved subtree
     moved_risk = list(risk)
     for m in range(inst.n_mr):
-        feasible, subtree = _reattach_options(inst, choices, up, m, children)
+        feasible, subtree = _reattach_options(inst, choices, up, children, m)
         if not feasible:
             continue
         lo = min(subtree)

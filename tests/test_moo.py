@@ -1,7 +1,9 @@
 """Dominance relation, objective-vector invariants, evaluation contract."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -144,6 +146,13 @@ def test_deferred_key_is_built_once_and_behaves_like_a_given_key():
     )
     assert calls == [(1, 2)]
     assert deferred != CandidateSolution((1, 2), ov, genotype_key="other")
+    for clone in (
+        copy.copy(CandidateSolution((1, 2), ov, key_of=key_of)),
+        copy.deepcopy(CandidateSolution((1, 2), ov, key_of=key_of)),
+        pickle.loads(pickle.dumps(CandidateSolution((1, 2), ov, key_of=key_of))),
+    ):
+        assert clone == given_key and repr(clone) == repr(given_key)
+        assert clone._key_of is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         deferred.genotype_key = "x"
     with pytest.raises(ContractViolation):

@@ -17,9 +17,10 @@ from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
     _broken_mrs,
-    _feasible_alternatives,
+    _children,
     _front_rows,
     _parent_mrs,
+    _reattach_options,
     _walk,
     assignment_from_parent_map,
     assignment_from_string,
@@ -478,9 +479,10 @@ class TestMutate:
         for step in range(6):
             assert validate_assignment(inst, a)
             up = _parent_mrs(inst, a.choices)
+            children = _children(up)
             for m in range(n_mr):
-                assert _feasible_alternatives(inst, a.choices, up, m) == walk_feasible(inst, a.choices, m)
-                assert _feasible_alternatives(inst, list(a.choices), up, m) == walk_feasible(inst, a.choices, m)
+                assert _reattach_options(inst, a.choices, up, children, m)[0] == walk_feasible(inst, a.choices, m)
+                assert _reattach_options(inst, list(a.choices), up, children, m)[0] == walk_feasible(inst, a.choices, m)
             if step % 2:
                 a, expected = heavy_reattach(inst, a, rng), walk_heavy(inst, a, ref_rng)
             else:
@@ -497,7 +499,7 @@ class TestMutate:
             with _time_limit(20):
                 up = _parent_mrs(inst, a.choices)
                 for m in range(inst.n_mr):
-                    assert _feasible_alternatives(inst, a.choices, up, m) in ([], [0])
+                    assert _reattach_options(inst, a.choices, up, _children(up), m)[0] in ([], [0])
                 assert len(mutate_reattach(inst, a, rng).choices) == 2
                 assert len(heavy_reattach(inst, a, rng).choices) == 2
 
