@@ -6,8 +6,7 @@ Usage:
 
 Each case reports the best of ``--repeats`` timings. Route walks run on
 valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on the
-plain-tuple link tables ``netmodel`` passes; the same walks are also timed
-on numpy arrays of those tables, with the ratio printed. ``enumerate_routes``,
+plain-tuple link tables ``netmodel`` passes. ``enumerate_routes``,
 the oracle's numpy block walk, is timed against one ``eval_route`` walk per
 assignment of the same space. ``mutate_reattach``, which decides each
 candidate link on the forest, is timed at 40 and 200 MRs against a
@@ -65,21 +64,15 @@ def best_of(fn, repeats: int) -> float:
 def route_batch(n_mr: int, count: int, seed: int):
     """eval_route arguments for ``count`` valid genotypes from random_assignment, and their valid share.
 
-    Every walk runs in full. The arguments come in two forms: the plain
-    tuples ``netmodel`` passes (``tuples``), and numpy arrays of the same
-    values (``arrays``).
+    The tables are the plain tuples ``netmodel`` passes. Every walk runs in full.
     """
     inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=seed)
     rng = np.random.default_rng(seed)
     batch = [random_assignment(inst, rng).choices for _ in range(count)]
     c = inst.compiled
     tables = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail)
-    arrays = tuple(np.asarray(t) for t in tables)
-    walks = {
-        "tuples": [(ch, *tables, inst.n_ar, inst.max_depth) for ch in batch],
-        "arrays": [(np.asarray(ch, dtype=np.int64), *arrays, inst.n_ar, inst.max_depth) for ch in batch],
-    }
-    valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks["tuples"]) / count
+    walks = [(ch, *tables, inst.n_ar, inst.max_depth) for ch in batch]
+    valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks) / count
     return walks, valid
 
 
@@ -122,10 +115,10 @@ def main() -> None:
     # single-assignment evaluation walks on valid genotypes
     walk_sets = {n_mr: route_batch(n_mr, count, seed=1) for n_mr, count in ((40, 2000), (200, 400))}
     for n_mr, (walks, valid) in walk_sets.items():
-        print(f"eval_route genotypes at {n_mr} MRs: {len(walks['tuples'])}, valid share {valid:.0%}")
+        print(f"eval_route genotypes at {n_mr} MRs: {len(walks)}, valid share {valid:.0%}")
 
-    def eval_many(n_mr, form="tuples"):
-        walks = walk_sets[n_mr][0][form]
+    def eval_many(n_mr):
+        walks = walk_sets[n_mr][0]
 
         def body():
             for args in walks:
@@ -147,15 +140,6 @@ def main() -> None:
     print(f"{'kernel':<40} {'time':>12}")
     for name, fn in cases:
         print(f"{name:<40} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
-
-    # the walk on the plain tuples netmodel passes against numpy arrays of the same tables
-    print("eval_route, plain tuples vs numpy arrays:")
-    for n_mr, (walks, _valid) in walk_sets.items():
-        t_tuples = best_of(eval_many(n_mr, "tuples"), args.repeats)
-        t_arrays = best_of(eval_many(n_mr, "arrays"), args.repeats)
-        per = 1e6 / len(walks["tuples"])
-        print(f"  {n_mr} MRs: tuples {t_tuples * per:>8.1f}us  arrays {t_arrays * per:>8.1f}us per walk"
-              f"  ({t_arrays / t_tuples:.1f}x)")
 
     # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)

@@ -20,19 +20,22 @@ from .netmodel import RouteProblem, assignment_string, brute_force_pareto, load_
 
 FRONT_HEADER = "z1,z2,genotype"
 
-_PARAM_KEYS = {
-    "seed": int,
-    "budget": int,
-    "population": int,
-    "offspring": int,
-    "capacity": int,
-    "stagnation_window": int,
-    "stagnation_tolerance": float,
-    "immigrant_fraction": float,
-    "ls_budget": int,
-    "scheduler_window": int,
-    "scheduler_floor": float,
+# each run parameter: config key -> (RunParams field, type); its flag is --key with "-" for "_",
+# and summary.json["params"] reports it under the key
+_RUN_PARAMS = {
+    "seed": ("seed", int),
+    "budget": ("evaluation_budget", int),
+    "population": ("population_size", int),
+    "offspring": ("offspring_size", int),
+    "capacity": ("archive_capacity", int),
+    "stagnation_window": ("stagnation_window", int),
+    "stagnation_tolerance": ("stagnation_tolerance", float),
+    "immigrant_fraction": ("immigrant_fraction", float),
+    "ls_budget": ("local_search_budget", int),
+    "scheduler_window": ("scheduler_window", int),
+    "scheduler_floor": ("scheduler_floor", float),
 }
+_PARAM_KEYS = {key: kind for key, (_field, kind) in _RUN_PARAMS.items()}
 _CONFIG_KEYS = {"instance": str, "out": str, **_PARAM_KEYS}
 
 
@@ -101,21 +104,9 @@ def parse_config_file(path) -> dict:
 
 
 def _build_params(settings: dict) -> RunParams:
-    mapping = {
-        "seed": "seed",
-        "budget": "evaluation_budget",
-        "population": "population_size",
-        "offspring": "offspring_size",
-        "capacity": "archive_capacity",
-        "stagnation_window": "stagnation_window",
-        "stagnation_tolerance": "stagnation_tolerance",
-        "immigrant_fraction": "immigrant_fraction",
-        "ls_budget": "local_search_budget",
-        "scheduler_window": "scheduler_window",
-        "scheduler_floor": "scheduler_floor",
-    }
-    kwargs = {mapping[k]: v for k, v in settings.items() if k in mapping and v is not None}
-    return RunParams(**kwargs)
+    return RunParams(**{
+        field: settings[key] for key, (field, _kind) in _RUN_PARAMS.items() if settings.get(key) is not None
+    })
 
 
 def cmd_run(args) -> int:
@@ -140,19 +131,7 @@ def cmd_run(args) -> int:
     summary = {
         "instance": str(settings["instance"]),
         "seed": result.seed,
-        "params": {
-            "population": params.population_size,
-            "offspring": params.offspring_size,
-            "capacity": params.archive_capacity,
-            "budget": params.evaluation_budget,
-            "stagnation_window": params.stagnation_window,
-            "stagnation_tolerance": params.stagnation_tolerance,
-            "immigrant_fraction": params.immigrant_fraction,
-            "ls_budget": params.local_search_budget,
-            "scheduler_window": params.scheduler_window,
-            "scheduler_floor": params.scheduler_floor,
-            "seed": params.seed,
-        },
+        "params": {key: getattr(params, field) for key, (field, _kind) in _RUN_PARAMS.items()},
         "evaluations": result.evaluations,
         "reference_point": list(result.reference_point),
         "final_hypervolume": result.hv_trace[-1],
@@ -218,17 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="key=value config file")
     p_run.add_argument("--instance", help="instance file path")
     p_run.add_argument("--out", help="output directory (default: out)")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--budget", type=int, help="evaluation budget")
-    p_run.add_argument("--population", type=int)
-    p_run.add_argument("--offspring", type=int)
-    p_run.add_argument("--capacity", type=int, help="archive capacity")
-    p_run.add_argument("--stagnation-window", dest="stagnation_window", type=int)
-    p_run.add_argument("--stagnation-tolerance", dest="stagnation_tolerance", type=float)
-    p_run.add_argument("--immigrant-fraction", dest="immigrant_fraction", type=float)
-    p_run.add_argument("--ls-budget", dest="ls_budget", type=int)
-    p_run.add_argument("--scheduler-window", dest="scheduler_window", type=int)
-    p_run.add_argument("--scheduler-floor", dest="scheduler_floor", type=float)
+    for key, (field, kind) in _RUN_PARAMS.items():
+        p_run.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=field.replace("_", " "))
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="write the exact Pareto front of a small instance")

@@ -72,8 +72,8 @@ class RunParams:
             raise ConfigError("evaluation_budget must be >= 0")
         if self.stagnation_window < 1:
             raise ConfigError("stagnation_window must be >= 1")
-        if self.stagnation_tolerance < 0:
-            raise ConfigError("stagnation_tolerance must be >= 0")
+        if not (math.isfinite(self.stagnation_tolerance) and self.stagnation_tolerance >= 0):
+            raise ConfigError("stagnation_tolerance must be finite and >= 0")
         if not 0.0 <= self.immigrant_fraction <= 1.0:
             raise ConfigError("immigrant_fraction must be in [0, 1]")
         if self.local_search_budget < 0:

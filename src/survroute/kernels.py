@@ -1,15 +1,17 @@
-"""Hot numeric kernels: route evaluation walks, Pareto dominance, crowding, 2-D hypervolume.
+"""Hot numeric kernels: route evaluation walks, Pareto dominance and fronts, crowding, 2-D hypervolume.
 
-Every kernel has one form, run by CPython and numpy. ``eval_route`` walks
-the link tables as plain tuples, which CPython indexes several times faster
-than numpy arrays one element at a time; ``netmodel`` builds those tuples
-once per instance. ``route_terms`` makes the same per-MR walk for chosen
-MRs only and keeps each MR's terms instead of their sums; local search uses
-it to re-walk just the subtree a move changes (``netmodel.iter_neighbors``).
+Every kernel has one form, run by CPython and numpy. ``route_terms`` holds
+the one scalar route walk: it walks the chosen MRs' paths over the link
+tables, given as plain tuples (CPython indexes those several times faster
+than numpy arrays one element at a time; ``netmodel`` builds them once per
+instance), and keeps each MR's cost and risk terms. ``eval_route`` walks
+every MR with it and adds the terms in MR order; local search re-walks just
+the subtree a move changes (``netmodel.iter_neighbors``).
 ``enumerate_routes``, the oracle's exhaustive enumeration, turns the same
-tuples into numpy arrays and walks blocks of assignments at once. All three
-make the same floating-point operations per MR in the same order, so their
-objectives are bit-identical.
+tuples into numpy arrays and walks blocks of assignments at once, with the
+same floating-point operations per MR in the same order, so its objectives
+are bit-identical to ``eval_route``'s. ``front_rows`` extracts a 2-D Pareto
+front for the oracle and for hypervolume.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -17,6 +19,8 @@ objectives are bit-identical.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -26,61 +30,36 @@ _BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working
 def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
     """Evaluate one route assignment; returns (z1, z2, valid).
 
-    ``choices`` and the tables are sequences indexed one element at a time:
-    plain tuples or lists walk fastest, numpy arrays give the same result.
-    ``choices[m]`` indexes into MR m's candidate-link block starting at
-    ``mr_link_offset[m]``. ``link_parent[li] < n_ar`` means the link attaches
-    to access router ``li``'s index, otherwise to MR ``link_parent[li] - n_ar``.
-
-    z1 sums every chosen link cost along each MR's path to its access router
-    (nested children pay their whole upstream path). z2 sums, per MR, the
-    probability that any component on that path fails: chosen links first in
-    walk order, then the base station behind the terminating access router.
-    The accumulation order is part of the determinism contract.
-
-    ``route_terms`` makes the same per-MR operations; the two must stay
-    operation-identical, or delta-scored neighbors stop matching this walk.
+    ``choices`` and the tables are those ``route_terms`` takes. z1 sums every
+    chosen link cost along each MR's path to its access router (nested
+    children pay their whole upstream path). z2 sums, per MR, the
+    probability that any component on that path fails. Both add the per-MR
+    terms from 0.0 in MR order; the accumulation order is part of the
+    determinism contract. Python ``sum()`` is not used: from 3.12 it
+    compensates float sums.
     """
     n_mr = len(choices)
-    # a walk of more than n_mr links has revisited an MR and can never reach
-    # an access router, so larger depth limits need no more steps
-    steps = min(max_depth, n_mr)
-    z1 = 0.0
-    z2 = 0.0
-    for m in range(n_mr):
-        cur = m
-        cost = 0.0
-        surv = 1.0
-        ok = False
-        for _step in range(steps):
-            li = mr_link_offset[cur] + choices[cur]
-            cost += link_cost[li]
-            surv *= 1.0 - link_fail[li]
-            parent = link_parent[li]
-            if parent < n_ar:
-                surv *= 1.0 - ar_bs_fail[parent]
-                ok = True
-                break
-            cur = parent - n_ar
-        if not ok:
-            # cycle, or access router not reached within max_depth links
-            return 0.0, 0.0, False
-        z1 += cost
-        z2 += 1.0 - surv
-    return z1, z2, True
+    cost = [0.0] * n_mr
+    risk = [0.0] * n_mr
+    if not route_terms(choices, range(n_mr), mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail,
+                       n_ar, max_depth, cost, risk):
+        return 0.0, 0.0, False
+    return reduce(operator.add, cost, 0.0), reduce(operator.add, risk, 0.0), True
 
 
 def route_terms(choices, mrs, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth, cost_out, risk_out):
-    """Per-MR terms of ``eval_route`` for the MRs in ``mrs``; returns False at the first MR whose walk fails.
+    """Walk each MR in ``mrs`` to its access router; returns False at the first MR whose walk fails.
 
     Writes ``cost_out[m]``, MR m's path cost, and ``risk_out[m]``, 1 - its
-    path survival, for each m in ``mrs``; ``choices`` and the tables are
-    those ``eval_route`` takes. Adding the costs (the risks) from 0.0 in MR
-    order gives ``eval_route``'s z1 (z2) bit for bit. Each MR's walk
-    makes exactly ``eval_route``'s operations in the same order; the two
-    must stay operation-identical.
+    path survival (chosen links in walk order, then the base station behind
+    the terminating access router), for each m in ``mrs``. ``choices[m]``
+    indexes into MR m's candidate-link block starting at
+    ``mr_link_offset[m]``. ``link_parent[li] < n_ar`` means the link attaches
+    to access router ``li``'s index, otherwise to MR ``link_parent[li] - n_ar``.
     """
-    steps = min(max_depth, len(choices))  # as in eval_route
+    # a walk of more than n_mr links has revisited an MR and can never reach
+    # an access router, so larger depth limits need no more steps
+    steps = min(max_depth, len(choices))
     for m in mrs:
         cur = m
         cost = 0.0
@@ -131,7 +110,7 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
     if n_mr == 0:  # the one, empty assignment
         valid[:] = True
         return valid, z1, z2
-    steps = min(max_depth, n_mr)  # as in eval_route
+    steps = min(max_depth, n_mr)  # as in route_terms
     strides = np.ones(n_mr, np.int64)
     strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
     link_surv = 1.0 - link_fail
@@ -183,6 +162,18 @@ def nondominated_mask(F):
     if n == 0:
         return np.zeros(0, np.bool_)
     return ~dominance_matrix(F).any(axis=0)
+
+
+def front_rows(z1, z2, key):
+    """Rows of the Pareto front of points (z1, z2), one per distinct point, in ascending z1.
+
+    Of equal points the row with the smallest ``key`` is kept. In (z1, z2,
+    key) order a row is on the front exactly when its z2 is below every z2
+    before it, that is, when it lowers the running minimum of z2.
+    """
+    order = np.lexsort((key, z2, z1))
+    best = np.minimum.accumulate(z2[order])
+    return order[best < np.r_[np.inf, best[:-1]]]
 
 
 def crowding_distance(F):

@@ -56,19 +56,13 @@ def _ref_values(ref) -> np.ndarray:
 
 
 def _hv2d(F: np.ndarray, ref: np.ndarray) -> float:
-    # clean defensively: dedupe, drop dominated rows, sort by first objective
-    if F.shape[0] == 0:
-        return 0.0
-    F = np.unique(F, axis=0)
-    F = F[kernels.nondominated_mask(F)]
-    F = F[np.lexsort((F[:, 1], F[:, 0]))]
+    # clean defensively: one row per distinct nondominated point, by ascending first objective
+    F = F[kernels.front_rows(F[:, 0], F[:, 1], np.arange(F.shape[0]))]
     return float(kernels.hv2d_sweep(F, float(ref[0]), float(ref[1])))
 
 
 def _hv3d(F: np.ndarray, ref: np.ndarray) -> float:
     # sweep ascending third objective, integrating 2-D slabs
-    if F.shape[0] == 0:
-        return 0.0
     levels = np.unique(F[:, 2])
     bounds = np.append(levels, ref[2])
     vol = 0.0
@@ -81,24 +75,29 @@ def _hv3d(F: np.ndarray, ref: np.ndarray) -> float:
     return vol
 
 
+def _hypervolume(front: Iterable, ref, clip: bool) -> float:
+    r = _ref_values(ref)
+    if len(r) not in (2, 3):
+        raise ContractViolation(f"hypervolume supports 2 or 3 objectives, got {len(r)}")
+    F = _front_matrix(front, n_obj=len(r))
+    inside = (F < r).all(axis=1)
+    if clip:
+        F = F[inside]
+    elif not inside.all():
+        worst = tuple(F[~inside][0].tolist())
+        raise ContractViolation(f"reference point {tuple(r.tolist())} is not strictly dominated by front point {worst}")
+    if F.shape[0] == 0:
+        return 0.0
+    return _hv2d(F, r) if len(r) == 2 else _hv3d(F, r)
+
+
 def hypervolume(front: Iterable, ref) -> float:
     """Exact hypervolume of a mutually nondominated front vs a reference point.
 
     Supports 2 and 3 objectives. Every front member must strictly dominate
     the reference in all components, else the call is rejected.
     """
-    r = _ref_values(ref)
-    if len(r) not in (2, 3):
-        raise ContractViolation(f"hypervolume supports 2 or 3 objectives, got {len(r)}")
-    F = _front_matrix(front, n_obj=len(r))
-    if F.shape[0] == 0:
-        return 0.0
-    if not bool((F < r).all()):
-        worst = F[(F >= r).any(axis=1)][0]
-        raise ContractViolation(
-            f"reference point {tuple(r)} is not strictly dominated by front point {tuple(worst)}"
-        )
-    return _hv2d(F, r) if len(r) == 2 else _hv3d(F, r)
+    return _hypervolume(front, ref, clip=False)
 
 
 def hypervolume_clipped(front: Iterable, ref) -> float:
@@ -108,16 +107,7 @@ def hypervolume_clipped(front: Iterable, ref) -> float:
     this is the progress-trace variant used inside the engine, where late
     archive entries may fall outside the frozen reference box.
     """
-    r = _ref_values(ref)
-    if len(r) not in (2, 3):
-        raise ContractViolation(f"hypervolume supports 2 or 3 objectives, got {len(r)}")
-    F = _front_matrix(front, n_obj=len(r))
-    if F.shape[0] == 0:
-        return 0.0
-    F = F[(F < r).all(axis=1)]
-    if F.shape[0] == 0:
-        return 0.0
-    return _hv2d(F, r) if len(r) == 2 else _hv3d(F, r)
+    return _hypervolume(front, ref, clip=True)
 
 
 def additive_epsilon(approx: Iterable, reference_front: Iterable) -> float:

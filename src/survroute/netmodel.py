@@ -381,17 +381,19 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def _attach(inst: NetworkInstance, rng, choices: list[int], depth: dict[int, int], pending: list[int]) -> bool:
+def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pending: list[int]) -> bool:
     """Randomized topological attachment of the MRs in ``pending``, in place.
 
-    Sweeps ``pending`` in order. Each MR picks uniformly among its candidate
-    links whose parent is rooted (an AR, or an MR in ``depth``) without
-    exceeding max_depth, and enters ``depth``; an MR with no such link waits
-    for the next sweep. Sweeps repeat until every MR is attached (True) or a
-    sweep attaches none (False).
+    ``depth`` holds each MR's depth, 0 for an MR not rooted yet (every MR in
+    ``pending``). Sweeps ``pending`` in order. Each MR picks uniformly among
+    its candidate links whose parent is rooted (an AR, or an MR of nonzero
+    depth) without exceeding max_depth, and takes its depth; an MR with no
+    such link waits for the next sweep. Sweeps repeat until every MR is
+    attached (True) or a sweep attaches none (False).
     """
     c = inst.compiled
     n_ar = inst.n_ar
+    max_depth = inst.max_depth
     offsets, radices, parents = c.mr_link_offset, c.radices, c.link_parent_code
     while pending:
         deferred = []
@@ -400,13 +402,8 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: dict[int, int
             off = offsets[m]
             for k in range(radices[m]):
                 parent = parents[off + k]
-                if parent < n_ar:
-                    d = 1
-                elif (parent - n_ar) in depth:
-                    d = depth[parent - n_ar] + 1
-                else:
-                    continue
-                if d <= inst.max_depth:
+                d = 1 if parent < n_ar else depth[parent - n_ar] + 1  # also 1 beneath an unrooted MR
+                if d <= max_depth and (d > 1 or parent < n_ar):
                     feasible.append((k, d))
             if feasible:
                 k, d = feasible[int(rng.integers(len(feasible)))]
@@ -430,7 +427,7 @@ def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> R
         return RouteAssignment(())
     for _attempt in range(max_attempts):
         choices = [0] * inst.n_mr
-        if _attach(inst, rng, choices, {}, rng.permutation(inst.n_mr).tolist()):
+        if _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist()):
             return RouteAssignment(tuple(choices))
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
@@ -460,7 +457,7 @@ def _reattach_options(inst: NetworkInstance, choices, up: list[int], children: l
     """
     c = inst.compiled
     n_ar = inst.n_ar
-    limit = min(inst.max_depth, inst.n_mr)  # as in kernels.eval_route
+    limit = min(inst.max_depth, inst.n_mr)  # as in kernels.route_terms
     # m's subtree and its height, one level at a time
     level = [m]
     subtree = {m}
@@ -530,19 +527,6 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     return RouteAssignment(tuple(work))
 
 
-def _broken_mrs(inst: NetworkInstance, choices: list[int]) -> tuple[list[int], dict[int, int]]:
-    """MR indices whose walk fails, plus depths of the intact ones."""
-    max_depth = inst.max_depth
-    broken = []
-    depth: dict[int, int] = {}
-    for m, d in enumerate(_forest_depths(inst, choices)):
-        if 0 < d <= max_depth:
-            depth[m] = d
-        else:
-            broken.append(m)
-    return broken, depth
-
-
 def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssignment, rng) -> RouteAssignment:
     """Uniform parent-link mix of two assignments, with topological repair.
 
@@ -554,14 +538,17 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
         return a
     coins = rng.random(inst.n_mr).tolist()  # the same doubles as one rng.random() per MR
     child = [ka if u < 0.5 else kb for ka, kb, u in zip(a.choices, b.choices, coins)]
-    broken, intact_depth = _broken_mrs(inst, child)
+    max_depth = inst.max_depth
+    # intact MRs keep their depth; broken ones (cycle, or too deep) get 0, unrooted
+    depth = [d if 0 < d <= max_depth else 0 for d in _forest_depths(inst, child)]
+    broken = [m for m, d in enumerate(depth) if not d]
     if not broken:
         return RouteAssignment(tuple(child))
 
     for _attempt in range(50):
         trial = list(child)
         pending = [broken[i] for i in rng.permutation(len(broken)).tolist()]
-        if _attach(inst, rng, trial, dict(intact_depth), pending):
+        if _attach(inst, rng, trial, list(depth), pending):
             return RouteAssignment(tuple(trial))
     return random_assignment(inst, rng)
 
@@ -623,18 +610,6 @@ def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignm
     return [g for g, _objectives in iter_neighbors(inst, a)]
 
 
-def _front_rows(z1: np.ndarray, z2: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Rows of the Pareto front of points (z1, z2), one per distinct point, in ascending z1.
-
-    Of equal points the row with the smallest ``key`` is kept. In (z1, z2,
-    key) order a row is on the front exactly when its z2 is below every z2
-    before it, that is, when it lowers the running minimum of z2.
-    """
-    order = np.lexsort((key, z2, z1))
-    best = np.minimum.accumulate(z2[order])
-    return order[best < np.r_[np.inf, best[:-1]]]
-
-
 def brute_force_pareto(
     inst: NetworkInstance, guard: int = 1_000_000
 ) -> list[tuple[ObjectiveVector, RouteAssignment]]:
@@ -662,7 +637,7 @@ def brute_force_pareto(
     )
     idx = np.flatnonzero(valid)
     z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
-    rows = _front_rows(z1, z2, idx)
+    rows = kernels.front_rows(z1, z2, idx)
     choices = zip(*(col.tolist() for col in np.unravel_index(idx[rows], c.radices)))
     return [(ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(ch)) for i, ch in zip(rows, choices)]
 

@@ -212,6 +212,12 @@ def _bad_input_argv(case, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"instance = {STANDARD}\nbudget = 10\nseed = -1\n")
         return ["run", "--config", str(cfg), "--out", out]
+    if case == "tolerance_nan":
+        return ["run", "--instance", STANDARD, "--out", out, "--budget", "10", "--stagnation-tolerance", "nan"]
+    if case == "config_tolerance_nan":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"instance = {STANDARD}\nbudget = 10\nstagnation_tolerance = nan\n")
+        return ["run", "--config", str(cfg), "--out", out]
     raise AssertionError(case)
 
 
@@ -226,6 +232,8 @@ def _bad_input_argv(case, tmp_path):
     ("front_not_utf8", 2),
     ("seed_negative", 2),
     ("config_seed_negative", 2),
+    ("tolerance_nan", 2),
+    ("config_tolerance_nan", 2),
 ])
 def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
     capsys.readouterr()
@@ -233,6 +241,35 @@ def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # in particular no measure report with NaN or Infinity
     assert captured.err.startswith("survroute: ")
+
+
+_PARAM_DEFAULTS = {
+    "seed": 0, "budget": 100_000, "population": 50, "offspring": 50, "capacity": 100,
+    "stagnation_window": 10, "stagnation_tolerance": 1e-9, "immigrant_fraction": 0.3,
+    "ls_budget": 20, "scheduler_window": 50, "scheduler_floor": 0.05,
+}
+# a value other than the default for each run parameter
+_PARAM_VALUES = {
+    "seed": 7, "budget": 30, "population": 9, "offspring": 5, "capacity": 11,
+    "stagnation_window": 3, "stagnation_tolerance": 0.001, "immigrant_fraction": 0.5,
+    "ls_budget": 2, "scheduler_window": 7, "scheduler_floor": 0.125,
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(_PARAM_VALUES))
+def test_each_run_parameter_reaches_summary(key, via, tmp_path):
+    # a small, fast run; the parameter under test overrides its base value
+    settings = {"budget": 20, "population": 6, "offspring": 6, key: _PARAM_VALUES[key]}
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items() if not (via == "config" and k == key)]
+    argv = ["run", "--instance", STANDARD, "--out", str(tmp_path / "out"), *flags]
+    if via == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {_PARAM_VALUES[key]}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(*argv) == 0
+    # the set values, and the defaults for every other parameter
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["params"] == {**_PARAM_DEFAULTS, **settings}
 
 
 def test_module_entry_point(tmp_path):

@@ -59,6 +59,8 @@ class TestHypervolume:
             hypervolume([(1, 3)], (3, 3))
         with pytest.raises(ContractViolation):
             hypervolume([(4, 1)], (3, 3))
+        with pytest.raises(ContractViolation):  # a NaN component is not below the reference
+            hypervolume([(1, float("nan"))], (3, 3))
 
     def test_unsupported_dimension(self):
         with pytest.raises(ContractViolation):
@@ -140,3 +142,28 @@ class TestCoverage:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             coverage([], [(1, 1)])
+
+
+def _cleaned(points):
+    """The distinct points no other point weakly dominates, by a plain pairwise scan."""
+    distinct = sorted(set(points))
+    return [p for p in distinct if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in distinct)]
+
+
+@st.composite
+def raw_fronts(draw):
+    """Points on a small integer grid, some repeated and many dominated, with some at or beyond the reference 5."""
+    dim = draw(st.sampled_from([2, 3]))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=25))
+    points += draw(st.lists(st.sampled_from(points), max_size=10))  # repeats
+    return [tuple(float(v) for v in p) for p in points], (5.0,) * dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_fronts())
+def test_hv_of_raw_front_equals_hv_of_cleaned_front(case):
+    points, ref = case
+    inside = [p for p in points if all(v < r for v, r in zip(p, ref))]
+    expected = hypervolume(_cleaned(inside), ref).hex()
+    assert hypervolume(inside, ref).hex() == expected
+    assert hypervolume_clipped(points, ref).hex() == expected

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import math
 import random
 import signal
 from contextlib import contextmanager
@@ -16,9 +15,8 @@ from survroute.errors import ContractViolation, InstanceError, OracleScopeError,
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
-    _broken_mrs,
     _children,
-    _front_rows,
+    _forest_depths,
     _parent_mrs,
     _reattach_options,
     _walk,
@@ -321,10 +319,12 @@ MAXDEPTH 2
         walks = reference_walks(inst, choices)
         first = next((reason for reason, _steps in walks if reason is not None), None)
         assert invalid_reason(inst, RouteAssignment(choices)) == first
-        assert _broken_mrs(inst, list(choices)) == (
-            [m for m, (reason, _steps) in enumerate(walks) if reason is not None],
-            {m: steps for m, (reason, steps) in enumerate(walks) if reason is None},
-        )
+        # the split crossover repair makes: intact MRs (depth in 1..max_depth) are those whose walk
+        # succeeds, with its length; broken ones are None
+        depths = _forest_depths(inst, list(choices))
+        assert [d if 0 < d <= inst.max_depth else None for d in depths] == [
+            steps if reason is None else None for reason, steps in walks
+        ]
 
 
 class TestObjectives:
@@ -654,22 +654,6 @@ class TestBruteForce:
         for ov, witness in brute_force_pareto(inst):
             assert validate_assignment(inst, witness)
             assert evaluate_assignment(inst, witness) == ov.values
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_front_rows_match_sequential_scan(self, data):
-        # few distinct values, so ties in z1, in z2 and in both are common
-        n = data.draw(st.integers(0, 30))
-        z1 = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64)
-        z2 = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), dtype=np.float64) / 8
-        key = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
-        # the scan brute_force_pareto made before the mask
-        expected, best = [], math.inf
-        for j in np.lexsort((key, z2, z1)):
-            if z2[j] < best:
-                best = z2[j]
-                expected.append(int(j))
-        assert _front_rows(z1, z2, key).tolist() == expected
 
     def test_search_space_size(self, standard_instance, stress_instance):
         assert search_space_size(standard_instance) == 64
