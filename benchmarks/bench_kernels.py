@@ -5,8 +5,8 @@ Usage:
     python3 benchmarks/bench_kernels.py [--repeats 5]
 
 Each case reports the best of ``--repeats`` timings. Route walks run on
-valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on the
-plain-tuple link tables ``netmodel`` passes. ``enumerate_routes``,
+valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on each
+instance's plain-tuple link tables (``inst.compiled``). ``enumerate_routes``,
 the oracle's numpy block walk, is timed against one ``eval_route`` walk per
 assignment of the same space. ``mutate_reattach``, which decides each
 candidate link on the forest, is timed at 40 and 200 MRs against a
@@ -30,7 +30,7 @@ import numpy as np
 from survroute import kernels
 from survroute.moo import ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, _walk, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
+    RouteAssignment, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
 
 
@@ -64,14 +64,11 @@ def best_of(fn, repeats: int) -> float:
 def route_batch(n_mr: int, count: int, seed: int):
     """eval_route arguments for ``count`` valid genotypes from random_assignment, and their valid share.
 
-    The tables are the plain tuples ``netmodel`` passes. Every walk runs in full.
+    The tables are the instance's ``inst.compiled``. Every walk runs in full.
     """
     inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=seed)
     rng = np.random.default_rng(seed)
-    batch = [random_assignment(inst, rng).choices for _ in range(count)]
-    c = inst.compiled
-    tables = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail)
-    walks = [(ch, *tables, inst.n_ar, inst.max_depth) for ch in batch]
+    walks = [(random_assignment(inst, rng).choices, inst.compiled) for _ in range(count)]
     valid = sum(bool(kernels.eval_route(*args)[2]) for args in walks) / count
     return walks, valid
 
@@ -84,7 +81,7 @@ def walk_mutate(inst, a, rng):
     for k in range(inst.compiled.radices[m]):
         if k != a.choices[m]:
             work[m] = k
-            if _walk(inst, work)[2]:
+            if kernels.eval_route(work, inst.compiled)[2]:
                 feasible.append(k)
     if not feasible:
         return a
@@ -99,7 +96,7 @@ def walk_neighbors(inst, a):
         for k in range(radix):
             if k != a.choices[m]:
                 work[m] = k
-                z1, z2, ok = _walk(inst, work)
+                z1, z2, ok = kernels.eval_route(work, inst.compiled)
                 if ok:
                     yield RouteAssignment(tuple(work)), ObjectiveVector((z1, z2))
         work[m] = a.choices[m]
@@ -145,11 +142,8 @@ def main() -> None:
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
     sc = small.compiled
     space = [tuple(int(k) for k in np.unravel_index(flat, sc.radices)) for flat in range(sc.search_space)]
-    t_block = best_of(lambda: kernels.enumerate_routes(
-        sc.radices, sc.mr_link_offset, sc.link_parent_code, sc.link_cost, sc.link_fail, sc.ar_bs_fail,
-        small.n_ar, small.max_depth,
-    ), args.repeats)
-    t_loop = best_of(lambda: [_walk(small, row) for row in space], args.repeats)
+    t_block = best_of(lambda: kernels.enumerate_routes(sc), args.repeats)
+    t_loop = best_of(lambda: [kernels.eval_route(row, sc) for row in space], args.repeats)
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
     print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
     print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")

@@ -160,22 +160,19 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
             # every member is an extreme witness (degenerate): fall through
         return list(range(len(current)))
 
-    if policy == "crowding_seq":
-        while len(members) > capacity:
-            dist = crowding(members)
-            order = _removal_order(members, dist, removal_candidates(members))
-            del members[order[0]]
-    else:
+    if policy == "crowding_batch":
         excess = len(members) - capacity
         dist = crowding(members)
         order = _removal_order(members, dist, removal_candidates(members))
         doomed = set(order[:excess])
         members = [m for i, m in enumerate(members) if i not in doomed]
-        # protection can leave fewer removable members than the overflow
-        while len(members) > capacity:
-            dist = crowding(members)
-            order = _removal_order(members, dist, list(range(len(members))))
-            del members[order[0]]
+    # crowding_seq removes one at a time; crowding_batch gets here only when
+    # protection left fewer removable members than the overflow, and then
+    # every member left is an extreme witness, so all are candidates
+    while len(members) > capacity:
+        dist = crowding(members)
+        order = _removal_order(members, dist, removal_candidates(members))
+        del members[order[0]]
 
     return NondominatedArchive(members=_canonical(members), capacity=capacity)
 

@@ -1,17 +1,19 @@
 """Hot numeric kernels: route evaluation walks, Pareto dominance and fronts, crowding, 2-D hypervolume.
 
-Every kernel has one form, run by CPython and numpy. ``route_terms`` holds
-the one scalar route walk: it walks the chosen MRs' paths over the link
-tables, given as plain tuples (CPython indexes those several times faster
-than numpy arrays one element at a time; ``netmodel`` builds them once per
-instance), and keeps each MR's cost and risk terms. ``eval_route`` walks
-every MR with it and adds the terms in MR order; local search re-walks just
-the subtree a move changes (``netmodel.iter_neighbors``).
-``enumerate_routes``, the oracle's exhaustive enumeration, turns the same
-tuples into numpy arrays and walks blocks of assignments at once, with the
-same floating-point operations per MR in the same order, so its objectives
-are bit-identical to ``eval_route``'s. ``front_rows`` extracts a 2-D Pareto
-front for the oracle and for hypervolume.
+Every kernel has one form, run by CPython and numpy. The route walks take
+an instance's link tables whole, as ``netmodel``'s ``_Compiled`` value
+(``inst.compiled``), built once per instance; its tables are plain tuples,
+which CPython indexes several times faster than numpy arrays one element at
+a time. ``route_terms`` holds the one scalar route walk and states how a
+link names its parent: it walks the chosen MRs' paths and keeps each MR's
+cost and risk terms. ``eval_route`` walks every MR with it and adds the
+terms in MR order; local search re-walks just the subtree a move changes
+(``netmodel.iter_neighbors``). ``enumerate_routes``, the oracle's
+exhaustive enumeration, turns the same tuples into numpy arrays and walks
+blocks of assignments at once, with the same floating-point operations per
+MR in the same order, so its objectives are bit-identical to
+``eval_route``'s. ``front_rows`` extracts a 2-D Pareto front for the oracle
+and for hypervolume.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -27,10 +29,10 @@ import numpy as np
 _BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
 
 
-def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
+def eval_route(choices, tables):
     """Evaluate one route assignment; returns (z1, z2, valid).
 
-    ``choices`` and the tables are those ``route_terms`` takes. z1 sums every
+    ``choices`` and ``tables`` are those ``route_terms`` takes. z1 sums every
     chosen link cost along each MR's path to its access router (nested
     children pay their whole upstream path). z2 sums, per MR, the
     probability that any component on that path fails. Both add the per-MR
@@ -41,38 +43,42 @@ def eval_route(choices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs
     n_mr = len(choices)
     cost = [0.0] * n_mr
     risk = [0.0] * n_mr
-    if not route_terms(choices, range(n_mr), mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail,
-                       n_ar, max_depth, cost, risk):
+    if not route_terms(choices, range(n_mr), tables, cost, risk):
         return 0.0, 0.0, False
     return reduce(operator.add, cost, 0.0), reduce(operator.add, risk, 0.0), True
 
 
-def route_terms(choices, mrs, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth, cost_out, risk_out):
+def route_terms(choices, mrs, tables, cost_out, risk_out):
     """Walk each MR in ``mrs`` to its access router; returns False at the first MR whose walk fails.
 
     Writes ``cost_out[m]``, MR m's path cost, and ``risk_out[m]``, 1 - its
     path survival (chosen links in walk order, then the base station behind
-    the terminating access router), for each m in ``mrs``. ``choices[m]``
-    indexes into MR m's candidate-link block starting at
-    ``mr_link_offset[m]``. ``link_parent[li] < n_ar`` means the link attaches
-    to access router ``li``'s index, otherwise to MR ``link_parent[li] - n_ar``.
+    the terminating access router), for each m in ``mrs``. ``tables`` is an
+    instance's ``netmodel._Compiled``. ``choices[m]`` indexes into MR m's
+    candidate-link block starting at ``tables.mr_link_offset[m]``. A walk
+    takes at most ``tables.steps`` links. ``tables.link_parent[li]`` is the
+    MR index the link attaches to, or, for an access router ``ar``, the
+    negative ``ar - n_ar``, which indexes ``tables.ar_bs_fail`` from the end.
     """
-    # a walk of more than n_mr links has revisited an MR and can never reach
-    # an access router, so larger depth limits need no more steps
-    steps = min(max_depth, len(choices))
+    offsets, parents = tables.mr_link_offset, tables.link_parent
+    link_cost, link_fail, ar_bs_fail = tables.link_cost, tables.link_fail, tables.ar_bs_fail
+    # CPython subscripts a tuple with a negative index on its slow generic
+    # path (about a tenth of a 200-MR walk), so the access router's index
+    # is counted from the front here
+    n_ar = len(ar_bs_fail)
+    steps = tables.steps
     for m in mrs:
         cur = m
         cost = 0.0
         surv = 1.0
         for _step in range(steps):
-            li = mr_link_offset[cur] + choices[cur]
+            li = offsets[cur] + choices[cur]
             cost += link_cost[li]
             surv *= 1.0 - link_fail[li]
-            parent = link_parent[li]
-            if parent < n_ar:
-                surv *= 1.0 - ar_bs_fail[parent]
+            cur = parents[li]
+            if cur < 0:
+                surv *= 1.0 - ar_bs_fail[n_ar + cur]
                 break
-            cur = parent - n_ar
         else:
             return False
         cost_out[m] = cost
@@ -80,11 +86,11 @@ def route_terms(choices, mrs, mr_link_offset, link_parent, link_cost, link_fail,
     return True
 
 
-def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail, ar_bs_fail, n_ar, max_depth):
-    """Evaluate every assignment in the full mixed-radix space.
+def enumerate_routes(tables):
+    """Evaluate every assignment in the full mixed-radix space of ``tables.radices``.
 
-    The tables are those ``eval_route`` takes, plus each MR's link count in
-    ``radices``; they become numpy arrays once per call.
+    ``tables`` is what ``route_terms`` takes; its tuples become numpy arrays
+    once per call.
     Returns (valid, z1, z2) arrays of length prod(radices), indexed in
     row-major order (last MR varies fastest), matching np.unravel_index;
     z1 and z2 are 0.0 on invalid rows.
@@ -96,12 +102,12 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
     order, as ``eval_route`` on that assignment, so the objectives are
     bit-identical.
     """
-    radices = np.asarray(radices, np.int64)
-    mr_link_offset = np.asarray(mr_link_offset, np.int64)
-    link_parent = np.asarray(link_parent, np.int64)
-    link_cost = np.asarray(link_cost, np.float64)
-    link_fail = np.asarray(link_fail, np.float64)
-    ar_bs_fail = np.asarray(ar_bs_fail, np.float64)
+    radices = np.asarray(tables.radices, np.int64)
+    mr_link_offset = np.asarray(tables.mr_link_offset, np.int64)
+    link_parent = np.asarray(tables.link_parent, np.int64)
+    link_cost = np.asarray(tables.link_cost, np.float64)
+    link_surv = 1.0 - np.asarray(tables.link_fail, np.float64)
+    bs_surv = 1.0 - np.asarray(tables.ar_bs_fail, np.float64)
     n_mr = radices.shape[0]
     total = math.prod(int(r) for r in radices)
     valid = np.zeros(total, np.bool_)
@@ -110,11 +116,8 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
     if n_mr == 0:  # the one, empty assignment
         valid[:] = True
         return valid, z1, z2
-    steps = min(max_depth, n_mr)  # as in route_terms
     strides = np.ones(n_mr, np.int64)
     strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
-    link_surv = 1.0 - link_fail
-    bs_surv = 1.0 - ar_bs_fail
     for start in range(0, total, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, total)
         idx = np.arange(start, stop, dtype=np.int64)
@@ -125,17 +128,17 @@ def enumerate_routes(radices, mr_link_offset, link_parent, link_cost, link_fail,
         cost = np.zeros(links.shape)
         surv = np.ones(links.shape)
         active = np.ones(links.shape, np.bool_)
-        for _step in range(steps):
+        for _step in range(tables.steps):
             li = links[rows, cur]
             np.add(cost, link_cost[li], out=cost, where=active)
             np.multiply(surv, link_surv[li], out=surv, where=active)
             parent = link_parent[li]
-            at_ar = active & (parent < n_ar)
+            at_ar = active & (parent < 0)
             surv[at_ar] *= bs_surv[parent[at_ar]]
             active &= ~at_ar
             if not active.any():
                 break
-            cur = np.where(active, parent - n_ar, cur)
+            cur = np.where(active, parent, cur)
         ok = ~active.any(axis=1)
         valid[start:stop] = ok
         z1[start:stop] = np.where(ok, np.add.accumulate(cost, axis=1)[:, -1], 0.0)

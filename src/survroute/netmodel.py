@@ -43,19 +43,22 @@ class CandidateLink:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """Flat view of an instance, each table a plain tuple (CPython indexes those fastest, one element at a time)."""
+    """Flat view of an instance, each table a plain tuple (CPython indexes those fastest, one element at a time).
 
-    mr_index: dict
-    ar_index: dict
+    The kernels' route walks take it whole (``kernels.route_terms``).
+    """
+
     radices: tuple[int, ...]  # candidate links per MR
     mr_link_offset: tuple[int, ...]  # start of each MR's block in the link tables
-    link_parent_code: tuple[int, ...]  # AR index, or n_ar + MR index
+    # the MR index (>= 0) a link attaches to, or ar - n_ar (< 0) for access router ar
+    link_parent: tuple[int, ...]
     link_cost: tuple[float, ...]
     link_fail: tuple[float, ...]
     ar_bs_fail: tuple[float, ...]  # failure probability of each AR's base station
     link_parent_ids: tuple[str, ...]
     link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
     search_space: int
+    steps: int  # the walk cap, min(max_depth, n_mr): a longer walk has revisited an MR
 
 
 @dataclass(frozen=True)
@@ -71,42 +74,32 @@ class NetworkInstance:
     @cached_property
     def compiled(self) -> _Compiled:
         mr_index = {mr: i for i, mr in enumerate(self.mobile_routers)}
-        ar_index = {ar: i for i, (ar, _bs) in enumerate(self.access_routers)}
-        bs_fail = {bs: p for bs, p in self.base_stations}
         n_ar = len(self.access_routers)
+        parent_index = {**{ar: i - n_ar for i, (ar, _bs) in enumerate(self.access_routers)}, **mr_index}
+        bs_fail = {bs: p for bs, p in self.base_stations}
 
         counts = [0] * len(self.mobile_routers)
-        parent_code = []
         # links are sorted by (child, parent), so the flat order is already
         # grouped per MR in canonical order
         for link in self.links:
             counts[mr_index[link.child]] += 1
-            if link.parent in ar_index:
-                parent_code.append(ar_index[link.parent])
-            else:
-                parent_code.append(n_ar + mr_index[link.parent])
 
         return _Compiled(
-            mr_index=mr_index,
-            ar_index=ar_index,
             radices=tuple(counts),
             mr_link_offset=(0, *itertools.accumulate(counts))[:-1],
-            link_parent_code=tuple(parent_code),
+            link_parent=tuple(parent_index[link.parent] for link in self.links),
             link_cost=tuple(link.cost for link in self.links),
             link_fail=tuple(link.fail_prob for link in self.links),
             ar_bs_fail=tuple(bs_fail[bs] for _ar, bs in self.access_routers),
             link_parent_ids=tuple(link.parent for link in self.links),
             link_labels=tuple(f"{link.child}={link.parent}" for link in self.links),
             search_space=math.prod(counts),
+            steps=min(self.max_depth, len(self.mobile_routers)),
         )
 
     @property
     def n_mr(self) -> int:
         return len(self.mobile_routers)
-
-    @property
-    def n_ar(self) -> int:
-        return len(self.access_routers)
 
 
 @dataclass(frozen=True)
@@ -235,10 +228,6 @@ def load_instance(path) -> NetworkInstance:
     return parse_instance(text)
 
 
-def search_space_size(inst: NetworkInstance) -> int:
-    return inst.compiled.search_space
-
-
 def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
     c = inst.compiled
     choices = a.choices
@@ -266,11 +255,10 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
 
 
 def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
-    """Per MR, the index of the MR its chosen link attaches to, or a negative number for an access router."""
+    """Per MR, the ``link_parent`` of its chosen link: the MR it attaches to, or a negative number for an access router."""
     c = inst.compiled
-    n_ar = inst.n_ar
-    parents = c.link_parent_code
-    return [parents[off + k] - n_ar for off, k in zip(c.mr_link_offset, choices)]
+    parents = c.link_parent
+    return [parents[off + k] for off, k in zip(c.mr_link_offset, choices)]
 
 
 def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
@@ -315,32 +303,6 @@ def validate_assignment(inst: NetworkInstance, a: RouteAssignment) -> bool:
     return invalid_reason(inst, a) is None
 
 
-def _walk(inst: NetworkInstance, choices) -> tuple[float, float, bool]:
-    """One ``kernels.eval_route`` walk of a choices tuple or list: (z1, z2, valid)."""
-    c = inst.compiled
-    return kernels.eval_route(
-        choices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail,
-        inst.n_ar, inst.max_depth,
-    )
-
-
-def evaluate_assignment(inst: NetworkInstance, a: RouteAssignment) -> tuple[float, float]:
-    """(z1, z2) of a valid assignment; raises ContractViolation otherwise."""
-    _check_choices(inst, a)
-    z1, z2, ok = _walk(inst, a.choices)
-    if not ok:
-        raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
-    return float(z1), float(z2)
-
-
-def cost_z1(inst: NetworkInstance, a: RouteAssignment) -> float:
-    return evaluate_assignment(inst, a)[0]
-
-
-def risk_z2(inst: NetworkInstance, a: RouteAssignment) -> float:
-    return evaluate_assignment(inst, a)[1]
-
-
 def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
     _check_choices(inst, a)
     c = inst.compiled
@@ -372,11 +334,14 @@ def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -
 
 
 def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
+    """Inverse of ``assignment_string``; "" is the one assignment of an instance without MRs."""
     mapping = {}
-    for part in text.split(";"):
+    for part in text.split(";") if text else ():
         mr, sep, parent = part.partition("=")
         if not sep:
             raise ContractViolation(f"malformed assignment entry {part!r}")
+        if mr in mapping:
+            raise ContractViolation(f"{mr!r} is assigned more than once")
         mapping[mr] = parent
     return assignment_from_parent_map(inst, mapping)
 
@@ -392,9 +357,8 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
     attached (True) or a sweep attaches none (False).
     """
     c = inst.compiled
-    n_ar = inst.n_ar
     max_depth = inst.max_depth
-    offsets, radices, parents = c.mr_link_offset, c.radices, c.link_parent_code
+    offsets, radices, parents = c.mr_link_offset, c.radices, c.link_parent
     while pending:
         deferred = []
         for m in pending:
@@ -402,8 +366,8 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
             off = offsets[m]
             for k in range(radices[m]):
                 parent = parents[off + k]
-                d = 1 if parent < n_ar else depth[parent - n_ar] + 1  # also 1 beneath an unrooted MR
-                if d <= max_depth and (d > 1 or parent < n_ar):
+                d = 1 if parent < 0 else depth[parent] + 1  # also 1 beneath an unrooted MR
+                if d <= max_depth and (d > 1 or parent < 0):
                     feasible.append((k, d))
             if feasible:
                 k, d = feasible[int(rng.integers(len(feasible)))]
@@ -456,24 +420,22 @@ def _reattach_options(inst: NetworkInstance, choices, up: list[int], children: l
     On an invalid ``choices`` every scan is capped, so the call still returns.
     """
     c = inst.compiled
-    n_ar = inst.n_ar
-    limit = min(inst.max_depth, inst.n_mr)  # as in kernels.route_terms
     # m's subtree and its height, one level at a time
     level = [m]
     subtree = {m}
     height = 0
-    while height < limit:
+    while height < c.steps:
         level = [i for p in level for i in children[p]]
         if not level:
             break
         subtree.update(level)
         height += 1
-    room = limit - 1 - height  # the largest depth(p) that m's subtree still fits under
-    parents = c.link_parent_code
+    room = c.steps - 1 - height  # the largest depth(p) that m's subtree still fits under
+    parents = c.link_parent
     off = c.mr_link_offset[m]
     feasible = []
     for k in range(c.radices[m]):
-        p = parents[off + k] - n_ar
+        p = parents[off + k]
         if k == choices[m] or p in subtree:
             continue
         d = 0
@@ -521,7 +483,7 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
             work[m] = k
             if up[m] >= 0:
                 children[up[m]].remove(m)
-            up[m] = c.link_parent_code[c.mr_link_offset[m] + k] - inst.n_ar
+            up[m] = c.link_parent[c.mr_link_offset[m] + k]
             if up[m] >= 0:
                 children[up[m]].append(m)
     return RouteAssignment(tuple(work))
@@ -569,20 +531,19 @@ def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[
     is never walked, and a consumer that stops early walks no further ones.
     """
     _check_choices(inst, a)
-    c = inst.compiled
-    tables = (c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail, c.ar_bs_fail, inst.n_ar, inst.max_depth)
     cost = [0.0] * inst.n_mr
     risk = [0.0] * inst.n_mr
-    if not kernels.route_terms(a.choices, range(inst.n_mr), *tables, cost, risk):
+    if not kernels.route_terms(a.choices, range(inst.n_mr), inst.compiled, cost, risk):
         raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
-    return _delta_neighbors(inst, a.choices, tables, cost, risk)
+    return _delta_neighbors(inst, a.choices, cost, risk)
 
 
-def _delta_neighbors(inst: NetworkInstance, choices, tables, cost: list[float], risk: list[float]):
+def _delta_neighbors(inst: NetworkInstance, choices, cost: list[float], risk: list[float]):
     """The generator behind ``iter_neighbors``, given the valid ``choices`` and their per-MR terms."""
     # running sums as the walk adds them; never sum(), which compensates float sums from Python 3.12
     z1_prefix = list(itertools.accumulate(cost, initial=0.0))
     z2_prefix = list(itertools.accumulate(risk, initial=0.0))
+    tables = inst.compiled
     up = _parent_mrs(inst, choices)
     children = _children(up)
     work = list(choices)
@@ -595,7 +556,7 @@ def _delta_neighbors(inst: NetworkInstance, choices, tables, cost: list[float], 
         lo = min(subtree)
         for k in feasible:
             work[m] = k
-            kernels.route_terms(work, subtree, *tables, moved_cost, moved_risk)
+            kernels.route_terms(work, subtree, tables, moved_cost, moved_risk)
             z1 = reduce(operator.add, moved_cost[lo:], z1_prefix[lo])
             z2 = reduce(operator.add, moved_risk[lo:], z2_prefix[lo])
             yield RouteAssignment(choices[:m] + (k,) + choices[m + 1:]), ObjectiveVector((z1, z2))
@@ -625,16 +586,7 @@ def brute_force_pareto(
         )
     if inst.n_mr == 0:
         return [(ObjectiveVector((0.0, 0.0)), RouteAssignment(()))]
-    valid, z1, z2 = kernels.enumerate_routes(
-        c.radices,
-        c.mr_link_offset,
-        c.link_parent_code,
-        c.link_cost,
-        c.link_fail,
-        c.ar_bs_fail,
-        inst.n_ar,
-        inst.max_depth,
-    )
+    valid, z1, z2 = kernels.enumerate_routes(c)
     idx = np.flatnonzero(valid)
     z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
     rows = kernels.front_rows(z1, z2, idx)
@@ -653,7 +605,7 @@ class RouteProblem(Problem):
     def evaluate(self, genotype: RouteAssignment) -> ObjectiveVector:
         inst = self.instance
         _check_choices(inst, genotype)
-        z1, z2, ok = _walk(inst, genotype.choices)
+        z1, z2, ok = kernels.eval_route(genotype.choices, inst.compiled)
         if not ok:
             raise ValidityError(f"invalid assignment ({invalid_reason(inst, genotype)})")
         return ObjectiveVector((float(z1), float(z2)))

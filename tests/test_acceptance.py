@@ -20,7 +20,6 @@ from survroute.netmodel import (
     crossover_parentmix,
     mutate_reattach,
     random_assignment,
-    search_space_size,
     validate_assignment,
 )
 from survroute.scheduler import OperatorPool, choose, probabilities
@@ -71,7 +70,7 @@ def immigration_runs(stress_instance):
 
 
 def test_criterion_1_oracle_equivalence(standard_instance, oracle_runs):
-    assert search_space_size(standard_instance) <= 1000
+    assert standard_instance.compiled.search_space <= 1000
     oracle = sorted(ov.values for ov, _w in brute_force_pareto(standard_instance))
 
     def matches(archive) -> bool:

@@ -124,6 +124,16 @@ class TestReduce:
         assert min(o[0] for o in objs) == 0.0  # extreme in z1 kept
         assert min(o[1] for o in objs) == 1.0  # extreme in z2 kept (point (19, 1))
 
+    @pytest.mark.parametrize("policy", ["crowding_seq", "crowding_batch"])
+    def test_witnesses_alone_over_capacity(self, policy):
+        # three objectives, three distinct extremes and capacity 2: after the interior points
+        # go, one extreme witness must go too
+        points = [(0, 5, 5), (5, 0, 5), (5, 5, 0), (2, 2, 3), (3, 2, 2), (2, 3, 2), (1, 4, 4)]
+        arch = NondominatedArchive(members=nondom([make_sol(*p) for p in points]).members, capacity=2)
+        assert len(arch) == 7
+        reduced = reduce(arch, policy)
+        assert [m.objectives.values for m in reduced.members] == [(0.0, 5.0, 5.0), (5.0, 0.0, 5.0)]
+
     def test_unknown_policy_rejected(self):
         arch = nondom([make_sol(1, 2)])
         with pytest.raises(ConfigError):

@@ -18,31 +18,40 @@ from survroute.kernels import (
     nondominated_mask,
 )
 from survroute.moo import Dominance, ObjectiveVector, dominates
-from survroute.netmodel import _walk, parse_instance
+from survroute.netmodel import parse_instance
 
 from conftest import synthetic_net_text
 
 
-def test_compiled_tables_are_plain_tuples(standard_instance):
+def test_compiled_tables_are_plain_tuples(standard_instance, stress_instance):
     c = standard_instance.compiled
     assert not any(isinstance(getattr(c, f.name), np.ndarray) for f in dataclasses.fields(c))
-    for table in (c.radices, c.mr_link_offset, c.link_parent_code):
+    for table in (c.radices, c.mr_link_offset, c.link_parent):
         assert type(table) is tuple and all(type(v) is int for v in table)
     for table in (c.link_cost, c.link_fail, c.ar_bs_fail):
         assert type(table) is tuple and all(type(v) is float for v in table)
+    # MAXDEPTH far above n_mr, two access routers, MR-MR links that can cycle
+    deep = parse_instance(
+        "BS b0 0.1\nBS b1 0.2\nAR a0 b0\nAR a1 b1\nMR m0\nMR m1\n"
+        "LINK m0 a1 1 0.1\nLINK m0 m1 1 0.1\nLINK m1 a0 1 0.1\nLINK m1 m0 1 0.1\nMAXDEPTH 1000000000\n"
+    )
+    for inst in (standard_instance, stress_instance, deep):
+        c = inst.compiled
+        # link_parent decodes to each link's parent id: an MR index, or an access router counted from the end
+        decoded = [inst.mobile_routers[p] if p >= 0 else inst.access_routers[p][0] for p in c.link_parent]
+        assert decoded == [link.parent for link in inst.links]
+        assert c.steps == min(inst.max_depth, inst.n_mr)
+    assert deep.compiled.steps == deep.n_mr == 2
 
 
 def _assert_enumeration_matches_eval_route(inst):
     """enumerate_routes equals one eval_route walk per flat index: validity exactly, floats bit for bit."""
     c = inst.compiled
-    valid, z1, z2 = enumerate_routes(
-        c.radices, c.mr_link_offset, c.link_parent_code, c.link_cost, c.link_fail,
-        c.ar_bs_fail, inst.n_ar, inst.max_depth,
-    )
+    valid, z1, z2 = enumerate_routes(c)
     size = c.search_space
     assert valid.shape == z1.shape == z2.shape == (size,)
-    # the reference is netmodel's eval_route walk, one assignment at a time
-    ref = [_walk(inst, tuple(int(k) for k in np.unravel_index(flat, c.radices))) for flat in range(size)]
+    # the reference is the eval_route walk, one assignment at a time
+    ref = [kernels.eval_route(tuple(int(k) for k in np.unravel_index(flat, c.radices)), c) for flat in range(size)]
     assert valid.tolist() == [ok for _a, _b, ok in ref]
     assert z1.tobytes() == np.array([a for a, _b, _ok in ref], dtype=np.float64).tobytes()
     assert z2.tobytes() == np.array([b for _a, b, _ok in ref], dtype=np.float64).tobytes()

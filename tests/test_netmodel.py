@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from survroute import kernels
 from survroute.cli import main as cli_main
-from survroute.errors import ContractViolation, InstanceError, OracleScopeError, ParseError
+from survroute.errors import ContractViolation, InstanceError, OracleScopeError, ParseError, ValidityError
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
@@ -19,14 +20,11 @@ from survroute.netmodel import (
     _forest_depths,
     _parent_mrs,
     _reattach_options,
-    _walk,
     assignment_from_parent_map,
     assignment_from_string,
     assignment_string,
     brute_force_pareto,
-    cost_z1,
     crossover_parentmix,
-    evaluate_assignment,
     heavy_reattach,
     invalid_reason,
     iter_neighbors,
@@ -36,8 +34,6 @@ from survroute.netmodel import (
     parent_map,
     parse_instance,
     random_assignment,
-    risk_z2,
-    search_space_size,
     validate_assignment,
 )
 
@@ -118,7 +114,7 @@ def walk_feasible(inst, choices, m):
     """MR m's other links whose genotype a full route walk finds valid: one walk per alternative."""
     return [
         k for k in range(inst.compiled.radices[m])
-        if k != choices[m] and _walk(inst, choices[:m] + (k,) + choices[m + 1:])[2]
+        if k != choices[m] and kernels.eval_route(choices[:m] + (k,) + choices[m + 1:], inst.compiled)[2]
     ]
 
 
@@ -149,12 +145,12 @@ def reference_walks(inst, choices):
     for m in range(inst.n_mr):
         cur, steps, seen, reason = m, 0, {m}, None
         while True:
-            parent = c.link_parent_code[c.mr_link_offset[cur] + choices[cur]]
+            parent = c.link_parent[c.mr_link_offset[cur] + choices[cur]]
             steps += 1
-            if parent < inst.n_ar:
+            if parent < 0:
                 reason = "depth" if steps > inst.max_depth else None
                 break
-            cur = parent - inst.n_ar
+            cur = parent
             if cur in seen:
                 reason = "cycle"
                 break
@@ -285,14 +281,15 @@ MAXDEPTH 2
     def test_reason_agrees_with_kernel_flag(self, standard_instance):
         # the python reason walk and the kernel validity flag must agree
         c = standard_instance.compiled
+        problem = RouteProblem(standard_instance)
         for choices in itertools.product(*(range(r) for r in c.radices)):
             a = RouteAssignment(choices)
             reason = invalid_reason(standard_instance, a)
             if reason is None:
-                evaluate_assignment(standard_instance, a)
+                problem.evaluate(a)
             else:
-                with pytest.raises(ContractViolation):
-                    evaluate_assignment(standard_instance, a)
+                with pytest.raises(ValidityError):
+                    problem.evaluate(a)
 
     @pytest.mark.parametrize("bad", [1.0, "1", None])
     def test_non_integer_choice_is_contract_violation(self, standard_instance, bad):
@@ -330,28 +327,28 @@ MAXDEPTH 2
 class TestObjectives:
     def test_single_link_cost(self):
         inst = parse_instance(MINIMAL)
-        assert cost_z1(inst, RouteAssignment((0,))) == 5.0
+        assert RouteProblem(inst).evaluate(RouteAssignment((0,))).values[0] == 5.0
 
     def test_nested_path_aggregation(self):
         # mr1 pays 2; mr2 pays 1 + 2: total 5
         inst = parse_instance(NESTED)
-        assert cost_z1(inst, RouteAssignment((0, 0))) == 5.0
+        assert RouteProblem(inst).evaluate(RouteAssignment((0, 0))).values[0] == 5.0
 
     def test_zero_cost_everywhere(self):
         inst = parse_instance(NESTED)
-        assert cost_z1(inst, RouteAssignment((0, 0))) == 5.0
-        assert risk_z2(inst, RouteAssignment((0, 0))) == 0.0
+        assert RouteProblem(inst).evaluate(RouteAssignment((0, 0))).values[0] == 5.0
+        assert RouteProblem(inst).evaluate(RouteAssignment((0, 0))).values[1] == 0.0
 
     def test_risk_product_formula(self):
         text = "BS b 0.2\nAR a b\nMR m\nLINK m a 1.0 0.1\n"
         inst = parse_instance(text)
         expected = 1.0 - (1.0 - 0.1) * (1.0 - 0.2)
-        assert risk_z2(inst, RouteAssignment((0,))) == expected  # 0.28
+        assert RouteProblem(inst).evaluate(RouteAssignment((0,))).values[1] == expected  # 0.28
 
     def test_certain_bs_failure(self):
         text = "BS b 1.0\nAR a b\nMR m\nLINK m a 1.0 0.0\n"
         inst = parse_instance(text)
-        assert risk_z2(inst, RouteAssignment((0,))) == 1.0
+        assert RouteProblem(inst).evaluate(RouteAssignment((0,))).values[1] == 1.0
 
     def test_matches_naive_walk_everywhere(self, standard_instance):
         inst = standard_instance
@@ -359,20 +356,20 @@ class TestObjectives:
             if not naive_valid(inst, pm):
                 continue
             a = assignment_from_parent_map(inst, pm)
-            assert evaluate_assignment(inst, a) == naive_objectives(inst, pm)
+            assert RouteProblem(inst).evaluate(a).values == naive_objectives(inst, pm)
 
     def test_bounds_over_random_assignments(self, stress_instance):
         rng = np.random.default_rng(0)
         for _ in range(300):
             a = random_assignment(stress_instance, rng)
-            z1, z2 = evaluate_assignment(stress_instance, a)
+            z1, z2 = RouteProblem(stress_instance).evaluate(a).values
             assert z1 >= 0.0
             assert 0.0 <= z2 <= stress_instance.n_mr
 
     def test_monotone_in_cost_and_risk(self, standard_instance):
         rng = np.random.default_rng(5)
         a = random_assignment(standard_instance, rng)
-        z1, z2 = evaluate_assignment(standard_instance, a)
+        z1, z2 = RouteProblem(standard_instance).evaluate(a).values
         pm = parent_map(standard_instance, a)
         used_child = standard_instance.mobile_routers[0]
         used_pair = (used_child, pm[used_child])
@@ -384,7 +381,7 @@ class TestObjectives:
         )
         bumped = dataclasses.replace(standard_instance, links=bumped_links)
         b = assignment_from_parent_map(bumped, pm)
-        z1b, z2b = evaluate_assignment(bumped, b)
+        z1b, z2b = RouteProblem(bumped).evaluate(b).values
         assert z1b >= z1 and z2b >= z2
 
 
@@ -399,6 +396,15 @@ class TestSerialization:
     def test_canonical_order(self, standard_instance):
         a = RouteAssignment((0, 0, 0))
         assert assignment_string(standard_instance, a) == "m1=a1;m2=a1;m3=a1"
+
+    def test_round_trip_without_mrs(self):
+        inst = parse_instance("BS b 0.1\nAR a b\n")
+        assert assignment_string(inst, RouteAssignment(())) == ""
+        assert assignment_from_string(inst, "") == RouteAssignment(())
+
+    def test_repeated_entry_rejected(self, standard_instance):
+        with pytest.raises(ContractViolation, match="'m1' is assigned more than once"):
+            assignment_from_string(standard_instance, "m1=a2;m1=a1;m2=a1;m3=a1")
 
     def test_bad_parent_map_keys(self, standard_instance):
         with pytest.raises(ContractViolation):
@@ -586,7 +592,7 @@ class TestNeighborhood:
         pairs = list(iter_neighbors(inst, a))
         assert [g for g, _ov in pairs] == expected == neighborhood(inst, a)
         for g, ov in pairs:
-            assert ov.values == evaluate_assignment(inst, g)
+            assert ov.values == RouteProblem(inst).evaluate(g).values
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -605,7 +611,7 @@ class TestNeighborhood:
             for k in range(inst.compiled.radices[m]):
                 if k != a.choices[m]:
                     choices = a.choices[:m] + (k,) + a.choices[m + 1:]
-                    z1, z2, ok = _walk(inst, choices)
+                    z1, z2, ok = kernels.eval_route(choices, inst.compiled)
                     if ok:
                         expected.append((choices, z1.hex(), z2.hex()))
         got = [(g.choices, ov[0].hex(), ov[1].hex()) for g, ov in iter_neighbors(inst, a)]
@@ -653,11 +659,11 @@ class TestBruteForce:
         inst = request.getfixturevalue(fixture)
         for ov, witness in brute_force_pareto(inst):
             assert validate_assignment(inst, witness)
-            assert evaluate_assignment(inst, witness) == ov.values
+            assert RouteProblem(inst).evaluate(witness).values == ov.values
 
     def test_search_space_size(self, standard_instance, stress_instance):
-        assert search_space_size(standard_instance) == 64
-        assert search_space_size(stress_instance) == 4 * 4 * 4 * 4 * 4
+        assert standard_instance.compiled.search_space == 64
+        assert stress_instance.compiled.search_space == 4 * 4 * 4 * 4 * 4
 
 
 def test_route_problem_surface(standard_instance):
