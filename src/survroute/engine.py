@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .archive import (
     rank_and_crowding,
     survival_order,
 )
-from .errors import ConfigError, InstanceError
+from .errors import ConfigError
 from .measures import ReferencePoint
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
@@ -100,10 +100,8 @@ class RunResult:
     hv_trace: list[float]
     reference_point: tuple[float, ...]
     scheduler_stats: dict
-    final_pools: dict[str, OperatorPool] = field(repr=False)
     wall_clock_seconds: float = 0.0
     seed: int = 0
-    params: RunParams | None = None
 
 
 class Evaluator:
@@ -118,34 +116,24 @@ class Evaluator:
     def remaining(self) -> float:
         return math.inf if self.budget is None else self.budget - self.count
 
-    def evaluate(self, genotype, objectives: ObjectiveVector | None = None) -> CandidateSolution:
-        """Count one evaluation of ``genotype``.
+    def evaluate(self, genotype, objectives: ObjectiveVector | None = None) -> ObjectiveVector:
+        """Count one evaluation of ``genotype`` and return its objectives.
 
         Pass ``objectives`` when they are already known (local search gets
         them from the neighborhood); the problem's evaluate is then skipped.
-        The solution builds its ``genotype_key`` on first use, so a
-        candidate that local search scores and drops never builds one.
         """
         self.count += 1
-        return CandidateSolution(
-            genotype,
-            self.problem.evaluate(genotype) if objectives is None else objectives,
-            key_of=self.problem.genotype_key,
-        )
+        return self.problem.evaluate(genotype) if objectives is None else objectives
 
-
-def _random_valid_genotype(problem: Problem, rng, attempts: int = 1000):
-    for _ in range(attempts):
-        g = problem.random_genotype(rng)
-        if problem.is_valid(g):
-            return g
-    raise InstanceError(f"no valid genotype produced in {attempts} attempts")
+    def solution(self, genotype) -> CandidateSolution:
+        """Evaluate ``genotype`` (one count) and wrap it with its key."""
+        return CandidateSolution(genotype, self.evaluate(genotype), self.problem.genotype_key(genotype))
 
 
 def initialize(problem: Problem, params: RunParams, rng, evaluator: Evaluator | None = None) -> list[CandidateSolution]:
     """Random evaluated population of population_size members."""
     ev = evaluator or Evaluator(problem)
-    return [ev.evaluate(_random_valid_genotype(problem, rng)) for _ in range(params.population_size)]
+    return [ev.solution(problem.random_genotype(rng)) for _ in range(params.population_size)]
 
 
 def select_from(
@@ -194,7 +182,7 @@ def vary(
             g = problem.crossover(parent.genotype, parents[(i + 1) % lam].genotype, rng)
         else:
             raise ConfigError(f"unknown variation operator {operator!r}")
-        offspring.append(evaluator.evaluate(g))
+        offspring.append(evaluator.solution(g))
     return offspring
 
 
@@ -220,40 +208,43 @@ def local_search(
     by the walk's starting point). pareto_step: accept the first neighbor
     that Pareto-dominates the current point. ``budget`` caps neighbor
     evaluations per individual; the run budget gates each evaluation too.
+    A walk that did not move returns its input solution.
     """
     if operator not in LOCAL_SEARCH_OPERATORS:
         raise ConfigError(f"unknown local-search operator {operator!r}")
     out = []
     for sol in solutions:
-        current = sol
+        genotype, objectives = sol.genotype, sol.objectives
         if operator == "chebyshev":
-            w = _simplex_weights(rng, len(sol.objectives))
+            w = _simplex_weights(rng, len(objectives))
 
-            def score(s: CandidateSolution) -> float:
-                return max(wi * zi for wi, zi in zip(w, s.objectives.values))
+            def score(values: tuple[float, ...]) -> float:
+                return max(wi * zi for wi, zi in zip(w, values))
 
-            current_score = score(current)
+            current_score = score(objectives.values)
         used = 0
+        moved = False
         improved = True
         while improved and used < budget and evaluator.remaining > 0:
             improved = False
-            for g, objectives in problem.neighborhood(current.genotype):
-                cand = evaluator.evaluate(g, objectives)
+            for g, known in problem.neighborhood(genotype):
+                cand = evaluator.evaluate(g, known)
                 used += 1
                 if operator == "chebyshev":
-                    cand_score = score(cand)
+                    cand_score = score(cand.values)
                     if cand_score < current_score:
-                        current, current_score = cand, cand_score
-                        improved = True
+                        genotype, objectives, current_score = g, cand, cand_score
+                        moved = improved = True
                         break
-                elif dominates(cand.objectives, current.objectives) is Dominance.DOMINATES:
-                    current = cand
-                    improved = True
+                elif dominates(cand, objectives) is Dominance.DOMINATES:
+                    genotype, objectives = g, cand
+                    moved = improved = True
                     break
                 # gate after each evaluation, so a lazy neighborhood never walks an unused neighbor
                 if used >= budget or evaluator.remaining <= 0:
                     break
-        out.append(current)
+        # only a walk that moved builds a solution and its key; dropped neighbors build neither
+        out.append(CandidateSolution(genotype, objectives, problem.genotype_key(genotype)) if moved else sol)
     return out
 
 
@@ -333,11 +324,11 @@ def random_immigrants(
     newcomers = []
     for _ in range(k):
         if operator == "fresh_random" or len(arch.members) == 0:
-            g = _random_valid_genotype(problem, rng)
+            g = problem.random_genotype(rng)
         else:
             src = arch.members[int(rng.integers(len(arch.members)))]
             g = problem.heavy_mutate(src.genotype, rng)
-        newcomers.append(evaluator.evaluate(g))
+        newcomers.append(evaluator.solution(g))
     return survivors + newcomers
 
 
@@ -486,8 +477,6 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
         hv_trace=trace,
         reference_point=ref.values,
         scheduler_stats=scheduler_stats,
-        final_pools=pools,
         wall_clock_seconds=time.perf_counter() - started,
         seed=seed,
-        params=params,
     )

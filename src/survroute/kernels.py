@@ -89,8 +89,9 @@ def route_terms(choices, mrs, tables, cost_out, risk_out):
 def enumerate_routes(tables):
     """Evaluate every assignment in the full mixed-radix space of ``tables.radices``.
 
-    ``tables`` is what ``route_terms`` takes; its tuples become numpy arrays
-    once per call.
+    ``tables`` is what ``route_terms`` takes, with at least one MR
+    (``brute_force_pareto`` answers the empty instance itself); its tuples
+    become numpy arrays once per call.
     Returns (valid, z1, z2) arrays of length prod(radices), indexed in
     row-major order (last MR varies fastest), matching np.unravel_index;
     z1 and z2 are 0.0 on invalid rows.
@@ -113,9 +114,6 @@ def enumerate_routes(tables):
     valid = np.zeros(total, np.bool_)
     z1 = np.zeros(total, np.float64)
     z2 = np.zeros(total, np.float64)
-    if n_mr == 0:  # the one, empty assignment
-        valid[:] = True
-        return valid, z1, z2
     strides = np.ones(n_mr, np.int64)
     strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
     for start in range(0, total, _BLOCK_ROWS):

@@ -220,7 +220,7 @@ def test_criterion_7_operator_closure(stress_instance):
         invalid += not validate_assignment(inst, child)
 
     evaluator = Evaluator(problem)
-    starts = [evaluator.evaluate(random_assignment(inst, rng)) for _ in range(100)]
+    starts = [evaluator.solution(random_assignment(inst, rng)) for _ in range(100)]
     ls_outputs = 0
     while ls_outputs < 10_000:
         op = "chebyshev" if ls_outputs % 2 else "pareto_step"
@@ -229,7 +229,7 @@ def test_criterion_7_operator_closure(stress_instance):
             invalid += not validate_assignment(inst, out.genotype)
             ls_outputs += 1
 
-    pop = [evaluator.evaluate(random_assignment(inst, rng)) for _ in range(10)]
+    pop = [evaluator.solution(random_assignment(inst, rng)) for _ in range(10)]
     from survroute.archive import nondom
 
     arch = nondom(pop)

@@ -127,6 +127,17 @@ class TestOracle:
     def test_guard_exits_4(self, tmp_path):
         assert run_cli("oracle", STANDARD, "--out", str(tmp_path / "f.csv"), "--guard", "10") == 4
 
+    @pytest.mark.parametrize("command", ["oracle", "run"])
+    def test_instance_without_mrs(self, command, tmp_path):
+        net = tmp_path / "empty.net"
+        net.write_text("BS b 0.1\nAR a b\n")
+        if command == "oracle":
+            code = run_cli("oracle", str(net), "--out", str(tmp_path / "front.csv"))
+        else:
+            code = run_cli("run", "--instance", str(net), "--out", str(tmp_path), "--budget", "50")
+        assert code == 0
+        assert (tmp_path / "front.csv").read_bytes() == b"z1,z2,genotype\n0,0,\n"
+
     def test_missing_instance_exits_3(self, tmp_path):
         assert run_cli("oracle", str(tmp_path / "nope.net"), "--out", str(tmp_path / "f.csv")) == 3
 

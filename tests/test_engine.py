@@ -152,7 +152,7 @@ class TestVary:
         problem = GridProblem(8, move_prob=0.0)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
-        parents = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(6)]
+        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(6)]
         offspring = vary(parents, problem, "mutate", rng, evaluator)
         assert [o.genotype for o in offspring] == [p.genotype for p in parents]
 
@@ -160,7 +160,7 @@ class TestVary:
         problem = GridProblem(8)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(1)
-        twin = evaluator.evaluate((3, 4))
+        twin = evaluator.solution((3, 4))
         offspring = vary([twin, twin], problem, "crossover", rng, evaluator)
         assert all(o.genotype == (3, 4) for o in offspring)
 
@@ -168,7 +168,7 @@ class TestVary:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(2)
-        parents = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(10)]
+        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(10)]
         for op in ("mutate", "crossover"):
             for _ in range(100):
                 for child in vary(parents, problem, op, rng, evaluator):
@@ -178,7 +178,7 @@ class TestVary:
         problem = GridProblem(8)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(3)
-        parents = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(7)]
+        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(7)]
         before = evaluator.count
         vary(parents, problem, "mutate", rng, evaluator)
         assert evaluator.count - before == 7
@@ -189,7 +189,7 @@ class TestLocalSearch:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
-        sols = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(5)]
+        sols = [evaluator.solution(problem.random_genotype(rng)) for _ in range(5)]
         for op in ("chebyshev", "pareto_step"):
             out = local_search(sols, problem, op, 0, rng, evaluator)
             assert [s.genotype for s in out] == [s.genotype for s in sols]
@@ -199,7 +199,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(1)
         witness = brute_force_pareto(standard_instance)[0][1]
-        start = evaluator.evaluate(witness)
+        start = evaluator.solution(witness)
         out = local_search([start], problem, "pareto_step", 50, rng, evaluator)
         assert out[0].genotype == witness
 
@@ -208,7 +208,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(2)
         # worst assignment by both objectives among valid ones
-        starts = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(50)]
+        starts = [evaluator.solution(problem.random_genotype(rng)) for _ in range(50)]
         for start in starts:
             out = local_search([start], problem, "pareto_step", 30, rng, evaluator)[0]
             assert dominates(out.objectives, start.objectives) in (
@@ -221,7 +221,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            start = evaluator.evaluate(problem.random_genotype(rng))
+            start = evaluator.solution(problem.random_genotype(rng))
             out = local_search([start], problem, "chebyshev", 30, rng, evaluator)[0]
             assert dominates(out.objectives, start.objectives) is not Dominance.DOMINATED_BY
 
@@ -230,7 +230,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem, budget=3)
         evaluator.count = 0
         rng = np.random.default_rng(4)
-        start = Evaluator(problem).evaluate(problem.random_genotype(rng))
+        start = Evaluator(problem).solution(problem.random_genotype(rng))
         local_search([start, start], problem, "pareto_step", 100, rng, evaluator)
         assert evaluator.count <= 3
 
@@ -238,7 +238,7 @@ class TestLocalSearch:
 def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeypatch):
     problem = RouteProblem(synthetic40_instance)
     rng = np.random.default_rng(5)
-    starts = [Evaluator(problem).evaluate(problem.random_genotype(rng)) for _ in range(4)]
+    starts = [Evaluator(problem).solution(problem.random_genotype(rng)) for _ in range(4)]
     walks = {True: 0, False: 0}
     original = kernels.eval_route
 
@@ -269,15 +269,21 @@ def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
     problem.genotype_key = counting_key
     rng = np.random.default_rng(7)
     for op in LOCAL_SEARCH_OPERATORS:
-        starts = [Evaluator(problem).evaluate(problem.random_genotype(rng)) for _ in range(4)]
+        starts = [Evaluator(problem).solution(problem.random_genotype(rng)) for _ in range(8)]
         evaluator = Evaluator(problem)
         keyed.clear()
-        out = local_search(starts, problem, op, 20, rng, evaluator)
+        out = local_search(starts, problem, op, 2, rng, evaluator)
         assert evaluator.count > len(out)  # candidates were scored and dropped
-        assert keyed == []  # scoring and comparing objectives builds no key
-        keys = [s.genotype_key for s in out]
-        assert [s.genotype_key for s in out] == keys == [build_key(s.genotype) for s in out]
-        assert keyed == [s.genotype for s in out]  # each kept solution's key, built once, on first read
+        for s, start in zip(out, starts):
+            if s.genotype == start.genotype:
+                assert s is start  # a walk that did not move returns its input
+        moved = [s for s, start in zip(out, starts) if s is not start]
+        assert 0 < len(moved) < len(out)
+        # one key per moved output, built once; a dropped neighbor builds none
+        assert keyed == [s.genotype for s in moved]
+        for s in moved:
+            assert s.genotype_key == build_key(s.genotype)
+            assert s.objectives.values == problem.evaluate(s.genotype).values
 
 
 def _naive_rank(front):
@@ -320,8 +326,8 @@ class TestReplace:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(5)
-        pop = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(12)]
-        off = [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(12)]
+        pop = [evaluator.solution(problem.random_genotype(rng)) for _ in range(12)]
+        off = [evaluator.solution(problem.random_genotype(rng)) for _ in range(12)]
         union = pop + off
         ranks = dict(zip([id(s) for s in union], _naive_rank(union)))
         survivors = replace(pop, off, "elitist", target_size=12)
@@ -360,7 +366,7 @@ class TestStagnation:
 
 class TestRandomImmigrants:
     def _population(self, problem, evaluator, rng, n):
-        return [evaluator.evaluate(problem.random_genotype(rng)) for _ in range(n)]
+        return [evaluator.solution(problem.random_genotype(rng)) for _ in range(n)]
 
     def test_replaces_exact_ceiling(self, standard_instance):
         problem = RouteProblem(standard_instance)

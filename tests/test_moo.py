@@ -128,34 +128,22 @@ def test_make_solution_carries_key():
     assert math.isfinite(s.objectives[0])
 
 
-def test_deferred_key_is_built_once_and_behaves_like_a_given_key():
-    calls = []
-
-    def key_of(genotype):
-        calls.append(genotype)
-        return f"{genotype[0]},{genotype[1]}"
-
+def test_solution_is_a_frozen_dataclass_keyed_by_objectives_and_key():
     ov = ObjectiveVector((1.0, 2.0))
-    given_key = CandidateSolution(genotype=(1, 2), objectives=ov, genotype_key="1,2")
-    deferred = CandidateSolution((1, 2), ov, key_of=key_of)
-    assert calls == []
-    assert deferred == given_key and hash(deferred) == hash(given_key)
-    assert deferred.sort_key() == given_key.sort_key() == ((1.0, 2.0), "1,2")
-    assert repr(deferred) == repr(given_key) == (
+    s = CandidateSolution(genotype=(1, 2), objectives=ov, genotype_key="1,2")
+    other_genotype = CandidateSolution([9], ov, "1,2")
+    assert s == other_genotype and hash(s) == hash(other_genotype)  # the genotype is not compared
+    assert hash(s) == hash((ov, "1,2"))
+    assert s != CandidateSolution((1, 2), ov, "other")
+    assert s != CandidateSolution((1, 2), ObjectiveVector((1.0, 3.0)), "1,2")
+    assert s.sort_key() == ((1.0, 2.0), "1,2")
+    assert repr(s) == (
         "CandidateSolution(genotype=(1, 2), objectives=ObjectiveVector(values=(1.0, 2.0)), genotype_key='1,2')"
     )
-    assert calls == [(1, 2)]
-    assert deferred != CandidateSolution((1, 2), ov, genotype_key="other")
-    for clone in (
-        copy.copy(CandidateSolution((1, 2), ov, key_of=key_of)),
-        copy.deepcopy(CandidateSolution((1, 2), ov, key_of=key_of)),
-        pickle.loads(pickle.dumps(CandidateSolution((1, 2), ov, key_of=key_of))),
-    ):
-        assert clone == given_key and repr(clone) == repr(given_key)
-        assert clone._key_of is None
+    assert [f.name for f in dataclasses.fields(s)] == ["genotype", "objectives", "genotype_key"]
+    for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and repr(clone) == repr(s)
+    moved = dataclasses.replace(s, genotype_key="2,1")
+    assert moved.genotype == (1, 2) and moved.genotype_key == "2,1" and moved != s
     with pytest.raises(dataclasses.FrozenInstanceError):
-        deferred.genotype_key = "x"
-    with pytest.raises(ContractViolation):
-        CandidateSolution((1, 2), ov)
-    with pytest.raises(ContractViolation):
-        CandidateSolution((1, 2), ov, "1,2", key_of=key_of)
+        s.genotype_key = "x"
