@@ -17,6 +17,11 @@ genotype, then a re-walk of the moved subtree per neighbor) against one full
 route walk per candidate, at 40, 200 and 1000 MRs, both for the first 20
 neighbors (local search's default budget) and for the full list; it checks
 that both yield the same pairs, bit for bit, and prints the ratios.
+
+The objective-space rows time the archive's 2-D sweeps: ``pareto_ranks`` on
+200 points of a 20 x 20 integer grid (many ties and repeated points), beside
+the all-pairs ``dominance_matrix``, and 1000 ``insert`` calls of random
+newcomers, each into the same 100-member archive.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from itertools import islice
 import numpy as np
 
 from survroute import kernels
-from survroute.moo import ObjectiveVector
+from survroute.archive import NondominatedArchive, insert, pareto_ranks
+from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
     RouteAssignment, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
@@ -126,11 +132,22 @@ def main() -> None:
     F = rng.random((200, 2))
     front = np.sort(rng.random((500, 2)), axis=0)
     front[:, 1] = front[::-1, 1]
+    # as rank_and_crowding passes them: one (z1, z2) tuple of floats per point
+    ties = [tuple(p) for p in rng.integers(0, 20, size=(200, 2)).astype(np.float64).tolist()]
+
+    def sol(z1, z2, key):
+        return CandidateSolution(None, ObjectiveVector((z1, z2)), key)
+
+    # a 100-member staircase, and newcomers spread over its box: most are dominated, some join
+    archive = NondominatedArchive(members=tuple(sol(float(i), float(100 - i), f"m{i}") for i in range(100)))
+    newcomers = [sol(float(a), float(b), f"n{i}") for i, (a, b) in enumerate(rng.uniform(0, 100, size=(1000, 2)))]
 
     cases = [
         ("eval_route x2000 (40 MRs)", eval_many(40)),
         ("eval_route x400 (200 MRs)", eval_many(200)),
         ("dominance_matrix (200x2)", lambda: kernels.dominance_matrix(F)),
+        ("archive.pareto_ranks (200x2, ties)", lambda: pareto_ranks(ties)),
+        ("archive.insert x1000 (100-member archive)", lambda: [insert(archive, s) for s in newcomers]),
         ("crowding_distance (200x2)", lambda: kernels.crowding_distance(F)),
         ("hv2d_sweep (500 pts)", lambda: kernels.hv2d_sweep(front, 2.0, 2.0)),
     ]

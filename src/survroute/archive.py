@@ -3,10 +3,16 @@
 The archive is a value: every operation returns a new archive. Members are
 kept in canonical order (objectives lexicographic, then genotype key) so a
 run's archive iterates identically regardless of insertion history.
+
+Objectives are two-dimensional throughout; a solution with another count
+raises ``ContractViolation``. Ranking and insertion are 2-D sweeps over
+sorted points (``pareto_ranks``, ``insert``), with no all-pairs dominance
+matrix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,14 +47,22 @@ class NondominatedArchive:
         return {m.objectives.values for m in self.members}
 
 
-def _canonical(members: Iterable[CandidateSolution]) -> tuple[CandidateSolution, ...]:
-    return tuple(sorted(members, key=lambda s: s.sort_key()))
+def _z1(s: CandidateSolution) -> float:
+    return s.objectives.values[0]
 
 
-def _check_uniform_length(solutions: Sequence[CandidateSolution]) -> None:
-    lengths = {len(s.objectives) for s in solutions}
-    if len(lengths) > 1:
-        raise ContractViolation(f"mixed objective lengths in archive input: {sorted(lengths)}")
+def _dominated_at(members: Sequence[CandidateSolution], i: int, point: tuple[float, ...]) -> bool:
+    """Whether a member dominates ``point``, where members[:i] are those with z1 <= point's z1.
+
+    In canonical order the members form a staircase: z1 ascending, z2
+    non-increasing, equal vectors side by side. So the point is dominated
+    exactly when the last member with z1 <= its z1 has z2 <= its z2 and is
+    not equal to it.
+    """
+    if i == 0:
+        return False
+    last = members[i - 1].objectives.values
+    return last[1] <= point[1] and last != point
 
 
 def nondom(
@@ -56,21 +70,21 @@ def nondom(
 ) -> NondominatedArchive:
     """Archive of the input's nondominated members, genotype duplicates collapsed.
 
-    If ``capacity`` is given and exceeded, the default crowding reduction is
-    applied so the returned archive satisfies its own invariant.
+    The members are rank 0 of ``pareto_ranks``, so members with equal
+    objective vectors are all kept. If ``capacity`` is given and exceeded,
+    the default crowding reduction is applied so the returned archive
+    satisfies its own invariant.
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"archive capacity must be >= 1, got {capacity}")
     unique: dict[str, CandidateSolution] = {}
     for s in sorted(solutions, key=lambda s: s.sort_key()):
         unique.setdefault(s.genotype_key, s)
-    pool = list(unique.values())
-    _check_uniform_length(pool)
+    pool = list(unique.values())  # canonical order
     if pool:
-        F = np.array([s.objectives.values for s in pool], dtype=np.float64)
-        mask = kernels.nondominated_mask(F)
-        pool = [s for s, keep in zip(pool, mask) if keep]
-    arch = NondominatedArchive(members=_canonical(pool), capacity=capacity)
+        ranks = pareto_ranks([s.objectives.values for s in pool])
+        pool = [s for s, rank in zip(pool, ranks) if rank == 0]
+    arch = NondominatedArchive(members=tuple(pool), capacity=capacity)
     if capacity is not None and len(arch) > capacity:
         arch = reduce(arch)
     return arch
@@ -84,29 +98,44 @@ def insert(
     Rejected when dominated by a member or when its genotype is already
     present. On acceptance, members the newcomer dominates are dropped and
     the ``policy`` reduction runs if capacity is exceeded.
+
+    Domination is decided on the members' staircase (``_dominated_at``).
+    The members the newcomer (a, b) dominates are one run: they start at
+    the first member with z1 >= a, after any members equal to it, and end
+    at the first member with z2 < b.
     """
+    point = s.objectives.values
+    if len(point) != 2:
+        raise ContractViolation(f"archive takes 2 objectives, got {len(point)}")
+    a, b = point
     members = archive.members
-    if members and len(members[0].objectives) != len(s.objectives):
-        raise ContractViolation(
-            f"objective length mismatch: archive {len(members[0].objectives)}, insert {len(s.objectives)}"
-        )
+    i = bisect_right(members, a, key=_z1)
+    if _dominated_at(members, i, point):
+        return archive, False
+    key = s.genotype_key
     for m in members:
-        if m.genotype_key == s.genotype_key:
+        if m.genotype_key == key:
             return archive, False
-    sv = s.objectives.as_array()
-    if members:
-        F = archive.objective_matrix()
-        if bool(kernels.dominance(F, sv).any()):
-            return archive, False
-        dominated = kernels.dominance(sv, F)
-        survivors = [m for m, gone in zip(members, dominated) if not gone]
-    else:
-        survivors = []
-    survivors.append(s)
-    out = NondominatedArchive(members=_canonical(survivors), capacity=archive.capacity)
+    lo = bisect_left(members, a, hi=i, key=_z1)
+    # members[lo:i] share z1 == a, so they share one vector: equal to the newcomer, or dominated by it
+    kept = i if lo < i and members[lo].objectives.values == point else lo
+    pos = bisect_left(members, s.sort_key(), lo, kept, key=CandidateSolution.sort_key)
+    hi = kept
+    while hi < len(members) and members[hi].objectives.values[1] >= b:
+        hi += 1
+    out = NondominatedArchive(members=members[:pos] + (s,) + members[pos:kept] + members[hi:], capacity=archive.capacity)
     if archive.capacity is not None and len(out) > archive.capacity:
         out = reduce(out, policy)
     return out, True
+
+
+def count_dominated(archive: NondominatedArchive, solutions: Iterable[CandidateSolution]) -> int:
+    """How many of ``solutions`` some archive member dominates (``insert``'s staircase test)."""
+    members = archive.members
+    z1s = [m.objectives.values[0] for m in members]
+    return sum(
+        _dominated_at(members, bisect_right(z1s, s.objectives.values[0]), s.objectives.values) for s in solutions
+    )
 
 
 def crowding(members: Sequence[CandidateSolution]) -> np.ndarray:
@@ -138,9 +167,10 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
 
     ``crowding_seq`` removes the least-crowded member one at a time with
     recomputation; ``crowding_batch`` ranks once and removes the overflow in
-    a single pass. Extreme witnesses are protected whenever capacity >= 2
-    (possible as long as they fit; with capacity 1 the lexicographically
-    smallest member survives).
+    a single pass. With capacity >= 2 the two extreme witnesses (one per
+    objective) are protected; that leaves at least len - 2 >= len - capacity
+    members to remove from, so the overflow never needs them. With capacity
+    1 the lexicographically smallest member survives.
     """
     if policy not in REDUCTION_OPERATORS:
         raise ConfigError(f"unknown reduction operator {policy!r}")
@@ -152,51 +182,51 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
 
     members = list(archive.members)
 
-    def removal_candidates(current: list[CandidateSolution]) -> list[int]:
-        if capacity >= 2:
-            protected = _extreme_witnesses(current)
-            if len(protected) < len(current):
-                return [i for i in range(len(current)) if i not in protected]
-            # every member is an extreme witness (degenerate): fall through
-        return list(range(len(current)))
+    def removal_order(current: list[CandidateSolution]) -> list[int]:
+        protected = _extreme_witnesses(current) if capacity >= 2 else set()
+        candidates = [i for i in range(len(current)) if i not in protected]
+        return _removal_order(current, crowding(current), candidates)
 
     if policy == "crowding_batch":
-        excess = len(members) - capacity
-        dist = crowding(members)
-        order = _removal_order(members, dist, removal_candidates(members))
-        doomed = set(order[:excess])
+        doomed = set(removal_order(members)[: len(members) - capacity])
         members = [m for i, m in enumerate(members) if i not in doomed]
-    # crowding_seq removes one at a time; crowding_batch gets here only when
-    # protection left fewer removable members than the overflow, and then
-    # every member left is an extreme witness, so all are candidates
-    while len(members) > capacity:
-        dist = crowding(members)
-        order = _removal_order(members, dist, removal_candidates(members))
-        del members[order[0]]
+    else:
+        while len(members) > capacity:
+            del members[removal_order(members)[0]]
 
-    return NondominatedArchive(members=_canonical(members), capacity=capacity)
+    return NondominatedArchive(members=tuple(members), capacity=capacity)
 
 
-def pareto_ranks(F: np.ndarray) -> np.ndarray:
-    """Nondominated-sorting rank (0 = best front) for each row of F."""
-    n = F.shape[0]
-    ranks = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return ranks
-    dom = kernels.dominance_matrix(np.asarray(F, dtype=np.float64))
-    dominators = dom.sum(axis=0).astype(np.int64)
-    current = 0
-    remaining = n
-    while remaining > 0:
-        front = (dominators == 0) & (ranks < 0)
-        if not front.any():  # pragma: no cover - dominance is acyclic
-            raise AssertionError("non-dominated sort failed to make progress")
-        ranks[front] = current
-        dominators -= dom[front].sum(axis=0)
-        dominators[front] = -1
-        remaining -= int(front.sum())
-        current += 1
-    return ranks
+def pareto_ranks(F) -> np.ndarray:
+    """Nondominated-sorting rank (0 = best front) of each 2-D point of F.
+
+    ``F`` is an (n, 2) array or a sequence of (z1, z2) pairs. A sort and
+    sweep (Jensen 2003, "Reducing the run-time complexity of multiobjective
+    EAs"): in (z1, z2) order, a point is dominated by a front exactly when
+    that front's last member so far has z2 <= its own and is not equal to
+    it. The fronts' last z2 values do not decrease with rank, so the point
+    joins the first front whose last z2 exceeds its own, found by bisection.
+    Equal points do not dominate each other and share a rank.
+    """
+    points = [tuple(p) for p in F]
+    for p in points:
+        if len(p) != 2:
+            raise ContractViolation(f"Pareto ranks take 2 objectives, got {len(p)}")
+    ranks = [0] * len(points)
+    last_z2: list[float] = []  # per front, the z2 of its last member so far
+    prev = None
+    rank = 0
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        p = points[i]
+        if p != prev:  # an equal point joins the front of the one before it
+            rank = bisect_right(last_z2, p[1])
+            if rank == len(last_z2):
+                last_z2.append(p[1])
+            else:
+                last_z2[rank] = p[1]
+            prev = p
+        ranks[i] = rank
+    return np.array(ranks, dtype=np.int64)
 
 
 def rank_and_crowding(solutions: Sequence[CandidateSolution]) -> tuple[np.ndarray, np.ndarray]:
@@ -204,8 +234,9 @@ def rank_and_crowding(solutions: Sequence[CandidateSolution]) -> tuple[np.ndarra
     n = len(solutions)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    F = np.array([s.objectives.values for s in solutions], dtype=np.float64)
-    ranks = pareto_ranks(F)
+    points = [s.objectives.values for s in solutions]
+    ranks = pareto_ranks(points)
+    F = np.array(points, dtype=np.float64)
     crowd = np.zeros(n)
     for r in np.unique(ranks):
         idx = np.flatnonzero(ranks == r)

@@ -15,10 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels, measures
+from . import measures
 from .archive import (
     REDUCTION_OPERATORS,
     NondominatedArchive,
+    count_dominated,
     insert as archive_insert,
     nondom,
     rank_and_crowding,
@@ -186,11 +187,12 @@ def vary(
     return offspring
 
 
-def _simplex_weights(rng, dim: int) -> np.ndarray:
-    # exponential trick; dim uniform draws, strictly positive components
-    raw = np.array([-math.log(1.0 - rng.random()) for _ in range(dim)])
-    raw = np.maximum(raw, 1e-12)
-    return raw / raw.sum()
+def _simplex_weights(rng) -> tuple[float, float]:
+    # exponential trick; two uniform draws, strictly positive components
+    w1 = max(-math.log(1.0 - rng.random()), 1e-12)
+    w2 = max(-math.log(1.0 - rng.random()), 1e-12)
+    total = w1 + w2
+    return w1 / total, w2 / total
 
 
 def local_search(
@@ -216,10 +218,10 @@ def local_search(
     for sol in solutions:
         genotype, objectives = sol.genotype, sol.objectives
         if operator == "chebyshev":
-            w = _simplex_weights(rng, len(objectives))
+            w1, w2 = _simplex_weights(rng)
 
             def score(values: tuple[float, ...]) -> float:
-                return max(wi * zi for wi, zi in zip(w, values))
+                return max(w1 * values[0], w2 * values[1])
 
             current_score = score(objectives.values)
         used = 0
@@ -335,12 +337,7 @@ def random_immigrants(
 def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedArchive) -> float:
     if not pop:
         return 0.0
-    A = arch.objective_matrix()
-    if A.size == 0:
-        return 1.0
-    P = np.array([s.objectives.values for s in pop], dtype=np.float64)
-    dominated = kernels.dominance(A[:, None], P[None]).any(axis=0)
-    return float(1.0 - dominated.mean())
+    return 1.0 - count_dominated(arch, pop) / len(pop)
 
 
 def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
@@ -355,6 +352,11 @@ def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
 
 def run(problem: Problem, params: RunParams | None = None, seed: int | None = None) -> RunResult:
     """Optimize until the evaluation budget is exhausted; returns the final archive.
+
+    The problem must declare ``objective_count`` 2 (``ConfigError``
+    otherwise): ranking, the archive, local-search weights and the
+    hypervolume are all two-objective. An evaluation that returns another
+    length raises ``ContractViolation`` from the archive.
 
     Structure: an outer loop of inner passes; each inner iteration runs
     SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
@@ -378,8 +380,8 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     report).
     """
     params = params or RunParams()
-    if problem.objective_count not in (2, 3):
-        raise ConfigError("hypervolume-guided run requires 2 or 3 objectives")
+    if problem.objective_count != 2:
+        raise ConfigError(f"run optimizes 2 objectives, the problem declares {problem.objective_count}")
     if seed is None:
         seed = params.seed
     elif seed < 0:

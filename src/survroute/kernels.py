@@ -148,6 +148,9 @@ def dominance(a, b):
     """a Pareto-dominates b (minimization), over the last axis, broadcast over the others.
 
     True where a is no worse than b in every objective and better in at least one.
+    No package code calls it or ``dominance_matrix``: ranking and the archive
+    use 2-D sweeps (``archive``). Tests use both as references, and
+    ``perfbench/spans.py`` wraps ``dominance_matrix``.
     """
     return (a <= b).all(-1) & (a < b).any(-1)
 
@@ -155,14 +158,6 @@ def dominance(a, b):
 def dominance_matrix(F):
     """dom[i, j] = row i of F Pareto-dominates row j (so the diagonal is False)."""
     return dominance(F[:, None], F[None])
-
-
-def nondominated_mask(F):
-    """Boolean mask of rows not dominated by any other row (duplicates all kept)."""
-    n = F.shape[0]
-    if n == 0:
-        return np.zeros(0, np.bool_)
-    return ~dominance_matrix(F).any(axis=0)
 
 
 def front_rows(z1, z2, key):

@@ -1,4 +1,4 @@
-"""Front quality indicators: exact hypervolume (2-D/3-D), additive epsilon, coverage.
+"""Front quality indicators: exact 2-D hypervolume, additive epsilon, coverage.
 
 Hypervolume drives the engine's stagnation detection and RED/IMM credit;
 epsilon and coverage are reporting-only indicators.
@@ -55,47 +55,28 @@ def _ref_values(ref) -> np.ndarray:
     return np.asarray([float(v) for v in ref], dtype=np.float64)
 
 
-def _hv2d(F: np.ndarray, ref: np.ndarray) -> float:
-    # clean defensively: one row per distinct nondominated point, by ascending first objective
-    F = F[kernels.front_rows(F[:, 0], F[:, 1], np.arange(F.shape[0]))]
-    return float(kernels.hv2d_sweep(F, float(ref[0]), float(ref[1])))
-
-
-def _hv3d(F: np.ndarray, ref: np.ndarray) -> float:
-    # sweep ascending third objective, integrating 2-D slabs
-    levels = np.unique(F[:, 2])
-    bounds = np.append(levels, ref[2])
-    vol = 0.0
-    for k, level in enumerate(levels):
-        height = bounds[k + 1] - bounds[k]
-        if height <= 0.0:
-            continue
-        active = F[F[:, 2] <= level][:, :2]
-        vol += _hv2d(active, ref[:2]) * height
-    return vol
-
-
 def _hypervolume(front: Iterable, ref, clip: bool) -> float:
     r = _ref_values(ref)
-    if len(r) not in (2, 3):
-        raise ContractViolation(f"hypervolume supports 2 or 3 objectives, got {len(r)}")
-    F = _front_matrix(front, n_obj=len(r))
+    if len(r) != 2:
+        raise ContractViolation(f"hypervolume takes 2 objectives, got a {len(r)}-component reference")
+    F = _front_matrix(front, n_obj=2)
     inside = (F < r).all(axis=1)
     if clip:
         F = F[inside]
     elif not inside.all():
         worst = tuple(F[~inside][0].tolist())
         raise ContractViolation(f"reference point {tuple(r.tolist())} is not strictly dominated by front point {worst}")
-    if F.shape[0] == 0:
-        return 0.0
-    return _hv2d(F, r) if len(r) == 2 else _hv3d(F, r)
+    # clean defensively: one row per distinct nondominated point, by ascending first objective
+    F = F[kernels.front_rows(F[:, 0], F[:, 1], np.arange(F.shape[0]))]
+    return float(kernels.hv2d_sweep(F, float(r[0]), float(r[1])))
 
 
 def hypervolume(front: Iterable, ref) -> float:
-    """Exact hypervolume of a mutually nondominated front vs a reference point.
+    """Exact hypervolume of a 2-objective front vs a 2-component reference point.
 
-    Supports 2 and 3 objectives. Every front member must strictly dominate
-    the reference in all components, else the call is rejected.
+    Any other objective count raises ``ContractViolation``. Every front
+    member must strictly dominate the reference in both components, else the
+    call is rejected.
     """
     return _hypervolume(front, ref, clip=False)
 

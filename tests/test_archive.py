@@ -89,6 +89,15 @@ class TestInsert:
         arch, accepted = insert(arch, make_sol(1, 2, key="g2"))
         assert accepted and len(arch) == 2
 
+    def test_three_objectives_rejected(self):
+        # a problem that declares 2 objectives but returns 3 is stopped here, with a contract error
+        with pytest.raises(ContractViolation):
+            insert(NondominatedArchive(members=()), make_sol(1, 2, 3))
+        with pytest.raises(ContractViolation):
+            insert(nondom([make_sol(1, 2)]), make_sol(0, 0, 0))
+        with pytest.raises(ContractViolation):
+            nondom([make_sol(1, 2, 3)])
+
     def test_capacity_triggers_reduce(self):
         arch = NondominatedArchive(members=(), capacity=2)
         for point in [(0, 4), (4, 0), (2, 2)]:
@@ -125,14 +134,16 @@ class TestReduce:
         assert min(o[1] for o in objs) == 1.0  # extreme in z2 kept (point (19, 1))
 
     @pytest.mark.parametrize("policy", ["crowding_seq", "crowding_batch"])
-    def test_witnesses_alone_over_capacity(self, policy):
-        # three objectives, three distinct extremes and capacity 2: after the interior points
-        # go, one extreme witness must go too
-        points = [(0, 5, 5), (5, 0, 5), (5, 5, 0), (2, 2, 3), (3, 2, 2), (2, 3, 2), (1, 4, 4)]
-        arch = NondominatedArchive(members=nondom([make_sol(*p) for p in points]).members, capacity=2)
-        assert len(arch) == 7
+    def test_duplicate_extreme_cannot_push_out_the_other_extreme(self, policy):
+        # both copies of (0, 4) and (4, 0) get infinite crowding; unprotected, the tie would drop the
+        # canonically largest member, (4, 0), and lose the z2 extreme
+        sols = [make_sol(0, 4, key="a"), make_sol(0, 4, key="b"), make_sol(2, 2), make_sol(4, 0)]
+        arch = NondominatedArchive(members=nondom(sols).members, capacity=2)
         reduced = reduce(arch, policy)
-        assert [m.objectives.values for m in reduced.members] == [(0.0, 5.0, 5.0), (5.0, 0.0, 5.0)]
+        assert [(m.objectives.values, m.genotype_key) for m in reduced.members] == [
+            ((0.0, 4.0), "a"),
+            ((4.0, 0.0), "(4.0, 0.0)"),
+        ]
 
     def test_unknown_policy_rejected(self):
         arch = nondom([make_sol(1, 2)])
@@ -203,6 +214,71 @@ def test_pareto_ranks_against_naive():
     for _ in range(20):
         F = rng.integers(0, 5, size=(rng.integers(1, 30), 2)).astype(float)
         assert pareto_ranks(F).tolist() == _naive_ranks(F)
+
+
+# coordinates from a small integer grid (heavy ties) or anywhere in a float range
+coords = st.one_of(st.integers(0, 4).map(float), st.floats(-100.0, 100.0, allow_nan=False))
+
+
+@st.composite
+def point_lists(draw):
+    """2-D points with ties in each coordinate and repeated vectors."""
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=40))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=15))  # repeats
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_lists())
+def test_pareto_ranks_sweep_equals_naive_peel(pts):
+    expected = _naive_ranks(pts)
+    assert pareto_ranks(pts).tolist() == expected
+    assert pareto_ranks(np.array(pts)).tolist() == expected
+
+
+def test_pareto_ranks_rejects_other_objective_counts():
+    with pytest.raises(ContractViolation):
+        pareto_ranks([(1.0, 2.0, 3.0)])
+
+
+def _rebuilt_insert(members, s, capacity, policy):
+    """Reference insert: decide by pairwise comparisons, rebuild the canonical order, then reduce."""
+    if any(m.genotype_key == s.genotype_key for m in members):
+        return members, False
+    if any(dominates(m.objectives, s.objectives) is Dominance.DOMINATES for m in members):
+        return members, False
+    kept = [m for m in members if dominates(s.objectives, m.objectives) is not Dominance.DOMINATES]
+    kept = tuple(sorted(kept + [s], key=lambda m: m.sort_key()))
+    if capacity is not None and len(kept) > capacity:
+        kept = reduce(NondominatedArchive(members=kept, capacity=capacity), policy).members
+    return kept, True
+
+
+@st.composite
+def insert_sequences(draw):
+    """Newcomers drawn from a few points, so equal vectors recur under different keys.
+
+    Keys come from a small pool too, so some newcomers repeat a member's genotype key.
+    """
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=12))
+    return draw(st.lists(st.tuples(st.sampled_from(pts), st.integers(0, 30)), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    insert_sequences(),
+    st.sampled_from([None, 1, 2, 3, 6]),
+    st.sampled_from(["crowding_seq", "crowding_batch"]),
+)
+def test_insert_matches_rebuilt_reference(seq, capacity, policy):
+    arch = NondominatedArchive(members=(), capacity=capacity)
+    members = ()
+    for (z1, z2), k in seq:
+        s = make_sol(z1, z2, key=f"g{k}")
+        arch, accepted = insert(arch, s, policy)
+        members, expected = _rebuilt_insert(members, s, capacity, policy)
+        assert accepted == expected
+        assert arch.members == members
 
 
 def test_rank_and_crowding_shapes():

@@ -1,7 +1,10 @@
 """Pipeline stages and full runs: determinism, budget accounting, oracle recovery."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from survroute import kernels, measures
@@ -10,6 +13,8 @@ from survroute.engine import (
     LOCAL_SEARCH_OPERATORS,
     Evaluator,
     RunParams,
+    _nondominated_fraction,
+    _simplex_weights,
     initialize,
     local_search,
     random_immigrants,
@@ -19,7 +24,7 @@ from survroute.engine import (
     stagnation,
     vary,
 )
-from survroute.errors import ConfigError
+from survroute.errors import ConfigError, ContractViolation
 from survroute.moo import Dominance, ObjectiveVector, Problem, dominates
 from survroute.netmodel import RouteProblem, brute_force_pareto
 
@@ -286,6 +291,38 @@ def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
             assert s.objectives.values == problem.evaluate(s.genotype).values
 
 
+def test_simplex_weights_match_numpy_form():
+    # the weights and the draws they consume are those of the numpy form they replace
+    for seed in range(2000):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        raw = np.array([-math.log(1.0 - ref_rng.random()) for _ in range(2)])
+        raw = np.maximum(raw, 1e-12)
+        expected = raw / raw.sum()
+        w = _simplex_weights(rng)
+        assert [x.hex() for x in w] == [float(x).hex() for x in expected]
+        assert rng.random() == ref_rng.random()
+
+
+grid = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(grid, max_size=25), st.lists(grid, max_size=25))
+def test_nondominated_fraction_equals_pairwise_count(pop_points, arch_points):
+    pop = [make_sol(*p, key=f"p{i}") for i, p in enumerate(pop_points)]
+    arch = nondom([make_sol(*p, key=f"a{i}") for i, p in enumerate(arch_points)])
+    if not pop:
+        expected = 0.0
+    elif not arch.members:
+        expected = 1.0
+    else:
+        dominated = sum(
+            any(dominates(a.objectives, s.objectives) is Dominance.DOMINATES for a in arch.members) for s in pop
+        )
+        expected = 1.0 - dominated / len(pop)
+    assert _nondominated_fraction(pop, arch) == expected
+
+
 def _naive_rank(front):
     pts = [s.objectives.values for s in front]
     remaining = set(range(len(pts)))
@@ -496,6 +533,21 @@ class TestRun:
         sel_trials = sum(result.scheduler_stats["SEL"]["trials"])
         var_trials = sum(result.scheduler_stats["VAR"]["trials"])
         assert sel_trials == var_trials
+
+    def test_three_declared_objectives_rejected(self):
+        class ThreeObjectives(GridProblem):
+            objective_count = 3
+
+        with pytest.raises(ConfigError):
+            run(ThreeObjectives(), RunParams(population_size=4, offspring_size=4, evaluation_budget=20))
+
+    def test_undeclared_third_objective_is_a_contract_violation(self):
+        class ReturnsThree(GridProblem):
+            def evaluate(self, genotype):
+                return ObjectiveVector(super().evaluate(genotype).values + (0.0,))
+
+        with pytest.raises(ContractViolation):
+            run(ReturnsThree(), RunParams(population_size=4, offspring_size=4, evaluation_budget=20))
 
     def test_immigration_disabled_still_terminates(self, standard_instance):
         problem = RouteProblem(standard_instance)

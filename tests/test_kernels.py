@@ -15,7 +15,6 @@ from survroute.kernels import (
     enumerate_routes,
     front_rows,
     hv2d_sweep,
-    nondominated_mask,
 )
 from survroute.moo import Dominance, ObjectiveVector, dominates
 from survroute.netmodel import parse_instance
@@ -125,11 +124,6 @@ def test_dominance_matrix_orientation():
     assert dom[0, 1] and not dom[1, 0]  # (1,2) dominates (2,3)
     assert not dom[0, 2] and not dom[2, 0]  # trade-off
     assert not dom[0, 0]
-
-
-def test_nondominated_mask_keeps_duplicates():
-    F = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 3.0]])
-    assert nondominated_mask(F).tolist() == [True, True, False]
 
 
 @settings(max_examples=200, deadline=None)

@@ -30,9 +30,9 @@ def mc_hypervolume(front, ref, n=200_000, seed=0):
     return box * p_hat, sigma
 
 
-def random_front(rng, k=8, dim=2):
+def random_front(rng, k=8):
     """Random mutually nondominated point set."""
-    pts = rng.random((k, dim))
+    pts = rng.random((k, 2))
     keep = []
     for i in range(k):
         dominated = any(
@@ -65,13 +65,12 @@ class TestHypervolume:
     def test_unsupported_dimension(self):
         with pytest.raises(ContractViolation):
             hypervolume([(1, 1, 1, 1)], (2, 2, 2, 2))
-
-    def test_3d_hand_case(self):
-        # boxes 2x1x2 and 1x2x1 overlapping in 1x1x1: 4 + 2 - 1
-        assert hypervolume([(1, 2, 1), (2, 1, 2)], (3, 3, 3)) == 5.0
-
-    def test_3d_single_point(self):
-        assert hypervolume([(1, 1, 1)], (2, 3, 4)) == pytest.approx(1.0 * 2.0 * 3.0)
+        with pytest.raises(ContractViolation):
+            hypervolume([(1, 2, 1), (2, 1, 2)], (3, 3, 3))
+        with pytest.raises(ContractViolation):  # a 3-D front against a 2-D reference
+            hypervolume([(1, 2, 1)], (3, 3))
+        with pytest.raises(ContractViolation):
+            hypervolume_clipped([(1, 2, 1)], (3, 3, 3))
 
     def test_matches_monte_carlo_2d(self):
         rng = np.random.default_rng(99)
@@ -79,14 +78,6 @@ class TestHypervolume:
             front = random_front(rng, k=10)
             exact = hypervolume(front, (1.5, 1.5))
             estimate, sigma = mc_hypervolume(front, (1.5, 1.5), seed=i)
-            assert abs(exact - estimate) <= 3 * sigma
-
-    def test_matches_monte_carlo_3d(self):
-        rng = np.random.default_rng(7)
-        for i in range(3):
-            front = random_front(rng, k=12, dim=3)
-            exact = hypervolume(front, (1.5, 1.5, 1.5))
-            estimate, sigma = mc_hypervolume(front, (1.5, 1.5, 1.5), seed=100 + i)
             assert abs(exact - estimate) <= 3 * sigma
 
     def test_clipped_ignores_outside_points(self):
@@ -153,10 +144,9 @@ def _cleaned(points):
 @st.composite
 def raw_fronts(draw):
     """Points on a small integer grid, some repeated and many dominated, with some at or beyond the reference 5."""
-    dim = draw(st.sampled_from([2, 3]))
-    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=25))
+    points = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=25))
     points += draw(st.lists(st.sampled_from(points), max_size=10))  # repeats
-    return [tuple(float(v) for v in p) for p in points], (5.0,) * dim
+    return [tuple(float(v) for v in p) for p in points], (5.0, 5.0)
 
 
 @settings(max_examples=200, deadline=None)
