@@ -6,12 +6,15 @@ Usage:
 
 Each case reports the best of ``--repeats`` timings. Route walks run on
 valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on each
-instance's plain-tuple link tables (``inst.compiled``). ``enumerate_routes``,
-the oracle's numpy block walk, is timed against one ``eval_route`` walk per
-assignment of the same space. ``mutate_reattach``, which decides each
-candidate link on the forest, is timed at 40 and 200 MRs against a
-reference that decides each candidate by a full route walk, and
-``heavy_reattach`` per call at 200 MRs. A last case times the
+instance's plain-tuple link tables (``inst.compiled``). Beside the 200-MR
+walks, ``RouteProblem.evaluate`` is timed on 400 ``mutate_reattach``
+children, which carry their per-MR terms, so it adds them instead of
+walking; their objectives are checked against a full walk first.
+``enumerate_routes``, the oracle's numpy block walk, is timed against one
+``eval_route`` walk per assignment of the same space. ``mutate_reattach``,
+which decides each candidate link on the forest, is timed at 40 and 200
+MRs against a reference that decides each candidate by a full route walk,
+and ``heavy_reattach`` per call at 200 MRs. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
 genotype, then a re-walk of the moved subtree per neighbor) against one full
 route walk per candidate, at 40, 200 and 1000 MRs, both for the first 20
@@ -36,7 +39,8 @@ from survroute import kernels
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
+    RouteAssignment, RouteProblem, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance,
+    random_assignment,
 )
 
 
@@ -128,6 +132,15 @@ def main() -> None:
                 kernels.eval_route(*args)
         return body
 
+    # evaluation of mutation children that carry their terms: no walk, two in-order sums
+    inst200 = synthetic_instance(n_mr=200, links_per_mr=6, seed=1)
+    problem200 = RouteProblem(inst200)
+    draws = np.random.default_rng(1)
+    children = [mutate_reattach(inst200, random_assignment(inst200, draws), draws) for _ in range(400)]
+    for child in children:
+        if problem200.evaluate(child).values != kernels.eval_route(child.choices, inst200.compiled)[:2]:
+            raise AssertionError("evaluate of carried terms disagrees with a full walk")
+
     # batch objective-space kernels
     F = rng.random((200, 2))
     front = np.sort(rng.random((500, 2)), axis=0)
@@ -145,15 +158,16 @@ def main() -> None:
     cases = [
         ("eval_route x2000 (40 MRs)", eval_many(40)),
         ("eval_route x400 (200 MRs)", eval_many(200)),
+        ("RouteProblem.evaluate x400 (200 MRs, carried)", lambda: [problem200.evaluate(c) for c in children]),
         ("dominance_matrix (200x2)", lambda: kernels.dominance_matrix(F)),
         ("archive.pareto_ranks (200x2, ties)", lambda: pareto_ranks(ties)),
         ("archive.insert x1000 (100-member archive)", lambda: [insert(archive, s) for s in newcomers]),
         ("crowding_distance (200x2)", lambda: kernels.crowding_distance(F)),
         ("hv2d_sweep (500 pts)", lambda: kernels.hv2d_sweep(front, 2.0, 2.0)),
     ]
-    print(f"{'kernel':<40} {'time':>12}")
+    print(f"{'kernel':<46} {'time':>12}")
     for name, fn in cases:
-        print(f"{name:<40} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
+        print(f"{name:<46} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
 
     # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)

@@ -18,7 +18,7 @@ from .errors import (
     ValidityError,
 )
 from .measures import ReferencePoint, additive_epsilon, coverage, hypervolume
-from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates, evaluate, make_solution
+from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .netmodel import (
     NetworkInstance,
     RouteAssignment,
@@ -56,11 +56,9 @@ __all__ = [
     "choose",
     "coverage",
     "dominates",
-    "evaluate",
     "hypervolume",
     "insert",
     "load_instance",
-    "make_solution",
     "nondom",
     "parse_instance",
     "probabilities",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -172,8 +172,12 @@ def vary(
     operator: str,
     rng,
     evaluator: Evaluator,
-) -> list[CandidateSolution]:
-    """One evaluated offspring per parent slot via the chosen VAR operator."""
+) -> list[tuple[Any, ObjectiveVector]]:
+    """One evaluated offspring per parent slot via the chosen VAR operator, as a (genotype, objectives) pair.
+
+    The pairs carry no key: ``local_search`` builds each output's solution,
+    with its key, once.
+    """
     lam = len(parents)
     offspring = []
     for i, parent in enumerate(parents):
@@ -183,7 +187,7 @@ def vary(
             g = problem.crossover(parent.genotype, parents[(i + 1) % lam].genotype, rng)
         else:
             raise ConfigError(f"unknown variation operator {operator!r}")
-        offspring.append(evaluator.solution(g))
+        offspring.append((g, evaluator.evaluate(g)))
     return offspring
 
 
@@ -196,27 +200,27 @@ def _simplex_weights(rng) -> tuple[float, float]:
 
 
 def local_search(
-    solutions: Sequence[CandidateSolution],
+    offspring: Sequence[tuple[Any, ObjectiveVector]],
     problem: Problem,
     operator: str,
     budget: int,
     rng,
     evaluator: Evaluator,
 ) -> list[CandidateSolution]:
-    """Improve each solution by first-improvement walks over the problem neighborhood.
+    """Improve each (genotype, objectives) pair by a first-improvement walk over the problem neighborhood.
 
     chebyshev: descend max_i(w_i * z_i) for a per-individual random simplex
     weight w (strictly positive, so an accepted move can never be dominated
     by the walk's starting point). pareto_step: accept the first neighbor
     that Pareto-dominates the current point. ``budget`` caps neighbor
     evaluations per individual; the run budget gates each evaluation too.
-    A walk that did not move returns its input solution.
+    Returns one solution per pair, where its walk ended, keyed once; a
+    neighbor that is scored and dropped builds no key.
     """
     if operator not in LOCAL_SEARCH_OPERATORS:
         raise ConfigError(f"unknown local-search operator {operator!r}")
     out = []
-    for sol in solutions:
-        genotype, objectives = sol.genotype, sol.objectives
+    for genotype, objectives in offspring:
         if operator == "chebyshev":
             w1, w2 = _simplex_weights(rng)
 
@@ -225,7 +229,6 @@ def local_search(
 
             current_score = score(objectives.values)
         used = 0
-        moved = False
         improved = True
         while improved and used < budget and evaluator.remaining > 0:
             improved = False
@@ -236,17 +239,16 @@ def local_search(
                     cand_score = score(cand.values)
                     if cand_score < current_score:
                         genotype, objectives, current_score = g, cand, cand_score
-                        moved = improved = True
+                        improved = True
                         break
                 elif dominates(cand, objectives) is Dominance.DOMINATES:
                     genotype, objectives = g, cand
-                    moved = improved = True
+                    improved = True
                     break
                 # gate after each evaluation, so a lazy neighborhood never walks an unused neighbor
                 if used >= budget or evaluator.remaining <= 0:
                     break
-        # only a walk that moved builds a solution and its key; dropped neighbors build neither
-        out.append(CandidateSolution(genotype, objectives, problem.genotype_key(genotype)) if moved else sol)
+        out.append(CandidateSolution(genotype, objectives, problem.genotype_key(genotype)))
     return out
 
 

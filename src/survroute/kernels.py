@@ -7,8 +7,11 @@ which CPython indexes several times faster than numpy arrays one element at
 a time. ``route_terms`` holds the one scalar route walk and states how a
 link names its parent: it walks the chosen MRs' paths and keeps each MR's
 cost and risk terms. ``eval_route`` walks every MR with it and adds the
-terms in MR order; local search re-walks just the subtree a move changes
-(``netmodel.iter_neighbors``). ``enumerate_routes``, the oracle's
+terms in MR order. ``netmodel``'s operators keep the terms on the genotypes
+they build: a new genotype is walked once, and a mutation or a
+local-search neighbor re-walks just the subtree its move changes; its
+evaluation then adds the terms in the same order, so ``eval_route`` walks
+only genotypes that carry none. ``enumerate_routes``, the oracle's
 exhaustive enumeration, turns the same tuples into numpy arrays and walks
 blocks of assignments at once, with the same floating-point operations per
 MR in the same order, so its objectives are bit-identical to

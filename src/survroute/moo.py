@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, ValidityError
+from .errors import ContractViolation
 
 
 class Dominance(enum.Enum):
@@ -93,13 +93,6 @@ class Problem:
         """
         raise NotImplementedError
 
-    def is_valid(self, genotype) -> bool:
-        raise NotImplementedError
-
-    def invalid_reason(self, genotype) -> str | None:
-        """None when valid, else a short reason code."""
-        return None if self.is_valid(genotype) else "invalid"
-
     def genotype_key(self, genotype) -> str:
         return repr(genotype)
 
@@ -150,24 +143,3 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> Dominance:
         return Dominance.DOMINATED_BY
     return Dominance.INCOMPARABLE
 
-
-def evaluate(problem: Problem, genotype) -> ObjectiveVector:
-    """Evaluate a genotype after checking the problem's validity predicate."""
-    reason = problem.invalid_reason(genotype)
-    if reason is not None:
-        raise ValidityError(f"invalid genotype ({reason})")
-    objectives = problem.evaluate(genotype)
-    if len(objectives) != problem.objective_count:
-        raise ContractViolation(
-            f"problem returned {len(objectives)} objectives, declared {problem.objective_count}"
-        )
-    return objectives
-
-
-def make_solution(problem: Problem, genotype) -> CandidateSolution:
-    """Evaluate and wrap a genotype as a CandidateSolution."""
-    return CandidateSolution(
-        genotype=genotype,
-        objectives=evaluate(problem, genotype),
-        genotype_key=problem.genotype_key(genotype),
-    )

@@ -7,6 +7,15 @@ along each MR's path to its access router (nested children burden the whole
 upstream path); z2 is the expected number of MRs losing service under
 independent link/base-station failures.
 
+Each genotype an operator here builds carries its per-MR path terms
+(``RouteAssignment._terms``), so it is walked once, when it is made, and
+checked never: ``random_assignment``, crossover and heavy mutation walk
+their result, while mutation and each local-search neighbor copy the
+parent's terms and re-walk only the moved MR's subtree. ``evaluate`` adds
+the carried terms in MR order, the bytes ``kernels.eval_route`` gives. A
+genotype from anywhere else (user input, ``assignment_from_string``, an
+oracle witness) carries none, and is checked and walked in full.
+
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
 """
@@ -17,7 +26,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterator
@@ -104,9 +114,37 @@ class NetworkInstance:
 
 @dataclass(frozen=True)
 class RouteAssignment:
-    """Genotype: per MR (in instance order), the index of its chosen candidate link."""
+    """Genotype: per MR (in instance order), the index of its chosen candidate link.
+
+    ``_terms`` is private to this module: the per-MR (cost, risk) path terms
+    of ``choices``, two ``array('d')``, that a route walk
+    (``kernels.route_terms``) writes. Only the operators here set it, on a
+    genotype they built valid (``_carrying``); ``evaluate`` then adds the
+    terms instead of walking, and nothing checks the choices again. The
+    constructor and ``dataclasses.replace`` leave it None, so any other
+    genotype is checked and walked in full. The terms belong to the instance
+    whose operator made the genotype. They are not compared, hashed or shown.
+    """
 
     choices: tuple[int, ...]
+    _terms: tuple[array, array] | None = field(default=None, init=False, compare=False, repr=False)
+
+
+def _carrying(choices: tuple[int, ...], cost: array, risk: array) -> RouteAssignment:
+    """A genotype of the valid ``choices`` carrying their per-MR terms; the one place ``_terms`` is set."""
+    a = RouteAssignment(choices)
+    object.__setattr__(a, "_terms", (cost, risk))
+    return a
+
+
+def _walked(inst: NetworkInstance, choices) -> RouteAssignment:
+    """A genotype of ``choices`` carrying the terms of one full walk, or none when the walk fails."""
+    # the walk writes a list faster than an array('d'); one copy into arrays then costs less
+    cost = [0.0] * inst.n_mr
+    risk = [0.0] * inst.n_mr
+    if not kernels.route_terms(choices, range(inst.n_mr), inst.compiled, cost, risk):
+        return RouteAssignment(tuple(choices))  # invalid: evaluate walks it and says why
+    return _carrying(tuple(choices), array("d", cost), array("d", risk))
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -314,7 +352,8 @@ def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
 
 def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
     """Canonical 'mr=parent;...' serialization (MRs in sorted id order)."""
-    _check_choices(inst, a)
+    if a._terms is None:  # a genotype that carries terms was built valid here
+        _check_choices(inst, a)
     c = inst.compiled
     return ";".join([c.link_labels[off + k] for off, k in zip(c.mr_link_offset, a.choices)])
 
@@ -382,17 +421,17 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
 
 
 def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> RouteAssignment:
-    """Random valid forest via randomized topological attachment (``_attach``).
+    """Random valid forest via randomized topological attachment (``_attach``), carrying its terms.
 
     All MRs are attached in a random order; an attempt that stalls is
     retried with a fresh permutation.
     """
     if inst.n_mr == 0:
-        return RouteAssignment(())
+        return _walked(inst, ())
     for _attempt in range(max_attempts):
         choices = [0] * inst.n_mr
         if _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist()):
-            return RouteAssignment(tuple(choices))
+            return _walked(inst, choices)
     raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
 
 
@@ -452,20 +491,27 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
 
     Precondition: ``a`` is a valid forest (the result is then valid too).
     Returns the input unchanged when the drawn MR has no feasible alternative.
+    When ``a`` carries its terms, the child carries a copy of them with only
+    the moved MR's subtree re-walked; otherwise it carries none.
     """
     if inst.n_mr == 0:
         return a
     m = int(rng.integers(inst.n_mr))
     up = _parent_mrs(inst, a.choices)
-    feasible = _reattach_options(inst, a.choices, up, _children(up), m)[0]
+    feasible, subtree = _reattach_options(inst, a.choices, up, _children(up), m)
     if not feasible:
         return a
     k = feasible[int(rng.integers(len(feasible)))]
-    return RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
+    choices = a.choices[:m] + (k,) + a.choices[m + 1:]
+    if a._terms is None:
+        return RouteAssignment(choices)
+    cost, risk = (terms[:] for terms in a._terms)
+    kernels.route_terms(choices, subtree, inst.compiled, cost, risk)
+    return _carrying(choices, cost, risk)
 
 
 def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
-    """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence.
+    """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence; the result carries its terms.
 
     Precondition: ``a`` is a valid forest; each step keeps it valid.
     """
@@ -486,7 +532,7 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
             up[m] = c.link_parent[c.mr_link_offset[m] + k]
             if up[m] >= 0:
                 children[up[m]].append(m)
-    return RouteAssignment(tuple(work))
+    return _walked(inst, work)
 
 
 def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssignment, rng) -> RouteAssignment:
@@ -495,6 +541,7 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     Each MR inherits its link from a or b with probability 1/2; MRs left on
     broken paths (cycles or excessive depth) are re-attached by randomized
     topological attachment, falling back to a full rebuild if repair stalls.
+    The child carries its terms.
     """
     if inst.n_mr == 0:
         return a
@@ -505,13 +552,13 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     depth = [d if 0 < d <= max_depth else 0 for d in _forest_depths(inst, child)]
     broken = [m for m, d in enumerate(depth) if not d]
     if not broken:
-        return RouteAssignment(tuple(child))
+        return _walked(inst, child)
 
     for _attempt in range(50):
         trial = list(child)
         pending = [broken[i] for i in rng.permutation(len(broken)).tolist()]
         if _attach(inst, rng, trial, list(depth), pending):
-            return RouteAssignment(tuple(trial))
+            return _walked(inst, trial)
     return random_assignment(inst, rng)
 
 
@@ -521,25 +568,28 @@ def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[
     Precondition: ``a`` is a valid forest; an invalid one raises
     ContractViolation here, before anything is yielded.
 
-    The objectives are delta-scored. One walk of ``a`` keeps each MR's path
-    cost and risk (``kernels.route_terms``). A neighbor that moves MR m
-    re-walks only the MRs of m's subtree, the only paths that change, and
-    continues the running sums of ``a``'s terms from the subtree's smallest
-    MR index, adding in MR order as ``kernels.eval_route`` does; so the
-    objectives are bit-identical to ``RouteProblem.evaluate``. The forest
-    test of ``_reattach_options`` decides validity, so an invalid candidate
-    is never walked, and a consumer that stops early walks no further ones.
+    The objectives are delta-scored from each MR's path cost and risk under
+    ``a``: the terms ``a`` carries, or else one check and one walk of ``a``
+    (``kernels.route_terms``). A neighbor that moves MR m re-walks only the
+    MRs of m's subtree, the only paths that change, and continues the
+    running sums of ``a``'s terms from the subtree's smallest MR index,
+    adding in MR order as ``kernels.eval_route`` does; so the objectives are
+    bit-identical to ``RouteProblem.evaluate``. Each neighbor carries its
+    terms, so neither its evaluation nor its own neighborhood walks it
+    again. The forest test of ``_reattach_options`` decides validity, so an
+    invalid candidate is never walked, and a consumer that stops early walks
+    no further ones.
     """
-    _check_choices(inst, a)
-    cost = [0.0] * inst.n_mr
-    risk = [0.0] * inst.n_mr
-    if not kernels.route_terms(a.choices, range(inst.n_mr), inst.compiled, cost, risk):
-        raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
-    return _delta_neighbors(inst, a.choices, cost, risk)
+    if a._terms is None:
+        _check_choices(inst, a)
+        a = _walked(inst, a.choices)
+        if a._terms is None:
+            raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
+    return _delta_neighbors(inst, a.choices, *a._terms)
 
 
-def _delta_neighbors(inst: NetworkInstance, choices, cost: list[float], risk: list[float]):
-    """The generator behind ``iter_neighbors``, given the valid ``choices`` and their per-MR terms."""
+def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
+    """The generator behind ``iter_neighbors``, given the valid ``choices`` and their per-MR terms (read, never written)."""
     # running sums as the walk adds them; never sum(), which compensates float sums from Python 3.12
     z1_prefix = list(itertools.accumulate(cost, initial=0.0))
     z2_prefix = list(itertools.accumulate(risk, initial=0.0))
@@ -547,7 +597,9 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: list[float], risk: li
     up = _parent_mrs(inst, choices)
     children = _children(up)
     work = list(choices)
-    moved_cost = list(cost)  # the terms under work; differ from cost only on the moved subtree
+    # the terms under work, which differ from cost only on the moved subtree; lists, because the
+    # sums iterate them and an array('d') makes a new float for each item it yields
+    moved_cost = list(cost)
     moved_risk = list(risk)
     for m in range(inst.n_mr):
         feasible, subtree = _reattach_options(inst, choices, up, children, m)
@@ -559,7 +611,12 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: list[float], risk: li
             kernels.route_terms(work, subtree, tables, moved_cost, moved_risk)
             z1 = reduce(operator.add, moved_cost[lo:], z1_prefix[lo])
             z2 = reduce(operator.add, moved_risk[lo:], z2_prefix[lo])
-            yield RouteAssignment(choices[:m] + (k,) + choices[m + 1:]), ObjectiveVector((z1, z2))
+            neighbor_cost, neighbor_risk = cost[:], risk[:]
+            for i in subtree:
+                neighbor_cost[i] = moved_cost[i]
+                neighbor_risk[i] = moved_risk[i]
+            neighbor = _carrying(choices[:m] + (k,) + choices[m + 1:], neighbor_cost, neighbor_risk)
+            yield neighbor, ObjectiveVector((z1, z2))
         work[m] = choices[m]
         for i in subtree:
             moved_cost[i] = cost[i]
@@ -603,6 +660,10 @@ class RouteProblem(Problem):
         self.instance = instance
 
     def evaluate(self, genotype: RouteAssignment) -> ObjectiveVector:
+        """The (z1, z2) of ``kernels.eval_route``; carried terms are added in MR order as it adds them."""
+        if genotype._terms is not None:
+            cost, risk = genotype._terms
+            return ObjectiveVector((reduce(operator.add, cost, 0.0), reduce(operator.add, risk, 0.0)))
         inst = self.instance
         _check_choices(inst, genotype)
         z1, z2, ok = kernels.eval_route(genotype.choices, inst.compiled)
@@ -612,12 +673,6 @@ class RouteProblem(Problem):
 
     def random_genotype(self, rng) -> RouteAssignment:
         return random_assignment(self.instance, rng)
-
-    def is_valid(self, genotype) -> bool:
-        return validate_assignment(self.instance, genotype)
-
-    def invalid_reason(self, genotype) -> str | None:
-        return invalid_reason(self.instance, genotype)
 
     def genotype_key(self, genotype) -> str:
         return assignment_string(self.instance, genotype)

@@ -225,7 +225,7 @@ def test_criterion_7_operator_closure(stress_instance):
     while ls_outputs < 10_000:
         op = "chebyshev" if ls_outputs % 2 else "pareto_step"
         batch = [starts[int(rng.integers(len(starts)))] for _ in range(100)]
-        for out in local_search(batch, problem, op, 3, rng, evaluator):
+        for out in local_search([(s.genotype, s.objectives) for s in batch], problem, op, 3, rng, evaluator):
             invalid += not validate_assignment(inst, out.genotype)
             ls_outputs += 1
 

@@ -15,7 +15,8 @@ from survroute.archive import (
     reduce,
 )
 from survroute.errors import ConfigError, ContractViolation
-from survroute.moo import Dominance, dominates, make_solution
+from survroute.engine import Evaluator
+from survroute.moo import Dominance, dominates
 from survroute.netmodel import RouteProblem, brute_force_pareto
 
 from conftest import make_sol
@@ -57,7 +58,7 @@ class TestNondom:
         for choices in itertools.product(*ranges):
             a = RouteAssignment(choices)
             if validate_assignment(standard_instance, a):
-                solutions.append(make_solution(problem, a))
+                solutions.append(Evaluator(problem).solution(a))
         arch = nondom(solutions)
         oracle = {ov.values for ov, _ in brute_force_pareto(standard_instance)}
         assert objective_set(arch) == oracle

@@ -25,8 +25,8 @@ from survroute.engine import (
     vary,
 )
 from survroute.errors import ConfigError, ContractViolation
-from survroute.moo import Dominance, ObjectiveVector, Problem, dominates
-from survroute.netmodel import RouteProblem, brute_force_pareto
+from survroute.moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
+from survroute.netmodel import RouteProblem, brute_force_pareto, validate_assignment
 
 from conftest import GridProblem, make_sol
 
@@ -55,6 +55,11 @@ class CountingProblem:
             yield pair
 
 
+def pairs(solutions):
+    """Solutions as the (genotype, objectives) pairs that vary hands to local search."""
+    return [(s.genotype, s.objectives) for s in solutions]
+
+
 class NegatedLine(Problem):
     """Toy problem with negative objectives: genotype x in [0, n), objectives (-(x + 1), -(n - x)).
 
@@ -72,9 +77,6 @@ class NegatedLine(Problem):
 
     def random_genotype(self, rng):
         return int(rng.integers(self.n))
-
-    def is_valid(self, genotype):
-        return 0 <= genotype < self.n
 
 
 class TestRunParams:
@@ -117,7 +119,7 @@ class TestInitialize:
         problem = RouteProblem(standard_instance)
         pop = initialize(problem, RunParams(), np.random.default_rng(1))
         for s in pop:
-            assert problem.is_valid(s.genotype)
+            assert validate_assignment(standard_instance, s.genotype)
             assert s.objectives.values == problem.evaluate(s.genotype).values
 
 
@@ -159,7 +161,7 @@ class TestVary:
         rng = np.random.default_rng(0)
         parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(6)]
         offspring = vary(parents, problem, "mutate", rng, evaluator)
-        assert [o.genotype for o in offspring] == [p.genotype for p in parents]
+        assert [g for g, _objectives in offspring] == [p.genotype for p in parents]
 
     def test_crossover_of_identical_parents(self):
         problem = GridProblem(8)
@@ -167,7 +169,7 @@ class TestVary:
         rng = np.random.default_rng(1)
         twin = evaluator.solution((3, 4))
         offspring = vary([twin, twin], problem, "crossover", rng, evaluator)
-        assert all(o.genotype == (3, 4) for o in offspring)
+        assert offspring == [((3, 4), twin.objectives)] * 2
 
     def test_offspring_valid_on_fixture(self, standard_instance):
         problem = RouteProblem(standard_instance)
@@ -176,8 +178,9 @@ class TestVary:
         parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(10)]
         for op in ("mutate", "crossover"):
             for _ in range(100):
-                for child in vary(parents, problem, op, rng, evaluator):
-                    assert problem.is_valid(child.genotype)
+                for child, objectives in vary(parents, problem, op, rng, evaluator):
+                    assert validate_assignment(standard_instance, child)
+                    assert objectives == problem.evaluate(child)
 
     def test_counts_one_evaluation_per_offspring(self):
         problem = GridProblem(8)
@@ -196,7 +199,8 @@ class TestLocalSearch:
         rng = np.random.default_rng(0)
         sols = [evaluator.solution(problem.random_genotype(rng)) for _ in range(5)]
         for op in ("chebyshev", "pareto_step"):
-            out = local_search(sols, problem, op, 0, rng, evaluator)
+            out = local_search(pairs(sols), problem, op, 0, rng, evaluator)
+            assert out == sols
             assert [s.genotype for s in out] == [s.genotype for s in sols]
 
     def test_pareto_front_point_is_fixed(self, standard_instance):
@@ -205,7 +209,7 @@ class TestLocalSearch:
         rng = np.random.default_rng(1)
         witness = brute_force_pareto(standard_instance)[0][1]
         start = evaluator.solution(witness)
-        out = local_search([start], problem, "pareto_step", 50, rng, evaluator)
+        out = local_search(pairs([start]), problem, "pareto_step", 50, rng, evaluator)
         assert out[0].genotype == witness
 
     def test_pareto_step_output_dominates_or_equals_start(self, standard_instance):
@@ -215,7 +219,7 @@ class TestLocalSearch:
         # worst assignment by both objectives among valid ones
         starts = [evaluator.solution(problem.random_genotype(rng)) for _ in range(50)]
         for start in starts:
-            out = local_search([start], problem, "pareto_step", 30, rng, evaluator)[0]
+            out = local_search(pairs([start]), problem, "pareto_step", 30, rng, evaluator)[0]
             assert dominates(out.objectives, start.objectives) in (
                 Dominance.DOMINATES,
                 Dominance.EQUAL,
@@ -227,7 +231,7 @@ class TestLocalSearch:
         rng = np.random.default_rng(3)
         for _ in range(50):
             start = evaluator.solution(problem.random_genotype(rng))
-            out = local_search([start], problem, "chebyshev", 30, rng, evaluator)[0]
+            out = local_search(pairs([start]), problem, "chebyshev", 30, rng, evaluator)[0]
             assert dominates(out.objectives, start.objectives) is not Dominance.DOMINATED_BY
 
     def test_respects_global_budget_gate(self, standard_instance):
@@ -236,7 +240,7 @@ class TestLocalSearch:
         evaluator.count = 0
         rng = np.random.default_rng(4)
         start = Evaluator(problem).solution(problem.random_genotype(rng))
-        local_search([start, start], problem, "pareto_step", 100, rng, evaluator)
+        local_search(pairs([start, start]), problem, "pareto_step", 100, rng, evaluator)
         assert evaluator.count <= 3
 
 
@@ -256,7 +260,7 @@ def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeyp
     for op in LOCAL_SEARCH_OPERATORS:
         evaluator = Evaluator(problem)
         walks[True] = walks[False] = 0
-        local_search(starts, problem, op, 20, np.random.default_rng(6), evaluator)
+        local_search(pairs(starts), problem, op, 20, np.random.default_rng(6), evaluator)
         assert evaluator.count > 0
         # each walk is either a neighbor that was evaluated or an invalid one that was skipped
         assert walks[True] + walks[False] <= evaluator.count + walks[False]
@@ -274,21 +278,23 @@ def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
     problem.genotype_key = counting_key
     rng = np.random.default_rng(7)
     for op in LOCAL_SEARCH_OPERATORS:
-        starts = [Evaluator(problem).solution(problem.random_genotype(rng)) for _ in range(8)]
+        starts = [problem.random_genotype(rng) for _ in range(8)]
+        offspring = vary([CandidateSolution(g, problem.evaluate(g), "") for g in starts], problem, "mutate", rng,
+                         Evaluator(problem))
+        assert keyed == []  # variation builds no key
         evaluator = Evaluator(problem)
-        keyed.clear()
-        out = local_search(starts, problem, op, 2, rng, evaluator)
+        out = local_search(offspring, problem, op, 3, rng, evaluator)
         assert evaluator.count > len(out)  # candidates were scored and dropped
-        for s, start in zip(out, starts):
-            if s.genotype == start.genotype:
-                assert s is start  # a walk that did not move returns its input
-        moved = [s for s, start in zip(out, starts) if s is not start]
+        moved = [s for s, (g, _objectives) in zip(out, offspring) if s.genotype is not g]
         assert 0 < len(moved) < len(out)
-        # one key per moved output, built once; a dropped neighbor builds none
-        assert keyed == [s.genotype for s in moved]
-        for s in moved:
+        # one key per output, moved or not, built once; a dropped neighbor builds none
+        assert keyed == [s.genotype for s in out]
+        for s, (g, objectives) in zip(out, offspring):
+            if s.genotype is g:
+                assert s.objectives is objectives  # a walk that did not move keeps its pair
             assert s.genotype_key == build_key(s.genotype)
             assert s.objectives.values == problem.evaluate(s.genotype).values
+        keyed.clear()
 
 
 def test_simplex_weights_match_numpy_form():
@@ -455,7 +461,7 @@ class TestRandomImmigrants:
                 pop = random_immigrants(pop, arch, problem, op, 0.4, rng, evaluator)
                 assert len(pop) == 10
                 for s in pop:
-                    assert problem.is_valid(s.genotype)
+                    assert validate_assignment(stress_instance, s.genotype)
 
 
 class TestRun:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from survroute.errors import ContractViolation, ValidityError
-from survroute.moo import CandidateSolution, Dominance, ObjectiveVector, dominates, evaluate, make_solution
-from survroute.netmodel import RouteProblem, RouteAssignment, brute_force_pareto
+from survroute.engine import Evaluator
+from survroute.moo import CandidateSolution, Dominance, ObjectiveVector, dominates
+from survroute.netmodel import RouteProblem, RouteAssignment, brute_force_pareto, validate_assignment
 
 from conftest import GridProblem
 
@@ -88,44 +89,46 @@ class TestEvaluate:
     def test_single_chain_cost(self, trivial_instance):
         # one MR over link of cost 1 / fail 0.3, BS fail 0
         problem = RouteProblem(trivial_instance)
-        v = evaluate(problem, RouteAssignment((0,)))
+        v = problem.evaluate(RouteAssignment((0,)))
         assert v[0] == 1.0
         assert abs(v[1] - 0.3) < 1e-12
 
     def test_zero_risk_when_probabilities_zero(self, trivial_instance):
         problem = RouteProblem(trivial_instance)
-        v = evaluate(problem, RouteAssignment((1,)))
+        v = problem.evaluate(RouteAssignment((1,)))
         assert v.values == (5.0, 0.0)
 
     def test_invalid_genotype_raises_validity_error(self, standard_instance):
         problem = RouteProblem(standard_instance)
         # m1 under m2 and m2 under m1 is a 2-cycle
         cyclic = RouteAssignment((2, 2, 0))
-        assert not problem.is_valid(cyclic)
+        assert not validate_assignment(standard_instance, cyclic)
         with pytest.raises(ValidityError):
-            evaluate(problem, cyclic)
+            problem.evaluate(cyclic)
 
     def test_full_front_matches_enumeration_oracle(self, standard_instance):
         # every witness the oracle returns re-evaluates to its reported vector
         problem = RouteProblem(standard_instance)
         for ov, witness in brute_force_pareto(standard_instance):
-            assert evaluate(problem, witness).values == ov.values
+            assert problem.evaluate(witness).values == ov.values
 
     def test_determinism_1000_random_genotypes(self, standard_instance):
         problem = RouteProblem(standard_instance)
         rng = np.random.default_rng(7)
         genotypes = [problem.random_genotype(rng) for _ in range(1000)]
-        first = [evaluate(problem, g).values for g in genotypes]
-        second = [evaluate(problem, g).values for g in genotypes]
+        first = [problem.evaluate(g).values for g in genotypes]
+        second = [problem.evaluate(g).values for g in genotypes]
         assert first == second  # bit-for-bit
 
 
-def test_make_solution_carries_key():
+def test_evaluator_solution_carries_key():
     problem = GridProblem(4)
-    s = make_solution(problem, (1, 2))
+    evaluator = Evaluator(problem)
+    s = evaluator.solution((1, 2))
     assert s.genotype_key == "1,2"
     assert s.objectives.values == (3.0, 4.0)
     assert math.isfinite(s.objectives[0])
+    assert evaluator.count == 1
 
 
 def test_solution_is_a_frozen_dataclass_keyed_by_objectives_and_key():

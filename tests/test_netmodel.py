@@ -1,7 +1,9 @@
 """Instance parsing, objectives, operators, and the enumeration oracle."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import signal
 from contextlib import contextmanager
@@ -36,6 +38,8 @@ from survroute.netmodel import (
     random_assignment,
     validate_assignment,
 )
+
+from conftest import synthetic_net_text
 
 MINIMAL = """
 BS bs1 0.2
@@ -624,6 +628,118 @@ class TestNeighborhood:
                 iter_neighbors(inst, assignment_from_string(inst, "m1=m2;m2=m1"))
 
 
+def assert_carries_fresh_terms(inst, g):
+    """``g`` carries exactly the terms of a fresh full walk, and ``evaluate`` gives eval_route's bytes."""
+    assert g._terms is not None
+    cost, risk = [0.0] * inst.n_mr, [0.0] * inst.n_mr
+    assert kernels.route_terms(g.choices, range(inst.n_mr), inst.compiled, cost, risk)
+    assert [x.hex() for x in g._terms[0]] == [x.hex() for x in cost]
+    assert [x.hex() for x in g._terms[1]] == [x.hex() for x in risk]
+    z1, z2, ok = kernels.eval_route(g.choices, inst.compiled)
+    assert ok
+    assert [x.hex() for x in RouteProblem(inst).evaluate(g)] == [z1.hex(), z2.hex()]
+
+
+@pytest.fixture
+def counted_walks(monkeypatch):
+    """The number of full route walks (``kernels.eval_route`` calls) made so far."""
+    walks = []
+    original = kernels.eval_route
+
+    def counting(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kernels, "eval_route", counting)
+    return walks
+
+
+class TestCarriedTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_operators_carry_the_terms_of_a_fresh_walk(self, data):
+        # deep instances included: MAXDEPTH up to n_mr + 1 on MR-MR links
+        n_mr = data.draw(st.integers(1, 40))
+        max_depth = data.draw(st.integers(1, n_mr + 1))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            # every MR also has an access-router link, so random_assignment cannot stall
+            links = data.draw(st.integers(1, min(6, n_mr)))
+            inst = parse_instance(synthetic_net_text(n_mr, links, max_depth, seed))
+            a = random_assignment(inst, rng)
+        else:
+            inst, witness = forest_instance(random.Random(seed), n_mr, data.draw(st.integers(1, 2)), max_depth)
+            a = heavy_reattach(inst, witness, rng)  # the witness carries none; the heavy child walks itself
+        assert_carries_fresh_terms(inst, a)
+        b = heavy_reattach(inst, a, rng)
+        assert_carries_fresh_terms(inst, b)
+        assert_carries_fresh_terms(inst, crossover_parentmix(inst, a, b, rng))
+        for _ in range(5):
+            a = mutate_reattach(inst, a, rng)
+            assert_carries_fresh_terms(inst, a)
+        neighbors = list(iter_neighbors(inst, a))
+        for g, ov in neighbors:
+            assert_carries_fresh_terms(inst, g)
+            assert [x.hex() for x in ov] == [x.hex() for x in RouteProblem(inst).evaluate(g)]
+        if neighbors:  # an accepted move's own neighborhood starts from the terms it carries
+            g = neighbors[data.draw(st.integers(0, len(neighbors) - 1))][0]
+            for h, ov in iter_neighbors(inst, g):
+                assert_carries_fresh_terms(inst, h)
+                assert [x.hex() for x in ov] == [x.hex() for x in RouteProblem(inst).evaluate(h)]
+
+    def test_equality_hash_and_repr_ignore_the_terms(self, stress_instance):
+        a = random_assignment(stress_instance, np.random.default_rng(21))
+        plain = RouteAssignment(a.choices)
+        assert a._terms is not None and plain._terms is None
+        assert a == plain and hash(a) == hash(plain)
+        assert repr(a) == repr(plain) == f"RouteAssignment(choices={a.choices!r})"
+        assert [f.name for f in dataclasses.fields(a) if f.init] == ["choices"]
+
+    def test_built_genotypes_carry_no_terms_and_are_checked_and_walked(self, stress_instance, counted_walks):
+        problem = RouteProblem(stress_instance)
+        a = random_assignment(stress_instance, np.random.default_rng(22))
+        problem.evaluate(a)
+        assert counted_walks == []  # carried terms are added, not walked
+        other = mutate_reattach(stress_instance, a, np.random.default_rng(23))
+        assert other != a
+        for g in (RouteAssignment(a.choices), dataclasses.replace(a), dataclasses.replace(a, choices=other.choices)):
+            assert g._terms is None
+            del counted_walks[:]
+            assert problem.evaluate(g) == problem.evaluate(RouteAssignment(g.choices))
+            assert len(counted_walks) == 2
+        # checked: a bad choice is reported, where carried terms would have hidden it
+        bad = dataclasses.replace(a, choices=(99,) + a.choices[1:])
+        for check in (problem.evaluate, problem.genotype_key):
+            with pytest.raises(ContractViolation, match="out of range"):
+                check(bad)
+        with pytest.raises(ContractViolation):
+            list(iter_neighbors(stress_instance, bad))
+
+    def test_copies_and_pickles_evaluate_bit_identically(self, stress_instance):
+        problem = RouteProblem(stress_instance)
+        a = mutate_reattach(stress_instance, random_assignment(stress_instance, np.random.default_rng(24)),
+                            np.random.default_rng(25))
+        expected = [x.hex() for x in problem.evaluate(a)]
+        for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert clone == a and clone._terms is not None
+            assert [x.hex() for x in problem.evaluate(clone)] == expected
+            assert problem.genotype_key(clone) == problem.genotype_key(a)
+
+    def test_mutation_of_a_parent_without_terms_is_walked_in_full(self, stress_instance, counted_walks):
+        problem = RouteProblem(stress_instance)
+        rng = np.random.default_rng(26)
+        parent = RouteAssignment(random_assignment(stress_instance, rng).choices)
+        child = parent
+        while child == parent:
+            child = mutate_reattach(stress_instance, parent, rng)
+        assert child._terms is None
+        del counted_walks[:]
+        z1, z2, _ok = kernels.eval_route(child.choices, stress_instance.compiled)
+        assert problem.evaluate(child).values == (z1, z2)
+        assert len(counted_walks) == 2  # the reference walk above, and evaluate's own
+
+
 class TestBruteForce:
     def test_trivial_two_point_front(self, trivial_instance):
         front = brute_force_pareto(trivial_instance)
@@ -670,14 +786,14 @@ def test_route_problem_surface(standard_instance):
     problem = RouteProblem(standard_instance)
     rng = np.random.default_rng(17)
     g = problem.random_genotype(rng)
-    assert problem.is_valid(g)
+    assert validate_assignment(standard_instance, g)
     assert problem.objective_count == 2
     assert problem.genotype_key(g) == assignment_string(standard_instance, g)
-    assert problem.is_valid(problem.mutate(g, rng))
-    assert problem.is_valid(problem.crossover(g, problem.random_genotype(rng), rng))
-    assert problem.is_valid(problem.heavy_mutate(g, rng))
+    assert validate_assignment(standard_instance, problem.mutate(g, rng))
+    assert validate_assignment(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng))
+    assert validate_assignment(standard_instance, problem.heavy_mutate(g, rng))
     for n, objectives in problem.neighborhood(g):
-        assert problem.is_valid(n)
+        assert validate_assignment(standard_instance, n)
         assert objectives == problem.evaluate(n)
 
 
