@@ -27,7 +27,11 @@ class ParseError(SurvrouteError, ValueError):
 
 
 class InstanceError(SurvrouteError, ValueError):
-    """A parsed instance is semantically unusable (dangling ids, infeasible MR, ...)."""
+    """A parsed instance is semantically unusable: a dangling id, or an infeasible MR.
+
+    An MR is infeasible when it has no candidate link, or no path of at most
+    MAXDEPTH links to an access router; the message names it.
+    """
 
 
 class ConfigError(SurvrouteError, ValueError):

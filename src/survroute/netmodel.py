@@ -16,6 +16,11 @@ the carried terms in MR order, the bytes ``kernels.eval_route`` gives. A
 genotype from anywhere else (user input, ``assignment_from_string``, an
 oracle witness) carries none, and is checked and walked in full.
 
+``parse_instance`` rejects an infeasible instance, one where some MR has no
+path of at most MAXDEPTH links to an access router; one breadth-first search
+at load decides it. So randomized attachment never gives up: when it stalls,
+the MRs left take their shortest-path links.
+
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
 """
@@ -69,6 +74,41 @@ class _Compiled:
     link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
     search_space: int
     steps: int  # the walk cap, min(max_depth, n_mr): a longer walk has revisited an MR
+    # per MR, d*: the fewest links on any path to an access router, -1 when it has none
+    min_depth: tuple[int, ...]
+    # per MR, its first link to a parent of depth d* - 1 (an AR for d* = 1), -1 when it has no path
+    min_link: tuple[int, ...]
+
+
+def _shortest_paths(offsets, radices, link_parent) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``min_depth`` and ``min_link`` of ``_Compiled``: one breadth-first search from the access routers."""
+    n = len(radices)
+    users: list[list[int]] = [[] for _ in range(n)]  # per MR, the MRs with a candidate link to it
+    depth = [-1] * n
+    for m, (off, r) in enumerate(zip(offsets, radices)):
+        for p in link_parent[off : off + r]:
+            if p < 0:
+                depth[m] = 1
+            else:
+                users[p].append(m)
+    level = [m for m in range(n) if depth[m] == 1]
+    d = 1
+    while level:
+        d += 1
+        following = []
+        for p in level:
+            for m in users[p]:
+                if depth[m] < 0:
+                    depth[m] = d
+                    following.append(m)
+        level = following
+    # each link's parent depth, 0 for an AR; a reached MR has a link one step nearer
+    parent_depth = [depth[p] if p >= 0 else 0 for p in link_parent]
+    links = tuple(
+        parent_depth.index(d - 1, off, off + r) - off if d > 0 else -1
+        for off, r, d in zip(offsets, radices, depth)
+    )
+    return tuple(depth), links
 
 
 @dataclass(frozen=True)
@@ -93,11 +133,14 @@ class NetworkInstance:
         # grouped per MR in canonical order
         for link in self.links:
             counts[mr_index[link.child]] += 1
+        offsets = (0, *itertools.accumulate(counts))[:-1]
+        link_parent = tuple(parent_index[link.parent] for link in self.links)
+        min_depth, min_link = _shortest_paths(offsets, counts, link_parent)
 
         return _Compiled(
             radices=tuple(counts),
-            mr_link_offset=(0, *itertools.accumulate(counts))[:-1],
-            link_parent=tuple(parent_index[link.parent] for link in self.links),
+            mr_link_offset=offsets,
+            link_parent=link_parent,
             link_cost=tuple(link.cost for link in self.links),
             link_fail=tuple(link.fail_prob for link in self.links),
             ar_bs_fail=tuple(bs_fail[bs] for _ar, bs in self.access_routers),
@@ -105,6 +148,8 @@ class NetworkInstance:
             link_labels=tuple(f"{link.child}={link.parent}" for link in self.links),
             search_space=math.prod(counts),
             steps=min(self.max_depth, len(self.mobile_routers)),
+            min_depth=min_depth,
+            min_link=min_link,
         )
 
     @property
@@ -249,13 +294,30 @@ def parse_instance(text: str) -> NetworkInstance:
         if mr_id not in linked:
             raise InstanceError(f"mobile router {mr_id!r} has no candidate link (infeasible)")
 
-    return NetworkInstance(
+    inst = NetworkInstance(
         base_stations=tuple(sorted(base_stations)),
         access_routers=tuple(sorted(access_routers)),
         mobile_routers=tuple(sorted(mobile_routers)),
         links=tuple(sorted(links, key=lambda l: (l.child, l.parent))),
         max_depth=DEFAULT_MAX_DEPTH if max_depth is None else max_depth,
     )
+    _check_feasible(inst)
+    return inst
+
+
+def _check_feasible(inst: NetworkInstance) -> None:
+    """Raise InstanceError for the first MR, in sorted order, with no path of at most MAXDEPTH links to an AR.
+
+    It passes exactly when a valid assignment exists: every MR on its
+    ``min_link`` then is one, a shortest-path tree.
+    """
+    for mr, d in zip(inst.mobile_routers, inst.compiled.min_depth):
+        if d < 0:
+            raise InstanceError(f"mobile router {mr!r} has no path to an access router (infeasible)")
+        if d > inst.max_depth:
+            raise InstanceError(
+                f"mobile router {mr!r} is {d} links from an access router, beyond MAXDEPTH {inst.max_depth} (infeasible)"
+            )
 
 
 def load_instance(path) -> NetworkInstance:
@@ -385,15 +447,23 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pending: list[int]) -> bool:
-    """Randomized topological attachment of the MRs in ``pending``, in place.
+def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pending: list[int]) -> None:
+    """Randomized topological attachment of the MRs in ``pending``, in place; ``choices`` ends a valid forest.
 
     ``depth`` holds each MR's depth, 0 for an MR not rooted yet (every MR in
-    ``pending``). Sweeps ``pending`` in order. Each MR picks uniformly among
-    its candidate links whose parent is rooted (an AR, or an MR of nonzero
-    depth) without exceeding max_depth, and takes its depth; an MR with no
-    such link waits for the next sweep. Sweeps repeat until every MR is
-    attached (True) or a sweep attaches none (False).
+    ``pending``), and the other MRs form a valid forest. Sweeps ``pending``
+    in order. Each MR picks uniformly among its candidate links whose parent
+    is rooted (an AR, or an MR of nonzero depth) without exceeding
+    max_depth, and takes its depth; an MR with no such link waits for the
+    next sweep.
+
+    When a sweep attaches none, each MR left, and each of its ancestors
+    in the shortest-path tree down to an AR or to an MR already at its
+    ``min_depth`` d*, is put on its ``min_link`` at depth d*, with no draw.
+    The forest stays valid: a reset MR has depth d* <= max_depth, any other
+    depth can only fall, and the reset links run down the shortest-path
+    tree, so they close no cycle. ``depth`` may then overstate some depths.
+    Raises InstanceError at that point on an infeasible instance.
     """
     c = inst.compiled
     max_depth = inst.max_depth
@@ -415,24 +485,25 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
             else:
                 deferred.append(m)
         if len(deferred) == len(pending):
-            return False
+            _check_feasible(inst)
+            min_depth, min_link = c.min_depth, c.min_link
+            for m in deferred:
+                while m >= 0 and depth[m] != min_depth[m]:
+                    choices[m] = min_link[m]
+                    depth[m] = min_depth[m]
+                    m = parents[offsets[m] + choices[m]]
+            return
         pending = deferred
-    return True
 
 
-def random_assignment(inst: NetworkInstance, rng, max_attempts: int = 1000) -> RouteAssignment:
-    """Random valid forest via randomized topological attachment (``_attach``), carrying its terms.
+def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
+    """Random valid forest carrying its terms: ``_attach`` of all MRs, in a random order.
 
-    All MRs are attached in a random order; an attempt that stalls is
-    retried with a fresh permutation.
+    Raises InstanceError on an infeasible instance (``parse_instance`` never returns one).
     """
-    if inst.n_mr == 0:
-        return _walked(inst, ())
-    for _attempt in range(max_attempts):
-        choices = [0] * inst.n_mr
-        if _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist()):
-            return _walked(inst, choices)
-    raise InstanceError(f"no valid assignment found in {max_attempts} attempts (instance infeasible?)")
+    choices = [0] * inst.n_mr
+    _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist())
+    return _walked(inst, choices)
 
 
 def _children(up: list[int]) -> list[list[int]]:
@@ -539,9 +610,9 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     """Uniform parent-link mix of two assignments, with topological repair.
 
     Each MR inherits its link from a or b with probability 1/2; MRs left on
-    broken paths (cycles or excessive depth) are re-attached by randomized
-    topological attachment, falling back to a full rebuild if repair stalls.
-    The child carries its terms.
+    broken paths (cycles or excessive depth) are re-attached in a random
+    order by randomized topological attachment (``_attach``), which always
+    finishes. The child carries its terms.
     """
     if inst.n_mr == 0:
         return a
@@ -551,15 +622,9 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     # intact MRs keep their depth; broken ones (cycle, or too deep) get 0, unrooted
     depth = [d if 0 < d <= max_depth else 0 for d in _forest_depths(inst, child)]
     broken = [m for m, d in enumerate(depth) if not d]
-    if not broken:
-        return _walked(inst, child)
-
-    for _attempt in range(50):
-        trial = list(child)
-        pending = [broken[i] for i in rng.permutation(len(broken)).tolist()]
-        if _attach(inst, rng, trial, list(depth), pending):
-            return _walked(inst, trial)
-    return random_assignment(inst, rng)
+    if broken:  # most children need no repair; rng.permutation(0) draws nothing but costs a numpy call
+        _attach(inst, rng, child, depth, [broken[i] for i in rng.permutation(len(broken)).tolist()])
+    return _walked(inst, child)
 
 
 def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:

@@ -46,6 +46,27 @@ def synthetic_net_text(n_mr: int, links_per_mr: int, max_depth: int, seed: int) 
     return "\n".join(lines) + "\n"
 
 
+def layered_net_text(levels: int, width: int, max_depth: int, seed: int) -> str:
+    """Seeded deep instance on which randomized attachment stalls: ``levels`` levels of ``width`` >= 2 MRs.
+
+    Each MR of level L has one link up to a random MR of level L - 1 (to the
+    access router for level 0) and one to its same-level neighbour
+    (i + 1) % width. Only the up links reach the access router, and the
+    all-up assignment is valid, at depth L + 1, when levels <= max_depth.
+    """
+    rng = random.Random(seed)
+    # named index first, so an MR's up link sorts before or after its neighbour link
+    rows = [[f"m{i}_{level}" for i in range(width)] for level in range(levels)]
+    lines = ["BS b0 0.05", "AR a0 b0"] + [f"MR {m}" for row in rows for m in row]
+    for level, row in enumerate(rows):
+        for i, m in enumerate(row):
+            up = "a0" if level == 0 else rng.choice(rows[level - 1])
+            for p in (up, row[(i + 1) % width]):
+                lines.append(f"LINK {m} {p} {rng.uniform(0.5, 5.0):.3f} {rng.uniform(0.0, 0.3):.3f}")
+    lines.append(f"MAXDEPTH {max_depth}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def synthetic40_instance():
     return parse_instance(synthetic_net_text(40, 6, 6, seed=11))

@@ -8,7 +8,7 @@ import pytest
 
 from survroute.cli import main, read_front_csv, write_front_csv
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, layered_net_text
 
 TRIVIAL = str(INSTANCE_DIR / "trivial_1mr.net")
 STANDARD = str(INSTANCE_DIR / "standard_3mr.net")
@@ -75,6 +75,15 @@ class TestRun:
         oracle_csv = tmp_path / "oracle.csv"
         assert run_cli("oracle", str(net), "--out", str(oracle_csv)) == 0
         assert (out / "front.csv").read_bytes() == oracle_csv.read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_layered_instance_runs(self, seed, tmp_path):
+        # 8 levels of 10 MRs under MAXDEPTH 8: feasible, but randomized attachment stalls on it
+        net = tmp_path / "layered.net"
+        net.write_text(layered_net_text(8, 10, 8, seed))
+        out = tmp_path / "run"
+        assert run_cli("run", "--instance", str(net), "--out", str(out), "--budget", "500", "--seed", str(seed)) == 0
+        assert read_front_csv(out / "front.csv")
 
     def test_missing_instance_exits_3(self, tmp_path, capsys):
         code = run_cli("run", "--instance", str(tmp_path / "nope.net"), "--out", str(tmp_path / "o"))
@@ -252,6 +261,39 @@ def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # in particular no measure report with NaN or Infinity
     assert captured.err.startswith("survroute: ")
+
+
+_INFEASIBLE = {
+    # m1 and m2 can only attach beneath each other
+    "unreachable": (
+        "BS b 0.1\nAR a b\nMR m1\nMR m2\nLINK m1 m2 1 0.1\nLINK m2 m1 1 0.1\n",
+        "mobile router 'm1' has no path to an access router (infeasible)",
+    ),
+    # m3's one path, m3 -> m2 -> m1 -> a, is a link longer than MAXDEPTH
+    "too_deep": (
+        "BS b 0.1\nAR a b\nMR m1\nMR m2\nMR m3\nLINK m1 a 1 0.1\nLINK m2 m1 1 0.1\nLINK m3 m2 1 0.1\nMAXDEPTH 2\n",
+        "mobile router 'm3' is 3 links from an access router, beyond MAXDEPTH 2 (infeasible)",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "oracle", "oracle_over_guard"])
+@pytest.mark.parametrize("case", sorted(_INFEASIBLE))
+def test_infeasible_instance_exits_3_at_load(command, case, tmp_path, capsys):
+    net_text, message = _INFEASIBLE[case]
+    net = tmp_path / "infeasible.net"
+    net.write_text(net_text)
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--instance", str(net), "--out", str(out), "--budget", "50"]
+    else:  # the verdict comes before the oracle's guard, and no header-only front is written
+        argv = ["oracle", str(net), "--out", str(out)] + (["--guard", "0"] if command == "oracle_over_guard" else [])
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"survroute: instance error: {message}\n"
+    assert not out.exists()
 
 
 _PARAM_DEFAULTS = {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survroute import kernels
+from survroute.errors import InstanceError
 from survroute.kernels import (
     crowding_distance,
     dominance,
@@ -17,7 +18,7 @@ from survroute.kernels import (
     hv2d_sweep,
 )
 from survroute.moo import Dominance, ObjectiveVector, dominates
-from survroute.netmodel import parse_instance
+from survroute.netmodel import CandidateLink, NetworkInstance, parse_instance
 
 from conftest import synthetic_net_text
 
@@ -62,26 +63,50 @@ def test_enumerate_matches_single_eval(standard_instance):
 
 
 @st.composite
-def small_net_texts(draw):
-    """Instances of up to 5 MRs whose MR-MR links can form cycles; possibly no access router at all."""
+def small_instances(draw):
+    """Instances of up to 5 MRs whose MR-MR links can form cycles; possibly no access router at all.
+
+    Built with the constructor, in canonical order, so an infeasible one (which
+    ``parse_instance`` rejects) is drawn too.
+    """
     n_ar = draw(st.integers(0, 2))
     mrs = [f"m{i}" for i in range(draw(st.integers(2 if n_ar == 0 else 1, 5)))]
     ars = [f"a{i}" for i in range(n_ar)]
-    lines = ["BS b0 0.1", "BS b1 0.25"] + [f"AR {a} b{i % 2}" for i, a in enumerate(ars)]
-    lines += [f"MR {m}" for m in mrs]
     unit = st.floats(0.0, 1.0)
+    links = []
     for m in mrs:
         candidates = ars + [p for p in mrs if p != m]
-        for p in draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True)):
-            lines.append(f"LINK {m} {p} {draw(st.floats(0.0, 100.0))!r} {draw(unit)!r}")
-    lines.append(f"MAXDEPTH {draw(st.integers(1, len(mrs) + 1))}")
+        for p in sorted(draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))):
+            links.append(CandidateLink(m, p, draw(st.floats(0.0, 100.0)), draw(unit)))
+    return NetworkInstance(
+        base_stations=(("b0", 0.1), ("b1", 0.25)),
+        access_routers=tuple((a, f"b{i % 2}") for i, a in enumerate(ars)),
+        mobile_routers=tuple(mrs),
+        links=tuple(links),
+        max_depth=draw(st.integers(1, len(mrs) + 1)),
+    )
+
+
+def instance_text(inst):
+    """The instance file text of ``inst``; floats by repr, so it parses back exactly."""
+    lines = [f"BS {bs} {p!r}" for bs, p in inst.base_stations]
+    lines += [f"AR {ar} {bs}" for ar, bs in inst.access_routers]
+    lines += [f"MR {m}" for m in inst.mobile_routers]
+    lines += [f"LINK {l.child} {l.parent} {l.cost!r} {l.fail_prob!r}" for l in inst.links]
+    lines.append(f"MAXDEPTH {inst.max_depth}")
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=80, deadline=None)
-@given(text=small_net_texts())
-def test_enumerate_routes_matches_eval_route(text):
-    _assert_enumeration_matches_eval_route(parse_instance(text))
+@given(inst=small_instances())
+def test_enumerate_routes_matches_eval_route(inst):
+    valid = _assert_enumeration_matches_eval_route(inst)
+    # the load verdict: parse_instance accepts exactly the instances with a valid assignment
+    if valid.any():
+        assert parse_instance(instance_text(inst)) == inst
+    else:
+        with pytest.raises(InstanceError, match="infeasible"):
+            parse_instance(instance_text(inst))
 
 
 def test_enumerate_routes_depth_one():
@@ -91,9 +116,18 @@ def test_enumerate_routes_depth_one():
 
 
 def test_enumerate_routes_without_access_router_links():
-    text = "BS b 0.1\nAR a b\nMR m1\nMR m2\nMR m3\n"
-    text += "LINK m1 m2 1 0.1\nLINK m2 m3 1 0.1\nLINK m2 m1 1 0.1\nLINK m3 m1 2 0.2\n"
-    valid = _assert_enumeration_matches_eval_route(parse_instance(text))
+    inst = NetworkInstance(  # infeasible, so built with the constructor: parse_instance rejects it
+        base_stations=(("b", 0.1),),
+        access_routers=(("a", "b"),),
+        mobile_routers=("m1", "m2", "m3"),
+        links=(
+            CandidateLink("m1", "m2", 1.0, 0.1),
+            CandidateLink("m2", "m1", 1.0, 0.1),
+            CandidateLink("m2", "m3", 1.0, 0.1),
+            CandidateLink("m3", "m1", 2.0, 0.2),
+        ),
+    )
+    valid = _assert_enumeration_matches_eval_route(inst)
     assert not valid.any()
 
 

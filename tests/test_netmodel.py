@@ -39,7 +39,7 @@ from survroute.netmodel import (
     validate_assignment,
 )
 
-from conftest import synthetic_net_text
+from conftest import layered_net_text, synthetic_net_text
 
 MINIMAL = """
 BS bs1 0.2
@@ -268,12 +268,14 @@ MR m1
 MR m2
 MR m3
 LINK m1 a 1.0 0.0
+LINK m2 a 1.0 0.0
 LINK m2 m1 1.0 0.0
+LINK m3 a 1.0 0.0
 LINK m3 m2 1.0 0.0
 MAXDEPTH 2
 """
         inst = parse_instance(text)
-        a = RouteAssignment((0, 0, 0))  # m3 -> m2 -> m1 -> a: 3 links deep
+        a = RouteAssignment((0, 1, 1))  # m3 -> m2 -> m1 -> a: 3 links deep
         assert invalid_reason(inst, a) == "depth"
 
     def test_malformed_assignment(self, standard_instance):
@@ -438,11 +440,19 @@ class TestRandomAssignment:
         assert a == b
 
     def test_infeasible_instance_raises(self):
-        # two MRs that can only attach beneath each other: no valid forest
-        text = "BS b 0.0\nAR a b\nMR m1\nMR m2\nLINK m1 m2 1.0 0.0\nLINK m2 m1 1.0 0.0\n"
-        inst = parse_instance(text)
-        with pytest.raises(InstanceError):
-            random_assignment(inst, np.random.default_rng(0), max_attempts=20)
+        # two MRs that can only attach beneath each other: no path to the access router, the first MR named
+        text = "BS b 0.0\nAR a b\nMR m2\nMR m1\nLINK m1 m2 1.0 0.0\nLINK m2 m1 1.0 0.0\n"
+        with pytest.raises(InstanceError, match=r"^mobile router 'm1' has no path to an access router \(infeasible\)$"):
+            parse_instance(text)
+        # m3's one path, m3 -> m2 -> m1 -> a, is a link longer than MAXDEPTH
+        chain = "BS b 0.0\nAR a b\nMR m1\nMR m2\nMR m3\nLINK m1 a 1 0\nLINK m2 m1 1 0\nLINK m3 m2 1 0\n"
+        deep = parse_instance(chain + "MAXDEPTH 3\n")
+        message = r"^mobile router 'm3' is 3 links from an access router, beyond MAXDEPTH 2 \(infeasible\)$"
+        with pytest.raises(InstanceError, match=message):
+            parse_instance(chain + "MAXDEPTH 2\n")
+        # an instance built past the verdict stalls attachment, which then raises the same error
+        with pytest.raises(InstanceError, match=message):
+            random_assignment(dataclasses.replace(deep, max_depth=2), np.random.default_rng(0))
 
 
 class TestMutate:
@@ -663,14 +673,21 @@ class TestCarriedTerms:
         max_depth = data.draw(st.integers(1, n_mr + 1))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        if data.draw(st.booleans()):
+        family = data.draw(st.sampled_from(["synthetic", "forest", "layered"]))
+        if family == "synthetic":
             # every MR also has an access-router link, so random_assignment cannot stall
             links = data.draw(st.integers(1, min(6, n_mr)))
             inst = parse_instance(synthetic_net_text(n_mr, links, max_depth, seed))
             a = random_assignment(inst, rng)
-        else:
+        elif family == "forest":
             inst, witness = forest_instance(random.Random(seed), n_mr, data.draw(st.integers(1, 2)), max_depth)
             a = heavy_reattach(inst, witness, rng)  # the witness carries none; the heavy child walks itself
+        else:
+            # only the up links reach the access router, so attachment and crossover repair often stall
+            levels = data.draw(st.integers(1, 8))
+            width = data.draw(st.integers(2, 10))
+            inst = parse_instance(layered_net_text(levels, width, levels + data.draw(st.integers(0, 1)), seed))
+            a = random_assignment(inst, rng)
         assert_carries_fresh_terms(inst, a)
         b = heavy_reattach(inst, a, rng)
         assert_carries_fresh_terms(inst, b)
