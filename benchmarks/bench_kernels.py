@@ -14,7 +14,11 @@ walking; their objectives are checked against a full walk first.
 ``eval_route`` walk per assignment of the same space. ``mutate_reattach``,
 which decides each candidate link on the forest, is timed at 40 and 200
 MRs against a reference that decides each candidate by a full route walk,
-and ``heavy_reattach`` per call at 200 MRs. A last case times the
+and ``heavy_reattach`` and ``random_assignment`` (initialization: randomized
+attachment of every MR, then one walk) per call. ``kernels.draw_index`` is
+timed over 10000 index draws beside the numpy call whose draws it
+reproduces, ``int(rng.integers(n))``, after a check that both give the same
+sequence. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
 genotype, then a re-walk of the moved subtree per neighbor) against one full
 route walk per candidate, at 40, 200 and 1000 MRs, both for the first 20
@@ -204,6 +208,33 @@ def main() -> None:
     starts = [random_assignment(inst, rng) for _ in range(50)]
     t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
     print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
+
+    # initialization: every MR attached in a random order, one index draw each, then one walk
+    for n_mr in (40, 200):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+
+        def assign_many():
+            draws = np.random.default_rng(2)
+            return [random_assignment(inst, draws) for _ in range(50)]
+
+        print(f"random_assignment per call at {n_mr:>3} MRs: {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
+
+    # index draws, n as the operators and selection see them: feasible-link counts to population sizes
+    sizes = np.random.default_rng(3).integers(1, 201, size=10000).tolist()
+
+    def draw_all(draw):
+        draws = np.random.default_rng(4)
+        return [draw(draws, n) for n in sizes]
+
+    def numpy_draw(rng, n):
+        return int(rng.integers(n))
+
+    if draw_all(kernels.draw_index) != draw_all(numpy_draw):
+        raise AssertionError("draw_index disagrees with int(rng.integers(n))")
+    t_ours = best_of(lambda: draw_all(kernels.draw_index), args.repeats)
+    t_numpy = best_of(lambda: draw_all(numpy_draw), args.repeats)
+    print(f"draw_index x10000             {t_ours * 1e3:>8.2f}ms")
+    print(f"int(rng.integers(n)) x10000   {t_numpy * 1e3:>8.2f}ms  ({t_numpy / t_ours:.1f}x)")
 
     # delta scoring: one term walk per genotype, then only the moved subtree per neighbor;
     # local search pulls at most its budget (20) of the lazy neighborhood

@@ -26,6 +26,7 @@ from .archive import (
     survival_order,
 )
 from .errors import ConfigError
+from .kernels import draw_index
 from .measures import ReferencePoint
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
@@ -153,15 +154,15 @@ def select_from(
     if not union:
         raise ConfigError("cannot select from an empty population")
     if operator == "uniform":
-        return [union[int(rng.integers(len(union)))] for _ in range(count)]
+        return [union[draw_index(rng, len(union))] for _ in range(count)]
     if operator != "tournament":
         raise ConfigError(f"unknown selection operator {operator!r}")
     ranks, crowd = rank_and_crowding(union)
     keys = [(int(ranks[i]), -crowd[i], union[i].sort_key()) for i in range(len(union))]
     parents = []
     for _ in range(count):
-        i = int(rng.integers(len(union)))
-        j = int(rng.integers(len(union)))
+        i = draw_index(rng, len(union))
+        j = draw_index(rng, len(union))
         parents.append(union[i] if keys[i] <= keys[j] else union[j])
     return parents
 
@@ -330,7 +331,7 @@ def random_immigrants(
         if operator == "fresh_random" or len(arch.members) == 0:
             g = problem.random_genotype(rng)
         else:
-            src = arch.members[int(rng.integers(len(arch.members)))]
+            src = arch.members[draw_index(rng, len(arch.members))]
             g = problem.heavy_mutate(src.genotype, rng)
         newcomers.append(evaluator.solution(g))
     return survivors + newcomers

@@ -18,6 +18,11 @@ MR in the same order, so its objectives are bit-identical to
 ``eval_route``'s. ``front_rows`` extracts a 2-D Pareto front for the oracle
 and for hypervolume.
 
+``draw_index`` is the one way the package draws a uniform index: numpy's
+bounded-integer algorithm (Lemire's) on the generator's own 32-bit outputs,
+so it returns what numpy's ``Generator.integers(n)`` returns and leaves the
+generator in the same state, without numpy's per-call cost.
+
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
@@ -30,6 +35,39 @@ from functools import reduce
 import numpy as np
 
 _BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
+
+
+def draw_index(rng, n):
+    """A uniform index in [0, n) from the numpy ``Generator`` ``rng``: the int its ``integers(n)`` gives.
+
+    It makes the same draws as that call and leaves ``rng.bit_generator.state``
+    the same, ``has_uint32`` and ``uinteger`` included. For 1 < n <= 2**32 - 1
+    numpy's ``integers`` runs Lemire's bounded draw ("Fast Random Integer
+    Generation in an Interval", ACM TOMACS 2019) on the bit generator's
+    ``next_uint32``: with m = x * n for a 32-bit output x, it redraws while the
+    low 32 bits of m are below (2**32 - n) % n and returns the high 32 bits.
+    This does the same through the bit generator's ctypes interface, which
+    skips numpy's scalar-call overhead, most of the cost of that call. For
+    n == 1 numpy returns 0 without drawing, and so does this; any other n, or
+    one that is not a plain ``int``, goes to ``Generator.integers`` itself,
+    which raises for n <= 0.
+
+    Unlike ``Generator.integers`` it does not take the bit generator's lock,
+    so two threads must not draw from one generator at once; the engine runs
+    in one thread.
+    """
+    if type(n) is int and 1 < n <= 0xFFFFFFFF:
+        c = rng.bit_generator.ctypes
+        next_uint32, state = c.next_uint32, c.state_address
+        m = next_uint32(state) * n
+        if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip the modulo, as numpy's do
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+    if n == 1 and type(n) is int:
+        return 0
+    return int(rng.integers(n))
 
 
 def eval_route(choices, tables):

@@ -19,7 +19,10 @@ oracle witness) carries none, and is checked and walked in full.
 ``parse_instance`` rejects an infeasible instance, one where some MR has no
 path of at most MAXDEPTH links to an access router; one breadth-first search
 at load decides it. So randomized attachment never gives up: when it stalls,
-the MRs left take their shortest-path links.
+the MRs left take their shortest-path links. Attachment and the reattach
+test read each MR's candidate parents from one per-MR table built at load
+(``_Compiled.mr_parents``), and every random pick among links or MRs is one
+``kernels.draw_index`` call, the draw numpy's ``Generator.integers`` makes.
 
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
@@ -67,6 +70,7 @@ class _Compiled:
     mr_link_offset: tuple[int, ...]  # start of each MR's block in the link tables
     # the MR index (>= 0) a link attaches to, or ar - n_ar (< 0) for access router ar
     link_parent: tuple[int, ...]
+    mr_parents: tuple[tuple[int, ...], ...]  # per MR, the link_parent of each of its links, in link order
     link_cost: tuple[float, ...]
     link_fail: tuple[float, ...]
     ar_bs_fail: tuple[float, ...]  # failure probability of each AR's base station
@@ -80,13 +84,13 @@ class _Compiled:
     min_link: tuple[int, ...]
 
 
-def _shortest_paths(offsets, radices, link_parent) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``min_depth`` and ``min_link`` of ``_Compiled``: one breadth-first search from the access routers."""
-    n = len(radices)
+    n = len(mr_parents)
     users: list[list[int]] = [[] for _ in range(n)]  # per MR, the MRs with a candidate link to it
     depth = [-1] * n
-    for m, (off, r) in enumerate(zip(offsets, radices)):
-        for p in link_parent[off : off + r]:
+    for m, ps in enumerate(mr_parents):
+        for p in ps:
             if p < 0:
                 depth[m] = 1
             else:
@@ -102,11 +106,10 @@ def _shortest_paths(offsets, radices, link_parent) -> tuple[tuple[int, ...], tup
                     depth[m] = d
                     following.append(m)
         level = following
-    # each link's parent depth, 0 for an AR; a reached MR has a link one step nearer
-    parent_depth = [depth[p] if p >= 0 else 0 for p in link_parent]
+    # a reached MR has a link one step nearer: to a parent of depth d* - 1, 0 for an AR
     links = tuple(
-        parent_depth.index(d - 1, off, off + r) - off if d > 0 else -1
-        for off, r, d in zip(offsets, radices, depth)
+        [depth[p] if p >= 0 else 0 for p in ps].index(d - 1) if d > 0 else -1
+        for ps, d in zip(mr_parents, depth)
     )
     return tuple(depth), links
 
@@ -135,12 +138,14 @@ class NetworkInstance:
             counts[mr_index[link.child]] += 1
         offsets = (0, *itertools.accumulate(counts))[:-1]
         link_parent = tuple(parent_index[link.parent] for link in self.links)
-        min_depth, min_link = _shortest_paths(offsets, counts, link_parent)
+        mr_parents = tuple(link_parent[off : off + r] for off, r in zip(offsets, counts))
+        min_depth, min_link = _shortest_paths(mr_parents)
 
         return _Compiled(
             radices=tuple(counts),
             mr_link_offset=offsets,
             link_parent=link_parent,
+            mr_parents=mr_parents,
             link_cost=tuple(link.cost for link in self.links),
             link_fail=tuple(link.fail_prob for link in self.links),
             ar_bs_fail=tuple(bs_fail[bs] for _ar, bs in self.access_routers),
@@ -356,9 +361,7 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
 
 def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
     """Per MR, the ``link_parent`` of its chosen link: the MR it attaches to, or a negative number for an access router."""
-    c = inst.compiled
-    parents = c.link_parent
-    return [parents[off + k] for off, k in zip(c.mr_link_offset, choices)]
+    return [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
 
 
 def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
@@ -467,21 +470,19 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
     """
     c = inst.compiled
     max_depth = inst.max_depth
-    offsets, radices, parents = c.mr_link_offset, c.radices, c.link_parent
+    mr_parents = c.mr_parents
+    draw_index = kernels.draw_index
     while pending:
         deferred = []
         for m in pending:
-            feasible = []
-            off = offsets[m]
-            for k in range(radices[m]):
-                parent = parents[off + k]
-                d = 1 if parent < 0 else depth[parent] + 1  # also 1 beneath an unrooted MR
-                if d <= max_depth and (d > 1 or parent < 0):
-                    feasible.append((k, d))
+            ps = mr_parents[m]
+            # a link is feasible under an AR, or under a rooted MR (depth > 0) with room below max_depth
+            feasible = [k for k, p in enumerate(ps) if p < 0 or 0 < depth[p] < max_depth]
             if feasible:
-                k, d = feasible[int(rng.integers(len(feasible)))]
+                k = feasible[draw_index(rng, len(feasible))]
                 choices[m] = k
-                depth[m] = d
+                p = ps[k]
+                depth[m] = 1 if p < 0 else depth[p] + 1
             else:
                 deferred.append(m)
         if len(deferred) == len(pending):
@@ -491,7 +492,7 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
                 while m >= 0 and depth[m] != min_depth[m]:
                     choices[m] = min_link[m]
                     depth[m] = min_depth[m]
-                    m = parents[offsets[m] + choices[m]]
+                    m = mr_parents[m][choices[m]]
             return
         pending = deferred
 
@@ -541,11 +542,8 @@ def _reattach_options(inst: NetworkInstance, choices, up: list[int], children: l
         subtree.update(level)
         height += 1
     room = c.steps - 1 - height  # the largest depth(p) that m's subtree still fits under
-    parents = c.link_parent
-    off = c.mr_link_offset[m]
     feasible = []
-    for k in range(c.radices[m]):
-        p = parents[off + k]
+    for k, p in enumerate(c.mr_parents[m]):
         if k == choices[m] or p in subtree:
             continue
         d = 0
@@ -567,12 +565,12 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     """
     if inst.n_mr == 0:
         return a
-    m = int(rng.integers(inst.n_mr))
+    m = kernels.draw_index(rng, inst.n_mr)
     up = _parent_mrs(inst, a.choices)
     feasible, subtree = _reattach_options(inst, a.choices, up, _children(up), m)
     if not feasible:
         return a
-    k = feasible[int(rng.integers(len(feasible)))]
+    k = feasible[kernels.draw_index(rng, len(feasible))]
     choices = a.choices[:m] + (k,) + a.choices[m + 1:]
     if a._terms is None:
         return RouteAssignment(choices)
@@ -588,7 +586,7 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     """
     if inst.n_mr == 0:
         return a
-    c = inst.compiled
+    mr_parents = inst.compiled.mr_parents
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
     up = _parent_mrs(inst, work)  # up and children are kept in step with work
@@ -596,11 +594,11 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     for m in rng.permutation(inst.n_mr)[:count].tolist():
         feasible = _reattach_options(inst, work, up, children, m)[0]
         if feasible:
-            k = feasible[int(rng.integers(len(feasible)))]
+            k = feasible[kernels.draw_index(rng, len(feasible))]
             work[m] = k
             if up[m] >= 0:
                 children[up[m]].remove(m)
-            up[m] = c.link_parent[c.mr_link_offset[m] + k]
+            up[m] = mr_parents[m][k]
             if up[m] >= 0:
                 children[up[m]].append(m)
     return _walked(inst, work)

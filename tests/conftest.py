@@ -29,7 +29,13 @@ def stress_instance():
 
 
 def synthetic_net_text(n_mr: int, links_per_mr: int, max_depth: int, seed: int) -> str:
-    """Seeded feasible instance: each MR gets one access-router link plus MR-MR links."""
+    """Seeded feasible instance: each MR gets one access-router link plus MR-MR links.
+
+    An MR has at most n_mr links (one to an access router, one to each other
+    MR), so ``links_per_mr > n_mr`` raises ValueError.
+    """
+    if links_per_mr > n_mr:
+        raise ValueError(f"{links_per_mr} links per MR need at least as many MRs, got {n_mr}")
     rng = random.Random(seed)
     lines = ["BS b0 0.05", "BS b1 0.2", "AR a0 b0", "AR a1 b1"]
     mrs = [f"m{i:03d}" for i in range(n_mr)]

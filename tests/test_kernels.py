@@ -195,3 +195,74 @@ def test_crowding_distance_all_equal_objectives():
 def test_hv2d_sweep_worked_example():
     F = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert hv2d_sweep(F, 3.0, 3.0) == 3.0
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+# small n as the operators draw them, and n where Lemire's draw redraws often: for n just
+# above 2**31 the threshold (2**32 - n) % n is near n, so about half of all outputs are redrawn
+DRAW_SIZES = (*range(1, 9), 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30, 2**32 - 2, 2**32 - 1)
+
+
+def _same_state(x, y):
+    """Two ``bit_generator.state`` values are equal, numpy arrays (MT19937's key) elementwise and by dtype."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_state(x[k], y[k]) for k in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+def _twins(bit_generator, seed=2024):
+    return tuple(np.random.Generator(bit_generator(seed)) for _ in range(2))
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_draw_index_equals_numpy_integers(bit_generator, n):
+    ours, twin = _twins(bit_generator)
+    for i in range(200):
+        # doubles come from 64-bit outputs, permutations partly from the buffered 32-bit half
+        # (has_uint32, uinteger) that the index draws also use
+        if i % 5 == 1:
+            assert ours.random() == twin.random()
+        if i % 7 == 2:
+            assert ours.random(3).tolist() == twin.random(3).tolist()
+        if i % 11 == 3:
+            assert ours.permutation(5).tolist() == twin.permutation(5).tolist()
+        k = kernels.draw_index(ours, n)
+        assert type(k) is int
+        assert k == int(twin.integers(n))
+        assert _same_state(ours.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_draw_index_redraws_like_numpy(bit_generator):
+    # count the 32-bit outputs 100 draws at n = 2**31 + 1 take: rejections must really occur
+    ours, counter = _twins(bit_generator)
+    for _ in range(100):
+        kernels.draw_index(ours, 2**31 + 1)
+    c = counter.bit_generator.ctypes
+    used = 0
+    while not _same_state(counter.bit_generator.state, ours.bit_generator.state):
+        c.next_uint32(c.state_address)
+        used += 1
+        assert used < 1000
+    assert used > 120
+
+
+@pytest.mark.parametrize("n", (2**32, 2**32 + 1, 3 * 2**40, 2**63 - 1, np.int64(5), np.uint32(7)))
+def test_draw_index_beyond_32_bits_or_not_an_int_is_numpy(n):
+    ours, twin = _twins(np.random.PCG64)
+    for _ in range(20):
+        assert kernels.draw_index(ours, n) == int(twin.integers(n))
+    assert _same_state(ours.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("n", (0, -1, -(2**40), 2**64))
+def test_draw_index_raises_as_numpy(n):
+    ours, twin = _twins(np.random.PCG64)
+    with pytest.raises(ValueError) as ours_error:
+        kernels.draw_index(ours, n)
+    with pytest.raises(ValueError) as numpy_error:
+        twin.integers(n)
+    assert str(ours_error.value) == str(numpy_error.value)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from survroute import kernels
+from survroute import engine, kernels, netmodel
 from survroute.cli import main as cli_main
 from survroute.errors import ContractViolation, InstanceError, OracleScopeError, ParseError, ValidityError
 from survroute.netmodel import (
@@ -856,3 +856,91 @@ def test_cycle_with_huge_max_depth_finishes(tmp_path):
     assert results[1_000_000_000] == results[2]
     assert results[2][0].splitlines()[1:] == ["2,0.38,m1=a;m2=a"]
     assert results[2][1] == ["m1=a;m2=a"]
+
+
+def test_synthetic_net_text_rejects_more_links_than_mrs():
+    # an MR has one access-router link and at most n_mr - 1 MR links
+    with pytest.raises(ValueError):
+        synthetic_net_text(1, 6, 6, 0)
+    assert parse_instance(synthetic_net_text(6, 6, 6, 0)).compiled.radices == (6,) * 6
+
+
+def _numpy_draw(rng, n):
+    return int(rng.integers(n))
+
+
+class TestDrawIndexKeepsTheDraws:
+    """Operators and runs are the same with ``kernels.draw_index`` as with the numpy call it reproduces."""
+
+    @staticmethod
+    def use_numpy_draws(monkeypatch):
+        monkeypatch.setattr(kernels, "draw_index", _numpy_draw)
+        monkeypatch.setattr(engine, "draw_index", _numpy_draw)
+
+    @staticmethod
+    def operator_chain(inst, seed):
+        """Every genotype, with its carried terms, of a seeded chain of the attaching operators, and the generator state after it."""
+        rng = np.random.default_rng(seed)
+        made = [random_assignment(inst, rng), random_assignment(inst, rng)]
+        for _ in range(6):
+            child = crossover_parentmix(inst, made[-2], made[-1], rng)
+            made += [child, mutate_reattach(inst, child, rng), heavy_reattach(inst, child, rng)]
+        return [(g.choices, g._terms) for g in made], rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "text, stalls",
+        [
+            # every MR has an access-router link, so attachment never stalls
+            (synthetic_net_text(40, 6, 6, seed=11), False),
+            (synthetic_net_text(200, 6, 6, seed=13), False),
+            # only the up links reach the access router: attachment stalls and takes shortest-path links
+            (layered_net_text(8, 10, 8, seed=1), True),
+            (layered_net_text(6, 4, 6, seed=2), True),
+        ],
+        ids=["synthetic40", "synthetic200", "layered80", "layered24"],
+    )
+    def test_operators(self, monkeypatch, text, stalls):
+        inst = parse_instance(text)
+        stalled = []
+        check_feasible = netmodel._check_feasible
+
+        def counting(instance):  # _attach calls it only when a sweep settles no MR
+            stalled.append(instance)
+            check_feasible(instance)
+
+        monkeypatch.setattr(netmodel, "_check_feasible", counting)
+        ours = [self.operator_chain(inst, seed) for seed in range(3)]
+        self.use_numpy_draws(monkeypatch)
+        assert ours == [self.operator_chain(inst, seed) for seed in range(3)]
+        assert all(terms is not None for chain, _state in ours for _choices, terms in chain)
+        assert bool(stalled) == stalls
+
+    @pytest.mark.parametrize(
+        "text", [synthetic_net_text(12, 4, 4, seed=3), layered_net_text(6, 4, 6, seed=2)], ids=["synthetic12", "layered24"]
+    )
+    def test_run(self, monkeypatch, text):
+        params = engine.RunParams(
+            population_size=20, offspring_size=20, archive_capacity=10, evaluation_budget=4000,
+            stagnation_window=2, local_search_budget=5,
+        )
+        generators = []  # each generator engine.run makes, to read its state after the run
+        default_rng = np.random.default_rng
+
+        def kept_rng(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", kept_rng)
+
+        def run():
+            result = engine.run(RouteProblem(parse_instance(text)), params, seed=4)
+            members = [(s.objectives, s.genotype_key, s.genotype._terms) for s in result.archive.members]
+            return members, result.hv_trace, result.evaluations, result.scheduler_stats, generators[-1].bit_generator.state
+
+        ours = run()
+        self.use_numpy_draws(monkeypatch)
+        assert ours == run()
+        # both selection operators and both immigration operators (fresh and heavy-mutated) ran
+        stats = ours[3]
+        assert min(stats["SEL"]["trials"]) > 0
+        assert min(stats["IMM"]["trials"]) > 0
