@@ -6,7 +6,8 @@ Usage:
 
 Each case reports the best of ``--repeats`` timings. Route walks run on
 valid genotypes (from ``random_assignment``) at 40 and 200 MRs, on each
-instance's plain-tuple link tables (``inst.compiled``). Beside the 200-MR
+instance's link tables (``inst.compiled``: per MR, plain tuples indexed by
+the MR's choice). Beside the 200-MR
 walks, ``RouteProblem.evaluate`` is timed on 400 ``mutate_reattach``
 children, which carry their per-MR terms, so it adds them instead of
 walking; their objectives are checked against a full walk first.
@@ -15,7 +16,9 @@ walking; their objectives are checked against a full walk first.
 which decides each candidate link on the forest, is timed at 40 and 200
 MRs against a reference that decides each candidate by a full route walk,
 and ``heavy_reattach`` and ``random_assignment`` (initialization: randomized
-attachment of every MR, then one walk) per call. ``kernels.draw_index`` is
+attachment of every MR, then one walk) per call, as is
+``assignment_string`` (every solution's key: one label per MR) on the
+genotypes ``random_assignment`` makes. ``kernels.draw_index`` is
 timed over 10000 index draws beside the numpy call whose draws it
 reproduces, ``int(rng.integers(n))``, after a check that both give the same
 sequence. A last case times the
@@ -43,8 +46,8 @@ from survroute import kernels
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, heavy_reattach, iter_neighbors, mutate_reattach, parse_instance,
-    random_assignment,
+    RouteAssignment, RouteProblem, assignment_string, heavy_reattach, iter_neighbors, mutate_reattach,
+    parse_instance, random_assignment,
 )
 
 
@@ -218,6 +221,14 @@ def main() -> None:
             return [random_assignment(inst, draws) for _ in range(50)]
 
         print(f"random_assignment per call at {n_mr:>3} MRs: {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
+
+    # serialization: every kept solution's key joins one label per MR
+    for n_mr in (40, 200):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+        draws = np.random.default_rng(2)
+        carried = [random_assignment(inst, draws) for _ in range(500)]
+        t_key = best_of(lambda: [assignment_string(inst, a) for a in carried], args.repeats)
+        print(f"assignment_string per call at {n_mr:>3} MRs: {t_key / len(carried) * 1e6:>7.2f}us")
 
     # index draws, n as the operators and selection see them: feasible-link counts to population sizes
     sizes = np.random.default_rng(3).integers(1, 201, size=10000).tolist()

@@ -2,17 +2,18 @@
 
 Every kernel has one form, run by CPython and numpy. The route walks take
 an instance's link tables whole, as ``netmodel``'s ``_Compiled`` value
-(``inst.compiled``), built once per instance; its tables are plain tuples,
-which CPython indexes several times faster than numpy arrays one element at
-a time. ``route_terms`` holds the one scalar route walk and states how a
-link names its parent: it walks the chosen MRs' paths and keeps each MR's
+(``inst.compiled``), built once per instance. Every link table is per MR,
+indexed by the MR's choice, and made of plain tuples, which CPython indexes
+several times faster than numpy arrays one element at a time.
+``route_terms`` holds the one scalar route walk and states how a link names
+its parent: it walks the chosen MRs' paths and keeps each MR's
 cost and risk terms. ``eval_route`` walks every MR with it and adds the
 terms in MR order. ``netmodel``'s operators keep the terms on the genotypes
 they build: a new genotype is walked once, and a mutation or a
 local-search neighbor re-walks just the subtree its move changes; its
 evaluation then adds the terms in the same order, so ``eval_route`` walks
 only genotypes that carry none. ``enumerate_routes``, the oracle's
-exhaustive enumeration, turns the same tuples into numpy arrays and walks
+exhaustive enumeration, flattens the same tables into numpy arrays and walks
 blocks of assignments at once, with the same floating-point operations per
 MR in the same order, so its objectives are bit-identical to
 ``eval_route``'s. ``front_rows`` extracts a 2-D Pareto front for the oracle
@@ -95,30 +96,29 @@ def route_terms(choices, mrs, tables, cost_out, risk_out):
     Writes ``cost_out[m]``, MR m's path cost, and ``risk_out[m]``, 1 - its
     path survival (chosen links in walk order, then the base station behind
     the terminating access router), for each m in ``mrs``. ``tables`` is an
-    instance's ``netmodel._Compiled``. ``choices[m]`` indexes into MR m's
-    candidate-link block starting at ``tables.mr_link_offset[m]``. A walk
-    takes at most ``tables.steps`` links. ``tables.link_parent[li]`` is the
-    MR index the link attaches to, or, for an access router ``ar``, the
-    negative ``ar - n_ar``, which indexes ``tables.ar_bs_fail`` from the end.
+    instance's ``netmodel._Compiled``, whose link tables are indexed
+    ``[m][choices[m]]``. A walk takes at most ``tables.steps`` links.
+    ``tables.mr_parents[m][k]`` is the MR index the link attaches to, or,
+    for an access router ``ar``, the negative ``ar - n_ar``, which indexes
+    ``tables.ar_bs_surv`` from the end.
     """
-    offsets, parents = tables.mr_link_offset, tables.link_parent
-    link_cost, link_fail, ar_bs_fail = tables.link_cost, tables.link_fail, tables.ar_bs_fail
+    parents, costs, survs, ar_bs_surv = tables.mr_parents, tables.mr_costs, tables.mr_survs, tables.ar_bs_surv
     # CPython subscripts a tuple with a negative index on its slow generic
     # path (about a tenth of a 200-MR walk), so the access router's index
     # is counted from the front here
-    n_ar = len(ar_bs_fail)
+    n_ar = len(ar_bs_surv)
     steps = tables.steps
     for m in mrs:
         cur = m
         cost = 0.0
         surv = 1.0
         for _step in range(steps):
-            li = offsets[cur] + choices[cur]
-            cost += link_cost[li]
-            surv *= 1.0 - link_fail[li]
-            cur = parents[li]
+            k = choices[cur]
+            cost += costs[cur][k]
+            surv *= survs[cur][k]
+            cur = parents[cur][k]
             if cur < 0:
-                surv *= 1.0 - ar_bs_fail[n_ar + cur]
+                surv *= ar_bs_surv[n_ar + cur]
                 break
         else:
             return False
@@ -131,8 +131,10 @@ def enumerate_routes(tables):
     """Evaluate every assignment in the full mixed-radix space of ``tables.radices``.
 
     ``tables`` is what ``route_terms`` takes, with at least one MR
-    (``brute_force_pareto`` answers the empty instance itself); its tuples
-    become numpy arrays once per call.
+    (``brute_force_pareto`` answers the empty instance itself). Once per
+    call its per-MR tables are flattened into numpy arrays, MR m's links
+    starting at the sum of the radices before m; no other code indexes a
+    link by a flat number.
     Returns (valid, z1, z2) arrays of length prod(radices), indexed in
     row-major order (last MR varies fastest), matching np.unravel_index;
     z1 and z2 are 0.0 on invalid rows.
@@ -145,11 +147,11 @@ def enumerate_routes(tables):
     bit-identical.
     """
     radices = np.asarray(tables.radices, np.int64)
-    mr_link_offset = np.asarray(tables.mr_link_offset, np.int64)
-    link_parent = np.asarray(tables.link_parent, np.int64)
-    link_cost = np.asarray(tables.link_cost, np.float64)
-    link_surv = 1.0 - np.asarray(tables.link_fail, np.float64)
-    bs_surv = 1.0 - np.asarray(tables.ar_bs_fail, np.float64)
+    offsets = np.cumsum(radices) - radices
+    link_parent = np.concatenate(tables.mr_parents, dtype=np.int64)
+    link_cost = np.concatenate(tables.mr_costs, dtype=np.float64)
+    link_surv = np.concatenate(tables.mr_survs, dtype=np.float64)
+    bs_surv = np.asarray(tables.ar_bs_surv, np.float64)
     n_mr = radices.shape[0]
     total = math.prod(int(r) for r in radices)
     valid = np.zeros(total, np.bool_)
@@ -161,7 +163,7 @@ def enumerate_routes(tables):
         stop = min(start + _BLOCK_ROWS, total)
         idx = np.arange(start, stop, dtype=np.int64)
         # links[row, m]: the link MR m chooses in assignment start + row
-        links = mr_link_offset + (idx[:, None] // strides) % radices
+        links = offsets + (idx[:, None] // strides) % radices
         rows = np.arange(idx.size)[:, None]
         cur = np.broadcast_to(np.arange(n_mr), links.shape)
         cost = np.zeros(links.shape)

@@ -19,10 +19,11 @@ oracle witness) carries none, and is checked and walked in full.
 ``parse_instance`` rejects an infeasible instance, one where some MR has no
 path of at most MAXDEPTH links to an access router; one breadth-first search
 at load decides it. So randomized attachment never gives up: when it stalls,
-the MRs left take their shortest-path links. Attachment and the reattach
-test read each MR's candidate parents from one per-MR table built at load
-(``_Compiled.mr_parents``), and every random pick among links or MRs is one
-``kernels.draw_index`` call, the draw numpy's ``Generator.integers`` makes.
+the MRs left take their shortest-path links. Every link table is built at
+load per MR, indexed by the MR's choice (``_Compiled``): attachment and the
+reattach test read each MR's candidate parents from ``mr_parents``. Every
+random pick among links or MRs is one ``kernels.draw_index`` call, the draw
+numpy's ``Generator.integers`` makes.
 
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
@@ -61,21 +62,21 @@ class CandidateLink:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """Flat view of an instance, each table a plain tuple (CPython indexes those fastest, one element at a time).
+    """An instance's route tables, each a plain tuple (CPython indexes those fastest, one element at a time).
 
-    The kernels' route walks take it whole (``kernels.route_terms``).
+    Every link table is per MR: ``table[m][k]`` describes MR m's k-th
+    candidate link, in link order, so a genotype's choice k indexes it
+    directly. The kernels' route walks take the value whole
+    (``kernels.route_terms``).
     """
 
     radices: tuple[int, ...]  # candidate links per MR
-    mr_link_offset: tuple[int, ...]  # start of each MR's block in the link tables
     # the MR index (>= 0) a link attaches to, or ar - n_ar (< 0) for access router ar
-    link_parent: tuple[int, ...]
-    mr_parents: tuple[tuple[int, ...], ...]  # per MR, the link_parent of each of its links, in link order
-    link_cost: tuple[float, ...]
-    link_fail: tuple[float, ...]
-    ar_bs_fail: tuple[float, ...]  # failure probability of each AR's base station
-    link_parent_ids: tuple[str, ...]
-    link_labels: tuple[str, ...]  # "child=parent", the assignment_string entry of each link
+    mr_parents: tuple[tuple[int, ...], ...]
+    mr_costs: tuple[tuple[float, ...], ...]
+    mr_survs: tuple[tuple[float, ...], ...]  # 1 - fail_prob of each link
+    mr_labels: tuple[tuple[str, ...], ...]  # "child=parent", the assignment_string entry of each link
+    ar_bs_surv: tuple[float, ...]  # 1 - fail_prob of each AR's base station
     search_space: int
     steps: int  # the walk cap, min(max_depth, n_mr): a longer walk has revisited an MR
     # per MR, d*: the fewest links on any path to an access router, -1 when it has none
@@ -132,25 +133,27 @@ class NetworkInstance:
         bs_fail = {bs: p for bs, p in self.base_stations}
 
         counts = [0] * len(self.mobile_routers)
-        # links are sorted by (child, parent), so the flat order is already
-        # grouped per MR in canonical order
+        # links are sorted by (child, parent), so they are already grouped
+        # per MR in canonical order: each table is one tuple over them, sliced
         for link in self.links:
             counts[mr_index[link.child]] += 1
-        offsets = (0, *itertools.accumulate(counts))[:-1]
-        link_parent = tuple(parent_index[link.parent] for link in self.links)
-        mr_parents = tuple(link_parent[off : off + r] for off, r in zip(offsets, counts))
+        bounds = list(itertools.accumulate(counts, initial=0))
+        spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+        def per_mr(flat: list) -> tuple[tuple, ...]:
+            flat = tuple(flat)
+            return tuple([flat[span] for span in spans])
+
+        mr_parents = per_mr([parent_index[link.parent] for link in self.links])
         min_depth, min_link = _shortest_paths(mr_parents)
 
         return _Compiled(
             radices=tuple(counts),
-            mr_link_offset=offsets,
-            link_parent=link_parent,
             mr_parents=mr_parents,
-            link_cost=tuple(link.cost for link in self.links),
-            link_fail=tuple(link.fail_prob for link in self.links),
-            ar_bs_fail=tuple(bs_fail[bs] for _ar, bs in self.access_routers),
-            link_parent_ids=tuple(link.parent for link in self.links),
-            link_labels=tuple(f"{link.child}={link.parent}" for link in self.links),
+            mr_costs=per_mr([link.cost for link in self.links]),
+            mr_survs=per_mr([1.0 - link.fail_prob for link in self.links]),
+            mr_labels=per_mr([f"{link.child}={link.parent}" for link in self.links]),
+            ar_bs_surv=tuple(1.0 - bs_fail[bs] for _ar, bs in self.access_routers),
             search_space=math.prod(counts),
             steps=min(self.max_depth, len(self.mobile_routers)),
             min_depth=min_depth,
@@ -334,23 +337,10 @@ def load_instance(path) -> NetworkInstance:
 
 
 def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
-    c = inst.compiled
     choices = a.choices
     if len(choices) != inst.n_mr:
         raise ContractViolation(f"assignment has {len(choices)} entries, instance has {inst.n_mr} MRs")
-    # fast path: a sum of plain ints is a plain int; a float or any other
-    # type among the choices sends them to the full check below
-    try:
-        plain = type(sum(choices)) is int
-    except TypeError:
-        plain = False
-    if plain:
-        for k, r in zip(choices, c.radices):
-            if not 0 <= k < r:
-                break
-        else:
-            return
-    for m, (k, r) in enumerate(zip(choices, c.radices)):
+    for m, (k, r) in enumerate(zip(choices, inst.compiled.radices)):
         try:
             operator.index(k)
         except TypeError:
@@ -360,7 +350,7 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
 
 
 def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
-    """Per MR, the ``link_parent`` of its chosen link: the MR it attaches to, or a negative number for an access router."""
+    """Per MR, the ``mr_parents`` entry of its chosen link: the MR it attaches to, or a negative number for an access router."""
     return [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
 
 
@@ -408,10 +398,10 @@ def validate_assignment(inst: NetworkInstance, a: RouteAssignment) -> bool:
 
 def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
     _check_choices(inst, a)
-    c = inst.compiled
+    # a label is "child=parent", and ids never contain "="
     return {
-        mr: c.link_parent_ids[off + k]
-        for mr, off, k in zip(inst.mobile_routers, c.mr_link_offset, a.choices)
+        mr: labels[k].partition("=")[2]
+        for mr, labels, k in zip(inst.mobile_routers, inst.compiled.mr_labels, a.choices)
     }
 
 
@@ -419,19 +409,16 @@ def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
     """Canonical 'mr=parent;...' serialization (MRs in sorted id order)."""
     if a._terms is None:  # a genotype that carries terms was built valid here
         _check_choices(inst, a)
-    c = inst.compiled
-    return ";".join([c.link_labels[off + k] for off, k in zip(c.mr_link_offset, a.choices)])
+    return ";".join([labels[k] for labels, k in zip(inst.compiled.mr_labels, a.choices)])
 
 
 def assignment_from_parent_map(inst: NetworkInstance, mapping: dict[str, str]) -> RouteAssignment:
     if set(mapping) != set(inst.mobile_routers):
         raise ContractViolation("parent map must be keyed exactly by the instance's MR ids")
-    c = inst.compiled
     choices = []
-    for mr, off, r in zip(inst.mobile_routers, c.mr_link_offset, c.radices):
-        block = c.link_parent_ids[off : off + r]
+    for mr, labels in zip(inst.mobile_routers, inst.compiled.mr_labels):
         try:
-            choices.append(block.index(mapping[mr]))
+            choices.append(labels.index(f"{mr}={mapping[mr]}"))
         except ValueError:
             raise ContractViolation(f"{mr!r} has no candidate link to {mapping[mr]!r}") from None
     return RouteAssignment(tuple(choices))

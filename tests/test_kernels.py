@@ -24,22 +24,35 @@ from conftest import synthetic_net_text
 
 
 def test_compiled_tables_are_plain_tuples(standard_instance, stress_instance):
-    c = standard_instance.compiled
-    assert not any(isinstance(getattr(c, f.name), np.ndarray) for f in dataclasses.fields(c))
-    for table in (c.radices, c.mr_link_offset, c.link_parent):
-        assert type(table) is tuple and all(type(v) is int for v in table)
-    for table in (c.link_cost, c.link_fail, c.ar_bs_fail):
-        assert type(table) is tuple and all(type(v) is float for v in table)
     # MAXDEPTH far above n_mr, two access routers, MR-MR links that can cycle
     deep = parse_instance(
         "BS b0 0.1\nBS b1 0.2\nAR a0 b0\nAR a1 b1\nMR m0\nMR m1\n"
         "LINK m0 a1 1 0.1\nLINK m0 m1 1 0.1\nLINK m1 a0 1 0.1\nLINK m1 m0 1 0.1\nMAXDEPTH 1000000000\n"
     )
-    for inst in (standard_instance, stress_instance, deep):
+    for inst in (standard_instance, stress_instance, deep, parse_instance(synthetic_net_text(40, 6, 6, 11))):
         c = inst.compiled
-        # link_parent decodes to each link's parent id: an MR index, or an access router counted from the end
-        decoded = [inst.mobile_routers[p] if p >= 0 else inst.access_routers[p][0] for p in c.link_parent]
-        assert decoded == [link.parent for link in inst.links]
+        assert not any(isinstance(getattr(c, f.name), np.ndarray) for f in dataclasses.fields(c))
+        assert type(c.radices) is tuple and all(type(r) is int for r in c.radices)
+        assert type(c.ar_bs_surv) is tuple and all(type(v) is float for v in c.ar_bs_surv)
+        # every link table is per MR: a tuple of plain-value tuples, one per MR, indexed by its choice
+        for table, kind in ((c.mr_parents, int), (c.mr_costs, float), (c.mr_survs, float), (c.mr_labels, str)):
+            assert type(table) is tuple and len(table) == inst.n_mr
+            assert all(type(row) is tuple and all(type(v) is kind for v in row) for row in table)
+            assert [len(row) for row in table] == list(c.radices)
+        links = iter(inst.links)
+        for m, mr in enumerate(inst.mobile_routers):
+            for k in range(c.radices[m]):
+                link = next(links)
+                assert link.child == mr
+                assert c.mr_labels[m][k] == f"{link.child}={link.parent}"
+                assert c.mr_costs[m][k] == link.cost
+                assert c.mr_survs[m][k] == 1.0 - link.fail_prob
+                # mr_parents decodes to the link's parent id: an MR index, or an access router counted from the end
+                p = c.mr_parents[m][k]
+                assert (inst.mobile_routers[p] if p >= 0 else inst.access_routers[p][0]) == link.parent
+        assert next(links, None) is None
+        bs_fail = dict(inst.base_stations)
+        assert c.ar_bs_surv == tuple(1.0 - bs_fail[bs] for _ar, bs in inst.access_routers)
         assert c.steps == min(inst.max_depth, inst.n_mr)
     assert deep.compiled.steps == deep.n_mr == 2
 

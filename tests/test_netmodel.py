@@ -149,7 +149,7 @@ def reference_walks(inst, choices):
     for m in range(inst.n_mr):
         cur, steps, seen, reason = m, 0, {m}, None
         while True:
-            parent = c.link_parent[c.mr_link_offset[cur] + choices[cur]]
+            parent = c.mr_parents[cur][choices[cur]]
             steps += 1
             if parent < 0:
                 reason = "depth" if steps > inst.max_depth else None
@@ -416,11 +416,17 @@ class TestSerialization:
         with pytest.raises(ContractViolation):
             assignment_from_parent_map(standard_instance, {"m1": "a1"})
 
-    def test_bad_parent_value(self, standard_instance):
-        with pytest.raises(ContractViolation):
-            assignment_from_parent_map(
-                standard_instance, {"m1": "m3", "m2": "a1", "m3": "zzz"}
-            )
+    @pytest.mark.parametrize("mapping", [
+        {"m1": "m3", "m2": "a1", "m3": "zzz"},  # no such id
+        {"m1": "m1", "m2": "a1", "m3": "a1"},  # a candidate parent of m2 and m3, not of m1
+        {"m1": "m3", "m2": "a1", "m3": "a1=a1"},  # a parent containing the label separator
+    ], ids=["unknown_id", "other_mrs_parent", "separator_in_parent"])
+    def test_bad_parent_value(self, standard_instance, mapping):
+        with pytest.raises(ContractViolation, match="has no candidate link"):
+            assignment_from_parent_map(standard_instance, mapping)
+        text = ";".join(f"{mr}={parent}" for mr, parent in mapping.items())
+        with pytest.raises(ContractViolation, match="has no candidate link"):
+            assignment_from_string(standard_instance, text)
 
 
 class TestRandomAssignment:
