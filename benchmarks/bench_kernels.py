@@ -31,7 +31,10 @@ that both yield the same pairs, bit for bit, and prints the ratios.
 The objective-space rows time the archive's 2-D sweeps: ``pareto_ranks`` on
 200 points of a 20 x 20 integer grid (many ties and repeated points), beside
 the all-pairs ``dominance_matrix``, and 1000 ``insert`` calls of random
-newcomers, each into the same 100-member archive.
+newcomers, each into the same 100-member archive. ``crowding_distance`` and
+``hv2d_sweep`` take lists of (z1, z2) pairs, as the engine passes them, and
+``measures.hypervolume_clipped`` is timed on that 100-member archive's
+objective values, as the engine calls it once per iteration.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from itertools import islice
 
 import numpy as np
 
-from survroute import kernels
+from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
@@ -148,11 +151,11 @@ def main() -> None:
         if problem200.evaluate(child).values != kernels.eval_route(child.choices, inst200.compiled)[:2]:
             raise AssertionError("evaluate of carried terms disagrees with a full walk")
 
-    # batch objective-space kernels
+    # batch objective-space kernels; the plain-Python ones take (z1, z2) tuples of floats, as the engine passes them
     F = rng.random((200, 2))
-    front = np.sort(rng.random((500, 2)), axis=0)
-    front[:, 1] = front[::-1, 1]
-    # as rank_and_crowding passes them: one (z1, z2) tuple of floats per point
+    pairs = [tuple(p) for p in F.tolist()]
+    # a sorted staircase: z1 ascending, z2 descending
+    front = list(zip(sorted(rng.random(500).tolist()), sorted(rng.random(500).tolist(), reverse=True)))
     ties = [tuple(p) for p in rng.integers(0, 20, size=(200, 2)).astype(np.float64).tolist()]
 
     def sol(z1, z2, key):
@@ -161,6 +164,7 @@ def main() -> None:
     # a 100-member staircase, and newcomers spread over its box: most are dominated, some join
     archive = NondominatedArchive(members=tuple(sol(float(i), float(100 - i), f"m{i}") for i in range(100)))
     newcomers = [sol(float(a), float(b), f"n{i}") for i, (a, b) in enumerate(rng.uniform(0, 100, size=(1000, 2)))]
+    archive_values = [m.objectives.values for m in archive.members]
 
     cases = [
         ("eval_route x2000 (40 MRs)", eval_many(40)),
@@ -169,8 +173,10 @@ def main() -> None:
         ("dominance_matrix (200x2)", lambda: kernels.dominance_matrix(F)),
         ("archive.pareto_ranks (200x2, ties)", lambda: pareto_ranks(ties)),
         ("archive.insert x1000 (100-member archive)", lambda: [insert(archive, s) for s in newcomers]),
-        ("crowding_distance (200x2)", lambda: kernels.crowding_distance(F)),
-        ("hv2d_sweep (500 pts)", lambda: kernels.hv2d_sweep(front, 2.0, 2.0)),
+        ("crowding_distance (200 pairs)", lambda: kernels.crowding_distance(pairs)),
+        ("hv2d_sweep (500 pairs)", lambda: kernels.hv2d_sweep(front, 2.0, 2.0)),
+        ("hypervolume_clipped (100-member archive)",
+         lambda: measures.hypervolume_clipped(archive_values, (101.0, 101.0))),
     ]
     print(f"{'kernel':<46} {'time':>12}")
     for name, fn in cases:

@@ -7,7 +7,9 @@ run's archive iterates identically regardless of insertion history.
 Objectives are two-dimensional throughout; a solution with another count
 raises ``ContractViolation``. Ranking and insertion are 2-D sweeps over
 sorted points (``pareto_ranks``, ``insert``), with no all-pairs dominance
-matrix.
+matrix. Everything here is plain Python on (z1, z2) tuples: ranks are a
+list of ints, and crowding is ``kernels.crowding_distance`` on each front's
+list of pairs.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import ConfigError, ContractViolation
@@ -37,11 +37,6 @@ class NondominatedArchive:
 
     def __iter__(self):
         return iter(self.members)
-
-    def objective_matrix(self) -> np.ndarray:
-        if not self.members:
-            return np.zeros((0, 0), dtype=np.float64)
-        return np.array([m.objectives.values for m in self.members], dtype=np.float64)
 
     def objective_set(self) -> set[tuple[float, ...]]:
         return {m.objectives.values for m in self.members}
@@ -138,14 +133,6 @@ def count_dominated(archive: NondominatedArchive, solutions: Iterable[CandidateS
     )
 
 
-def crowding(members: Sequence[CandidateSolution]) -> np.ndarray:
-    """Crowding distance of each member within this (front-level) group."""
-    if not members:
-        return np.zeros(0)
-    F = np.array([m.objectives.values for m in members], dtype=np.float64)
-    return kernels.crowding_distance(F)
-
-
 def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
     """One member index per objective: the minimizer (ties: canonically smallest)."""
     protected: set[int] = set()
@@ -156,7 +143,7 @@ def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
     return protected
 
 
-def _removal_order(members: Sequence[CandidateSolution], dist: np.ndarray, candidates: list[int]) -> list[int]:
+def _removal_order(members: Sequence[CandidateSolution], dist: list[float], candidates: list[int]) -> list[int]:
     # smallest crowding removed first; ties drop the canonically largest member
     order = sorted(candidates, key=lambda i: members[i].sort_key(), reverse=True)
     return sorted(order, key=lambda i: dist[i])
@@ -185,7 +172,8 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
     def removal_order(current: list[CandidateSolution]) -> list[int]:
         protected = _extreme_witnesses(current) if capacity >= 2 else set()
         candidates = [i for i in range(len(current)) if i not in protected]
-        return _removal_order(current, crowding(current), candidates)
+        dist = kernels.crowding_distance([m.objectives.values for m in current])
+        return _removal_order(current, dist, candidates)
 
     if policy == "crowding_batch":
         doomed = set(removal_order(members)[: len(members) - capacity])
@@ -197,8 +185,8 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
     return NondominatedArchive(members=tuple(members), capacity=capacity)
 
 
-def pareto_ranks(F) -> np.ndarray:
-    """Nondominated-sorting rank (0 = best front) of each 2-D point of F.
+def pareto_ranks(F) -> list[int]:
+    """Nondominated-sorting rank (0 = best front) of each 2-D point of F, as a list of ints.
 
     ``F`` is an (n, 2) array or a sequence of (z1, z2) pairs. A sort and
     sweep (Jensen 2003, "Reducing the run-time complexity of multiobjective
@@ -226,21 +214,20 @@ def pareto_ranks(F) -> np.ndarray:
                 last_z2[rank] = p[1]
             prev = p
         ranks[i] = rank
-    return np.array(ranks, dtype=np.int64)
+    return ranks
 
 
-def rank_and_crowding(solutions: Sequence[CandidateSolution]) -> tuple[np.ndarray, np.ndarray]:
+def rank_and_crowding(solutions: Sequence[CandidateSolution]) -> tuple[list[int], list[float]]:
     """Pareto rank plus within-front crowding distance for a solution list."""
-    n = len(solutions)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
     points = [s.objectives.values for s in solutions]
     ranks = pareto_ranks(points)
-    F = np.array(points, dtype=np.float64)
-    crowd = np.zeros(n)
-    for r in np.unique(ranks):
-        idx = np.flatnonzero(ranks == r)
-        crowd[idx] = kernels.crowding_distance(F[idx])
+    fronts: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks):
+        fronts.setdefault(rank, []).append(i)
+    crowd = [0.0] * len(points)
+    for idx in fronts.values():
+        for i, d in zip(idx, kernels.crowding_distance([points[i] for i in idx])):
+            crowd[i] = d
     return ranks, crowd
 
 
@@ -249,5 +236,5 @@ def survival_order(solutions: Sequence[CandidateSolution]) -> list[int]:
     ranks, crowd = rank_and_crowding(solutions)
     return sorted(
         range(len(solutions)),
-        key=lambda i: (int(ranks[i]), -crowd[i], solutions[i].sort_key()),
+        key=lambda i: (ranks[i], -crowd[i], solutions[i].sort_key()),
     )

@@ -158,7 +158,7 @@ def select_from(
     if operator != "tournament":
         raise ConfigError(f"unknown selection operator {operator!r}")
     ranks, crowd = rank_and_crowding(union)
-    keys = [(int(ranks[i]), -crowd[i], union[i].sort_key()) for i in range(len(union))]
+    keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
     parents = []
     for _ in range(count):
         i = draw_index(rng, len(union))
@@ -349,7 +349,7 @@ def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
     The margin is taken on abs(w), so a negative worst value moves up too and
     every initial point strictly dominates the reference.
     """
-    worst = np.array([s.objectives.values for s in pop], dtype=np.float64).max(axis=0)
+    worst = [max(column) for column in zip(*(s.objectives.values for s in pop))]
     return ReferencePoint(tuple(w * 1.1 + 1e-9 if w >= 0 else w + abs(w) * 0.1 + 1e-9 for w in worst))
 
 
@@ -409,7 +409,7 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     pop = initialize(problem, params, rng, evaluator)
     arch = nondom(pop, capacity=params.archive_capacity)
     ref = _reference_from(pop)
-    hv = measures.hypervolume_clipped(arch.objective_matrix(), ref)
+    hv = measures.hypervolume_clipped([m.objectives.values for m in arch.members], ref)
     trace = [hv]
     pending_red: tuple[str, float] | None = None
     pending_imm: tuple[str, float] | None = None
@@ -437,7 +437,7 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
             for s in offspring:
                 arch, ok = archive_insert(arch, s, policy=red_op)
                 accepted.append(ok)
-            hv = measures.hypervolume_clipped(arch.objective_matrix(), ref)
+            hv = measures.hypervolume_clipped([m.objectives.values for m in arch.members], ref)
 
             note("SEL", sel_op, *accepted)
             note("VAR", var_op, *accepted)

@@ -27,10 +27,11 @@ class ParseError(SurvrouteError, ValueError):
 
 
 class InstanceError(SurvrouteError, ValueError):
-    """A parsed instance is semantically unusable: a dangling id, or an infeasible MR.
+    """A parsed instance is semantically unusable: a dangling id, an infeasible MR, or overflowing costs.
 
     An MR is infeasible when it has no candidate link, or no path of at most
-    MAXDEPTH links to an access router; the message names it.
+    MAXDEPTH links to an access router; the message names it. Link costs
+    overflow when the objectives' bound could exceed a float's range.
     """
 
 

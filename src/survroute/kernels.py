@@ -1,6 +1,7 @@
 """Hot numeric kernels: route evaluation walks, Pareto dominance and fronts, crowding, 2-D hypervolume.
 
-Every kernel has one form, run by CPython and numpy. The route walks take
+Every kernel has one form, run by CPython, with numpy only where the
+oracle and the dominance references walk arrays. The route walks take
 an instance's link tables whole, as ``netmodel``'s ``_Compiled`` value
 (``inst.compiled``), built once per instance. Every link table is per MR,
 indexed by the MR's choice, and made of plain tuples, which CPython indexes
@@ -16,8 +17,11 @@ only genotypes that carry none. ``enumerate_routes``, the oracle's
 exhaustive enumeration, flattens the same tables into numpy arrays and walks
 blocks of assignments at once, with the same floating-point operations per
 MR in the same order, so its objectives are bit-identical to
-``eval_route``'s. ``front_rows`` extracts a 2-D Pareto front for the oracle
-and for hypervolume.
+``eval_route``'s. ``front_rows`` extracts the oracle's 2-D Pareto front from
+those arrays. The objective kernels, ``crowding_distance`` and
+``hv2d_sweep``, take lists of (z1, z2) pairs and run in plain Python: the
+engine calls them on small fronts, where numpy's per-call conversion would
+cost more than the work.
 
 ``draw_index`` is the one way the package draws a uniform index: numpy's
 bounded-integer algorithm (Lemire's) on the generator's own 32-bit outputs,
@@ -215,38 +219,41 @@ def front_rows(z1, z2, key):
     return order[best < np.r_[np.inf, best[:-1]]]
 
 
-def crowding_distance(F):
-    """NSGA-II crowding distance per row of a mutually nondominated set.
+def crowding_distance(points):
+    """NSGA-II crowding distance (Deb et al. 2002) of each (z1, z2) pair of a mutually nondominated set.
 
-    Boundary rows per objective get +inf. Ties in an objective are ordered
-    stably (mergesort), so the result depends only on the row order of F.
+    Returns a list of floats, one per pair. Boundary points per objective
+    get +inf. Each objective is ordered with ``sorted``, which is stable, so
+    ties keep their input order and the result depends only on that order.
     """
-    n, d = F.shape
-    dist = np.zeros(n, np.float64)
+    n = len(points)
+    dist = [0.0] * n
     if n == 0:
         return dist
-    for m in range(d):
-        order = np.argsort(F[:, m], kind="mergesort")
-        dist[order[0]] = np.inf
-        dist[order[n - 1]] = np.inf
-        span = F[order[n - 1], m] - F[order[0], m]
+    for m in (0, 1):
+        col = [p[m] for p in points]
+        order = sorted(range(n), key=col.__getitem__)
+        dist[order[0]] = math.inf
+        dist[order[n - 1]] = math.inf
+        span = col[order[n - 1]] - col[order[0]]
         if span > 0.0:
             for k in range(1, n - 1):
-                dist[order[k]] += (F[order[k + 1], m] - F[order[k - 1], m]) / span
+                dist[order[k]] += (col[order[k + 1]] - col[order[k - 1]]) / span
     return dist
 
 
-def hv2d_sweep(F, ref0, ref1):
-    """2-D hypervolume of a cleaned front vs reference (ref0, ref1).
+def hv2d_sweep(points, ref0, ref1):
+    """2-D hypervolume of (z1, z2) pairs vs the reference (ref0, ref1), as a float.
 
-    F must be mutually nondominated, deduplicated, strictly dominating the
-    reference, and sorted by the first objective ascending (so the second
-    is strictly descending). Sums one slab per point in sweep order.
+    ``points`` must be sorted ascending (``sorted`` of the pairs) and each
+    must strictly dominate the reference. In that order a point adds a slab
+    exactly when it lowers z2: a point that does not, a repeated vector or a
+    dominated one, is skipped.
     """
     vol = 0.0
     prev_y = ref1
-    for i in range(F.shape[0]):
-        vol += (ref0 - F[i, 0]) * (prev_y - F[i, 1])
-        prev_y = F[i, 1]
+    for x, y in points:
+        if y < prev_y:
+            vol += (ref0 - x) * (prev_y - y)
+            prev_y = y
     return vol
-

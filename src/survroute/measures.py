@@ -1,7 +1,10 @@
 """Front quality indicators: exact 2-D hypervolume, additive epsilon, coverage.
 
 Hypervolume drives the engine's stagnation detection and RED/IMM credit;
-epsilon and coverage are reporting-only indicators.
+epsilon and coverage are reporting-only indicators. Both hypervolume
+functions take one plain-Python path: check the points, clip or reject
+those at or beyond the reference, then one ``kernels.hv2d_sweep`` over the
+sorted pairs. Only epsilon and coverage use numpy.
 """
 
 from __future__ import annotations
@@ -30,45 +33,35 @@ class ReferencePoint:
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
-
-def _front_matrix(front: Iterable, n_obj: int | None = None) -> np.ndarray:
+def _front_matrix(front: Iterable) -> np.ndarray:
     rows = []
     for point in front:
         values = point.values if isinstance(point, ObjectiveVector) else tuple(point)
         rows.append([float(v) for v in values])
     if not rows:
-        return np.zeros((0, n_obj or 0), dtype=np.float64)
+        return np.zeros((0, 0), dtype=np.float64)
     if len({len(r) for r in rows}) != 1:
         raise ContractViolation("front mixes objective lengths")
-    F = np.asarray(rows, dtype=np.float64)
-    if n_obj is not None and F.shape[1] != n_obj:
-        raise ContractViolation(f"front has {F.shape[1]} objectives, expected {n_obj}")
-    return F
-
-
-def _ref_values(ref) -> np.ndarray:
-    if isinstance(ref, ReferencePoint):
-        return ref.as_array()
-    return np.asarray([float(v) for v in ref], dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _hypervolume(front: Iterable, ref, clip: bool) -> float:
-    r = _ref_values(ref)
+    r = ref.values if isinstance(ref, ReferencePoint) else tuple(float(v) for v in ref)
     if len(r) != 2:
         raise ContractViolation(f"hypervolume takes 2 objectives, got a {len(r)}-component reference")
-    F = _front_matrix(front, n_obj=2)
-    inside = (F < r).all(axis=1)
-    if clip:
-        F = F[inside]
-    elif not inside.all():
-        worst = tuple(F[~inside][0].tolist())
-        raise ContractViolation(f"reference point {tuple(r.tolist())} is not strictly dominated by front point {worst}")
-    # clean defensively: one row per distinct nondominated point, by ascending first objective
-    F = F[kernels.front_rows(F[:, 0], F[:, 1], np.arange(F.shape[0]))]
-    return float(kernels.hv2d_sweep(F, float(r[0]), float(r[1])))
+    r0, r1 = r
+    points = []
+    for point in front:
+        values = point.values if isinstance(point, ObjectiveVector) else tuple(point)
+        if len(values) != 2:
+            raise ContractViolation(f"front has {len(values)} objectives, expected 2")
+        z = (float(values[0]), float(values[1]))
+        if z[0] < r0 and z[1] < r1:  # False for a NaN component
+            points.append(z)
+        elif not clip:
+            raise ContractViolation(f"reference point {r} is not strictly dominated by front point {z}")
+    return kernels.hv2d_sweep(sorted(points), r0, r1)
 
 
 def hypervolume(front: Iterable, ref) -> float:

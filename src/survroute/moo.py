@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import ContractViolation
 
 
@@ -48,9 +46,6 @@ class ObjectiveVector:
 
     def __getitem__(self, i: int) -> float:
         return self.values[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -314,10 +315,16 @@ def parse_instance(text: str) -> NetworkInstance:
 
 
 def _check_feasible(inst: NetworkInstance) -> None:
-    """Raise InstanceError for the first MR, in sorted order, with no path of at most MAXDEPTH links to an AR.
+    """Raise InstanceError when no valid assignment exists, or when link costs could overflow a float.
 
-    It passes exactly when a valid assignment exists: every MR on its
-    ``min_link`` then is one, a shortest-path tree.
+    The first check names the first MR, in sorted order, with no path of at
+    most MAXDEPTH links to an AR. It passes exactly when a valid assignment
+    exists: every MR on its ``min_link`` then is one, a shortest-path tree.
+    For the costs: z1 is at most n_mr x ``steps`` x the largest link cost,
+    0 <= z2 <= n_mr, and a run's hypervolume is at most about the product of
+    those two bounds. Keeping that product within half the largest float
+    keeps every objective, the run's reference point and its hypervolume
+    finite, with room for rounding.
     """
     for mr, d in zip(inst.mobile_routers, inst.compiled.min_depth):
         if d < 0:
@@ -326,6 +333,13 @@ def _check_feasible(inst: NetworkInstance) -> None:
             raise InstanceError(
                 f"mobile router {mr!r} is {d} links from an access router, beyond MAXDEPTH {inst.max_depth} (infeasible)"
             )
+    largest = max((link.cost for link in inst.links), default=0.0)
+    n, steps = inst.n_mr, inst.compiled.steps
+    if n * steps * largest * n > sys.float_info.max / 2:
+        raise InstanceError(
+            f"link cost {largest:g} can overflow the objectives: {n} MRs squared x walk cap {steps}"
+            f" x largest cost exceeds {sys.float_info.max / 2:.6g}"
+        )
 
 
 def load_instance(path) -> NetworkInstance:
@@ -390,19 +404,6 @@ def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
         if d > max_depth:
             return "depth"
     return None
-
-
-def validate_assignment(inst: NetworkInstance, a: RouteAssignment) -> bool:
-    return invalid_reason(inst, a) is None
-
-
-def parent_map(inst: NetworkInstance, a: RouteAssignment) -> dict[str, str]:
-    _check_choices(inst, a)
-    # a label is "child=parent", and ids never contain "="
-    return {
-        mr: labels[k].partition("=")[2]
-        for mr, labels, k in zip(inst.mobile_routers, inst.compiled.mr_labels, a.choices)
-    }
 
 
 def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:

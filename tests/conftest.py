@@ -1,10 +1,11 @@
-"""Shared fixtures: instance paths, parsed instances, a seeded synthetic instance, a toy grid problem."""
+"""Shared fixtures: instance paths, parsed instances, a seeded synthetic instance, a toy grid problem, a crowding reference."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from survroute.moo import CandidateSolution, ObjectiveVector, Problem
@@ -76,6 +77,28 @@ def layered_net_text(levels: int, width: int, max_depth: int, seed: int) -> str:
 @pytest.fixture(scope="session")
 def synthetic40_instance():
     return parse_instance(synthetic_net_text(40, 6, 6, seed=11))
+
+
+def numpy_crowding(points):
+    """Reference crowding distance: the numpy form ``kernels.crowding_distance`` had, one array per call.
+
+    Each objective is ordered by a stable argsort (mergesort), so ties keep
+    their row order. The plain-Python kernel must match it bit for bit.
+    """
+    F = np.array(points, dtype=np.float64).reshape(-1, 2)
+    n, d = F.shape
+    dist = np.zeros(n, np.float64)
+    if n == 0:
+        return dist
+    for m in range(d):
+        order = np.argsort(F[:, m], kind="mergesort")
+        dist[order[0]] = np.inf
+        dist[order[n - 1]] = np.inf
+        span = F[order[n - 1], m] - F[order[0], m]
+        if span > 0.0:
+            for k in range(1, n - 1):
+                dist[order[k]] += (F[order[k + 1], m] - F[order[k - 1], m]) / span
+    return dist
 
 
 def make_sol(*values, key: str | None = None) -> CandidateSolution:

@@ -3,24 +3,25 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
 
-from survroute import kernels
 from survroute.archive import NondominatedArchive, insert
 from survroute.cli import main as cli_main
 from survroute.engine import Evaluator, RunParams, local_search, random_immigrants, run
 from survroute.measures import hypervolume
+from survroute.moo import Dominance, dominates
 from survroute.netmodel import (
     RouteProblem,
     brute_force_pareto,
     crossover_parentmix,
+    invalid_reason,
     mutate_reattach,
     random_assignment,
-    validate_assignment,
 )
 from survroute.scheduler import OperatorPool, choose, probabilities
 
@@ -102,11 +103,13 @@ def test_criterion_2_archive_invariants():
         if len(arch) > capacity:
             violations += 1
             break
-        F = arch.objective_matrix()
-        if kernels.dominance_matrix(F).any():
+        if any(
+            dominates(a.objectives, b.objectives) in (Dominance.DOMINATES, Dominance.DOMINATED_BY)
+            for a, b in itertools.combinations(arch.members, 2)
+        ):
             violations += 1
             break
-        mins = F.min(axis=0)
+        mins = [min(column) for column in zip(*(m.objectives.values for m in arch.members))]
         if mins[0] > best[0] + 0.0 or mins[1] > best[1] + 0.0:
             violations += 1  # an extreme was lost
             break
@@ -211,13 +214,13 @@ def test_criterion_7_operator_closure(stress_instance):
     a = random_assignment(inst, rng)
     for _ in range(10_000):
         a = mutate_reattach(inst, a, rng)
-        invalid += not validate_assignment(inst, a)
+        invalid += invalid_reason(inst, a) is not None
 
     pool = [random_assignment(inst, rng) for _ in range(25)]
     for _ in range(10_000):
         i, j = int(rng.integers(25)), int(rng.integers(25))
         child = crossover_parentmix(inst, pool[i], pool[j], rng)
-        invalid += not validate_assignment(inst, child)
+        invalid += invalid_reason(inst, child) is not None
 
     evaluator = Evaluator(problem)
     starts = [evaluator.solution(random_assignment(inst, rng)) for _ in range(100)]
@@ -226,7 +229,7 @@ def test_criterion_7_operator_closure(stress_instance):
         op = "chebyshev" if ls_outputs % 2 else "pareto_step"
         batch = [starts[int(rng.integers(len(starts)))] for _ in range(100)]
         for out in local_search([(s.genotype, s.objectives) for s in batch], problem, op, 3, rng, evaluator):
-            invalid += not validate_assignment(inst, out.genotype)
+            invalid += invalid_reason(inst, out.genotype) is not None
             ls_outputs += 1
 
     pop = [evaluator.solution(random_assignment(inst, rng)) for _ in range(10)]
@@ -236,7 +239,7 @@ def test_criterion_7_operator_closure(stress_instance):
     for k in range(10_000):
         op = "fresh_random" if k % 2 else "heavy_mutation"
         pop = random_immigrants(pop, arch, problem, op, 0.3, rng, evaluator)
-        invalid += sum(not validate_assignment(inst, s.genotype) for s in pop)
+        invalid += sum(invalid_reason(inst, s.genotype) is not None for s in pop)
     criterion("C7 operator closure", invalid == 0, "10000 applications per operator family")
 
 

@@ -1,11 +1,14 @@
 """Archive behaviour: nondominated filtering, insertion, capacity reduction."""
 
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from survroute import kernels
 from survroute.archive import (
     NondominatedArchive,
     insert,
@@ -19,7 +22,7 @@ from survroute.engine import Evaluator
 from survroute.moo import Dominance, dominates
 from survroute.netmodel import RouteProblem, brute_force_pareto
 
-from conftest import make_sol
+from conftest import make_sol, numpy_crowding
 
 
 def objective_set(archive):
@@ -53,11 +56,11 @@ class TestNondom:
         problem = RouteProblem(standard_instance)
         solutions = []
         ranges = [range(r) for r in standard_instance.compiled.radices]
-        from survroute.netmodel import RouteAssignment, validate_assignment
+        from survroute.netmodel import RouteAssignment, invalid_reason
 
         for choices in itertools.product(*ranges):
             a = RouteAssignment(choices)
-            if validate_assignment(standard_instance, a):
+            if invalid_reason(standard_instance, a) is None:
                 solutions.append(Evaluator(problem).solution(a))
         arch = nondom(solutions)
         oracle = {ov.values for ov, _ in brute_force_pareto(standard_instance)}
@@ -214,7 +217,7 @@ def test_pareto_ranks_against_naive():
     rng = np.random.default_rng(2)
     for _ in range(20):
         F = rng.integers(0, 5, size=(rng.integers(1, 30), 2)).astype(float)
-        assert pareto_ranks(F).tolist() == _naive_ranks(F)
+        assert pareto_ranks(F) == _naive_ranks(F)
 
 
 # coordinates from a small integer grid (heavy ties) or anywhere in a float range
@@ -233,8 +236,8 @@ def point_lists(draw):
 @given(point_lists())
 def test_pareto_ranks_sweep_equals_naive_peel(pts):
     expected = _naive_ranks(pts)
-    assert pareto_ranks(pts).tolist() == expected
-    assert pareto_ranks(np.array(pts)).tolist() == expected
+    assert pareto_ranks(pts) == expected
+    assert pareto_ranks(np.array(pts)) == expected
 
 
 def test_pareto_ranks_rejects_other_objective_counts():
@@ -285,5 +288,21 @@ def test_insert_matches_rebuilt_reference(seq, capacity, policy):
 def test_rank_and_crowding_shapes():
     sols = [make_sol(0, 2), make_sol(1, 1), make_sol(2, 0), make_sol(3, 3)]
     ranks, crowd = rank_and_crowding(sols)
-    assert ranks.tolist() == [0, 0, 0, 1]
-    assert np.isinf(crowd[0]) and np.isinf(crowd[2]) and np.isinf(crowd[3])
+    assert ranks == [0, 0, 0, 1]
+    assert crowd[0] == crowd[2] == crowd[3] == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=30),
+    st.sampled_from(["crowding_seq", "crowding_batch"]),
+    st.data(),
+)
+def test_reduce_ties_match_numpy_crowding(pts, policy, data):
+    # a 5 x 5 grid, one key per point: equal vectors under many keys, so crowding distances tie often
+    members = nondom([make_sol(*p, key=f"g{i}") for i, p in enumerate(pts)]).members
+    capacity = data.draw(st.integers(1, max(1, len(members) - 1)))
+    arch = NondominatedArchive(members=members, capacity=capacity)
+    with mock.patch.object(kernels, "crowding_distance", numpy_crowding):
+        expected = reduce(arch, policy).members
+    assert reduce(arch, policy).members == expected

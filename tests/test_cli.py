@@ -263,7 +263,7 @@ def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
     assert captured.err.startswith("survroute: ")
 
 
-_INFEASIBLE = {
+_REJECTED_AT_LOAD = {
     # m1 and m2 can only attach beneath each other
     "unreachable": (
         "BS b 0.1\nAR a b\nMR m1\nMR m2\nLINK m1 m2 1 0.1\nLINK m2 m1 1 0.1\n",
@@ -274,13 +274,20 @@ _INFEASIBLE = {
         "BS b 0.1\nAR a b\nMR m1\nMR m2\nMR m3\nLINK m1 a 1 0.1\nLINK m2 m1 1 0.1\nLINK m3 m2 1 0.1\nMAXDEPTH 2\n",
         "mobile router 'm3' is 3 links from an access router, beyond MAXDEPTH 2 (infeasible)",
     ),
+    # feasible, but z1 of the chain m2 -> m1 -> a1 exceeds a float's range: it must be rejected
+    # at load, before the oracle's numpy walk could warn (an error under the suite's filter)
+    "overflowing_costs": (
+        "BS b1 0.1\nAR a1 b1\nMR m1\nMR m2\nLINK m1 a1 1e308 0.1\nLINK m2 m1 1e308 0.1\nLINK m2 a1 1e308 0.1\n",
+        "link cost 1e+308 can overflow the objectives: 2 MRs squared x walk cap 2 x largest cost"
+        " exceeds 8.98847e+307",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "oracle_over_guard"])
-@pytest.mark.parametrize("case", sorted(_INFEASIBLE))
+@pytest.mark.parametrize("case", sorted(_REJECTED_AT_LOAD))
 def test_infeasible_instance_exits_3_at_load(command, case, tmp_path, capsys):
-    net_text, message = _INFEASIBLE[case]
+    net_text, message = _REJECTED_AT_LOAD[case]
     net = tmp_path / "infeasible.net"
     net.write_text(net_text)
     out = tmp_path / "out"

@@ -20,7 +20,7 @@ from survroute.kernels import (
 from survroute.moo import Dominance, ObjectiveVector, dominates
 from survroute.netmodel import CandidateLink, NetworkInstance, parse_instance
 
-from conftest import synthetic_net_text
+from conftest import numpy_crowding, synthetic_net_text
 
 
 def test_compiled_tables_are_plain_tuples(standard_instance, stress_instance):
@@ -191,23 +191,42 @@ def test_front_rows_match_sequential_scan(data):
 
 
 def test_crowding_distance_hand_case():
-    F = np.array([[0.0, 4.0], [2.0, 2.0], [4.0, 0.0]])
-    d = crowding_distance(F)
+    d = crowding_distance([(0.0, 4.0), (2.0, 2.0), (4.0, 0.0)])
     assert np.isinf(d[0]) and np.isinf(d[2])
     # interior point: (4-0)/4 per objective
     assert d[1] == pytest.approx(2.0)
+    assert all(type(v) is float for v in d)
 
 
 def test_crowding_distance_all_equal_objectives():
-    F = np.array([[1.0, 1.0]] * 4)
-    d = crowding_distance(F)
+    d = crowding_distance([(1.0, 1.0)] * 4)
     assert np.isinf(d[0]) and np.isinf(d[-1])
     assert d[1] == 0.0 and d[2] == 0.0
 
 
+# five levels per objective, so ties in one objective, in both, and repeated vectors are common
+levels = st.sampled_from([0.0, 0.1, 0.7, 1.3, 3.0])
+
+
+@st.composite
+def tied_points(draw):
+    pts = draw(st.lists(st.tuples(levels, levels), min_size=1, max_size=30))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=10))  # repeats
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_points())
+def test_crowding_distance_equals_numpy_form(points):
+    # the same float operations in the same order; ties resolved in input order by both stable sorts
+    expected = [float(v).hex() for v in numpy_crowding(points)]
+    assert [v.hex() for v in crowding_distance(points)] == expected
+
+
 def test_hv2d_sweep_worked_example():
-    F = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert hv2d_sweep(F, 3.0, 3.0) == 3.0
+    assert hv2d_sweep([(1.0, 2.0), (2.0, 1.0)], 3.0, 3.0) == 3.0
+    # a repeated vector and a dominated point lower no z2, so they add nothing
+    assert hv2d_sweep([(1.0, 2.0), (1.0, 2.0), (1.5, 2.0), (2.0, 1.0), (2.5, 1.5)], 3.0, 3.0) == 3.0
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)

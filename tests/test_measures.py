@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survroute.errors import ContractViolation
+from survroute.kernels import front_rows
 from survroute.measures import (
     ReferencePoint,
     additive_epsilon,
@@ -157,3 +158,45 @@ def test_hv_of_raw_front_equals_hv_of_cleaned_front(case):
     expected = hypervolume(_cleaned(inside), ref).hex()
     assert hypervolume(inside, ref).hex() == expected
     assert hypervolume_clipped(points, ref).hex() == expected
+
+
+def numpy_hypervolume(front, ref, clip):
+    """Reference: the numpy form both hypervolumes had, ``front_rows`` cleaning then one slab per front row."""
+    r = np.asarray(ref, dtype=np.float64)
+    F = np.asarray(front, dtype=np.float64).reshape(-1, 2)
+    inside = (F < r).all(axis=1)
+    if clip:
+        F = F[inside]
+    elif not inside.all():
+        raise ContractViolation("a point does not strictly dominate the reference")
+    F = F[front_rows(F[:, 0], F[:, 1], np.arange(F.shape[0]))]
+    vol = 0.0
+    prev_y = r[1]
+    for i in range(F.shape[0]):
+        vol += (r[0] - F[i, 0]) * (prev_y - F[i, 1])
+        prev_y = F[i, 1]
+    return float(vol)
+
+
+# grid values (ties, repeats, points on the reference 2.5) or anywhere around the reference
+hv_coords = st.one_of(st.sampled_from([0.0, 0.5, 1.25, 2.5, 3.0]), st.floats(-1.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def unsorted_fronts(draw):
+    """Unsorted points with repeats and dominated points, some at or beyond the reference (2.5, 2.5)."""
+    points = draw(st.lists(st.tuples(hv_coords, hv_coords), min_size=1, max_size=30))
+    points += draw(st.lists(st.sampled_from(points), max_size=10))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unsorted_fronts())
+def test_hv_equals_numpy_form_in_both_clip_modes(points):
+    ref = (2.5, 2.5)
+    assert hypervolume_clipped(points, ref).hex() == numpy_hypervolume(points, ref, clip=True).hex()
+    inside = [p for p in points if p[0] < ref[0] and p[1] < ref[1]]
+    assert hypervolume(inside, ref).hex() == numpy_hypervolume(inside, ref, clip=False).hex()
+    if len(inside) < len(points):
+        with pytest.raises(ContractViolation):
+            hypervolume(points, ref)

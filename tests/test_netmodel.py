@@ -33,10 +33,8 @@ from survroute.netmodel import (
     load_instance,
     mutate_reattach,
     neighborhood,
-    parent_map,
     parse_instance,
     random_assignment,
-    validate_assignment,
 )
 
 from conftest import layered_net_text, synthetic_net_text
@@ -104,6 +102,11 @@ def naive_objectives(inst, pm):
         z1 += cost
         z2 += 1.0 - surv
     return z1, z2
+
+
+def parents_of(inst, a):
+    """MR id -> parent id under ``a``, read back from its ``assignment_string`` ("mr=parent;...")."""
+    return dict(entry.split("=") for entry in assignment_string(inst, a).split(";"))
 
 
 def all_parent_maps(inst):
@@ -253,7 +256,7 @@ class TestParse:
 class TestValidity:
     def test_depth_one_chain(self):
         inst = parse_instance(MINIMAL)
-        assert validate_assignment(inst, RouteAssignment((0,)))
+        assert invalid_reason(inst, RouteAssignment((0,))) is None
 
     def test_two_cycle(self, standard_instance):
         # m1 -> m2 (index 2) and m2 -> m1 (index 2)
@@ -280,9 +283,9 @@ MAXDEPTH 2
 
     def test_malformed_assignment(self, standard_instance):
         with pytest.raises(ContractViolation):
-            validate_assignment(standard_instance, RouteAssignment((0, 0)))
+            invalid_reason(standard_instance, RouteAssignment((0, 0)))
         with pytest.raises(ContractViolation):
-            validate_assignment(standard_instance, RouteAssignment((9, 0, 0)))
+            invalid_reason(standard_instance, RouteAssignment((9, 0, 0)))
 
     def test_reason_agrees_with_kernel_flag(self, standard_instance):
         # the python reason walk and the kernel validity flag must agree
@@ -376,7 +379,7 @@ class TestObjectives:
         rng = np.random.default_rng(5)
         a = random_assignment(standard_instance, rng)
         z1, z2 = RouteProblem(standard_instance).evaluate(a).values
-        pm = parent_map(standard_instance, a)
+        pm = parents_of(standard_instance, a)
         used_child = standard_instance.mobile_routers[0]
         used_pair = (used_child, pm[used_child])
         bumped_links = tuple(
@@ -398,6 +401,7 @@ class TestSerialization:
             a = random_assignment(stress_instance, rng)
             text = assignment_string(stress_instance, a)
             assert assignment_from_string(stress_instance, text) == a
+            assert assignment_from_parent_map(stress_instance, parents_of(stress_instance, a)) == a
 
     def test_canonical_order(self, standard_instance):
         a = RouteAssignment((0, 0, 0))
@@ -438,7 +442,7 @@ class TestRandomAssignment:
     def test_validity_sweep(self, standard_instance):
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            assert validate_assignment(standard_instance, random_assignment(standard_instance, rng))
+            assert invalid_reason(standard_instance, random_assignment(standard_instance, rng)) is None
 
     def test_seed_determinism(self, stress_instance):
         a = random_assignment(stress_instance, np.random.default_rng(11))
@@ -480,7 +484,7 @@ class TestMutate:
         a = random_assignment(stress_instance, rng)
         for _ in range(1000):
             a = mutate_reattach(stress_instance, a, rng)
-            assert validate_assignment(stress_instance, a)
+            assert invalid_reason(stress_instance, a) is None
 
     def test_heavy_touches_at_most_half(self, stress_instance):
         rng = np.random.default_rng(8)
@@ -488,7 +492,7 @@ class TestMutate:
         limit = (stress_instance.n_mr + 1) // 2
         for _ in range(200):
             b = heavy_reattach(stress_instance, a, rng)
-            assert validate_assignment(stress_instance, b)
+            assert invalid_reason(stress_instance, b) is None
             assert sum(x != y for x, y in zip(a.choices, b.choices)) <= limit
             a = b
 
@@ -503,7 +507,7 @@ class TestMutate:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(6):
-            assert validate_assignment(inst, a)
+            assert invalid_reason(inst, a) is None
             up = _parent_mrs(inst, a.choices)
             children = _children(up)
             for m in range(n_mr):
@@ -542,7 +546,7 @@ class TestCrossover:
         for _ in range(1000):
             i, j = rng.integers(len(pool)), rng.integers(len(pool))
             child = crossover_parentmix(stress_instance, pool[int(i)], pool[int(j)], rng)
-            assert validate_assignment(stress_instance, child)
+            assert invalid_reason(stress_instance, child) is None
 
     def test_inherits_from_parents_when_no_repair_possible(self):
         # star topology (every link goes straight to an AR): never needs repair
@@ -570,7 +574,7 @@ class TestNeighborhood:
     def test_matches_independent_count(self, standard_instance):
         inst = standard_instance
         a = random_assignment(inst, np.random.default_rng(14))
-        pm = parent_map(inst, a)
+        pm = parents_of(inst, a)
         expected = 0
         per_mr = {mr: [] for mr in inst.mobile_routers}
         for l in inst.links:
@@ -589,7 +593,7 @@ class TestNeighborhood:
         neighbors = neighborhood(stress_instance, a)
         assert a not in neighbors
         for b in neighbors:
-            assert validate_assignment(stress_instance, b)
+            assert invalid_reason(stress_instance, b) is None
 
     def test_deterministic_order(self, standard_instance):
         a = random_assignment(standard_instance, np.random.default_rng(16))
@@ -607,7 +611,7 @@ class TestNeighborhood:
             for k in range(inst.compiled.radices[m]):
                 if k != a.choices[m]:
                     b = RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
-                    if validate_assignment(inst, b):
+                    if invalid_reason(inst, b) is None:
                         expected.append(b)
         pairs = list(iter_neighbors(inst, a))
         assert [g for g, _ov in pairs] == expected == neighborhood(inst, a)
@@ -797,7 +801,7 @@ class TestBruteForce:
     def test_witness_self_consistency(self, fixture, request):
         inst = request.getfixturevalue(fixture)
         for ov, witness in brute_force_pareto(inst):
-            assert validate_assignment(inst, witness)
+            assert invalid_reason(inst, witness) is None
             assert RouteProblem(inst).evaluate(witness).values == ov.values
 
     def test_search_space_size(self, standard_instance, stress_instance):
@@ -809,14 +813,14 @@ def test_route_problem_surface(standard_instance):
     problem = RouteProblem(standard_instance)
     rng = np.random.default_rng(17)
     g = problem.random_genotype(rng)
-    assert validate_assignment(standard_instance, g)
+    assert invalid_reason(standard_instance, g) is None
     assert problem.objective_count == 2
     assert problem.genotype_key(g) == assignment_string(standard_instance, g)
-    assert validate_assignment(standard_instance, problem.mutate(g, rng))
-    assert validate_assignment(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng))
-    assert validate_assignment(standard_instance, problem.heavy_mutate(g, rng))
+    assert invalid_reason(standard_instance, problem.mutate(g, rng)) is None
+    assert invalid_reason(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng)) is None
+    assert invalid_reason(standard_instance, problem.heavy_mutate(g, rng)) is None
     for n, objectives in problem.neighborhood(g):
-        assert validate_assignment(standard_instance, n)
+        assert invalid_reason(standard_instance, n) is None
         assert objectives == problem.evaluate(n)
 
 
