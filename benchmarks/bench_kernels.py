@@ -11,8 +11,10 @@ the MR's choice). Beside the 200-MR
 walks, ``RouteProblem.evaluate`` is timed on 400 ``mutate_reattach``
 children, which carry their per-MR terms, so it adds them instead of
 walking; their objectives are checked against a full walk first.
-``enumerate_routes``, the oracle's numpy block walk, is timed against one
-``eval_route`` walk per assignment of the same space. ``mutate_reattach``,
+``enumerate_routes``, the oracle's walk of each MR's path tree, is timed
+against one ``eval_route`` walk per assignment of a 6-MR space, and alone
+at the ``oracle_n8`` workload's size (8 MRs x 5 links, 390,625
+assignments), beside ``front_rows`` on its valid rows. ``mutate_reattach``,
 which decides each candidate link on the forest, is timed at 40 and 200
 MRs against a reference that decides each candidate by a full route walk,
 and ``heavy_reattach`` and ``random_assignment`` (initialization: randomized
@@ -186,11 +188,21 @@ def main() -> None:
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
     sc = small.compiled
     space = [tuple(int(k) for k in np.unravel_index(flat, sc.radices)) for flat in range(sc.search_space)]
-    t_block = best_of(lambda: kernels.enumerate_routes(sc), args.repeats)
+    t_tree = best_of(lambda: kernels.enumerate_routes(sc), args.repeats)
     t_loop = best_of(lambda: [kernels.eval_route(row, sc) for row in space], args.repeats)
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
-    print(f"  block walk                 {t_block * 1e3:>8.2f}ms")
-    print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_block:.1f}x)")
+    print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
+    print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_tree:.1f}x)")
+    large = synthetic_instance(n_mr=8, links_per_mr=5, seed=2)
+    lc = large.compiled
+    t_tree = best_of(lambda: kernels.enumerate_routes(lc), args.repeats)
+    valid, z1, z2 = kernels.enumerate_routes(lc)
+    idx = np.flatnonzero(valid)
+    z1, z2 = z1[idx], z2[idx]
+    t_front = best_of(lambda: kernels.front_rows(z1, z2, idx), args.repeats)
+    print(f"enumerate_routes over {lc.search_space} assignments (8 MRs, the oracle_n8 size):")
+    print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
+    print(f"  {f'front_rows ({idx.size} valid)':<27}{t_front * 1e3:>8.2f}ms")
 
     # mutation: the forest check against one route walk per candidate link
     print("mutate_reattach per call, forest check vs a route walk per candidate:")

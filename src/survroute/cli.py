@@ -182,6 +182,9 @@ def cmd_measure(args) -> int:
         report["additive_epsilon_ab"] = additive_epsilon(front_a, front_b)
         report["coverage_ab"] = coverage(front_a, front_b)
         report["coverage_ba"] = coverage(front_b, front_a)
+    for name, value in report.items():  # Infinity and NaN are not JSON
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} is {value}: the fronts and the reference point {args.ref!r} overflow it")
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

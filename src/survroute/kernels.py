@@ -1,7 +1,7 @@
 """Hot numeric kernels: route evaluation walks, Pareto dominance and fronts, crowding, 2-D hypervolume.
 
 Every kernel has one form, run by CPython, with numpy only where the
-oracle and the dominance references walk arrays. The route walks take
+oracle and the dominance references fill or scan arrays. The route walks take
 an instance's link tables whole, as ``netmodel``'s ``_Compiled`` value
 (``inst.compiled``), built once per instance. Every link table is per MR,
 indexed by the MR's choice, and made of plain tuples, which CPython indexes
@@ -14,14 +14,14 @@ they build: a new genotype is walked once, and a mutation or a
 local-search neighbor re-walks just the subtree its move changes; its
 evaluation then adds the terms in the same order, so ``eval_route`` walks
 only genotypes that carry none. ``enumerate_routes``, the oracle's
-exhaustive enumeration, flattens the same tables into numpy arrays and walks
-blocks of assignments at once, with the same floating-point operations per
-MR in the same order, so its objectives are bit-identical to
-``eval_route``'s. ``front_rows`` extracts the oracle's 2-D Pareto front from
-those arrays. The objective kernels, ``crowding_distance`` and
-``hv2d_sweep``, take lists of (z1, z2) pairs and run in plain Python: the
-engine calls them on small fronts, where numpy's per-call conversion would
-cost more than the work.
+exhaustive enumeration, walks each MR's tree of possible paths over the same
+per-MR tables and adds each path's terms into the box of assignments that
+take it, with the same floating-point operations per MR in the same order,
+so its objectives are bit-identical to ``eval_route``'s. ``front_rows``
+extracts the oracle's 2-D Pareto front from those arrays. The objective
+kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of (z1, z2)
+pairs and run in plain Python: the engine calls them on small fronts, where
+numpy's per-call conversion would cost more than the work.
 
 ``draw_index`` is the one way the package draws a uniform index: numpy's
 bounded-integer algorithm (Lemire's) on the generator's own 32-bit outputs,
@@ -38,9 +38,6 @@ import operator
 from functools import reduce
 
 import numpy as np
-
-_BLOCK_ROWS = 8192  # assignments per enumerate_routes block: bounds its working arrays
-
 
 def draw_index(rng, n):
     """A uniform index in [0, n) from the numpy ``Generator`` ``rng``: the int its ``integers(n)`` gives.
@@ -134,61 +131,63 @@ def route_terms(choices, mrs, tables, cost_out, risk_out):
 def enumerate_routes(tables):
     """Evaluate every assignment in the full mixed-radix space of ``tables.radices``.
 
-    ``tables`` is what ``route_terms`` takes, with at least one MR
-    (``brute_force_pareto`` answers the empty instance itself). Once per
-    call its per-MR tables are flattened into numpy arrays, MR m's links
-    starting at the sum of the radices before m; no other code indexes a
-    link by a flat number.
-    Returns (valid, z1, z2) arrays of length prod(radices), indexed in
-    row-major order (last MR varies fastest), matching np.unravel_index;
-    z1 and z2 are 0.0 on invalid rows.
+    ``tables`` is what ``route_terms`` takes. Returns (valid, z1, z2) arrays
+    of length prod(radices), indexed in row-major order (last MR varies
+    fastest), matching np.unravel_index; z1 and z2 are 0.0 on invalid rows.
 
-    The space is walked in blocks of ``_BLOCK_ROWS`` assignments. Within a
-    block every MR's walk of every assignment advances together, one masked
-    step per depth level, and the per-MR terms are summed in MR order. Each
-    valid row thus sees the same floating-point operations, in the same
-    order, as ``eval_route`` on that assignment, so the objectives are
-    bit-identical.
+    The arrays are built with one axis per MR that does not have exactly one
+    link (an MR with one link fixes nothing, and leaving it out keeps the
+    axes within numpy's dimension cap: an instance the oracle guard admits
+    has at most log2(search space) MRs with two links or more), so a set of
+    assignments that fix some MRs' choices and leave the others free is one
+    basic-index box.
+    For each MR m in index order, the tree of paths m's walk can take is
+    walked with an explicit stack: a leaf that reaches an access router adds
+    the path's cost and risk into its box, and a leaf whose walk revisits an
+    MR or has taken ``tables.steps`` links marks its box invalid. The leaves
+    of one MR's tree partition the space, so every assignment gets one add
+    per MR, in MR order, of the terms ``route_terms`` computes with the same
+    floating-point operations; its objectives are thus bit-identical to
+    ``eval_route``'s.
     """
-    radices = np.asarray(tables.radices, np.int64)
-    offsets = np.cumsum(radices) - radices
-    link_parent = np.concatenate(tables.mr_parents, dtype=np.int64)
-    link_cost = np.concatenate(tables.mr_costs, dtype=np.float64)
-    link_surv = np.concatenate(tables.mr_survs, dtype=np.float64)
-    bs_surv = np.asarray(tables.ar_bs_surv, np.float64)
-    n_mr = radices.shape[0]
-    total = math.prod(int(r) for r in radices)
-    valid = np.zeros(total, np.bool_)
-    z1 = np.zeros(total, np.float64)
-    z2 = np.zeros(total, np.float64)
-    strides = np.ones(n_mr, np.int64)
-    strides[:-1] = np.cumprod(radices[:0:-1])[::-1]
-    for start in range(0, total, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        # links[row, m]: the link MR m chooses in assignment start + row
-        links = offsets + (idx[:, None] // strides) % radices
-        rows = np.arange(idx.size)[:, None]
-        cur = np.broadcast_to(np.arange(n_mr), links.shape)
-        cost = np.zeros(links.shape)
-        surv = np.ones(links.shape)
-        active = np.ones(links.shape, np.bool_)
-        for _step in range(tables.steps):
-            li = links[rows, cur]
-            np.add(cost, link_cost[li], out=cost, where=active)
-            np.multiply(surv, link_surv[li], out=surv, where=active)
-            parent = link_parent[li]
-            at_ar = active & (parent < 0)
-            surv[at_ar] *= bs_surv[parent[at_ar]]
-            active &= ~at_ar
-            if not active.any():
-                break
-            cur = np.where(active, parent, cur)
-        ok = ~active.any(axis=1)
-        valid[start:stop] = ok
-        z1[start:stop] = np.where(ok, np.add.accumulate(cost, axis=1)[:, -1], 0.0)
-        z2[start:stop] = np.where(ok, np.add.accumulate(1.0 - surv, axis=1)[:, -1], 0.0)
-    return valid, z1, z2
+    parents, costs, survs, ar_bs_surv = tables.mr_parents, tables.mr_costs, tables.mr_survs, tables.ar_bs_surv
+    n_ar = len(ar_bs_surv)
+    steps = tables.steps
+    radices = tables.radices
+    shape, axis_of = [], []  # the arrays' axes, and each MR's axis (-1 for an MR with one link)
+    for r in radices:
+        axis_of.append(len(shape) if r != 1 else -1)
+        if r != 1:
+            shape.append(r)
+    valid = np.ones(shape, np.bool_)
+    z1 = np.zeros(shape, np.float64)
+    z2 = np.zeros(shape, np.float64)
+    whole = (slice(None),) * len(shape)
+    for m in range(len(radices)):
+        # (MR the walk is at, box of assignments on this path, MRs on the path as bits, cost, survival, links taken)
+        stack = [(m, whole, 1 << m, 0.0, 1.0, 0)]
+        while stack:
+            cur, box, on_path, cost, surv, depth = stack.pop()
+            if depth == steps:
+                valid[box] = False
+                continue
+            a = axis_of[cur]
+            for k, p in enumerate(parents[cur]):
+                sub = box if a < 0 else box[:a] + (k,) + box[a + 1:]
+                c = cost + costs[cur][k]
+                s = surv * survs[cur][k]
+                if p < 0:
+                    s *= ar_bs_surv[n_ar + p]
+                    z1[sub] += c
+                    z2[sub] += 1.0 - s
+                elif on_path >> p & 1:
+                    valid[sub] = False
+                else:
+                    stack.append((p, sub, on_path | 1 << p, c, s, depth + 1))
+    invalid = ~valid
+    z1[invalid] = 0.0
+    z2[invalid] = 0.0
+    return valid.reshape(-1), z1.reshape(-1), z2.reshape(-1)
 
 
 def dominance(a, b):
@@ -213,8 +212,16 @@ def front_rows(z1, z2, key):
     Of equal points the row with the smallest ``key`` is kept. In (z1, z2,
     key) order a row is on the front exactly when its z2 is below every z2
     before it, that is, when it lowers the running minimum of z2.
+
+    Only the rows whose z2 equals the running minimum in a stable z1 order
+    are sorted that way: a front row has a z2 at or below every row before
+    it in z1 order, and the running minimum is always held by such a row,
+    so the rows dropped change no verdict.
     """
-    order = np.lexsort((key, z2, z1))
+    order = np.argsort(z1, kind="stable")
+    z2_order = z2[order]
+    order = order[z2_order == np.minimum.accumulate(z2_order)]
+    order = order[np.lexsort((key[order], z2[order], z1[order]))]
     best = np.minimum.accumulate(z2[order])
     return order[best < np.r_[np.inf, best[:-1]]]
 

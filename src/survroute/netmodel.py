@@ -692,14 +692,27 @@ def brute_force_pareto(
         raise OracleScopeError(
             f"search space {c.search_space} exceeds oracle guard {guard}"
         )
-    if inst.n_mr == 0:
-        return [(ObjectiveVector((0.0, 0.0)), RouteAssignment(()))]
     valid, z1, z2 = kernels.enumerate_routes(c)
     idx = np.flatnonzero(valid)
     z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
     rows = kernels.front_rows(z1, z2, idx)
-    choices = zip(*(col.tolist() for col in np.unravel_index(idx[rows], c.radices)))
-    return [(ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(ch)) for i, ch in zip(rows, choices)]
+    return [
+        (ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(_unravel(flat, c.radices)))
+        for i, flat in zip(rows.tolist(), idx[rows].tolist())
+    ]
+
+
+def _unravel(flat: int, radices) -> tuple[int, ...]:
+    """The choices of row ``flat`` of the row-major mixed-radix space (last MR fastest), as np.unravel_index gives.
+
+    Plain integer arithmetic: it holds for any number of MRs, where numpy
+    allows at most 64 dimensions, and an MR with one link gets choice 0.
+    """
+    choices = []
+    for r in reversed(radices):
+        flat, k = divmod(flat, r)
+        choices.append(k)
+    return tuple(reversed(choices))
 
 
 class RouteProblem(Problem):

@@ -150,6 +150,40 @@ class TestOracle:
     def test_missing_instance_exits_3(self, tmp_path):
         assert run_cli("oracle", str(tmp_path / "nope.net"), "--out", str(tmp_path / "f.csv")) == 3
 
+    def test_more_mrs_than_numpy_dimensions(self, tmp_path):
+        # 65 MRs with one link each: a search space of 1, more MRs than numpy has dimensions
+        mrs = [f"m{i:02d}" for i in range(65)]
+        net = tmp_path / "wide.net"
+        net.write_text("BS b 0.5\nAR a b\n" + "".join(f"MR {m}\nLINK {m} a 1 0\n" for m in mrs))
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", str(net), "--out", str(out)) == 0
+        genotype = ";".join(f"{m}=a" for m in mrs)
+        assert out.read_text() == f"z1,z2,genotype\n65,32.5,{genotype}\n"
+
+    def test_few_choices_among_many_mrs(self, tmp_path):
+        # 100 MRs on a cheap risky access router; m010 and m050 may also take a dearer safe one
+        mrs = [f"m{i:03d}" for i in range(100)]
+        lines = ["BS b0 0.5", "BS b1 0", "AR a0 b0", "AR a1 b1"] + [f"MR {m}" for m in mrs]
+        for m in mrs:
+            lines.append(f"LINK {m} a0 1 0")
+            if m in ("m010", "m050"):
+                lines.append(f"LINK {m} a1 2 0")
+        net = tmp_path / "two_choices.net"
+        net.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", str(net), "--out", str(out)) == 0
+
+        def genotype(*safe):
+            return ";".join(f"{m}={'a1' if m in safe else 'a0'}" for m in mrs)
+
+        # of the two witnesses of (101, 49.5) the smaller enumeration index moves the later MR
+        assert out.read_text() == (
+            "z1,z2,genotype\n"
+            f"100,50,{genotype()}\n"
+            f"101,49.5,{genotype('m050')}\n"
+            f"102,49,{genotype('m010', 'm050')}\n"
+        )
+
 
 class TestMeasure:
     def _write(self, path, rows):
@@ -197,6 +231,20 @@ class TestMeasure:
     def test_ref_not_dominating_exits_2(self, tmp_path):
         f = self._write(tmp_path / "a.csv", [(5.0, 5.0, "g")])
         assert run_cli("measure", f, f, "--ref", "3,3") == 2
+
+    def test_overflowing_hypervolume_exits_2(self, tmp_path, capsys):
+        f = self._write(tmp_path / "a.csv", [(-1e308, -1e308, "g")])
+        assert run_cli("measure", f, f, "--ref", "1e308,1e308") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: hypervolume_a is inf" in captured.err
+
+    def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every reported indicator is checked, not only the hypervolumes
+        monkeypatch.setattr("survroute.cli.additive_epsilon", lambda a, b: float("nan"))
+        f = self._write(tmp_path / "a.csv", [(1.0, 2.0, "g")])
+        assert run_cli("measure", f, f, "--ref", "3,3") == 2
+        assert "config error: additive_epsilon_ab is nan" in capsys.readouterr().err
 
 
 def _bad_input_argv(case, tmp_path):

@@ -1,7 +1,9 @@
 """Kernel-level checks: enumeration matches single walks, dominance matches the scalar classifier, hand-verifiable values hold."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,10 +148,69 @@ def test_enumerate_routes_without_access_router_links():
 
 def test_enumerate_routes_across_blocks():
     inst = parse_instance(synthetic_net_text(9, 3, 4, seed=5))
-    space = inst.compiled.search_space
-    assert space > kernels._BLOCK_ROWS and space % kernels._BLOCK_ROWS != 0
     valid = _assert_enumeration_matches_eval_route(inst)
     assert 0 < valid.sum() < valid.size
+
+
+def test_enumerate_routes_walk_cap_decides_validity():
+    # a chain: m{i} links to the access router and to m{i-1}, so no walk can cycle
+    n = 7
+    lines = ["BS b0 0.1", "BS b1 0.3", "AR a0 b0", "AR a1 b1"] + [f"MR m{i}" for i in range(n)]
+    for i in range(n):
+        lines.append(f"LINK m{i} a{i % 2} {1 + i / 8} {i / 50}")
+        if i:
+            lines.append(f"LINK m{i} m{i - 1} {2 + i / 4} {i / 40}")
+    text = "\n".join(lines) + "\n"
+    capped = parse_instance(text + "MAXDEPTH 3\n")
+    assert capped.compiled.steps == 3 < n
+    valid = _assert_enumeration_matches_eval_route(capped)
+    # an assignment is valid exactly when no MR's walk takes more than 3 links
+    for flat, ok in enumerate(valid.tolist()):
+        choices = np.unravel_index(flat, capped.compiled.radices)
+        run = longest = 0
+        for k in choices:  # a walk from m{i} follows the chain while the choices are 1
+            run = run + 1 if k == 1 else 0
+            longest = max(longest, run)
+        assert ok == (longest + 1 <= 3)
+    assert _assert_enumeration_matches_eval_route(parse_instance(text + f"MAXDEPTH {n}\n")).all()
+
+
+def test_enumerate_routes_with_single_link_mrs():
+    # m1 and m3 have one link each (to an MR and to the access router), the others several; m0-m2 can cycle
+    inst = parse_instance(
+        "BS b0 0.1\nBS b1 0.2\nAR a0 b0\nAR a1 b1\nMR m0\nMR m1\nMR m2\nMR m3\nMR m4\n"
+        "LINK m0 a0 1.5 0.1\nLINK m0 m2 0.5 0.05\nLINK m0 m4 0.7 0.02\n"
+        "LINK m1 m0 0.25 0.01\n"
+        "LINK m2 a1 3 0.2\nLINK m2 m1 0.3 0.03\n"
+        "LINK m3 a1 2 0.15\n"
+        "LINK m4 a0 1 0.05\nLINK m4 m3 0.4 0.04\nLINK m4 m1 0.6 0.06\nMAXDEPTH 4\n"
+    )
+    assert inst.compiled.radices == (3, 1, 2, 1, 3)
+    valid = _assert_enumeration_matches_eval_route(inst)
+    assert 0 < valid.sum() < valid.size
+    # only single-link MRs: one assignment, one row
+    only = parse_instance("BS b 0.5\nAR a b\nMR m0\nMR m1\nLINK m0 a 1 0\nLINK m1 m0 2 0\n")
+    assert _assert_enumeration_matches_eval_route(only).tolist() == [True]
+
+
+def test_enumerate_routes_frees_its_arrays():
+    # with the collector off, a reference cycle would keep the full-space arrays alive after del
+    c = parse_instance(synthetic_net_text(8, 4, 4, seed=3)).compiled
+    rows = c.search_space
+    enumerate_routes(c)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = enumerate_routes(c)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del result
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held >= rows * 17  # one bool and two float64 per row
+    assert left < rows // 8
 
 
 def test_dominance_matrix_matches_pairwise_dominates():
