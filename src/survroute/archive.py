@@ -4,10 +4,10 @@ The archive is a value: every operation returns a new archive. Members are
 kept in canonical order (objectives lexicographic, then genotype key) so a
 run's archive iterates identically regardless of insertion history.
 
-Objectives are two-dimensional throughout; a solution with another count
-raises ``ContractViolation``. Ranking and insertion are 2-D sweeps over
-sorted points (``pareto_ranks``, ``insert``), with no all-pairs dominance
-matrix. Everything here is plain Python on (z1, z2) tuples: ranks are a
+Objectives are two-dimensional throughout, as ``ObjectiveVector`` enforces;
+``pareto_ranks`` also takes raw pairs, so it checks their length. Ranking
+and insertion are 2-D sweeps over sorted points (``pareto_ranks``,
+``insert``), with no all-pairs dominance matrix. Everything here is plain Python on (z1, z2) tuples: ranks are a
 list of ints, and crowding is ``kernels.crowding_distance`` on each front's
 list of pairs.
 """
@@ -100,8 +100,6 @@ def insert(
     at the first member with z2 < b.
     """
     point = s.objectives.values
-    if len(point) != 2:
-        raise ContractViolation(f"archive takes 2 objectives, got {len(point)}")
     a, b = point
     members = archive.members
     i = bisect_right(members, a, key=_z1)
@@ -134,13 +132,10 @@ def count_dominated(archive: NondominatedArchive, solutions: Iterable[CandidateS
 
 
 def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
-    """One member index per objective: the minimizer (ties: canonically smallest)."""
-    protected: set[int] = set()
-    n_obj = len(members[0].objectives)
-    for i in range(n_obj):
-        best = min(range(len(members)), key=lambda k: (members[k].objectives[i], members[k].sort_key()))
-        protected.add(best)
-    return protected
+    """The indices of the z1 minimizer and the z2 minimizer (ties: canonically smallest)."""
+    by_z1 = min(range(len(members)), key=lambda k: members[k].sort_key())
+    by_z2 = min(range(len(members)), key=lambda k: (members[k].objectives.values[1], members[k].sort_key()))
+    return {by_z1, by_z2}
 
 
 def _removal_order(members: Sequence[CandidateSolution], dist: list[float], candidates: list[int]) -> list[int]:

@@ -353,13 +353,12 @@ def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
     return ReferencePoint(tuple(w * 1.1 + 1e-9 if w >= 0 else w + abs(w) * 0.1 + 1e-9 for w in worst))
 
 
-def run(problem: Problem, params: RunParams | None = None, seed: int | None = None) -> RunResult:
+def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     """Optimize until the evaluation budget is exhausted; returns the final archive.
 
-    The problem must declare ``objective_count`` 2 (``ConfigError``
-    otherwise): ranking, the archive, local-search weights and the
-    hypervolume are all two-objective. An evaluation that returns another
-    length raises ``ContractViolation`` from the archive.
+    Ranking, the archive, local-search weights and the hypervolume are all
+    two-objective: ``evaluate`` returns an ``ObjectiveVector``, which holds
+    exactly two components. The seed is ``params.seed``.
 
     Structure: an outer loop of inner passes; each inner iteration runs
     SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
@@ -383,13 +382,7 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     report).
     """
     params = params or RunParams()
-    if problem.objective_count != 2:
-        raise ConfigError(f"run optimizes 2 objectives, the problem declares {problem.objective_count}")
-    if seed is None:
-        seed = params.seed
-    elif seed < 0:
-        raise ConfigError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(params.seed)
     started = time.perf_counter()
 
     evaluator = Evaluator(problem, params.evaluation_budget)
@@ -409,7 +402,7 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
     pop = initialize(problem, params, rng, evaluator)
     arch = nondom(pop, capacity=params.archive_capacity)
     ref = _reference_from(pop)
-    hv = measures.hypervolume_clipped([m.objectives.values for m in arch.members], ref)
+    hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
     trace = [hv]
     pending_red: tuple[str, float] | None = None
     pending_imm: tuple[str, float] | None = None
@@ -437,7 +430,7 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
             for s in offspring:
                 arch, ok = archive_insert(arch, s, policy=red_op)
                 accepted.append(ok)
-            hv = measures.hypervolume_clipped([m.objectives.values for m in arch.members], ref)
+            hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
 
             note("SEL", sel_op, *accepted)
             note("VAR", var_op, *accepted)
@@ -483,5 +476,5 @@ def run(problem: Problem, params: RunParams | None = None, seed: int | None = No
         reference_point=ref.values,
         scheduler_stats=scheduler_stats,
         wall_clock_seconds=time.perf_counter() - started,
-        seed=seed,
+        seed=params.seed,
     )

@@ -1,18 +1,18 @@
 """Front quality indicators: exact 2-D hypervolume, additive epsilon, coverage.
 
 Hypervolume drives the engine's stagnation detection and RED/IMM credit;
-epsilon and coverage are reporting-only indicators. Both hypervolume
-functions take one plain-Python path: check the points, clip or reject
-those at or beyond the reference, then one ``kernels.hv2d_sweep`` over the
-sorted pairs. Only epsilon and coverage use numpy.
+epsilon and coverage are reporting-only indicators. Every indicator reads
+its fronts through ``_points``, which gives (z1, z2) float pairs and
+rejects a point without exactly two finite components, and then runs in
+plain Python. Both hypervolume functions clip or reject the points at or
+beyond the reference, then make one ``kernels.hv2d_sweep`` over the sorted
+pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import kernels
 from .errors import ContractViolation
@@ -21,55 +21,40 @@ from .moo import ObjectiveVector
 
 @dataclass(frozen=True)
 class ReferencePoint:
-    """Hypervolume reference; must be strictly worse than every front member."""
+    """Hypervolume reference of two components; must be strictly worse than every front member."""
 
-    values: tuple[float, ...]
+    values: tuple[float, float]
 
     def __init__(self, values: Sequence[float]):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
-        if len(self.values) < 1:
-            raise ContractViolation("reference point must have at least one component")
+        if len(self.values) != 2:
+            raise ContractViolation(f"reference point must have 2 components, got {len(self.values)}")
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-def _front_matrix(front: Iterable) -> np.ndarray:
-    rows = []
-    for point in front:
-        values = point.values if isinstance(point, ObjectiveVector) else tuple(point)
-        rows.append([float(v) for v in values])
-    if not rows:
-        return np.zeros((0, 0), dtype=np.float64)
-    if len({len(r) for r in rows}) != 1:
-        raise ContractViolation("front mixes objective lengths")
-    return np.asarray(rows, dtype=np.float64)
+def _points(front: Iterable) -> list[tuple[float, float]]:
+    """The front's points as (z1, z2) float pairs; ``ObjectiveVector`` checks any point that is not one."""
+    return [(p if isinstance(p, ObjectiveVector) else ObjectiveVector(p)).values for p in front]
 
 
 def _hypervolume(front: Iterable, ref, clip: bool) -> float:
-    r = ref.values if isinstance(ref, ReferencePoint) else tuple(float(v) for v in ref)
-    if len(r) != 2:
-        raise ContractViolation(f"hypervolume takes 2 objectives, got a {len(r)}-component reference")
-    r0, r1 = r
+    r0, r1 = (ref if isinstance(ref, ReferencePoint) else ReferencePoint(ref)).values
     points = []
-    for point in front:
-        values = point.values if isinstance(point, ObjectiveVector) else tuple(point)
-        if len(values) != 2:
-            raise ContractViolation(f"front has {len(values)} objectives, expected 2")
-        z = (float(values[0]), float(values[1]))
-        if z[0] < r0 and z[1] < r1:  # False for a NaN component
+    for z in _points(front):
+        if z[0] < r0 and z[1] < r1:
             points.append(z)
         elif not clip:
-            raise ContractViolation(f"reference point {r} is not strictly dominated by front point {z}")
+            raise ContractViolation(f"reference point {(r0, r1)} is not strictly dominated by front point {z}")
     return kernels.hv2d_sweep(sorted(points), r0, r1)
 
 
 def hypervolume(front: Iterable, ref) -> float:
     """Exact hypervolume of a 2-objective front vs a 2-component reference point.
 
-    Any other objective count raises ``ContractViolation``. Every front
-    member must strictly dominate the reference in both components, else the
-    call is rejected.
+    Every front member must strictly dominate the reference in both
+    components, else the call is rejected.
     """
     return _hypervolume(front, ref, clip=False)
 
@@ -91,25 +76,20 @@ def additive_epsilon(approx: Iterable, reference_front: Iterable) -> float:
     difference (approx - reference). Signed: negative means the approximation
     strictly improves on the reference front.
     """
-    A = _front_matrix(approx)
-    R = _front_matrix(reference_front)
-    if A.shape[0] == 0:
+    A = _points(approx)
+    R = _points(reference_front)
+    if not A:
         raise ContractViolation("approximation front is empty")
-    if R.shape[0] == 0:
+    if not R:
         raise ContractViolation("reference front is empty")
-    if A.shape[1] != R.shape[1]:
-        raise ContractViolation(f"objective count mismatch: {A.shape[1]} vs {R.shape[1]}")
-    diff = (A[:, None, :] - R[None, :, :]).max(axis=2)
-    return float(diff.min(axis=0).max())
+    return max(min(max(a1 - r1, a2 - r2) for a1, a2 in A) for r1, r2 in R)
 
 
 def coverage(a: Iterable, b: Iterable) -> float:
     """Fraction of b's points weakly dominated by at least one point of a."""
-    A = _front_matrix(a)
-    B = _front_matrix(b)
-    if A.shape[0] == 0 or B.shape[0] == 0:
+    A = _points(a)
+    B = _points(b)
+    if not A or not B:
         raise ContractViolation("coverage requires non-empty fronts")
-    if A.shape[1] != B.shape[1]:
-        raise ContractViolation(f"objective count mismatch: {A.shape[1]} vs {B.shape[1]}")
-    covered = (A[:, None, :] <= B[None, :, :]).all(axis=2).any(axis=0)
-    return float(covered.sum() / B.shape[0])
+    covered = sum(any(a1 <= b1 and a2 <= b2 for a1, a2 in A) for b1, b2 in B)
+    return covered / len(B)

@@ -2,6 +2,9 @@
 
 Everything here is a plain immutable value; minimization is assumed
 throughout (callers negate objectives if they need maximization).
+Objectives are two-dimensional, route cost z1 and service-loss risk z2:
+``ObjectiveVector`` is the one place that count is checked, so dominance,
+the archive and the engine take two components without checking again.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ class Dominance(enum.Enum):
 
 @dataclass(frozen=True)
 class ObjectiveVector:
-    """A point in objective space. All components finite, length >= 1."""
+    """A point in objective space: exactly two components, both finite."""
 
-    values: tuple[float, ...]
+    values: tuple[float, float]
 
     def __init__(self, values: Sequence[float]):
         vals = tuple(float(v) for v in values)
-        if len(vals) == 0:
-            raise ContractViolation("objective vector must have at least one component")
+        if len(vals) != 2:
+            raise ContractViolation(f"objective vector must have 2 components, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v):
                 raise ContractViolation(f"objective component is not finite: {v!r}")
@@ -62,7 +65,7 @@ class CandidateSolution:
     objectives: ObjectiveVector
     genotype_key: str
 
-    def sort_key(self) -> tuple[tuple[float, ...], str]:
+    def sort_key(self) -> tuple[tuple[float, float], str]:
         return (self.objectives.values, self.genotype_key)
 
 
@@ -74,8 +77,6 @@ class Problem:
     call concurrently. ``neighborhood`` yields ``(neighbor, objectives)``
     pairs whose objectives are exactly what ``evaluate`` would return.
     """
-
-    objective_count: int = 0
 
     def evaluate(self, genotype) -> ObjectiveVector:
         raise NotImplementedError
@@ -120,16 +121,9 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> Dominance:
     duplicated genotypes compare EQUAL exactly, and a tolerance would break
     transitivity of the partial order.
     """
-    av, bv = a.values, b.values
-    if len(av) != len(bv):
-        raise ContractViolation(f"objective length mismatch: {len(av)} vs {len(bv)}")
-    a_le = True
-    b_le = True
-    for x, y in zip(av, bv):
-        if x > y:
-            a_le = False
-        elif x < y:
-            b_le = False
+    (a1, a2), (b1, b2) = a.values, b.values
+    a_le = a1 <= b1 and a2 <= b2
+    b_le = b1 <= a1 and b2 <= a2
     if a_le and b_le:
         return Dominance.EQUAL
     if a_le:
@@ -137,4 +131,3 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> Dominance:
     if b_le:
         return Dominance.DOMINATED_BY
     return Dominance.INCOMPARABLE
-

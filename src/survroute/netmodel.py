@@ -51,6 +51,7 @@ from .moo import ObjectiveVector, Problem
 _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 DEFAULT_MAX_DEPTH = 4
+_NUMPY_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # an ndarray's dimension cap
 
 
 @dataclass(frozen=True)
@@ -684,17 +685,25 @@ def brute_force_pareto(
 ) -> list[tuple[ObjectiveVector, RouteAssignment]]:
     """Exact Pareto front by exhaustive enumeration, one witness per objective vector.
 
-    Witnesses are deterministic (smallest enumeration index). Refuses search
-    spaces larger than ``guard``.
+    Witnesses are deterministic (smallest enumeration index). Raises
+    ``OracleScopeError`` for a search space larger than ``guard``, or one
+    numpy cannot hold: more MRs with several links than an array has axes,
+    or arrays that do not fit in memory.
     """
     c = inst.compiled
     if c.search_space > guard:
         raise OracleScopeError(
             f"search space {c.search_space} exceeds oracle guard {guard}"
         )
-    valid, z1, z2 = kernels.enumerate_routes(c)
-    idx = np.flatnonzero(valid)
-    z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
+    axes = sum(r > 1 for r in c.radices)  # kernels.enumerate_routes gives each such MR an axis
+    if axes > _NUMPY_MAX_AXES:
+        raise OracleScopeError(f"{axes} MRs have several links; the oracle enumerates at most {_NUMPY_MAX_AXES}")
+    try:
+        valid, z1, z2 = kernels.enumerate_routes(c)
+        idx = np.flatnonzero(valid)
+        z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
+    except MemoryError:
+        raise OracleScopeError(f"search space {c.search_space} does not fit in memory") from None
     rows = kernels.front_rows(z1, z2, idx)
     return [
         (ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(_unravel(flat, c.radices)))
@@ -717,8 +726,6 @@ def _unravel(flat: int, radices) -> tuple[int, ...]:
 
 class RouteProblem(Problem):
     """Adapter exposing a NetworkInstance through the generic problem interface."""
-
-    objective_count = 2
 
     def __init__(self, instance: NetworkInstance):
         self.instance = instance

@@ -119,8 +119,6 @@ class GridProblem(Problem):
     mutation moves at all.
     """
 
-    objective_count = 2
-
     def __init__(self, n: int = 8, move_prob: float = 1.0):
         self.n = n
         self.move_prob = move_prob

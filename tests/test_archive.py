@@ -48,6 +48,7 @@ class TestNondom:
         assert len(arch) == 2
 
     def test_mixed_lengths_rejected(self):
+        # the 3-objective solution fails at construction: ObjectiveVector holds exactly two components
         with pytest.raises(ContractViolation):
             nondom([make_sol(1, 2), make_sol(1, 2, 3)])
 
@@ -94,7 +95,8 @@ class TestInsert:
         assert accepted and len(arch) == 2
 
     def test_three_objectives_rejected(self):
-        # a problem that declares 2 objectives but returns 3 is stopped here, with a contract error
+        # each 3-objective solution fails at construction, before the archive sees it:
+        # ObjectiveVector holds exactly two components
         with pytest.raises(ContractViolation):
             insert(NondominatedArchive(members=()), make_sol(1, 2, 3))
         with pytest.raises(ContractViolation):
@@ -240,7 +242,7 @@ def test_pareto_ranks_sweep_equals_naive_peel(pts):
     assert pareto_ranks(np.array(pts)) == expected
 
 
-def test_pareto_ranks_rejects_other_objective_counts():
+def test_pareto_ranks_rejects_points_without_two_components():
     with pytest.raises(ContractViolation):
         pareto_ranks([(1.0, 2.0, 3.0)])
 

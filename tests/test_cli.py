@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from survroute.cli import main, read_front_csv, write_front_csv
@@ -183,6 +184,30 @@ class TestOracle:
             f"101,49.5,{genotype('m050')}\n"
             f"102,49,{genotype('m010', 'm050')}\n"
         )
+
+    def test_more_multi_link_mrs_than_numpy_axes_exits_4(self, tmp_path, capsys):
+        # m00 links to the access router only; m01..m69 each to it or to the MR before: 69 axes, 2**69 assignments
+        lines = ["BS b 0.1", "AR a b", *(f"MR m{i:02d}" for i in range(70)), "LINK m00 a 1 0.1"]
+        for i in range(1, 70):
+            lines += [f"LINK m{i:02d} a 2 0.1", f"LINK m{i:02d} m{i - 1:02d} 1 0.05"]
+        net = tmp_path / "chain70.net"
+        net.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", str(net), "--out", str(out), "--guard", str(10**25)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("survroute: 69 MRs have several links") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_space_that_does_not_fit_in_memory_exits_4(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "ones", no_memory)  # the oracle's first full-space array
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", STANDARD, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == "survroute: search space 64 does not fit in memory\n"
+        assert not out.exists()
 
 
 class TestMeasure:

@@ -67,8 +67,6 @@ class NegatedLine(Problem):
     negative. Only initialization runs on it (evaluation budget 0).
     """
 
-    objective_count = 2
-
     def __init__(self, n: int = 30):
         self.n = n
 
@@ -539,13 +537,6 @@ class TestRun:
         sel_trials = sum(result.scheduler_stats["SEL"]["trials"])
         var_trials = sum(result.scheduler_stats["VAR"]["trials"])
         assert sel_trials == var_trials
-
-    def test_three_declared_objectives_rejected(self):
-        class ThreeObjectives(GridProblem):
-            objective_count = 3
-
-        with pytest.raises(ConfigError):
-            run(ThreeObjectives(), RunParams(population_size=4, offspring_size=4, evaluation_budget=20))
 
     def test_undeclared_third_objective_is_a_contract_violation(self):
         class ReturnsThree(GridProblem):

@@ -1,8 +1,9 @@
 """Golden front hashes: `survroute run` output pinned across code changes.
 
-Each case runs the CLI with a fixed seed (default local search, or the
-evolutionary-only settings of the last case) and compares the sha1 of the
-written ``front.csv`` bytes with a recorded value.
+Each case runs the CLI with a fixed seed (default local search, the
+evolutionary-only settings of the 200-MR case, or the small-archive
+settings of the last case) and compares the sha1 of the written
+``front.csv`` bytes with a recorded value.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
 A deliberate change of results must update these values and say why.
@@ -50,3 +51,15 @@ def test_front_hash_200mr_without_local_search(tmp_path):
         "--ls-budget", "0", "--population", "100", "--offspring", "100", "--capacity", "100",
     ]) == 0
     assert hashlib.sha1((out / "front.csv").read_bytes()).hexdigest() == "203363065ac6798c4c91690da826fc4153dec94f"
+
+
+def test_front_hash_small_archive_with_immigration(tmp_path):
+    # capacity 3 and a 2-iteration stagnation window: archive reduction under both RED
+    # policies, and immigration by both IMM operators (fresh random and heavy mutation)
+    out = tmp_path / "out"
+    assert main([
+        "run", "--instance", str(INSTANCE_DIR / "stress_5mr.net"), "--out", str(out), "--budget", "3000",
+        "--seed", "3", "--capacity", "3", "--stagnation-window", "2", "--ls-budget", "5",
+        "--population", "20", "--offspring", "20",
+    ]) == 0
+    assert hashlib.sha1((out / "front.csv").read_bytes()).hexdigest() == "893a8448cd19acb96f9e0d01a26c7efae85d26c6"

@@ -218,8 +218,14 @@ def test_dominance_matrix_matches_pairwise_dominates():
     rng = np.random.default_rng(5)
     for n, d in ((1, 2), (7, 2), (40, 2), (7, 3), (20, 3), (40, 3)):
         F = rng.integers(0, 4, size=(n, d)).astype(np.float64)
-        vectors = [ObjectiveVector(tuple(row)) for row in F.tolist()]
-        expected = np.array([[dominates(a, b) is Dominance.DOMINATES for b in vectors] for a in vectors])
+        rows = F.tolist()
+        if d == 2:
+            vectors = [ObjectiveVector(row) for row in rows]
+            expected = np.array([[dominates(a, b) is Dominance.DOMINATES for b in vectors] for a in vectors])
+        else:  # ObjectiveVector holds two components: weak Pareto dominance written out
+            expected = np.array([
+                [all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b)) for b in rows] for a in rows
+            ])
         assert (dominance_matrix(F) == expected).all()
         for i in range(n):  # one vector against many, both ways, as the archive asks
             assert (dominance(F, F[i]) == expected[:, i]).all()

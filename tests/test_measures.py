@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from survroute.errors import ContractViolation
 from survroute.kernels import front_rows
+from survroute.moo import ObjectiveVector
 from survroute.measures import (
     ReferencePoint,
+    _points,
     additive_epsilon,
     coverage,
     hypervolume,
@@ -136,6 +138,30 @@ class TestCoverage:
             coverage([], [(1, 1)])
 
 
+class TestPoints:
+    def test_pairs_of_floats(self):
+        assert _points([(1, 2), ObjectiveVector((3.0, 4.0))]) == [(1.0, 2.0), (3.0, 4.0)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_component_rejected(self, bad):
+        with pytest.raises(ContractViolation):
+            _points([(1.0, 2.0), (bad, 1.0)])
+
+    @pytest.mark.parametrize("point", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_other_lengths_rejected(self, point):
+        with pytest.raises(ContractViolation):
+            _points([point])
+        with pytest.raises(ContractViolation):  # every indicator reads its fronts through _points
+            additive_epsilon([point], [(1.0, 1.0)])
+        with pytest.raises(ContractViolation):
+            coverage([(1.0, 1.0)], [point])
+
+    def test_reference_point_takes_two_components(self):
+        for values in [(1.0,), (1.0, 2.0, 3.0)]:
+            with pytest.raises(ContractViolation):
+                ReferencePoint(values)
+
+
 def _cleaned(points):
     """The distinct points no other point weakly dominates, by a plain pairwise scan."""
     distinct = sorted(set(points))
@@ -200,3 +226,37 @@ def test_hv_equals_numpy_form_in_both_clip_modes(points):
     if len(inside) < len(points):
         with pytest.raises(ContractViolation):
             hypervolume(points, ref)
+
+
+def numpy_additive_epsilon(approx, reference_front):
+    """Reference: the numpy form ``additive_epsilon`` had, one (approx, reference, objective) difference array."""
+    A = np.asarray(approx, dtype=np.float64)
+    R = np.asarray(reference_front, dtype=np.float64)
+    diff = (A[:, None, :] - R[None, :, :]).max(axis=2)
+    return float(diff.min(axis=0).max())
+
+
+def numpy_coverage(a, b):
+    """Reference: the numpy form ``coverage`` had, one (a, b, objective) comparison array."""
+    A = np.asarray(a, dtype=np.float64)
+    B = np.asarray(b, dtype=np.float64)
+    covered = (A[:, None, :] <= B[None, :, :]).all(axis=2).any(axis=0)
+    return float(covered.sum() / B.shape[0])
+
+
+@st.composite
+def grid_fronts(draw):
+    """Points on a half-integer grid around 0, many tied in a component, some repeated."""
+    coord = st.integers(-4, 4).map(lambda i: i * 0.5)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=20))
+    points += draw(st.lists(st.sampled_from(points), max_size=8))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_fronts(), grid_fronts())
+def test_epsilon_and_coverage_equal_numpy_forms(a, b):
+    assert additive_epsilon(a, b).hex() == numpy_additive_epsilon(a, b).hex()
+    assert additive_epsilon(b, a).hex() == numpy_additive_epsilon(b, a).hex()
+    assert coverage(a, b).hex() == numpy_coverage(a, b).hex()
+    assert coverage(b, a).hex() == numpy_coverage(b, a).hex()

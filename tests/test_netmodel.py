@@ -814,7 +814,7 @@ def test_route_problem_surface(standard_instance):
     rng = np.random.default_rng(17)
     g = problem.random_genotype(rng)
     assert invalid_reason(standard_instance, g) is None
-    assert problem.objective_count == 2
+    assert len(problem.evaluate(g)) == 2
     assert problem.genotype_key(g) == assignment_string(standard_instance, g)
     assert invalid_reason(standard_instance, problem.mutate(g, rng)) is None
     assert invalid_reason(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng)) is None
@@ -931,7 +931,7 @@ class TestDrawIndexKeepsTheDraws:
     def test_run(self, monkeypatch, text):
         params = engine.RunParams(
             population_size=20, offspring_size=20, archive_capacity=10, evaluation_budget=4000,
-            stagnation_window=2, local_search_budget=5,
+            stagnation_window=2, local_search_budget=5, seed=4,
         )
         generators = []  # each generator engine.run makes, to read its state after the run
         default_rng = np.random.default_rng
@@ -943,7 +943,7 @@ class TestDrawIndexKeepsTheDraws:
         monkeypatch.setattr(np.random, "default_rng", kept_rng)
 
         def run():
-            result = engine.run(RouteProblem(parse_instance(text)), params, seed=4)
+            result = engine.run(RouteProblem(parse_instance(text)), params)
             members = [(s.objectives, s.genotype_key, s.genotype._terms) for s in result.archive.members]
             return members, result.hv_trace, result.evaluations, result.scheduler_stats, generators[-1].bit_generator.state
 
