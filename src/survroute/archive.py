@@ -22,9 +22,6 @@ from . import kernels
 from .errors import ConfigError, ContractViolation
 from .moo import CandidateSolution
 
-REDUCTION_OPERATORS = ("crowding_seq", "crowding_batch")
-
-
 @dataclass(frozen=True)
 class NondominatedArchive:
     """Mutually nondominated solutions, at most ``capacity`` of them (None = unbounded)."""
@@ -67,8 +64,8 @@ def nondom(
 
     The members are rank 0 of ``pareto_ranks``, so members with equal
     objective vectors are all kept. If ``capacity`` is given and exceeded,
-    the default crowding reduction is applied so the returned archive
-    satisfies its own invariant.
+    ``reduce`` truncates it so the returned archive satisfies its own
+    invariant.
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"archive capacity must be >= 1, got {capacity}")
@@ -85,14 +82,12 @@ def nondom(
     return arch
 
 
-def insert(
-    archive: NondominatedArchive, s: CandidateSolution, policy: str = "crowding_seq"
-) -> tuple[NondominatedArchive, bool]:
+def insert(archive: NondominatedArchive, s: CandidateSolution) -> tuple[NondominatedArchive, bool]:
     """Insert one solution; returns (new archive, accepted).
 
     Rejected when dominated by a member or when its genotype is already
     present. On acceptance, members the newcomer dominates are dropped and
-    the ``policy`` reduction runs if capacity is exceeded.
+    ``reduce`` runs if capacity is exceeded.
 
     Domination is decided on the members' staircase (``_dominated_at``).
     The members the newcomer (a, b) dominates are one run: they start at
@@ -118,7 +113,7 @@ def insert(
         hi += 1
     out = NondominatedArchive(members=members[:pos] + (s,) + members[pos:kept] + members[hi:], capacity=archive.capacity)
     if archive.capacity is not None and len(out) > archive.capacity:
-        out = reduce(out, policy)
+        out = reduce(out)
     return out, True
 
 
@@ -138,24 +133,15 @@ def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
     return {by_z1, by_z2}
 
 
-def _removal_order(members: Sequence[CandidateSolution], dist: list[float], candidates: list[int]) -> list[int]:
-    # smallest crowding removed first; ties drop the canonically largest member
-    order = sorted(candidates, key=lambda i: members[i].sort_key(), reverse=True)
-    return sorted(order, key=lambda i: dist[i])
+def reduce(archive: NondominatedArchive) -> NondominatedArchive:
+    """Truncate to capacity by crowding distance, keeping the extremes of both objectives.
 
-
-def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> NondominatedArchive:
-    """Truncate to capacity by crowding distance, keeping per-objective extremes.
-
-    ``crowding_seq`` removes the least-crowded member one at a time with
-    recomputation; ``crowding_batch`` ranks once and removes the overflow in
-    a single pass. With capacity >= 2 the two extreme witnesses (one per
-    objective) are protected; that leaves at least len - 2 >= len - capacity
-    members to remove from, so the overflow never needs them. With capacity
-    1 the lexicographically smallest member survives.
+    Removes the least-crowded member one at a time, recomputing crowding
+    after each removal; ties drop the canonically largest member. With
+    capacity >= 2 the two extreme witnesses (one per objective) are
+    protected; that leaves at least len - 2 >= 1 members to remove from.
+    With capacity 1 the lexicographically smallest member survives.
     """
-    if policy not in REDUCTION_OPERATORS:
-        raise ConfigError(f"unknown reduction operator {policy!r}")
     capacity = archive.capacity
     if capacity is None or len(archive) <= capacity:
         return archive
@@ -163,20 +149,11 @@ def reduce(archive: NondominatedArchive, policy: str = "crowding_seq") -> Nondom
         raise ConfigError(f"archive capacity must be >= 1, got {capacity}")
 
     members = list(archive.members)
-
-    def removal_order(current: list[CandidateSolution]) -> list[int]:
-        protected = _extreme_witnesses(current) if capacity >= 2 else set()
-        candidates = [i for i in range(len(current)) if i not in protected]
-        dist = kernels.crowding_distance([m.objectives.values for m in current])
-        return _removal_order(current, dist, candidates)
-
-    if policy == "crowding_batch":
-        doomed = set(removal_order(members)[: len(members) - capacity])
-        members = [m for i, m in enumerate(members) if i not in doomed]
-    else:
-        while len(members) > capacity:
-            del members[removal_order(members)[0]]
-
+    while len(members) > capacity:
+        protected = _extreme_witnesses(members) if capacity >= 2 else set()
+        dist = kernels.crowding_distance([m.objectives.values for m in members])
+        candidates = [i for i in range(len(members)) if i not in protected]
+        del members[max(candidates, key=lambda i: (-dist[i], members[i].sort_key()))]
     return NondominatedArchive(members=tuple(members), capacity=capacity)
 
 

@@ -1,9 +1,11 @@
 """Memetic optimization loop: selection, variation, local search, replacement,
 archive update, and stagnation-triggered random immigrants.
 
-Every stage's operator is picked by its success-driven scheduler pool. The
-run is fully deterministic for a given seed: one PRNG is threaded through
-the pipeline in a fixed draw order (see ``run``).
+Selection, variation, local search, replacement and immigration each pick
+their operator from a success-driven scheduler pool (``POOL_OPERATORS``);
+the archive update has one truncation, ``archive.reduce``. The run is fully
+deterministic for a given seed: one PRNG is threaded through the pipeline
+in a fixed draw order (see ``run``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from . import measures
 from .archive import (
-    REDUCTION_OPERATORS,
     NondominatedArchive,
     count_dominated,
     insert as archive_insert,
@@ -42,7 +43,6 @@ POOL_OPERATORS = {
     "VAR": VARIATION_OPERATORS,
     "LS": LOCAL_SEARCH_OPERATORS,
     "REP": REPLACEMENT_OPERATORS,
-    "RED": REDUCTION_OPERATORS,
     "IMM": IMMIGRATION_OPERATORS,
 }
 
@@ -254,18 +254,15 @@ def local_search(
 
 
 def replace(
-    pop: Sequence[CandidateSolution],
-    offspring: Sequence[CandidateSolution],
-    operator: str,
-    target_size: int | None = None,
+    pop: Sequence[CandidateSolution], offspring: Sequence[CandidateSolution], operator: str
 ) -> list[CandidateSolution]:
-    """Survival selection over population + offspring.
+    """Survival selection over population + offspring, keeping len(pop) members.
 
     elitist: nondominated rank then crowding truncation. generational_elite1:
     the offspring survive (topped up by rank order if undersized), with the
     union's best-ranked member guaranteed a slot.
     """
-    n = len(pop) if target_size is None else target_size
+    n = len(pop)
     union = list(pop) + list(offspring)
     order = survival_order(union)
     if operator == "elitist":
@@ -371,14 +368,14 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     Draw order per inner iteration, from one seeded generator: SEL choose
     (1 draw), selection (1-2 index draws per parent), VAR choose, variation
     operator draws, LS choose, local-search draws (simplex weights for
-    chebyshev), REP choose, RED choose. Immigration adds: IMM choose, then
-    per-immigrant draws. This order is part of the reproducibility contract.
+    chebyshev), REP choose. Immigration adds: IMM choose, then per-immigrant
+    draws. This order is part of the reproducibility contract.
 
     Credit: SEL/VAR/LS score one outcome per offspring (accepted into the
     archive or not), reported to each pool as one batch per iteration; REP
     scores whether the population's archive-nondominated fraction strictly
-    improved; RED and IMM score whether the hypervolume avoided decline over
-    the following inner iteration (unresolved at budget exhaustion means no
+    improved; IMM scores whether the hypervolume avoided decline over the
+    following inner iteration (unresolved at budget exhaustion means no
     report).
     """
     params = params or RunParams()
@@ -387,9 +384,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
 
     evaluator = Evaluator(problem, params.evaluation_budget)
     pools = {
-        kind: OperatorPool(
-            kind=kind, operators=ops, window=params.scheduler_window, p_min=params.scheduler_floor
-        )
+        kind: OperatorPool(operators=ops, window=params.scheduler_window, p_min=params.scheduler_floor)
         for kind, ops in POOL_OPERATORS.items()
     }
     stats = {kind: {op: [0, 0] for op in ops} for kind, ops in POOL_OPERATORS.items()}
@@ -404,7 +399,6 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     ref = _reference_from(pop)
     hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
     trace = [hv]
-    pending_red: tuple[str, float] | None = None
     pending_imm: tuple[str, float] | None = None
 
     while evaluator.remaining > 0:
@@ -424,11 +418,10 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
                 offspring, problem, ls_op, params.local_search_budget, rng, evaluator
             )
             rep_op = choose(pools["REP"], rng)
-            new_pop = replace(pop, offspring, rep_op, params.population_size)
-            red_op = choose(pools["RED"], rng)
+            new_pop = replace(pop, offspring, rep_op)
             accepted = []
             for s in offspring:
-                arch, ok = archive_insert(arch, s, policy=red_op)
+                arch, ok = archive_insert(arch, s)
                 accepted.append(ok)
             hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
 
@@ -436,9 +429,6 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
             note("VAR", var_op, *accepted)
             note("LS", ls_op, *accepted)
             note("REP", rep_op, _nondominated_fraction(new_pop, arch) > _nondominated_fraction(pop, arch))
-            if pending_red is not None:
-                note("RED", pending_red[0], hv >= pending_red[1])
-            pending_red = (red_op, hv)
             if pending_imm is not None:
                 note("IMM", pending_imm[0], hv >= pending_imm[1])
                 pending_imm = None
@@ -464,7 +454,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     for kind, pool in pools.items():
         scheduler_stats[kind] = {
             "operators": list(pool.operators),
-            "probabilities": [float(p) for p in probabilities(pool)],
+            "probabilities": probabilities(pool),
             "trials": [stats[kind][op][0] for op in pool.operators],
             "successes": [stats[kind][op][1] for op in pool.operators],
         }

@@ -1,6 +1,6 @@
 """Front quality indicators: exact 2-D hypervolume, additive epsilon, coverage.
 
-Hypervolume drives the engine's stagnation detection and RED/IMM credit;
+Hypervolume drives the engine's stagnation detection and IMM credit;
 epsilon and coverage are reporting-only indicators. Every indicator reads
 its fronts through ``_points``, which gives (z1, z2) float pairs and
 rejects a point without exactly two finite components, and then runs in

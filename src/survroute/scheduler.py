@@ -1,35 +1,31 @@
 """Adaptive operator selection: per-pool success windows and probability matching.
 
-Six pools drive the engine pipeline (SEL, VAR, LS, REP, RED, IMM). Each
-tracks a sliding window of outcome flags per operator; selection samples
-operators proportionally to Laplace-smoothed window success rates, with a
-probability floor so no operator starves.
+Five engine stages pick their operators from one pool each (the engine's
+``POOL_OPERATORS``: SEL, VAR, LS, REP, IMM). A pool tracks a sliding window
+of outcome flags per operator; selection samples operators proportionally
+to Laplace-smoothed window success rates, with a probability floor so no
+operator starves. Everything here is plain Python on lists of floats.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import reduce
 
 from .errors import ContractViolation
-
-POOL_KINDS = ("SEL", "VAR", "LS", "REP", "RED", "IMM")
 
 
 @dataclass(frozen=True)
 class OperatorPool:
     """Operator identifiers plus per-operator outcome windows (oldest first)."""
 
-    kind: str
     operators: tuple[str, ...]
     window: int = 50
     p_min: float = 0.05
     outcomes: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in POOL_KINDS:
-            raise ContractViolation(f"unknown pool kind {self.kind!r}")
         if not self.operators:
             raise ContractViolation("operator pool must not be empty")
         if len(set(self.operators)) != len(self.operators):
@@ -49,30 +45,32 @@ class OperatorPool:
         try:
             return self.operators.index(op)
         except ValueError:
-            raise ContractViolation(f"operator {op!r} not in {self.kind} pool") from None
+            raise ContractViolation(f"operator {op!r} not in pool {self.operators}") from None
 
 
-def success_rates(pool: OperatorPool) -> np.ndarray:
+def success_rates(pool: OperatorPool) -> list[float]:
     """Laplace-smoothed window success rate per operator: (wins + 1) / (trials + 2)."""
-    rates = np.empty(len(pool.operators))
-    for i, window in enumerate(pool.outcomes):
-        rates[i] = (sum(window) + 1.0) / (len(window) + 2.0)
-    return rates
+    return [(sum(window) + 1.0) / (len(window) + 2.0) for window in pool.outcomes]
 
 
-def probabilities(pool: OperatorPool) -> np.ndarray:
-    """Selection probabilities: p_i = p_min + (1 - k*p_min) * s_i / sum(s)."""
+def probabilities(pool: OperatorPool) -> list[float]:
+    """Selection probabilities: p_i = p_min + (1 - k*p_min) * s_i / sum(s).
+
+    The rates are summed left to right from 0.0, as numpy sums fewer than
+    eight floats, so pools of up to seven operators match ``numpy.sum`` bit
+    for bit.
+    """
     rates = success_rates(pool)
-    k = len(pool.operators)
-    return pool.p_min + (1.0 - k * pool.p_min) * rates / rates.sum()
+    total = reduce(operator.add, rates, 0.0)
+    scale = 1.0 - len(rates) * pool.p_min
+    return [pool.p_min + scale * r / total for r in rates]
 
 
 def choose(pool: OperatorPool, rng) -> str:
     """Sample one operator with a single rng draw (cumulative inversion)."""
     draw = rng.random()
     cumulative = 0.0
-    probs = probabilities(pool)
-    for op, p in zip(pool.operators, probs):
+    for op, p in zip(pool.operators, probabilities(pool)):
         cumulative += p
         if draw < cumulative:
             return op

@@ -99,7 +99,7 @@ def test_criterion_2_archive_invariants():
     violations = 0
     for i in range(100_000):
         point = (float(rng.integers(0, 16)), float(rng.integers(0, 16)))
-        arch, _ = insert(arch, make_sol(*point, key=f"g{i}"), policy="crowding_seq" if i % 2 else "crowding_batch")
+        arch, _ = insert(arch, make_sol(*point, key=f"g{i}"))
         if len(arch) > capacity:
             violations += 1
             break
@@ -172,14 +172,12 @@ def test_criterion_5_scheduler_sanity():
             tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(0, 12)))
             for _ in range(k)
         )
-        pool = OperatorPool(kind="SEL", operators=tuple(f"op{i}" for i in range(k)),
-                            window=12, p_min=p_min, outcomes=outcomes)
+        pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), window=12, p_min=p_min, outcomes=outcomes)
         p = probabilities(pool)
-        if abs(p.sum() - 1.0) > 1e-12 or (p < p_min - 1e-15).any():
+        if abs(sum(p) - 1.0) > 1e-12 or any(x < p_min - 1e-15 for x in p):
             bad += 1
     # exact (0.7, 0.3) pool: rates (0.75, 0.25) with floor 0.1
-    pool = OperatorPool(kind="VAR", operators=("a", "b"), window=50, p_min=0.1,
-                        outcomes=((1, 1), (0, 0)))
+    pool = OperatorPool(operators=("a", "b"), window=50, p_min=0.1, outcomes=((1, 1), (0, 0)))
     draws = np.random.default_rng(4242)
     n = 100_000
     freq = sum(choose(pool, draws) == "a" for _ in range(n)) / n

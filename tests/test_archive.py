@@ -17,7 +17,7 @@ from survroute.archive import (
     rank_and_crowding,
     reduce,
 )
-from survroute.errors import ConfigError, ContractViolation
+from survroute.errors import ContractViolation
 from survroute.engine import Evaluator
 from survroute.moo import Dominance, dominates
 from survroute.netmodel import RouteProblem, brute_force_pareto
@@ -128,33 +128,26 @@ class TestReduce:
         )
         assert objective_set(reduce(arch)) == {(0.0, 4.0)}
 
-    @pytest.mark.parametrize("policy", ["crowding_seq", "crowding_batch"])
-    def test_extremes_survive_both_policies(self, policy):
+    def test_extremes_survive(self):
         points = {(float(i), float(20 - i)) for i in range(20)}
         sols = [make_sol(*p) for p in points]
         arch = NondominatedArchive(members=nondom(sols).members, capacity=5)
-        reduced = reduce(arch, policy)
+        reduced = reduce(arch)
         objs = reduced.objective_set()
         assert len(reduced) == 5
         assert min(o[0] for o in objs) == 0.0  # extreme in z1 kept
         assert min(o[1] for o in objs) == 1.0  # extreme in z2 kept (point (19, 1))
 
-    @pytest.mark.parametrize("policy", ["crowding_seq", "crowding_batch"])
-    def test_duplicate_extreme_cannot_push_out_the_other_extreme(self, policy):
+    def test_duplicate_extreme_cannot_push_out_the_other_extreme(self):
         # both copies of (0, 4) and (4, 0) get infinite crowding; unprotected, the tie would drop the
         # canonically largest member, (4, 0), and lose the z2 extreme
         sols = [make_sol(0, 4, key="a"), make_sol(0, 4, key="b"), make_sol(2, 2), make_sol(4, 0)]
         arch = NondominatedArchive(members=nondom(sols).members, capacity=2)
-        reduced = reduce(arch, policy)
+        reduced = reduce(arch)
         assert [(m.objectives.values, m.genotype_key) for m in reduced.members] == [
             ((0.0, 4.0), "a"),
             ((4.0, 0.0), "(4.0, 0.0)"),
         ]
-
-    def test_unknown_policy_rejected(self):
-        arch = nondom([make_sol(1, 2)])
-        with pytest.raises(ConfigError):
-            reduce(arch, "nope")
 
 
 points = st.tuples(
@@ -247,7 +240,7 @@ def test_pareto_ranks_rejects_points_without_two_components():
         pareto_ranks([(1.0, 2.0, 3.0)])
 
 
-def _rebuilt_insert(members, s, capacity, policy):
+def _rebuilt_insert(members, s, capacity):
     """Reference insert: decide by pairwise comparisons, rebuild the canonical order, then reduce."""
     if any(m.genotype_key == s.genotype_key for m in members):
         return members, False
@@ -256,7 +249,7 @@ def _rebuilt_insert(members, s, capacity, policy):
     kept = [m for m in members if dominates(s.objectives, m.objectives) is not Dominance.DOMINATES]
     kept = tuple(sorted(kept + [s], key=lambda m: m.sort_key()))
     if capacity is not None and len(kept) > capacity:
-        kept = reduce(NondominatedArchive(members=kept, capacity=capacity), policy).members
+        kept = reduce(NondominatedArchive(members=kept, capacity=capacity)).members
     return kept, True
 
 
@@ -274,15 +267,14 @@ def insert_sequences(draw):
 @given(
     insert_sequences(),
     st.sampled_from([None, 1, 2, 3, 6]),
-    st.sampled_from(["crowding_seq", "crowding_batch"]),
 )
-def test_insert_matches_rebuilt_reference(seq, capacity, policy):
+def test_insert_matches_rebuilt_reference(seq, capacity):
     arch = NondominatedArchive(members=(), capacity=capacity)
     members = ()
     for (z1, z2), k in seq:
         s = make_sol(z1, z2, key=f"g{k}")
-        arch, accepted = insert(arch, s, policy)
-        members, expected = _rebuilt_insert(members, s, capacity, policy)
+        arch, accepted = insert(arch, s)
+        members, expected = _rebuilt_insert(members, s, capacity)
         assert accepted == expected
         assert arch.members == members
 
@@ -297,14 +289,13 @@ def test_rank_and_crowding_shapes():
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=30),
-    st.sampled_from(["crowding_seq", "crowding_batch"]),
     st.data(),
 )
-def test_reduce_ties_match_numpy_crowding(pts, policy, data):
+def test_reduce_ties_match_numpy_crowding(pts, data):
     # a 5 x 5 grid, one key per point: equal vectors under many keys, so crowding distances tie often
     members = nondom([make_sol(*p, key=f"g{i}") for i, p in enumerate(pts)]).members
     capacity = data.draw(st.integers(1, max(1, len(members) - 1)))
     arch = NondominatedArchive(members=members, capacity=capacity)
     with mock.patch.object(kernels, "crowding_distance", numpy_crowding):
-        expected = reduce(arch, policy).members
-    assert reduce(arch, policy).members == expected
+        expected = reduce(arch).members
+    assert reduce(arch).members == expected

@@ -11,6 +11,7 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, nondom
 from survroute.engine import (
     LOCAL_SEARCH_OPERATORS,
+    POOL_OPERATORS,
     Evaluator,
     RunParams,
     _nondominated_fraction,
@@ -371,7 +372,7 @@ class TestReplace:
         off = [evaluator.solution(problem.random_genotype(rng)) for _ in range(12)]
         union = pop + off
         ranks = dict(zip([id(s) for s in union], _naive_rank(union)))
-        survivors = replace(pop, off, "elitist", target_size=12)
+        survivors = replace(pop, off, "elitist")
         survivor_ids = {id(s) for s in survivors}
         worst_kept = max(ranks[id(s)] for s in survivors)
         best_dropped = min(ranks[id(s)] for s in union if id(s) not in survivor_ids)
@@ -388,7 +389,7 @@ class TestReplace:
     def test_generational_tops_up_small_offspring(self):
         pop = [make_sol(i, 9 - i, key=f"p{i}") for i in range(6)]
         offspring = [make_sol(3, 3, key="o0")]
-        survivors = replace(pop, offspring, "generational_elite1", target_size=6)
+        survivors = replace(pop, offspring, "generational_elite1")
         assert len(survivors) == 6
         assert "o0" in {s.genotype_key for s in survivors}
 
@@ -529,7 +530,9 @@ class TestRun:
     def test_scheduler_stats_consistent(self, standard_instance):
         problem = RouteProblem(standard_instance)
         result = run(problem, RunParams(population_size=10, offspring_size=10, evaluation_budget=1500, seed=8))
+        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "LS", "REP", "IMM"}
         for kind, entry in result.scheduler_stats.items():
+            assert entry["operators"] == list(POOL_OPERATORS[kind])
             assert len(entry["operators"]) == 2
             assert abs(sum(entry["probabilities"]) - 1.0) < 1e-9
             assert all(t >= s for t, s in zip(entry["trials"], entry["successes"]))

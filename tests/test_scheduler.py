@@ -9,7 +9,7 @@ from survroute.scheduler import OperatorPool, choose, probabilities, report, suc
 
 
 def pool_with(outcomes, window=50, p_min=0.1, ops=("alpha", "beta")):
-    return OperatorPool(kind="VAR", operators=ops, window=window, p_min=p_min, outcomes=outcomes)
+    return OperatorPool(operators=ops, window=window, p_min=p_min, outcomes=outcomes)
 
 
 class _FixedDraw:
@@ -23,15 +23,11 @@ class _FixedDraw:
 class TestPoolInvariants:
     def test_rejects_empty_operator_list(self):
         with pytest.raises(ContractViolation):
-            OperatorPool(kind="SEL", operators=())
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ContractViolation):
-            OperatorPool(kind="XXX", operators=("a",))
+            OperatorPool(operators=())
 
     def test_rejects_floor_above_uniform(self):
         with pytest.raises(ContractViolation):
-            OperatorPool(kind="SEL", operators=("a", "b"), p_min=0.6)
+            OperatorPool(operators=("a", "b"), p_min=0.6)
 
     def test_unknown_operator_report(self):
         pool = pool_with(())
@@ -42,19 +38,19 @@ class TestPoolInvariants:
 class TestProbabilities:
     def test_empty_windows_are_uniform(self):
         pool = pool_with((), p_min=0.1)
-        assert probabilities(pool).tolist() == [0.5, 0.5]
+        assert probabilities(pool) == [0.5, 0.5]
 
     def test_worked_rates(self):
         # alpha: 2 successes of 2 -> (2+1)/(2+2) = 0.75; beta: 0 of 2 -> 0.25
         pool = pool_with(((1, 1), (0, 0)), p_min=0.1)
-        assert success_rates(pool).tolist() == [0.75, 0.25]
+        assert success_rates(pool) == [0.75, 0.25]
         p = probabilities(pool)
         assert p[0] == pytest.approx(0.7, abs=1e-12)
         assert p[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_singleton_pool(self):
-        pool = OperatorPool(kind="LS", operators=("only",), p_min=0.3)
-        assert probabilities(pool).tolist() == [1.0]
+        pool = OperatorPool(operators=("only",), p_min=0.3)
+        assert probabilities(pool) == [1.0]
 
 
 class TestChoose:
@@ -98,25 +94,46 @@ class TestReport:
 windows = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=20).map(tuple)
 
 
+def numpy_success_rates(pool):
+    rates = np.empty(len(pool.operators))
+    for i, window in enumerate(pool.outcomes):
+        rates[i] = (sum(window) + 1.0) / (len(window) + 2.0)
+    return rates
+
+
+def numpy_probabilities(pool):
+    rates = numpy_success_rates(pool)
+    k = len(pool.operators)
+    return pool.p_min + (1.0 - k * pool.p_min) * rates / rates.sum()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=1, max_value=7), st.data())
+def test_rates_and_probabilities_equal_numpy_forms(k, data):
+    outcomes = data.draw(st.tuples(*[windows] * k))
+    p_min = data.draw(st.floats(min_value=0.0, max_value=1.0 / k))
+    pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), window=20, p_min=p_min, outcomes=outcomes)
+    rates, p = success_rates(pool), probabilities(pool)
+    assert all(type(x) is float for x in rates + p)
+    assert [x.hex() for x in rates] == [float(x).hex() for x in numpy_success_rates(pool)]
+    assert [x.hex() for x in p] == [float(x).hex() for x in numpy_probabilities(pool)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(windows, windows, windows), st.floats(min_value=0.0, max_value=1.0 / 3.0))
 def test_probability_axioms(outcome_triple, p_min):
-    pool = OperatorPool(
-        kind="SEL", operators=("a", "b", "c"), window=20, p_min=p_min, outcomes=outcome_triple
-    )
+    pool = OperatorPool(operators=("a", "b", "c"), window=20, p_min=p_min, outcomes=outcome_triple)
     p = probabilities(pool)
-    assert abs(p.sum() - 1.0) < 1e-12
-    assert (p >= p_min - 1e-15).all()
+    assert abs(sum(p) - 1.0) < 1e-12
+    assert all(x >= p_min - 1e-15 for x in p)
     if p_min > 0:
-        assert (p > 0).all()  # no starvation
+        assert all(x > 0 for x in p)  # no starvation
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(windows, windows))
 def test_success_monotonicity(outcome_pair):
-    pool = OperatorPool(
-        kind="VAR", operators=("a", "b"), window=25, p_min=0.05, outcomes=outcome_pair
-    )
+    pool = OperatorPool(operators=("a", "b"), window=25, p_min=0.05, outcomes=outcome_pair)
     before = probabilities(pool)[0]
     after = probabilities(report(pool, "a", True))[0]
     assert after >= before - 1e-15
@@ -130,7 +147,7 @@ def test_success_monotonicity(outcome_pair):
 )
 def test_batch_report_equals_one_by_one(earlier, batch, window):
     # flag sequences run longer than the window, so batches evict as single reports do
-    pool = OperatorPool(kind="LS", operators=("a", "b"), window=window, p_min=0.05)
+    pool = OperatorPool(operators=("a", "b"), window=window, p_min=0.05)
     for flag in earlier:
         pool = report(pool, "b", flag)
     one_by_one = pool
