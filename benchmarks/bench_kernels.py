@@ -14,12 +14,13 @@ walking; their objectives are checked against a full walk first.
 ``enumerate_routes``, the oracle's walk of each MR's path tree, is timed
 against one ``eval_route`` walk per assignment of a 6-MR space, and alone
 at the ``oracle_n8`` workload's size (8 MRs x 5 links, 390,625
-assignments), beside ``front_rows`` on its valid rows. ``mutate_reattach``,
-which decides each candidate link on the forest, is timed at 40 and 200
-MRs against a reference that decides each candidate by a full route walk,
-and ``heavy_reattach`` and ``random_assignment`` (initialization: randomized
-attachment of every MR, then one walk) per call, as is
-``assignment_string`` (every solution's key: one label per MR) on the
+assignments), beside ``front_rows`` on its valid rows and the whole
+oracle, ``brute_force_pareto``, which runs both and builds the witnesses.
+``mutate_reattach``, which decides each candidate link on the forest, is
+timed at 40 and 200 MRs against a reference that decides each candidate
+by a full route walk, and ``heavy_reattach`` and ``random_assignment``
+(initialization: randomized attachment of every MR, then one walk) per
+call, as is ``assignment_string`` (every solution's key: one label per MR) on the
 genotypes ``random_assignment`` makes. ``kernels.draw_index`` is
 timed over 10000 index draws beside the numpy call whose draws it
 reproduces, ``int(rng.integers(n))``, after a check that both give the same
@@ -51,8 +52,8 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, assignment_string, heavy_reattach, iter_neighbors, mutate_reattach,
-    parse_instance, random_assignment,
+    RouteAssignment, RouteProblem, assignment_string, brute_force_pareto, heavy_reattach, iter_neighbors,
+    mutate_reattach, parse_instance, random_assignment,
 )
 
 
@@ -200,9 +201,11 @@ def main() -> None:
     idx = np.flatnonzero(valid)
     z1, z2 = z1[idx], z2[idx]
     t_front = best_of(lambda: kernels.front_rows(z1, z2, idx), args.repeats)
+    t_oracle = best_of(lambda: brute_force_pareto(large), args.repeats)
     print(f"enumerate_routes over {lc.search_space} assignments (8 MRs, the oracle_n8 size):")
     print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
     print(f"  {f'front_rows ({idx.size} valid)':<27}{t_front * 1e3:>8.2f}ms")
+    print(f"  brute_force_pareto         {t_oracle * 1e3:>8.2f}ms")
 
     # mutation: the forest check against one route walk per candidate link
     print("mutate_reattach per call, forest check vs a route walk per candidate:")

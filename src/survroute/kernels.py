@@ -17,11 +17,15 @@ only genotypes that carry none. ``enumerate_routes``, the oracle's
 exhaustive enumeration, walks each MR's tree of possible paths over the same
 per-MR tables and adds each path's terms into the box of assignments that
 take it, with the same floating-point operations per MR in the same order,
-so its objectives are bit-identical to ``eval_route``'s. ``front_rows``
-extracts the oracle's 2-D Pareto front from those arrays. The objective
-kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of (z1, z2)
-pairs and run in plain Python: the engine calls them on small fronts, where
-numpy's per-call conversion would cost more than the work.
+so its objectives are bit-identical to ``eval_route``'s. A walk that runs
+into a cycle not through its own MR is cut there, unmarked: the tree of the
+MR where that cycle closes marks those assignments invalid, so the leaves
+of one MR's tree cover only part of the space, and all the trees together
+decide validity. ``front_rows`` extracts the oracle's 2-D Pareto front from
+those arrays; its result does not depend on how a sort orders ties. The
+objective kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of
+(z1, z2) pairs and run in plain Python: the engine calls them on small
+fronts, where numpy's per-call conversion would cost more than the work.
 
 ``draw_index`` is the one way the package draws a uniform index: numpy's
 bounded-integer algorithm (Lemire's) on the generator's own 32-bit outputs,
@@ -143,12 +147,16 @@ def enumerate_routes(tables):
     basic-index box.
     For each MR m in index order, the tree of paths m's walk can take is
     walked with an explicit stack: a leaf that reaches an access router adds
-    the path's cost and risk into its box, and a leaf whose walk revisits an
-    MR or has taken ``tables.steps`` links marks its box invalid. The leaves
-    of one MR's tree partition the space, so every assignment gets one add
-    per MR, in MR order, of the terms ``route_terms`` computes with the same
-    floating-point operations; its objectives are thus bit-identical to
-    ``eval_route``'s.
+    the path's cost and risk into its box, and a leaf whose walk returns to
+    m or has taken ``tables.steps`` links marks its box invalid. A link to an
+    MR p already on the path, other than m, is skipped: no add, no mark.
+    Those assignments are invalid all the same, and p's tree marks them: the
+    cycle p -> ... -> cur -> p has at most d links, where d < ``tables.steps``
+    is cur's depth, so p's walk follows it without a repeat and closes it at
+    p. The leaves of one MR's tree thus partition the space less the boxes it
+    skips, and every valid assignment gets one add per MR, in MR order, of
+    the terms ``route_terms`` computes with the same floating-point
+    operations, so its objectives are bit-identical to ``eval_route``'s.
     """
     parents, costs, survs, ar_bs_surv = tables.mr_parents, tables.mr_costs, tables.mr_survs, tables.ar_bs_surv
     n_ar = len(ar_bs_surv)
@@ -180,9 +188,9 @@ def enumerate_routes(tables):
                     s *= ar_bs_surv[n_ar + p]
                     z1[sub] += c
                     z2[sub] += 1.0 - s
-                elif on_path >> p & 1:
+                elif p == m:
                     valid[sub] = False
-                else:
+                elif not on_path >> p & 1:  # a cycle that misses m is p's tree's to mark
                     stack.append((p, sub, on_path | 1 << p, c, s, depth + 1))
     invalid = ~valid
     z1[invalid] = 0.0
@@ -213,12 +221,14 @@ def front_rows(z1, z2, key):
     key) order a row is on the front exactly when its z2 is below every z2
     before it, that is, when it lowers the running minimum of z2.
 
-    Only the rows whose z2 equals the running minimum in a stable z1 order
-    are sorted that way: a front row has a z2 at or below every row before
-    it in z1 order, and the running minimum is always held by such a row,
-    so the rows dropped change no verdict.
+    Only the rows whose z2 equals the running minimum in some z1 order are
+    sorted that way, and any order of equal z1 values will do: a front row
+    has a z2 at or below every row with a z1 at or below its own, so it holds
+    the running minimum wherever the sort puts it among its ties. Every row
+    dropped is weakly dominated by a front row that precedes it in (z1, z2,
+    key) order, so the scan gives the same rows with or without it.
     """
-    order = np.argsort(z1, kind="stable")
+    order = np.argsort(z1)
     z2_order = z2[order]
     order = order[z2_order == np.minimum.accumulate(z2_order)]
     order = order[np.lexsort((key[order], z2[order], z1[order]))]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import re
 import sys
 from array import array
@@ -52,6 +53,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 DEFAULT_MAX_DEPTH = 4
 _NUMPY_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # an ndarray's dimension cap
+_ORACLE_ROW_BYTES = 17  # kernels.enumerate_routes holds a bool and two float64 per assignment
 
 
 @dataclass(frozen=True)
@@ -688,7 +690,10 @@ def brute_force_pareto(
     Witnesses are deterministic (smallest enumeration index). Raises
     ``OracleScopeError`` for a search space larger than ``guard``, or one
     numpy cannot hold: more MRs with several links than an array has axes,
-    or arrays that do not fit in memory.
+    or arrays larger than physical memory or than numpy can allocate. The
+    physical-memory test comes before any allocation, since an allocation
+    the OS grants need not be backed; it is skipped where ``os.sysconf``
+    cannot tell.
     """
     c = inst.compiled
     if c.search_space > guard:
@@ -698,6 +703,11 @@ def brute_force_pareto(
     axes = sum(r > 1 for r in c.radices)  # kernels.enumerate_routes gives each such MR an axis
     if axes > _NUMPY_MAX_AXES:
         raise OracleScopeError(f"{axes} MRs have several links; the oracle enumerates at most {_NUMPY_MAX_AXES}")
+    need, memory = _ORACLE_ROW_BYTES * c.search_space, _physical_memory()
+    if memory is not None and need > memory:
+        raise OracleScopeError(
+            f"search space {c.search_space} needs {need} bytes, more than the {memory} bytes of physical memory"
+        )
     try:
         valid, z1, z2 = kernels.enumerate_routes(c)
         idx = np.flatnonzero(valid)
@@ -709,6 +719,14 @@ def brute_force_pareto(
         (ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(_unravel(flat, c.radices)))
         for i, flat in zip(rows.tolist(), idx[rows].tolist())
     ]
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _unravel(flat: int, radices) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -208,6 +209,31 @@ class TestOracle:
         err = capsys.readouterr().err
         assert err == "survroute: search space 64 does not fit in memory\n"
         assert not out.exists()
+
+    def test_space_larger_than_physical_memory_exits_4(self, tmp_path, capsys, monkeypatch):
+        # 64 assignments need 17 bytes each; the machine reports 2 pages of 512 bytes
+        pages = {"SC_PAGE_SIZE": 512, "SC_PHYS_PAGES": 2}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        allocations = []
+        monkeypatch.setattr(np, "ones", lambda *args, **kwargs: allocations.append(args))
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", STANDARD, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == "survroute: search space 64 needs 1088 bytes, more than the 1024 bytes of physical memory\n"
+        assert not out.exists() and allocations == []
+
+    def test_space_that_fits_physical_memory_runs(self, tmp_path, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 512, "SC_PHYS_PAGES": 3}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", STANDARD, "--out", str(out)) == 0
+        assert out.read_bytes() == (INSTANCE_DIR / "standard_3mr.front.csv").read_bytes()
+
+    def test_oracle_runs_without_sysconf(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", STANDARD, "--out", str(out)) == 0
+        assert out.read_bytes() == (INSTANCE_DIR / "standard_3mr.front.csv").read_bytes()
 
 
 class TestMeasure:

@@ -193,6 +193,38 @@ def test_enumerate_routes_with_single_link_mrs():
     assert _assert_enumeration_matches_eval_route(only).tolist() == [True]
 
 
+def test_enumerate_routes_skips_a_cycle_of_other_mrs():
+    # m0 may attach under m1, and m1 and m2 under each other: m0's walks through m1 enter the m1-m2 cycle
+    inst = parse_instance(
+        "BS b0 0.1\nBS b1 0.2\nAR a0 b0\nAR a1 b1\nMR m0\nMR m1\nMR m2\n"
+        "LINK m0 a0 4 0.1\nLINK m0 m1 0.5 0.05\n"
+        "LINK m1 a1 2 0.2\nLINK m1 m2 0.25 0.01\n"
+        "LINK m2 a0 3 0.15\nLINK m2 m1 0.75 0.03\nMAXDEPTH 3\n"
+    )
+    assert inst.compiled.radices == (2, 2, 2)
+    valid = _assert_enumeration_matches_eval_route(inst).reshape(inst.compiled.radices)
+    # m1 under m2 and m2 under m1 is invalid whatever m0 takes; every other assignment is valid
+    assert not valid[:, 1, 1].any()
+    assert valid.sum() == 6
+
+
+def test_enumerate_routes_cycle_closes_at_walk_cap():
+    # a ring m0 -> m1 -> m2 -> m3 -> m0 of as many links as the walk cap, and a 3-link cycle m1 -> m2 -> m3 -> m1
+    inst = parse_instance(
+        "BS b0 0.1\nBS b1 0.3\nAR a0 b0\nAR a1 b1\nMR m0\nMR m1\nMR m2\nMR m3\n"
+        "LINK m0 a0 1 0.1\nLINK m0 m1 0.5 0.02\n"
+        "LINK m1 a1 2 0.2\nLINK m1 m2 0.25 0.01\n"
+        "LINK m2 a0 1.5 0.05\nLINK m2 m3 0.75 0.04\n"
+        "LINK m3 a1 3 0.15\nLINK m3 m0 0.125 0.03\nLINK m3 m1 0.375 0.06\nMAXDEPTH 4\n"
+    )
+    c = inst.compiled
+    assert c.steps == inst.n_mr == 4 and c.radices == (2, 2, 2, 3)
+    valid = _assert_enumeration_matches_eval_route(inst).reshape(c.radices)
+    assert not valid[1, 1, 1, 1]  # the 4-link ring, closed by the walk's last link
+    assert not valid[:, 1, 1, 2].any()  # the 3-link cycle, whatever m0 takes
+    assert valid[1, 1, 1, 0]  # the ring cut at m3: m0's walk takes all 4 links
+
+
 def test_enumerate_routes_frees_its_arrays():
     # with the collector off, a reference cycle would keep the full-space arrays alive after del
     c = parse_instance(synthetic_net_text(8, 4, 4, seed=3)).compiled
@@ -255,6 +287,30 @@ def test_front_rows_match_sequential_scan(data):
             best = z2[j]
             expected.append(j)
     assert front_rows(z1, z2, key).tolist() == expected
+
+
+def _sequential_front(z1, z2, key):
+    """The rows that lower the best z2 seen so far, in (z1, z2, key) order."""
+    expected, best = [], math.inf
+    for j in sorted(range(len(z1)), key=lambda j: (z1[j], z2[j], key[j])):
+        if z2[j] < best:
+            best = z2[j]
+            expected.append(j)
+    return expected
+
+
+def test_front_rows_ignore_tie_order():
+    # 6000 rows on a 40 x 40 grid: every z1 value is tied about 150 times, and numpy's default sort is not stable
+    rng = np.random.default_rng(11)
+    n = 6000
+    z1 = rng.integers(0, 40, n).astype(np.float64)
+    z2 = rng.integers(0, 40, n).astype(np.float64) / 8
+    key = rng.permutation(n).astype(np.int64) * 3
+    rows = front_rows(z1, z2, key)
+    assert rows.tolist() == _sequential_front(z1, z2, key)
+    for seed in range(5):  # the same rows, as keys, whatever order the rows come in
+        perm = np.random.default_rng(seed).permutation(n)
+        assert key[perm][front_rows(z1[perm], z2[perm], key[perm])].tolist() == key[rows].tolist()
 
 
 def test_crowding_distance_hand_case():
