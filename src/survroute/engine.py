@@ -1,11 +1,12 @@
 """Memetic optimization loop: selection, variation, local search, replacement,
 archive update, and stagnation-triggered random immigrants.
 
-Selection, variation, local search, replacement and immigration each pick
-their operator from a success-driven scheduler pool (``POOL_OPERATORS``);
-the archive update has one truncation, ``archive.reduce``. The run is fully
-deterministic for a given seed: one PRNG is threaded through the pipeline
-in a fixed draw order (see ``run``).
+Selection, variation, local search and replacement each pick their operator
+from a success-driven scheduler pool (``POOL_OPERATORS``); the archive update
+has one truncation, ``archive.reduce``, and immigration one operator, fresh
+random genotypes (``random_immigrants``). The run is fully deterministic
+for a given seed: one PRNG is threaded through the pipeline in a fixed draw
+order (see ``run``).
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ SELECTION_OPERATORS = ("tournament", "uniform")
 VARIATION_OPERATORS = ("mutate", "crossover")
 LOCAL_SEARCH_OPERATORS = ("chebyshev", "pareto_step")
 REPLACEMENT_OPERATORS = ("elitist", "generational_elite1")
-IMMIGRATION_OPERATORS = ("fresh_random", "heavy_mutation")
 
 POOL_OPERATORS = {
     "SEL": SELECTION_OPERATORS,
     "VAR": VARIATION_OPERATORS,
     "LS": LOCAL_SEARCH_OPERATORS,
     "REP": REPLACEMENT_OPERATORS,
-    "IMM": IMMIGRATION_OPERATORS,
 }
 
 
@@ -296,23 +295,17 @@ def stagnation(hv_trace: Sequence[float], window: int, tolerance: float) -> bool
 
 def random_immigrants(
     pop: Sequence[CandidateSolution],
-    arch: NondominatedArchive,
     problem: Problem,
-    operator: str,
     fraction: float,
     rng,
     evaluator: Evaluator,
     max_new: int | None = None,
 ) -> list[CandidateSolution]:
-    """Replace the ceil(fraction * N) worst-ranked members with newcomers.
+    """Replace the ceil(fraction * N) worst-ranked members with fresh random genotypes.
 
     The best-ranked member always survives, so at most N-1 are replaced.
-    fresh_random draws new genotypes; heavy_mutation perturbs uniformly
-    chosen archive members. ``max_new`` (remaining budget) may shrink the
-    batch at the end of a run.
+    ``max_new`` (remaining budget) may shrink the batch at the end of a run.
     """
-    if operator not in IMMIGRATION_OPERATORS:
-        raise ConfigError(f"unknown immigration operator {operator!r}")
     n = len(pop)
     # tiny slack so exact products like 0.3 * 10 do not ceil to 4
     k = math.ceil(fraction * n - 1e-9)
@@ -323,15 +316,7 @@ def random_immigrants(
         return list(pop)
     order = survival_order(pop)
     survivors = [pop[i] for i in order[: n - k]]
-    newcomers = []
-    for _ in range(k):
-        if operator == "fresh_random" or len(arch.members) == 0:
-            g = problem.random_genotype(rng)
-        else:
-            src = arch.members[draw_index(rng, len(arch.members))]
-            g = problem.heavy_mutate(src.genotype, rng)
-        newcomers.append(evaluator.solution(g))
-    return survivors + newcomers
+    return survivors + [evaluator.solution(problem.random_genotype(rng)) for _ in range(k)]
 
 
 def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedArchive) -> float:
@@ -368,15 +353,14 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     Draw order per inner iteration, from one seeded generator: SEL choose
     (1 draw), selection (1-2 index draws per parent), VAR choose, variation
     operator draws, LS choose, local-search draws (simplex weights for
-    chebyshev), REP choose. Immigration adds: IMM choose, then per-immigrant
-    draws. This order is part of the reproducibility contract.
+    chebyshev), REP choose. Immigration adds the draws of each immigrant's
+    random genotype, and chooses nothing. This order is part of the
+    reproducibility contract.
 
     Credit: SEL/VAR/LS score one outcome per offspring (accepted into the
     archive or not), reported to each pool as one batch per iteration; REP
     scores whether the population's archive-nondominated fraction strictly
-    improved; IMM scores whether the hypervolume avoided decline over the
-    following inner iteration (unresolved at budget exhaustion means no
-    report).
+    improved.
     """
     params = params or RunParams()
     rng = np.random.default_rng(params.seed)
@@ -399,7 +383,6 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     ref = _reference_from(pop)
     hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
     trace = [hv]
-    pending_imm: tuple[str, float] | None = None
 
     while evaluator.remaining > 0:
         forced = True  # immigration resets stagnation: always run one iteration
@@ -429,26 +412,14 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
             note("VAR", var_op, *accepted)
             note("LS", ls_op, *accepted)
             note("REP", rep_op, _nondominated_fraction(new_pop, arch) > _nondominated_fraction(pop, arch))
-            if pending_imm is not None:
-                note("IMM", pending_imm[0], hv >= pending_imm[1])
-                pending_imm = None
 
             pop = new_pop
             trace.append(hv)
 
         if evaluator.remaining > 0 and params.immigrant_fraction > 0:
-            imm_op = choose(pools["IMM"], rng)
             pop = random_immigrants(
-                pop,
-                arch,
-                problem,
-                imm_op,
-                params.immigrant_fraction,
-                rng,
-                evaluator,
-                max_new=int(evaluator.remaining),
+                pop, problem, params.immigrant_fraction, rng, evaluator, max_new=int(evaluator.remaining)
             )
-            pending_imm = (imm_op, trace[-1])
 
     scheduler_stats = {}
     for kind, pool in pools.items():

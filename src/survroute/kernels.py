@@ -137,7 +137,8 @@ def enumerate_routes(tables):
 
     ``tables`` is what ``route_terms`` takes. Returns (valid, z1, z2) arrays
     of length prod(radices), indexed in row-major order (last MR varies
-    fastest), matching np.unravel_index; z1 and z2 are 0.0 on invalid rows.
+    fastest), matching np.unravel_index; z1 and z2 are unspecified on
+    invalid rows (they may hold the partial sums of the MRs walked so far).
 
     The arrays are built with one axis per MR that does not have exactly one
     link (an MR with one link fixes nothing, and leaving it out keeps the
@@ -192,9 +193,6 @@ def enumerate_routes(tables):
                     valid[sub] = False
                 elif not on_path >> p & 1:  # a cycle that misses m is p's tree's to mark
                     stack.append((p, sub, on_path | 1 << p, c, s, depth + 1))
-    invalid = ~valid
-    z1[invalid] = 0.0
-    z2[invalid] = 0.0
     return valid.reshape(-1), z1.reshape(-1), z2.reshape(-1)
 
 

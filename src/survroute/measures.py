@@ -1,10 +1,9 @@
 """Front quality indicators: exact 2-D hypervolume, additive epsilon, coverage.
 
-Hypervolume drives the engine's stagnation detection and IMM credit;
-epsilon and coverage are reporting-only indicators. Every indicator reads
-its fronts through ``_points``, which gives (z1, z2) float pairs and
-rejects a point without exactly two finite components, and then runs in
-plain Python. Both hypervolume functions clip or reject the points at or
+Hypervolume drives the engine's stagnation detection; epsilon and coverage
+are reporting-only indicators. Every indicator reads its fronts through
+``_points``, which gives (z1, z2) float pairs and rejects a point without
+exactly two finite components, and then runs in plain Python. Both hypervolume functions clip or reject the points at or
 beyond the reference, then make one ``kernels.hv2d_sweep`` over the sorted
 pairs.
 """

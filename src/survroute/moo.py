@@ -84,8 +84,9 @@ class Problem:
     def random_genotype(self, rng):
         """A random valid genotype.
 
-        Like ``mutate``, ``crossover`` and ``heavy_mutate``, it must return a
-        valid genotype: the engine evaluates what they return unchecked.
+        Like ``mutate`` and ``crossover``, it must return a valid genotype:
+        the engine evaluates what they return unchecked. It also makes the
+        immigrants that refresh a stagnating population.
         """
         raise NotImplementedError
 
@@ -97,10 +98,6 @@ class Problem:
         raise NotImplementedError
 
     def crossover(self, a, b, rng):
-        raise NotImplementedError
-
-    # heavy mutation backs the archive-based immigration operator (IMM pool)
-    def heavy_mutate(self, genotype, rng):
         raise NotImplementedError
 
     # local-move neighborhood (LS pools walk this in the returned order)

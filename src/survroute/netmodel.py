@@ -574,6 +574,9 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence; the result carries its terms.
 
     Precondition: ``a`` is a valid forest; each step keeps it valid.
+    No package code calls it since immigration makes fresh random genotypes
+    only. It stays because ``perfbench/spans.py`` wraps it, and the tracer
+    raises on a name it cannot find.
     """
     if inst.n_mr == 0:
         return a
@@ -771,9 +774,6 @@ class RouteProblem(Problem):
 
     def crossover(self, a, b, rng) -> RouteAssignment:
         return crossover_parentmix(self.instance, a, b, rng)
-
-    def heavy_mutate(self, genotype, rng) -> RouteAssignment:
-        return heavy_reattach(self.instance, genotype, rng)
 
     def neighborhood(self, genotype) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
         return iter_neighbors(self.instance, genotype)

@@ -1,7 +1,7 @@
 """Adaptive operator selection: per-pool success windows and probability matching.
 
-Five engine stages pick their operators from one pool each (the engine's
-``POOL_OPERATORS``: SEL, VAR, LS, REP, IMM). A pool tracks a sliding window
+Four engine stages pick their operators from one pool each (the engine's
+``POOL_OPERATORS``: SEL, VAR, LS, REP). A pool tracks a sliding window
 of outcome flags per operator; selection samples operators proportionally
 to Laplace-smoothed window success rates, with a probability floor so no
 operator starves. Everything here is plain Python on lists of floats.

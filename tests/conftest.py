@@ -152,9 +152,6 @@ class GridProblem(Problem):
     def crossover(self, a, b, rng):
         return (a[0], b[1]) if rng.random() < 0.5 else (b[0], a[1])
 
-    def heavy_mutate(self, genotype, rng):
-        return self.random_genotype(rng)
-
     def neighborhood(self, genotype):
         x, y = genotype
         for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from survroute import kernels, measures
-from survroute.archive import NondominatedArchive, nondom
+from survroute.archive import NondominatedArchive, nondom, survival_order
 from survroute.engine import (
     LOCAL_SEARCH_OPERATORS,
     POOL_OPERATORS,
@@ -415,8 +415,7 @@ class TestRandomImmigrants:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
         pop = self._population(problem, evaluator, rng, 10)
-        arch = nondom(pop)
-        out = random_immigrants(pop, arch, problem, "fresh_random", 0.3, rng, evaluator)
+        out = random_immigrants(pop, problem, 0.3, rng, evaluator)
         kept = {id(s) for s in pop} & {id(s) for s in out}
         assert len(out) == 10
         assert len(kept) == 7  # exactly ceil(0.3 * 10) = 3 replaced
@@ -426,18 +425,17 @@ class TestRandomImmigrants:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(1)
         pop = self._population(problem, evaluator, rng, 10)
-        arch = nondom(pop)
-        out = random_immigrants(pop, arch, problem, "heavy_mutation", 1.0, rng, evaluator)
+        out = random_immigrants(pop, problem, 1.0, rng, evaluator)
         survivors = {id(s) for s in pop} & {id(s) for s in out}
         assert len(out) == 10
-        assert len(survivors) == 1  # elite guard
+        assert survivors == {id(pop[survival_order(pop)[0]])}  # elite guard: the best-ranked member
 
     def test_zero_fraction_noop(self, standard_instance):
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(2)
         pop = self._population(problem, evaluator, rng, 6)
-        out = random_immigrants(pop, nondom(pop), problem, "fresh_random", 0.0, rng, evaluator)
+        out = random_immigrants(pop, problem, 0.0, rng, evaluator)
         assert [id(s) for s in out] == [id(s) for s in pop]
 
     def test_budget_cap(self, standard_instance):
@@ -446,7 +444,7 @@ class TestRandomImmigrants:
         rng = np.random.default_rng(3)
         pop = self._population(problem, evaluator, rng, 10)
         before = evaluator.count
-        random_immigrants(pop, nondom(pop), problem, "fresh_random", 1.0, rng, evaluator, max_new=2)
+        random_immigrants(pop, problem, 1.0, rng, evaluator, max_new=2)
         assert evaluator.count - before == 2
 
     def test_immigrants_valid(self, stress_instance):
@@ -454,13 +452,11 @@ class TestRandomImmigrants:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(4)
         pop = self._population(problem, evaluator, rng, 10)
-        arch = nondom(pop)
-        for op in ("fresh_random", "heavy_mutation"):
-            for _ in range(50):
-                pop = random_immigrants(pop, arch, problem, op, 0.4, rng, evaluator)
-                assert len(pop) == 10
-                for s in pop:
-                    assert invalid_reason(stress_instance, s.genotype) is None
+        for _ in range(100):
+            pop = random_immigrants(pop, problem, 0.4, rng, evaluator)
+            assert len(pop) == 10
+            for s in pop:
+                assert invalid_reason(stress_instance, s.genotype) is None
 
 
 class TestRun:
@@ -530,7 +526,7 @@ class TestRun:
     def test_scheduler_stats_consistent(self, standard_instance):
         problem = RouteProblem(standard_instance)
         result = run(problem, RunParams(population_size=10, offspring_size=10, evaluation_budget=1500, seed=8))
-        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "LS", "REP", "IMM"}
+        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "LS", "REP"}
         for kind, entry in result.scheduler_stats.items():
             assert entry["operators"] == list(POOL_OPERATORS[kind])
             assert len(entry["operators"]) == 2

@@ -32,7 +32,7 @@ CASES = {
         "--ls-budget", "0", "--population", "100", "--offspring", "100", "--capacity", "100",
     ]),
     # capacity 3 and a 2-iteration stagnation window: archive reduction on most insertions,
-    # and immigration by both IMM operators (fresh random and heavy mutation)
+    # and immigration
     "small_archive_with_immigration": ("stress_5mr", [
         "--budget", "3000", "--seed", "3", "--capacity", "3", "--stagnation-window", "2",
         "--ls-budget", "5", "--population", "20", "--offspring", "20",
@@ -49,18 +49,25 @@ GOLDEN = {
 
 # The results of the engine that chose its archive truncation from a sixth pool, RED, with one
 # more draw right after the REP choice. Its two truncations removed the same member, since an
-# insert overflows the archive by at most one, so that draw was the only difference.
+# insert overflows the archive by at most one, so that draw was the only difference. Those cases
+# make no immigrants; the six-pool run of the case that does chose heavy mutation, now deleted.
 WITH_RED_DRAW = {
     "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
     "stress_5mr": "1d95d5c42a8551db42ebb0ed50994be92fb1a604",
     "synthetic_40mr": "3b8d331e7435727bf6e615dfb68ebded47bce1f1",
     "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
     "200mr_without_local_search": "203363065ac6798c4c91690da826fc4153dec94f",
-    "small_archive_with_immigration": "893a8448cd19acb96f9e0d01a26c7efae85d26c6",
 }
-# sha1 of that engine's summary.json (sorted-key JSON) without "wall_clock_seconds", "instance"
-# (checked on its own) and the RED pool's scheduler entry
-SUMMARY_WITH_RED_DRAW = {"small_archive_with_immigration": "7b93d0a8d4ca1e27583496c54e2ecc779cb98d9a"}
+
+# The results of the engine that chose immigration from a pool, IMM (fresh random or heavy
+# mutation), with one draw before each batch, when that pool always returned fresh random:
+# the front's sha1, and the sha1 of summary.json (sorted-key JSON) without "wall_clock_seconds",
+# "instance" (checked on its own) and the IMM pool's scheduler entry.
+WITH_IMM_DRAW = (
+    "small_archive_with_immigration",
+    "1e2de941042a83c6c3c306f5282dc76e70620e59",
+    "0926929622a2c0c80ba99cfc8bbcb56dbf9526d2",
+)
 
 
 def _run(case, tmp_path):
@@ -97,10 +104,10 @@ def test_front_hash_small_archive_with_immigration(tmp_path):
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(WITH_RED_DRAW))
 def test_red_draw_restores_the_six_pool_results(case, tmp_path, monkeypatch):
-    # with the RED choice's draw put back after each REP choice, every front and the
-    # summary are those of the six-pool engine: deleting RED changed the random stream only
+    # with the RED choice's draw put back after each REP choice, every front is that of
+    # the six-pool engine: deleting RED changed the random stream only
     choose = engine.choose
 
     def choose_then_draw(pool, rng):
@@ -110,12 +117,30 @@ def test_red_draw_restores_the_six_pool_results(case, tmp_path, monkeypatch):
         return op
 
     monkeypatch.setattr(engine, "choose", choose_then_draw)
-    path, out = _run(case, tmp_path)
+    _path, out = _run(case, tmp_path)
     assert _sha1(out / "front.csv") == WITH_RED_DRAW[case]
-    if case in SUMMARY_WITH_RED_DRAW:
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        assert summary.pop("instance") == str(path)
-        del summary["wall_clock_seconds"]
-        assert sorted(summary["scheduler"]) == ["IMM", "LS", "REP", "SEL", "VAR"]
-        digest = hashlib.sha1(json.dumps(summary, sort_keys=True).encode()).hexdigest()
-        assert digest == SUMMARY_WITH_RED_DRAW[case]
+
+
+def test_imm_draw_restores_fresh_random_results(tmp_path, monkeypatch):
+    # with the IMM choice's draw put back before each immigrant batch, the front and the
+    # summary are those of the pooled engine choosing fresh random: deleting the pool and
+    # heavy mutation changed the random stream only
+    case, front_sha1, summary_sha1 = WITH_IMM_DRAW
+    random_immigrants = engine.random_immigrants
+    batches = []  # one entry per immigrant batch
+
+    def draw_then_immigrants(pop, problem, fraction, rng, evaluator, max_new=None):
+        rng.random()
+        batches.append(None)
+        return random_immigrants(pop, problem, fraction, rng, evaluator, max_new)
+
+    monkeypatch.setattr(engine, "random_immigrants", draw_then_immigrants)
+    path, out = _run(case, tmp_path)
+    assert batches  # the case makes immigrants
+    assert _sha1(out / "front.csv") == front_sha1
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary.pop("instance") == str(path)
+    del summary["wall_clock_seconds"]
+    assert sorted(summary["scheduler"]) == ["LS", "REP", "SEL", "VAR"]
+    digest = hashlib.sha1(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == summary_sha1

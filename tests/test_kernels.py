@@ -60,7 +60,11 @@ def test_compiled_tables_are_plain_tuples(standard_instance, stress_instance):
 
 
 def _assert_enumeration_matches_eval_route(inst):
-    """enumerate_routes equals one eval_route walk per flat index: validity exactly, floats bit for bit."""
+    """enumerate_routes equals one eval_route walk per flat index: validity exactly, floats bit for bit.
+
+    The floats are compared on valid rows only: enumerate_routes leaves z1 and z2
+    unspecified on invalid rows.
+    """
     c = inst.compiled
     valid, z1, z2 = enumerate_routes(c)
     size = c.search_space
@@ -68,8 +72,9 @@ def _assert_enumeration_matches_eval_route(inst):
     # the reference is the eval_route walk, one assignment at a time
     ref = [kernels.eval_route(tuple(int(k) for k in np.unravel_index(flat, c.radices)), c) for flat in range(size)]
     assert valid.tolist() == [ok for _a, _b, ok in ref]
-    assert z1.tobytes() == np.array([a for a, _b, _ok in ref], dtype=np.float64).tobytes()
-    assert z2.tobytes() == np.array([b for _a, b, _ok in ref], dtype=np.float64).tobytes()
+    rows = np.flatnonzero(valid)
+    assert z1[rows].tobytes() == np.array([ref[i][0] for i in rows], dtype=np.float64).tobytes()
+    assert z2[rows].tobytes() == np.array([ref[i][1] for i in rows], dtype=np.float64).tobytes()
     return valid
 
 

@@ -818,7 +818,6 @@ def test_route_problem_surface(standard_instance):
     assert problem.genotype_key(g) == assignment_string(standard_instance, g)
     assert invalid_reason(standard_instance, problem.mutate(g, rng)) is None
     assert invalid_reason(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng)) is None
-    assert invalid_reason(standard_instance, problem.heavy_mutate(g, rng)) is None
     for n, objectives in problem.neighborhood(g):
         assert invalid_reason(standard_instance, n) is None
         assert objectives == problem.evaluate(n)
@@ -941,6 +940,14 @@ class TestDrawIndexKeepsTheDraws:
             return generators[-1]
 
         monkeypatch.setattr(np.random, "default_rng", kept_rng)
+        batches = []  # one entry per immigrant batch
+        random_immigrants = engine.random_immigrants
+
+        def counted_immigrants(*args, **kwargs):
+            batches.append(None)
+            return random_immigrants(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "random_immigrants", counted_immigrants)
 
         def run():
             result = engine.run(RouteProblem(parse_instance(text)), params)
@@ -948,9 +955,9 @@ class TestDrawIndexKeepsTheDraws:
             return members, result.hv_trace, result.evaluations, result.scheduler_stats, generators[-1].bit_generator.state
 
         ours = run()
+        immigrant_batches = len(batches)
         self.use_numpy_draws(monkeypatch)
         assert ours == run()
-        # both selection operators and both immigration operators (fresh and heavy-mutated) ran
-        stats = ours[3]
-        assert min(stats["SEL"]["trials"]) > 0
-        assert min(stats["IMM"]["trials"]) > 0
+        # both selection operators ran, and immigration did
+        assert min(ours[3]["SEL"]["trials"]) > 0
+        assert immigrant_batches > 0
