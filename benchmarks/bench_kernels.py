@@ -19,9 +19,16 @@ oracle, ``brute_force_pareto``, which runs both and builds the witnesses.
 ``mutate_reattach``, which decides each candidate link on the forest, is
 timed at 40 and 200 MRs against a reference that decides each candidate
 by a full route walk, and ``heavy_reattach`` and ``random_assignment``
-(initialization: randomized attachment of every MR, then one walk) per
+(initialization: randomized attachment of every MR; it does not walk) per
 call, as is ``assignment_string`` (every solution's key: one label per MR) on the
-genotypes ``random_assignment`` makes. ``kernels.draw_index`` is
+genotypes ``random_assignment`` makes. The full walks of a generation are
+timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
+``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
+and ``RouteProblem.evaluate_many`` (batch check, batch walk and batch sums)
+against a scalar walk and an ``evaluate`` per genotype, after a check that
+both give the same objectives. The
+genotypes the operator rows start from are evaluated in one batch first, so
+they carry their terms, as in a run. ``kernels.draw_index`` is
 timed over 10000 index draws beside the numpy call whose draws it
 reproduces, ``int(rng.integers(n))``, after a check that both give the same
 sequence. A last case times the
@@ -52,7 +59,7 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, assignment_string, brute_force_pareto, heavy_reattach, iter_neighbors,
+    RouteAssignment, RouteProblem, _walked, assignment_string, brute_force_pareto, heavy_reattach, iter_neighbors,
     mutate_reattach, parse_instance, random_assignment,
 )
 
@@ -149,7 +156,9 @@ def main() -> None:
     inst200 = synthetic_instance(n_mr=200, links_per_mr=6, seed=1)
     problem200 = RouteProblem(inst200)
     draws = np.random.default_rng(1)
-    children = [mutate_reattach(inst200, random_assignment(inst200, draws), draws) for _ in range(400)]
+    parents = [random_assignment(inst200, draws) for _ in range(400)]
+    problem200.evaluate_many(parents)
+    children = [mutate_reattach(inst200, a, draws) for a in parents]
     for child in children:
         if problem200.evaluate(child).values != kernels.eval_route(child.choices, inst200.compiled)[:2]:
             raise AssertionError("evaluate of carried terms disagrees with a full walk")
@@ -213,6 +222,7 @@ def main() -> None:
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
         rng = np.random.default_rng(1)
         starts = [random_assignment(inst, rng) for _ in range(200)]
+        RouteProblem(inst).evaluate_many(starts)
 
         def mutate_all(fn):
             draws = np.random.default_rng(2)
@@ -233,7 +243,7 @@ def main() -> None:
     t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
     print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
 
-    # initialization: every MR attached in a random order, one index draw each, then one walk
+    # initialization: every MR attached in a random order, one index draw each
     for n_mr in (40, 200):
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
 
@@ -243,11 +253,33 @@ def main() -> None:
 
         print(f"random_assignment per call at {n_mr:>3} MRs: {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
 
+    # a generation's full walks: one batch walk, or one scalar walk per genotype
+    print("full walks of 100 random genotypes, one batch vs a scalar walk each:")
+    for n_mr in (40, 200, 1000):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+        problem = RouteProblem(inst)
+        draws = np.random.default_rng(2)
+        rows = [random_assignment(inst, draws).choices for _ in range(100)]
+        choices = np.array(rows, np.int64)
+        if problem.evaluate_many([RouteAssignment(row) for row in rows]) != [
+            problem.evaluate(_walked(inst, row)) for row in rows
+        ]:
+            raise AssertionError("evaluate_many disagrees with a scalar walk per genotype")
+        t_kernel = best_of(lambda: kernels.route_terms_many(choices, inst.compiled), args.repeats)
+        t_walked = best_of(lambda: [_walked(inst, row) for row in rows], args.repeats)
+        t_many = best_of(lambda: problem.evaluate_many([RouteAssignment(row) for row in rows]), args.repeats)
+        t_each = best_of(lambda: [problem.evaluate(_walked(inst, row)) for row in rows], args.repeats)
+        print(f"  {n_mr:>4} MRs: route_terms_many {t_kernel * 1e3:>7.2f}ms  _walked x100 {t_walked * 1e3:>7.2f}ms"
+              f"  ({t_walked / t_kernel:.1f}x)")
+        print(f"            evaluate_many    {t_many * 1e3:>7.2f}ms  _walked + evaluate x100 {t_each * 1e3:>7.2f}ms"
+              f"  ({t_each / t_many:.1f}x)")
+
     # serialization: every kept solution's key joins one label per MR
     for n_mr in (40, 200):
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
         draws = np.random.default_rng(2)
         carried = [random_assignment(inst, draws) for _ in range(500)]
+        RouteProblem(inst).evaluate_many(carried)
         t_key = best_of(lambda: [assignment_string(inst, a) for a in carried], args.repeats)
         print(f"assignment_string per call at {n_mr:>3} MRs: {t_key / len(carried) * 1e6:>7.2f}us")
 
@@ -275,6 +307,7 @@ def main() -> None:
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
         rng = np.random.default_rng(1)
         starts = [random_assignment(inst, rng) for _ in range(count)]
+        RouteProblem(inst).evaluate_many(starts)
         for a in starts:
             if list(iter_neighbors(inst, a)) != list(walk_neighbors(inst, a)):
                 raise AssertionError("iter_neighbors disagrees with the walk-per-candidate reference")

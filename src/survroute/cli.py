@@ -16,7 +16,7 @@ from pathlib import Path
 from .engine import RunParams, run
 from .errors import ConfigError, InstanceError, OracleScopeError, ParseError, SurvrouteError, ValidityError
 from .measures import additive_epsilon, coverage, hypervolume
-from .netmodel import RouteProblem, assignment_string, brute_force_pareto, load_instance
+from .netmodel import DEFAULT_ORACLE_GUARD, RouteProblem, assignment_string, brute_force_pareto, load_instance
 
 FRONT_HEADER = "z1,z2,genotype"
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="write the exact Pareto front of a small instance")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--out", default="front.csv")
-    p_oracle.add_argument("--guard", type=int, default=1_000_000, help="max search-space size")
+    p_oracle.add_argument("--guard", type=int, default=DEFAULT_ORACLE_GUARD, help="max search-space size")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_measure = sub.add_parser("measure", help="compare two front CSVs")

@@ -126,15 +126,25 @@ class Evaluator:
         self.count += 1
         return self.problem.evaluate(genotype) if objectives is None else objectives
 
+    def evaluate_many(self, genotypes: Sequence) -> list[ObjectiveVector]:
+        """The objectives of ``genotypes`` from one ``Problem.evaluate_many`` call, each counted through ``evaluate``."""
+        batch = self.problem.evaluate_many(genotypes)
+        return [self.evaluate(g, objectives) for g, objectives in zip(genotypes, batch, strict=True)]
+
     def solution(self, genotype) -> CandidateSolution:
         """Evaluate ``genotype`` (one count) and wrap it with its key."""
         return CandidateSolution(genotype, self.evaluate(genotype), self.problem.genotype_key(genotype))
 
+    def solutions(self, genotypes: Sequence) -> list[CandidateSolution]:
+        """``solution`` of each genotype, evaluated as one batch (``evaluate_many``)."""
+        key = self.problem.genotype_key
+        return [CandidateSolution(g, objectives, key(g)) for g, objectives in zip(genotypes, self.evaluate_many(genotypes))]
+
 
 def initialize(problem: Problem, params: RunParams, rng, evaluator: Evaluator | None = None) -> list[CandidateSolution]:
-    """Random evaluated population of population_size members."""
+    """Random evaluated population of population_size members, evaluated as one batch."""
     ev = evaluator or Evaluator(problem)
-    return [ev.solution(problem.random_genotype(rng)) for _ in range(params.population_size)]
+    return ev.solutions([problem.random_genotype(rng) for _ in range(params.population_size)])
 
 
 def select_from(
@@ -175,20 +185,19 @@ def vary(
 ) -> list[tuple[Any, ObjectiveVector]]:
     """One evaluated offspring per parent slot via the chosen VAR operator, as a (genotype, objectives) pair.
 
-    The pairs carry no key: ``local_search`` builds each output's solution,
-    with its key, once.
+    The offspring are evaluated as one batch, after the operator has made
+    all of them. The pairs carry no key: ``local_search`` builds each
+    output's solution, with its key, once.
     """
     lam = len(parents)
-    offspring = []
-    for i, parent in enumerate(parents):
-        if operator == "mutate":
-            g = problem.mutate(parent.genotype, rng)
-        elif operator == "crossover":
-            g = problem.crossover(parent.genotype, parents[(i + 1) % lam].genotype, rng)
-        else:
-            raise ConfigError(f"unknown variation operator {operator!r}")
-        offspring.append((g, evaluator.evaluate(g)))
-    return offspring
+    if operator == "mutate":
+        children = [problem.mutate(parent.genotype, rng) for parent in parents]
+    elif operator == "crossover":
+        children = [problem.crossover(parent.genotype, parents[(i + 1) % lam].genotype, rng)
+                    for i, parent in enumerate(parents)]
+    else:
+        raise ConfigError(f"unknown variation operator {operator!r}")
+    return list(zip(children, evaluator.evaluate_many(children)))
 
 
 def _simplex_weights(rng) -> tuple[float, float]:
@@ -316,7 +325,7 @@ def random_immigrants(
         return list(pop)
     order = survival_order(pop)
     survivors = [pop[i] for i in order[: n - k]]
-    return survivors + [evaluator.solution(problem.random_genotype(rng)) for _ in range(k)]
+    return survivors + evaluator.solutions([problem.random_genotype(rng) for _ in range(k)])
 
 
 def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedArchive) -> float:

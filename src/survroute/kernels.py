@@ -1,7 +1,8 @@
 """Hot numeric kernels: route evaluation walks, Pareto dominance and fronts, crowding, 2-D hypervolume.
 
 Every kernel has one form, run by CPython, with numpy only where the
-oracle and the dominance references fill or scan arrays. The route walks take
+batch route walk, the oracle and the dominance references fill or scan
+arrays. The route walks take
 an instance's link tables whole, as ``netmodel``'s ``_Compiled`` value
 (``inst.compiled``), built once per instance. Every link table is per MR,
 indexed by the MR's choice, and made of plain tuples, which CPython indexes
@@ -9,11 +10,16 @@ several times faster than numpy arrays one element at a time.
 ``route_terms`` holds the one scalar route walk and states how a link names
 its parent: it walks the chosen MRs' paths and keeps each MR's
 cost and risk terms. ``eval_route`` walks every MR with it and adds the
-terms in MR order. ``netmodel``'s operators keep the terms on the genotypes
-they build: a new genotype is walked once, and a mutation or a
-local-search neighbor re-walks just the subtree its move changes; its
-evaluation then adds the terms in the same order, so ``eval_route`` walks
-only genotypes that carry none. ``enumerate_routes``, the oracle's
+terms in MR order. ``route_terms_many`` walks every MR of a batch of
+genotypes at once, as flat numpy arrays of (genotype, MR) positions over
+padded ``[m, k]`` copies of the tables, with the scalar walk's
+floating-point operations per MR in the same order; ``netmodel``'s
+``RouteProblem.evaluate_many`` walks each generation's new genotypes with
+it. The genotypes keep their terms: a new genotype is walked once, and a
+mutation or a local-search neighbor re-walks just the subtree its move
+changes with ``route_terms``; its evaluation then adds the terms in the
+same order, so ``eval_route`` walks only genotypes that carry none and are
+evaluated one at a time. ``enumerate_routes``, the oracle's
 exhaustive enumeration, walks each MR's tree of possible paths over the same
 per-MR tables and adds each path's terms into the box of assignments that
 take it, with the same floating-point operations per MR in the same order,
@@ -130,6 +136,54 @@ def route_terms(choices, mrs, tables, cost_out, risk_out):
         cost_out[m] = cost
         risk_out[m] = 1.0 - surv
     return True
+
+
+def route_terms_many(choices, tables):
+    """Walk every MR of every row of ``choices`` at once; returns (cost, risk, ok).
+
+    ``choices`` is a (G, n_mr) integer array, each entry a link index below
+    its MR's radix (unchecked), and ``tables`` what ``route_terms`` takes.
+    ``cost`` and ``risk`` are (G, n_mr) float64 arrays of the terms
+    ``route_terms`` writes for each row; ``ok`` is a (G,) bool array, False
+    for a row where some MR's walk takes ``tables.steps`` links without
+    reaching an access router. A failed row's terms are unspecified.
+
+    The walks run on flat (row, MR) positions, one link per step, over the
+    padded ``[m, k]`` arrays of ``tables.padded_tables``. A walk that
+    reaches an access router is dropped, so each step touches only the walks
+    still under way. Each walk takes the scalar walk's floating-point
+    operations in the same order, so the terms are bit-identical to it.
+    """
+    rows, n_mr = choices.shape
+    parents, costs, survs = tables.padded_tables
+    # each (row, MR) position's chosen link: its cost, its survival, and the position it leads to,
+    # its parent MR's in the same row, or the negative parent entry of an access router
+    link = (choices + np.arange(n_mr) * parents.shape[1]).ravel()
+    up = parents.ravel()[link]
+    np.add(up, (np.arange(rows) * n_mr).repeat(n_mr), out=up, where=up >= 0)
+    link_cost = costs.ravel()[link]
+    link_surv = survs.ravel()[link]
+    ar_bs_surv = np.array(tables.ar_bs_surv)  # indexed by the negative parent entry, from the end
+    # every walk's first link: the scalar walk adds it to 0.0 and multiplies 1.0 by it
+    cost = link_cost + 0.0
+    surv = link_surv * 1.0
+    walking = np.arange(rows * n_mr)  # the position each walk under way started from
+    at = up  # the position it has reached
+    for step in range(tables.steps):
+        if step:
+            cost[walking] += link_cost[at]
+            surv[walking] *= link_surv[at]
+            at = up[at]
+        # integer indices: numpy takes them several times faster than a boolean mask applied to each array
+        done = at < 0
+        ended, going = np.flatnonzero(done), np.flatnonzero(~done)
+        surv[walking[ended]] *= ar_bs_surv[at[ended]]
+        walking, at = walking[going], at[going]
+        if not walking.size:
+            break
+    ok = np.ones(rows, np.bool_)
+    ok[walking // n_mr] = False
+    return cost.reshape(rows, n_mr), np.subtract(1.0, surv, out=surv).reshape(rows, n_mr), ok
 
 
 def enumerate_routes(tables):

@@ -74,19 +74,34 @@ class Problem:
 
     ``evaluate`` must be pure and deterministic: the same genotype always
     maps to the same objective vector, bit for bit, and it must be safe to
-    call concurrently. ``neighborhood`` yields ``(neighbor, objectives)``
-    pairs whose objectives are exactly what ``evaluate`` would return.
+    call concurrently. ``evaluate_many`` and ``neighborhood`` give exactly
+    the objectives ``evaluate`` would return.
     """
 
     def evaluate(self, genotype) -> ObjectiveVector:
         raise NotImplementedError
 
+    def evaluate_many(self, genotypes: Sequence) -> list[ObjectiveVector]:
+        """``evaluate`` of each genotype, in order: one objective vector per genotype.
+
+        The engine calls it once per batch of new genotypes: the initial
+        population, each generation's offspring, each batch of immigrants;
+        ``engine.Evaluator`` counts one evaluation per genotype. A problem
+        may evaluate the batch at once, and keep on each genotype what it
+        computed, but each result must equal ``evaluate(genotype)`` bit for
+        bit, and an invalid genotype must raise what
+        ``[evaluate(g) for g in genotypes]`` would raise first. This default
+        is that loop.
+        """
+        return [self.evaluate(g) for g in genotypes]
+
     def random_genotype(self, rng):
         """A random valid genotype.
 
         Like ``mutate`` and ``crossover``, it must return a valid genotype:
-        the engine evaluates what they return unchecked. It also makes the
-        immigrants that refresh a stagnating population.
+        the engine never asks whether one is valid, and hands what they
+        return to ``evaluate_many`` as it is. It also makes the immigrants
+        that refresh a stagnating population.
         """
         raise NotImplementedError
 

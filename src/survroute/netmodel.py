@@ -7,14 +7,19 @@ along each MR's path to its access router (nested children burden the whole
 upstream path); z2 is the expected number of MRs losing service under
 independent link/base-station failures.
 
-Each genotype an operator here builds carries its per-MR path terms
-(``RouteAssignment._terms``), so it is walked once, when it is made, and
-checked never: ``random_assignment``, crossover and heavy mutation walk
-their result, while mutation and each local-search neighbor copy the
-parent's terms and re-walk only the moved MR's subtree. ``evaluate`` adds
-the carried terms in MR order, the bytes ``kernels.eval_route`` gives. A
-genotype from anywhere else (user input, ``assignment_from_string``, an
-oracle witness) carries none, and is checked and walked in full.
+A genotype carries its per-MR path terms (``RouteAssignment._terms``)
+once it is walked, and each is walked once. ``random_assignment`` and
+crossover return plain choices: ``RouteProblem.evaluate_many``, which the
+engine calls once per batch of new genotypes, checks the choices of every
+genotype without terms as one integer array, walks them all at once
+(``kernels.route_terms_many``) and leaves each carrying its terms. Heavy
+mutation walks its result itself, while mutation and each local-search
+neighbor copy the parent's terms and re-walk only the moved MR's subtree.
+``evaluate`` adds the carried terms in MR order, the bytes
+``kernels.eval_route`` gives, and ``evaluate_many`` makes the same
+additions for the whole batch. A genotype from anywhere else (user input,
+``assignment_from_string``, an oracle witness) carries none, and is
+checked and walked in full.
 
 ``parse_instance`` rejects an infeasible instance, one where some MR has no
 path of at most MAXDEPTH links to an access router; one breadth-first search
@@ -54,6 +59,9 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 DEFAULT_MAX_DEPTH = 4
 _NUMPY_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # an ndarray's dimension cap
 _ORACLE_ROW_BYTES = 17  # kernels.enumerate_routes holds a bool and two float64 per assignment
+# the largest search space brute_force_pareto and `survroute oracle` enumerate unless told otherwise:
+# about half a second and 175 MB of peak RSS for the whole `oracle` call on a 2-vCPU host (README)
+DEFAULT_ORACLE_GUARD = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,8 @@ class _Compiled:
     Every link table is per MR: ``table[m][k]`` describes MR m's k-th
     candidate link, in link order, so a genotype's choice k indexes it
     directly. The kernels' route walks take the value whole
-    (``kernels.route_terms``).
+    (``kernels.route_terms``); the batch walk reads padded numpy copies of
+    three tables (``padded_tables``).
     """
 
     radices: tuple[int, ...]  # candidate links per MR
@@ -87,6 +96,19 @@ class _Compiled:
     min_depth: tuple[int, ...]
     # per MR, its first link to a parent of depth d* - 1 (an AR for d* = 1), -1 when it has no path
     min_link: tuple[int, ...]
+
+    @cached_property
+    def padded_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``mr_parents``, ``mr_costs`` and ``mr_survs`` as (n_mr, max radix) arrays indexed ``[m, k]``.
+
+        The batch walk (``kernels.route_terms_many``) reads them; they are
+        built on its first call. An entry past an MR's radix is 0 and never read.
+        """
+        width = max(self.radices, default=0)
+        return tuple(
+            np.array([row + (0,) * (width - len(row)) for row in table], dtype).reshape(len(table), width)
+            for table, dtype in ((self.mr_parents, np.int64), (self.mr_costs, np.float64), (self.mr_survs, np.float64))
+        )
 
 
 def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -175,21 +197,21 @@ class RouteAssignment:
 
     ``_terms`` is private to this module: the per-MR (cost, risk) path terms
     of ``choices``, two ``array('d')``, that a route walk
-    (``kernels.route_terms``) writes. Only the operators here set it, on a
-    genotype they built valid (``_carrying``); ``evaluate`` then adds the
-    terms instead of walking, and nothing checks the choices again. The
+    (``kernels.route_terms`` or ``route_terms_many``) writes. Only the
+    operators and ``RouteProblem.evaluate_many`` set it (``_carry``), on a
+    genotype they built valid or walked; ``evaluate`` then adds the terms
+    instead of walking, and nothing checks the choices again. The
     constructor and ``dataclasses.replace`` leave it None, so any other
     genotype is checked and walked in full. The terms belong to the instance
-    whose operator made the genotype. They are not compared, hashed or shown.
+    whose operator or problem set them. They are not compared, hashed or shown.
     """
 
     choices: tuple[int, ...]
     _terms: tuple[array, array] | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _carrying(choices: tuple[int, ...], cost: array, risk: array) -> RouteAssignment:
-    """A genotype of the valid ``choices`` carrying their per-MR terms; the one place ``_terms`` is set."""
-    a = RouteAssignment(choices)
+def _carry(a: RouteAssignment, cost: array, risk: array) -> RouteAssignment:
+    """``a``, whose choices are valid, now carrying their per-MR terms; the one place ``_terms`` is set."""
     object.__setattr__(a, "_terms", (cost, risk))
     return a
 
@@ -201,7 +223,7 @@ def _walked(inst: NetworkInstance, choices) -> RouteAssignment:
     risk = [0.0] * inst.n_mr
     if not kernels.route_terms(choices, range(inst.n_mr), inst.compiled, cost, risk):
         return RouteAssignment(tuple(choices))  # invalid: evaluate walks it and says why
-    return _carrying(tuple(choices), array("d", cost), array("d", risk))
+    return _carry(RouteAssignment(tuple(choices)), array("d", cost), array("d", risk))
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -366,6 +388,28 @@ def _check_choices(inst: NetworkInstance, a: RouteAssignment) -> None:
             raise ContractViolation(f"choice {k} out of range for {inst.mobile_routers[m]!r} (has {r} links)")
 
 
+def _choice_matrix(inst: NetworkInstance, genotypes) -> np.ndarray | None:
+    """The choices of ``genotypes`` as one (G, n_mr) int64 array, or None unless ``_check_choices`` passes each.
+
+    Each row, a tuple of n_mr choices, is packed as an ``array("q")``,
+    which takes exactly the integers ``operator.index`` takes, and the range
+    is checked on the whole array at once. Choices held in anything but a
+    tuple give None too.
+    """
+    n = inst.n_mr
+    rows = [g.choices for g in genotypes]
+    if not all(type(row) is tuple and len(row) == n for row in rows):
+        return None
+    try:
+        packed = b"".join([array("q", row).tobytes() for row in rows])
+    except (TypeError, OverflowError):
+        return None
+    choices = np.frombuffer(packed, np.int64).reshape(len(rows), n)
+    if not ((0 <= choices) & (choices < np.array(inst.compiled.radices, np.int64))).all():
+        return None
+    return choices
+
+
 def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
     """Per MR, the ``mr_parents`` entry of its chosen link: the MR it attaches to, or a negative number for an access router."""
     return [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
@@ -489,13 +533,13 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pe
 
 
 def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
-    """Random valid forest carrying its terms: ``_attach`` of all MRs, in a random order.
+    """Random valid forest, carrying no terms: ``_attach`` of all MRs, in a random order.
 
     Raises InstanceError on an infeasible instance (``parse_instance`` never returns one).
     """
     choices = [0] * inst.n_mr
     _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist())
-    return _walked(inst, choices)
+    return RouteAssignment(tuple(choices))
 
 
 def _children(up: list[int]) -> list[list[int]]:
@@ -567,7 +611,7 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
         return RouteAssignment(choices)
     cost, risk = (terms[:] for terms in a._terms)
     kernels.route_terms(choices, subtree, inst.compiled, cost, risk)
-    return _carrying(choices, cost, risk)
+    return _carry(RouteAssignment(choices), cost, risk)
 
 
 def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
@@ -604,7 +648,7 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     Each MR inherits its link from a or b with probability 1/2; MRs left on
     broken paths (cycles or excessive depth) are re-attached in a random
     order by randomized topological attachment (``_attach``), which always
-    finishes. The child carries its terms.
+    finishes. The child carries no terms.
     """
     if inst.n_mr == 0:
         return a
@@ -616,7 +660,7 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     broken = [m for m, d in enumerate(depth) if not d]
     if broken:  # most children need no repair; rng.permutation(0) draws nothing but costs a numpy call
         _attach(inst, rng, child, depth, [broken[i] for i in rng.permutation(len(broken)).tolist()])
-    return _walked(inst, child)
+    return RouteAssignment(tuple(child))
 
 
 def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
@@ -672,7 +716,7 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
             for i in subtree:
                 neighbor_cost[i] = moved_cost[i]
                 neighbor_risk[i] = moved_risk[i]
-            neighbor = _carrying(choices[:m] + (k,) + choices[m + 1:], neighbor_cost, neighbor_risk)
+            neighbor = _carry(RouteAssignment(choices[:m] + (k,) + choices[m + 1:]), neighbor_cost, neighbor_risk)
             yield neighbor, ObjectiveVector((z1, z2))
         work[m] = choices[m]
         for i in subtree:
@@ -686,7 +730,7 @@ def neighborhood(inst: NetworkInstance, a: RouteAssignment) -> list[RouteAssignm
 
 
 def brute_force_pareto(
-    inst: NetworkInstance, guard: int = 1_000_000
+    inst: NetworkInstance, guard: int = DEFAULT_ORACLE_GUARD
 ) -> list[tuple[ObjectiveVector, RouteAssignment]]:
     """Exact Pareto front by exhaustive enumeration, one witness per objective vector.
 
@@ -745,6 +789,40 @@ def _unravel(flat: int, radices) -> tuple[int, ...]:
     return tuple(reversed(choices))
 
 
+# the most (genotype, MR) positions one batch walk takes, which bounds its arrays: 100 genotypes at
+# 200 MRs are one walk, and at 1000 MRs slices of 32 keep the peak RSS near the 200-MR figure
+_BATCH_POSITIONS = 32_768
+
+
+def _walk_and_sum(inst: NetworkInstance, genotypes: list[RouteAssignment]) -> list[ObjectiveVector] | None:
+    """The objectives of ``genotypes``, or None when ``_choice_matrix`` refuses one or a walk fails.
+
+    The genotypes that carry no terms are checked together
+    (``_choice_matrix``) and walked together (``kernels.route_terms_many``),
+    and each is left carrying the terms of its walk. Then one
+    ``np.add.accumulate`` adds every genotype's terms, walked or carried,
+    from 0.0 in MR order.
+    """
+    n = inst.n_mr
+    fresh = [g for g in genotypes if g._terms is None]
+    if fresh:
+        choices = _choice_matrix(inst, fresh)
+        if choices is None:
+            return None
+        cost, risk, ok = kernels.route_terms_many(choices, inst.compiled)
+        if not ok.all():
+            return None
+        cost, risk = array("d", cost.tobytes()), array("d", risk.tobytes())
+        for i, g in enumerate(fresh):
+            _carry(g, cost[i * n:(i + 1) * n], risk[i * n:(i + 1) * n])
+    # each genotype's cost and risk terms after a 0.0 column: accumulate adds left to right, one
+    # element at a time (np.sum adds pairwise), and from 0.0, as reduce(operator.add, terms, 0.0) does
+    terms = np.zeros((len(genotypes), 2, n + 1))
+    carried = b"".join([t.tobytes() for g in genotypes for t in g._terms])
+    terms[:, :, 1:] = np.frombuffer(carried, np.float64).reshape(len(genotypes), 2, n)
+    return [ObjectiveVector(sums) for sums in np.add.accumulate(terms, axis=2)[:, :, -1].tolist()]
+
+
 class RouteProblem(Problem):
     """Adapter exposing a NetworkInstance through the generic problem interface."""
 
@@ -762,6 +840,27 @@ class RouteProblem(Problem):
         if not ok:
             raise ValidityError(f"invalid assignment ({invalid_reason(inst, genotype)})")
         return ObjectiveVector((float(z1), float(z2)))
+
+    def evaluate_many(self, genotypes) -> list[ObjectiveVector]:
+        """``[self.evaluate(g) for g in genotypes]``, bit for bit, from batch walks and batch sums.
+
+        The batch is taken in slices of at most ``_BATCH_POSITIONS``
+        (genotype, MR) positions, which bounds the walk's arrays; each slice
+        is one ``_walk_and_sum``. If its check refuses a genotype, or a walk
+        fails, the whole batch goes to ``evaluate`` one genotype at a time,
+        in order, so an error is the one ``evaluate`` raises first.
+        """
+        genotypes = list(genotypes)
+        if not all(isinstance(g, RouteAssignment) for g in genotypes):
+            return [self.evaluate(g) for g in genotypes]
+        size = max(1, _BATCH_POSITIONS // max(self.instance.n_mr, 1))
+        objectives = []
+        for lo in range(0, len(genotypes), size):
+            part = _walk_and_sum(self.instance, genotypes[lo:lo + size])
+            if part is None:
+                return [self.evaluate(g) for g in genotypes]
+            objectives += part
+        return objectives
 
     def random_genotype(self, rng) -> RouteAssignment:
         return random_assignment(self.instance, rng)

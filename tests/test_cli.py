@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file formats, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from survroute.cli import main, read_front_csv, write_front_csv
+from survroute.cli import build_parser, main, read_front_csv, write_front_csv
+from survroute.netmodel import DEFAULT_ORACLE_GUARD, brute_force_pareto
 
 from conftest import INSTANCE_DIR, layered_net_text
 
@@ -137,6 +139,29 @@ class TestOracle:
 
     def test_guard_exits_4(self, tmp_path):
         assert run_cli("oracle", STANDARD, "--out", str(tmp_path / "f.csv"), "--guard", "10") == 4
+
+    def test_guard_default_is_one_value(self, tmp_path):
+        args = build_parser().parse_args(["oracle", STANDARD, "--out", str(tmp_path / "f.csv")])
+        assert args.guard == inspect.signature(brute_force_pareto).parameters["guard"].default == DEFAULT_ORACLE_GUARD
+
+    def test_a_space_one_over_the_default_guard_exits_4(self, tmp_path, capsys):
+        # one MR per prime factor of the guard + 1, each with that many access-router links
+        size, factors, d = DEFAULT_ORACLE_GUARD + 1, [], 2
+        while d * d <= size:
+            while size % d == 0:
+                factors.append(d)
+                size //= d
+            d += 1
+        factors += [size] if size > 1 else []
+        lines = ["BS b 0.1"] + [f"AR a{j} b" for j in range(max(factors))] + [f"MR m{i}" for i in range(len(factors))]
+        lines += [f"LINK m{i} a{j} 1 0.1" for i, f in enumerate(factors) for j in range(f)]
+        net = tmp_path / "over.net"
+        net.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", str(net), "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert f"search space {DEFAULT_ORACLE_GUARD + 1} exceeds oracle guard {DEFAULT_ORACLE_GUARD}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["oracle", "run"])
     def test_instance_without_mrs(self, command, tmp_path):

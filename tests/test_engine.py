@@ -35,8 +35,10 @@ from conftest import GridProblem, make_sol
 class CountingProblem:
     """Delegating wrapper that independently counts objective computations.
 
-    Both sources count: evaluate() calls, and neighbors the neighborhood
-    hands out together with their objectives.
+    Every source counts: evaluate() calls, each genotype of an
+    evaluate_many() batch, and neighbors the neighborhood hands out together
+    with their objectives. Without its own evaluate_many, ``__getattr__``
+    would hand the batch straight to the inner problem, uncounted.
     """
 
     def __init__(self, inner):
@@ -49,6 +51,10 @@ class CountingProblem:
     def evaluate(self, genotype):
         self.calls += 1
         return self.inner.evaluate(genotype)
+
+    def evaluate_many(self, genotypes):
+        self.calls += len(genotypes)
+        return self.inner.evaluate_many(genotypes)
 
     def neighborhood(self, genotype):
         for pair in self.inner.neighborhood(genotype):

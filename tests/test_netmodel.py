@@ -7,6 +7,7 @@ import pickle
 import random
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from survroute.netmodel import (
     random_assignment,
 )
 
-from conftest import layered_net_text, synthetic_net_text
+from conftest import GridProblem, layered_net_text, synthetic_net_text
 
 MINIMAL = """
 BS bs1 0.2
@@ -698,10 +699,14 @@ class TestCarriedTerms:
             width = data.draw(st.integers(2, 10))
             inst = parse_instance(layered_net_text(levels, width, levels + data.draw(st.integers(0, 1)), seed))
             a = random_assignment(inst, rng)
+        # random and crossover genotypes are walked by the batch evaluation, which leaves them their terms
+        RouteProblem(inst).evaluate_many([a])
         assert_carries_fresh_terms(inst, a)
         b = heavy_reattach(inst, a, rng)
         assert_carries_fresh_terms(inst, b)
-        assert_carries_fresh_terms(inst, crossover_parentmix(inst, a, b, rng))
+        child = crossover_parentmix(inst, a, b, rng)
+        RouteProblem(inst).evaluate_many([child])
+        assert_carries_fresh_terms(inst, child)
         for _ in range(5):
             a = mutate_reattach(inst, a, rng)
             assert_carries_fresh_terms(inst, a)
@@ -717,6 +722,7 @@ class TestCarriedTerms:
 
     def test_equality_hash_and_repr_ignore_the_terms(self, stress_instance):
         a = random_assignment(stress_instance, np.random.default_rng(21))
+        RouteProblem(stress_instance).evaluate_many([a])
         plain = RouteAssignment(a.choices)
         assert a._terms is not None and plain._terms is None
         assert a == plain and hash(a) == hash(plain)
@@ -726,6 +732,7 @@ class TestCarriedTerms:
     def test_built_genotypes_carry_no_terms_and_are_checked_and_walked(self, stress_instance, counted_walks):
         problem = RouteProblem(stress_instance)
         a = random_assignment(stress_instance, np.random.default_rng(22))
+        problem.evaluate_many([a])  # the batch walk leaves it its terms
         problem.evaluate(a)
         assert counted_walks == []  # carried terms are added, not walked
         other = mutate_reattach(stress_instance, a, np.random.default_rng(23))
@@ -745,8 +752,9 @@ class TestCarriedTerms:
 
     def test_copies_and_pickles_evaluate_bit_identically(self, stress_instance):
         problem = RouteProblem(stress_instance)
-        a = mutate_reattach(stress_instance, random_assignment(stress_instance, np.random.default_rng(24)),
-                            np.random.default_rng(25))
+        parent = random_assignment(stress_instance, np.random.default_rng(24))
+        problem.evaluate_many([parent])
+        a = mutate_reattach(stress_instance, parent, np.random.default_rng(25))
         expected = [x.hex() for x in problem.evaluate(a)]
         for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert clone == a and clone._terms is not None
@@ -765,6 +773,142 @@ class TestCarriedTerms:
         z1, z2, _ok = kernels.eval_route(child.choices, stress_instance.compiled)
         assert problem.evaluate(child).values == (z1, z2)
         assert len(counted_walks) == 2  # the reference walk above, and evaluate's own
+
+
+CYCLE_2MR = """
+BS b 0.1
+AR a b
+MR m1
+MR m2
+LINK m1 a 1 0.1
+LINK m1 m2 1 0.1
+LINK m2 a 1 0.1
+LINK m2 m1 1 0.1
+MAXDEPTH {depth}
+"""
+
+
+def family_instance(data):
+    """A drawn instance of the synthetic, forest or layered family, MAXDEPTH from 1 to n_mr + 1, and a seeded generator.
+
+    Some draws turn link costs into ``-0.0``, which the walks must add as the scalar walk does.
+    """
+    n_mr = data.draw(st.integers(1, 30))
+    max_depth = data.draw(st.integers(1, n_mr + 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    family = data.draw(st.sampled_from(["synthetic", "forest", "layered"]))
+    if family == "synthetic":
+        inst = parse_instance(synthetic_net_text(n_mr, data.draw(st.integers(1, min(6, n_mr))), max_depth, seed))
+    elif family == "forest":
+        inst = forest_instance(random.Random(seed), n_mr, data.draw(st.integers(1, 2)), max_depth)[0]
+    else:
+        levels = data.draw(st.integers(1, 6))
+        inst = parse_instance(layered_net_text(levels, data.draw(st.integers(2, 6)), levels + data.draw(st.integers(0, 1)), seed))
+    if data.draw(st.booleans()):
+        pick = random.Random(seed)
+        links = tuple(dataclasses.replace(l, cost=-0.0) if pick.random() < 0.5 else l for l in inst.links)
+        inst = dataclasses.replace(inst, links=links)
+    return inst, np.random.default_rng(seed)
+
+
+def uniform_choices(inst, rng):
+    """Choices drawn uniformly per MR: often a cycle, or a path longer than MAXDEPTH."""
+    return tuple(kernels.draw_index(rng, r) for r in inst.compiled.radices)
+
+
+def outcome(evaluate_all):
+    """The hex objectives ``evaluate_all()`` returns, or the type and message of the exception it raises."""
+    try:
+        return [tuple(v.hex() for v in ov) for ov in evaluate_all()]
+    except Exception as exc:  # the comparison is the point: every exception type counts
+        return type(exc), str(exc)
+
+
+NO_MRS = "BS b0 0.1\nAR a0 b0\n"
+
+
+class TestBatchEvaluation:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_batch_walk_matches_the_scalar_walk(self, data):
+        inst, rng = family_instance(data)
+        rows = [random_assignment(inst, rng).choices for _ in range(data.draw(st.integers(0, 4)))]
+        rows += [uniform_choices(inst, rng) for _ in range(data.draw(st.integers(0, 8)))]
+        self.assert_batch_walk_matches(inst, [rows[i] for i in rng.permutation(len(rows)).tolist()])
+
+    @pytest.mark.parametrize("text", [NO_MRS, MINIMAL, CYCLE_2MR.format(depth=1), CYCLE_2MR.format(depth=2)],
+                             ids=["no_mrs", "one_mr", "two_mrs_depth1", "two_mrs_depth2"])
+    def test_batch_walk_on_every_assignment_of_a_tiny_instance(self, text):
+        inst = parse_instance(text)
+        rows = list(itertools.product(*(range(r) for r in inst.compiled.radices)))
+        self.assert_batch_walk_matches(inst, rows)
+        problem = RouteProblem(inst)
+        valid = [RouteAssignment(row) for row in rows if invalid_reason(inst, RouteAssignment(row)) is None]
+        for batch in ([RouteAssignment(row) for row in rows], valid):
+            assert outcome(lambda: problem.evaluate_many(batch)) == outcome(lambda: [problem.evaluate(g) for g in batch])
+
+    @staticmethod
+    def assert_batch_walk_matches(inst, rows):
+        """``route_terms_many`` on ``rows`` gives ``route_terms``'s validity per row, and its terms, bit for bit, on each valid row."""
+        n = inst.n_mr
+        cost, risk, ok = kernels.route_terms_many(np.array(rows, np.int64).reshape(len(rows), n), inst.compiled)
+        assert cost.shape == risk.shape == (len(rows), n) and ok.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            want_cost, want_risk = [0.0] * n, [0.0] * n
+            valid = kernels.route_terms(row, range(n), inst.compiled, want_cost, want_risk)
+            assert bool(ok[i]) == valid == (invalid_reason(inst, RouteAssignment(row)) is None)
+            if valid:
+                assert [x.hex() for x in cost[i].tolist()] == [x.hex() for x in want_cost]
+                assert [x.hex() for x in risk[i].tolist()] == [x.hex() for x in want_risk]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_many_is_evaluate_of_each(self, data):
+        inst, rng = family_instance(data)
+        problem = RouteProblem(inst)
+        # genotypes that carry terms: evaluated random genotypes, their mutation children, heavy-mutation children
+        carried = [random_assignment(inst, rng) for _ in range(data.draw(st.integers(0, 3)))]
+        problem.evaluate_many(carried)
+        carried += [mutate_reattach(inst, a, rng) for a in carried] + [heavy_reattach(inst, a, rng) for a in carried]
+        fresh = [random_assignment(inst, rng) for _ in range(data.draw(st.integers(0, 3)))]
+        a = random_assignment(inst, rng).choices
+        bad = {
+            "length": RouteAssignment(a + (0,)),
+            "float": RouteAssignment((float(a[0]),) + a[1:]),
+            "range": RouteAssignment((inst.compiled.radices[0],) + a[1:]),
+            "list": RouteAssignment(list(a)),  # valid choices, held in a list: evaluate takes them one by one
+            "uniform": RouteAssignment(uniform_choices(inst, rng)),  # often a cycle or too deep
+        }
+        batch = carried + fresh + [bad[kind] for kind in data.draw(st.lists(st.sampled_from(sorted(bad)), max_size=2))]
+        batch = [batch[i] for i in rng.permutation(len(batch)).tolist()]
+        expected = outcome(lambda: [problem.evaluate(g) for g in batch])
+        # one walk for the whole batch, or slices of one, two or three genotypes
+        positions = data.draw(st.sampled_from([netmodel._BATCH_POSITIONS, 1, inst.n_mr * 2, inst.n_mr * 3]))
+        with mock.patch.object(netmodel, "_BATCH_POSITIONS", positions):
+            assert outcome(lambda: problem.evaluate_many(batch)) == expected
+        if isinstance(expected, list) and all(type(g.choices) is tuple for g in batch):
+            # the whole batch was walked, and each genotype keeps its terms
+            for g in batch:
+                assert_carries_fresh_terms(inst, g)
+
+    @pytest.mark.parametrize("depth, bad, reason", [(2, "m1=m2;m2=m1", "cycle"), (1, "m1=a;m2=m1", "depth")])
+    def test_a_cycle_or_a_depth_failure_raises_what_evaluate_raises(self, depth, bad, reason):
+        inst = parse_instance(CYCLE_2MR.format(depth=depth))
+        problem = RouteProblem(inst)
+        carried = [assignment_from_string(inst, "m1=a;m2=a")]
+        problem.evaluate_many(carried)
+        assert carried[0]._terms is not None
+        fresh = assignment_from_string(inst, "m1=a;m2=a")
+        for batch in ([carried[0], assignment_from_string(inst, bad), fresh], [fresh, carried[0], assignment_from_string(inst, bad)]):
+            with pytest.raises(ValidityError, match=rf"invalid assignment \({reason}\)"):
+                problem.evaluate_many(batch)
+            assert outcome(lambda: problem.evaluate_many(batch)) == outcome(lambda: [problem.evaluate(g) for g in batch])
+        assert fresh._terms is None  # a slice that fails leaves no terms behind
+
+    def test_default_evaluate_many_is_a_loop_over_evaluate(self):
+        problem = GridProblem()
+        genotypes = [(0, 0), (3, 4), (7, 7)]
+        assert problem.evaluate_many(genotypes) == [problem.evaluate(g) for g in genotypes]
 
 
 class TestBruteForce:
@@ -823,19 +967,6 @@ def test_route_problem_surface(standard_instance):
         assert objectives == problem.evaluate(n)
 
 
-CYCLE_2MR = """
-BS b 0.1
-AR a b
-MR m1
-MR m2
-LINK m1 a 1 0.1
-LINK m1 m2 1 0.1
-LINK m2 a 1 0.1
-LINK m2 m1 1 0.1
-MAXDEPTH {depth}
-"""
-
-
 @contextmanager
 def _time_limit(seconds):
     def expire(_signum, _frame):
@@ -888,11 +1019,17 @@ class TestDrawIndexKeepsTheDraws:
 
     @staticmethod
     def operator_chain(inst, seed):
-        """Every genotype, with its carried terms, of a seeded chain of the attaching operators, and the generator state after it."""
+        """Every genotype, with its carried terms, of a seeded chain of the attaching operators, and the generator state after it.
+
+        Random and crossover genotypes get their terms from the batch evaluation, which draws nothing.
+        """
         rng = np.random.default_rng(seed)
+        problem = RouteProblem(inst)
         made = [random_assignment(inst, rng), random_assignment(inst, rng)]
+        problem.evaluate_many(made)
         for _ in range(6):
             child = crossover_parentmix(inst, made[-2], made[-1], rng)
+            problem.evaluate_many([child])
             made += [child, mutate_reattach(inst, child, rng), heavy_reattach(inst, child, rng)]
         return [(g.choices, g._terms) for g in made], rng.bit_generator.state
 
