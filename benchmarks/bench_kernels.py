@@ -16,11 +16,16 @@ against one ``eval_route`` walk per assignment of a 6-MR space, and alone
 at the ``oracle_n8`` workload's size (8 MRs x 5 links, 390,625
 assignments), beside ``front_rows`` on its valid rows and the whole
 oracle, ``brute_force_pareto``, which runs both and builds the witnesses.
-``mutate_reattach``, which decides each candidate link on the forest, is
-timed at 40 and 200 MRs against a reference that decides each candidate
-by a full route walk, and ``heavy_reattach`` and ``random_assignment``
-(initialization: randomized attachment of every MR; it does not walk) per
-call, as is ``assignment_string`` (every solution's key: one label per MR) on the
+``mutate_reattach``, which finds the moved MR's subtree through the
+instance's static reverse links (``mr_users``) and decides each candidate
+link on the forest, is timed per call at 40, 200 and 1000 MRs with 6 links
+each, where its cost stays nearly flat (the subtree's in-links plus radix
+times depth, not the MR count), against a reference that decides each
+candidate by a full route walk. An all-to-all row (200 MRs x 200 links)
+shows the dense trade-off: there each subtree MR has up to n in-links to
+scan. ``heavy_reattach`` and ``random_assignment`` (initialization:
+randomized attachment of every MR; it does not walk) are timed per call,
+as is ``assignment_string`` (every solution's key: one label per MR) on the
 genotypes ``random_assignment`` makes. The full walks of a generation are
 timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
 ``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
@@ -218,10 +223,10 @@ def main() -> None:
 
     # mutation: the forest check against one route walk per candidate link
     print("mutate_reattach per call, forest check vs a route walk per candidate:")
-    for n_mr in (40, 200):
-        inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
+    for n_mr, links, count in ((40, 6, 200), (200, 6, 200), (1000, 6, 200), (200, 200, 50)):
+        inst = synthetic_instance(n_mr=n_mr, links_per_mr=links, seed=1)
         rng = np.random.default_rng(1)
-        starts = [random_assignment(inst, rng) for _ in range(200)]
+        starts = [random_assignment(inst, rng) for _ in range(count)]
         RouteProblem(inst).evaluate_many(starts)
 
         def mutate_all(fn):
@@ -233,7 +238,7 @@ def main() -> None:
         t_forest = best_of(lambda: mutate_all(mutate_reattach), args.repeats)
         t_walk = best_of(lambda: mutate_all(walk_mutate), args.repeats)
         per = 1e6 / len(starts)
-        print(f"  {n_mr} MRs: forest {t_forest * per:>8.1f}us  walks {t_walk * per:>8.1f}us"
+        print(f"  {f'{n_mr} MRs x {links} links:':<22} forest {t_forest * per:>8.1f}us  walks {t_walk * per:>9.1f}us"
               f"  ({t_walk / t_forest:.1f}x)")
 
     # heavy mutation reattaches half the MRs, each on the forest the moves before it left

@@ -26,7 +26,12 @@ path of at most MAXDEPTH links to an access router; one breadth-first search
 at load decides it. So randomized attachment never gives up: when it stalls,
 the MRs left take their shortest-path links. Every link table is built at
 load per MR, indexed by the MR's choice (``_Compiled``): attachment and the
-reattach test read each MR's candidate parents from ``mr_parents``. Every
+reattach test read each MR's candidate parents from ``mr_parents``. The
+reattach test finds a moved MR's subtree through the static reverse links
+(``mr_users``, the MRs that could attach to each MR), filtered by the
+genotype's choices, so a mutation or neighborhood move builds no per-genotype
+parent or child lists: it costs its subtree's in-links plus the MR's radix
+times the depth, not the number of MRs. Every
 random pick among links or MRs is one ``kernels.draw_index`` call, the draw
 numpy's ``Generator.integers`` makes.
 
@@ -80,7 +85,9 @@ class _Compiled:
     candidate link, in link order, so a genotype's choice k indexes it
     directly. The kernels' route walks take the value whole
     (``kernels.route_terms``); the batch walk reads padded numpy copies of
-    three tables (``padded_tables``).
+    three tables (``padded_tables``). ``mr_users`` is the one table indexed
+    the other way, by parent MR; the reattach test reads subtrees from it,
+    so a move never builds child lists for the whole forest.
     """
 
     radices: tuple[int, ...]  # candidate links per MR
@@ -96,6 +103,8 @@ class _Compiled:
     min_depth: tuple[int, ...]
     # per MR, its first link to a parent of depth d* - 1 (an AR for d* = 1), -1 when it has no path
     min_link: tuple[int, ...]
+    # per MR p, the MRs with a candidate link to p, ascending
+    mr_users: tuple[tuple[int, ...], ...]
 
     @cached_property
     def padded_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,8 +120,11 @@ class _Compiled:
         )
 
 
-def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``min_depth`` and ``min_link`` of ``_Compiled``: one breadth-first search from the access routers."""
+def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``min_depth``, ``min_link`` and ``mr_users`` of ``_Compiled``: one breadth-first search from the access routers.
+
+    The search runs down the reverse links, which it then returns as ``mr_users``.
+    """
     n = len(mr_parents)
     users: list[list[int]] = [[] for _ in range(n)]  # per MR, the MRs with a candidate link to it
     depth = [-1] * n
@@ -138,7 +150,7 @@ def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...]]:
         [depth[p] if p >= 0 else 0 for p in ps].index(d - 1) if d > 0 else -1
         for ps, d in zip(mr_parents, depth)
     )
-    return tuple(depth), links
+    return tuple(depth), links, tuple(map(tuple, users))
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,7 @@ class NetworkInstance:
             return tuple([flat[span] for span in spans])
 
         mr_parents = per_mr([parent_index[link.parent] for link in self.links])
-        min_depth, min_link = _shortest_paths(mr_parents)
+        min_depth, min_link, mr_users = _shortest_paths(mr_parents)
 
         return _Compiled(
             radices=tuple(counts),
@@ -184,6 +196,7 @@ class NetworkInstance:
             steps=min(self.max_depth, len(self.mobile_routers)),
             min_depth=min_depth,
             min_link=min_link,
+            mr_users=mr_users,
         )
 
     @property
@@ -410,11 +423,6 @@ def _choice_matrix(inst: NetworkInstance, genotypes) -> np.ndarray | None:
     return choices
 
 
-def _parent_mrs(inst: NetworkInstance, choices) -> list[int]:
-    """Per MR, the ``mr_parents`` entry of its chosen link: the MR it attaches to, or a negative number for an access router."""
-    return [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
-
-
 def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
     """Per MR, the number of links on its path to an access router, or -1 when that path runs into a cycle.
 
@@ -422,7 +430,8 @@ def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
     whose parent's depth is known that depth plus one; the MRs left when a
     sweep settles none lead into a cycle.
     """
-    up = _parent_mrs(inst, choices)
+    # per MR, the MR its chosen link attaches to, or a negative number for an access router
+    up = [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
     depth = [1 if p < 0 else 0 for p in up]  # 0: not known yet
     pending = [m for m, p in enumerate(up) if p >= 0]
     while pending:
@@ -542,49 +551,48 @@ def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
     return RouteAssignment(tuple(choices))
 
 
-def _children(up: list[int]) -> list[list[int]]:
-    """Per MR, the MRs whose parent it is in ``up`` (a ``_parent_mrs`` list)."""
-    children: list[list[int]] = [[] for _ in up]
-    for i, p in enumerate(up):
-        if p >= 0:
-            children[p].append(i)
-    return children
-
-
-def _reattach_options(inst: NetworkInstance, choices, up: list[int], children: list[list[int]], m: int):
+def _reattach_options(inst: NetworkInstance, choices, m: int):
     """The forest test for moving MR m: (its feasible links, the MRs of its subtree).
 
-    ``up`` is ``_parent_mrs(inst, choices)`` and ``children`` is
-    ``_children(up)``. The links are m's links other than its current one,
-    in link order, under which ``choices`` stays a valid forest; the subtree
-    is the set of MRs whose paths run through m, m included.
+    The links are m's links other than its current one, in link order,
+    under which ``choices`` stays a valid forest; the subtree is the set of
+    MRs whose paths run through m, m included.
+
+    No table is built per genotype. Each level of m's subtree is read off
+    the static reverse links (``_Compiled.mr_users``): the MRs with a link
+    to one of the level above, kept when ``choices`` picks that link. Each
+    ancestor step reads ``mr_parents[p][choices[p]]``. So the call costs
+    the in-links of m's subtree plus m's radix times the depth, not the
+    number of MRs.
 
     Precondition: ``choices`` is a valid forest. Then the links are exactly
     those whose genotype a full route walk finds valid, without walking:
     moving m under parent p keeps the forest valid if and only if p is an AR
     or an MR outside m's subtree, and depth(p) + 1 + height(m) <= max_depth.
-    On an invalid ``choices`` every scan is capped, so the call still returns.
+    On an invalid ``choices`` every scan is capped at ``steps``, so the call
+    still returns.
     """
     c = inst.compiled
+    mr_parents, users = c.mr_parents, c.mr_users
     # m's subtree and its height, one level at a time
     level = [m]
     subtree = {m}
     height = 0
     while height < c.steps:
-        level = [i for p in level for i in children[p]]
+        level = [i for p in level for i in users[p] if mr_parents[i][choices[i]] == p]
         if not level:
             break
         subtree.update(level)
         height += 1
     room = c.steps - 1 - height  # the largest depth(p) that m's subtree still fits under
     feasible = []
-    for k, p in enumerate(c.mr_parents[m]):
+    for k, p in enumerate(mr_parents[m]):
         if k == choices[m] or p in subtree:
             continue
         d = 0
         while p >= 0 and d < room:
             d += 1
-            p = up[p]
+            p = mr_parents[p][choices[p]]
         if p < 0:
             feasible.append(k)
     return feasible, subtree
@@ -601,8 +609,7 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     if inst.n_mr == 0:
         return a
     m = kernels.draw_index(rng, inst.n_mr)
-    up = _parent_mrs(inst, a.choices)
-    feasible, subtree = _reattach_options(inst, a.choices, up, _children(up), m)
+    feasible, subtree = _reattach_options(inst, a.choices, m)
     if not feasible:
         return a
     k = feasible[kernels.draw_index(rng, len(feasible))]
@@ -618,27 +625,21 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
     """Heavy mutation: reattach ceil(|MR|/2) randomly chosen MRs in sequence; the result carries its terms.
 
     Precondition: ``a`` is a valid forest; each step keeps it valid.
-    No package code calls it since immigration makes fresh random genotypes
-    only. It stays because ``perfbench/spans.py`` wraps it, and the tracer
-    raises on a name it cannot find.
+    Each step's forest test (``_reattach_options``) reads the moves before
+    it from ``work`` itself, so no parent or child lists are kept in step,
+    and a step costs the moved MR's subtree's in-links plus its radix times
+    the depth. No package code calls it since immigration makes fresh
+    random genotypes only. It stays because ``perfbench/spans.py`` wraps it,
+    and the tracer raises on a name it cannot find.
     """
     if inst.n_mr == 0:
         return a
-    mr_parents = inst.compiled.mr_parents
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
-    up = _parent_mrs(inst, work)  # up and children are kept in step with work
-    children = _children(up)
     for m in rng.permutation(inst.n_mr)[:count].tolist():
-        feasible = _reattach_options(inst, work, up, children, m)[0]
+        feasible = _reattach_options(inst, work, m)[0]
         if feasible:
-            k = feasible[kernels.draw_index(rng, len(feasible))]
-            work[m] = k
-            if up[m] >= 0:
-                children[up[m]].remove(m)
-            up[m] = mr_parents[m][k]
-            if up[m] >= 0:
-                children[up[m]].append(m)
+            work[m] = feasible[kernels.draw_index(rng, len(feasible))]
     return _walked(inst, work)
 
 
@@ -695,15 +696,13 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
     z1_prefix = list(itertools.accumulate(cost, initial=0.0))
     z2_prefix = list(itertools.accumulate(risk, initial=0.0))
     tables = inst.compiled
-    up = _parent_mrs(inst, choices)
-    children = _children(up)
     work = list(choices)
     # the terms under work, which differ from cost only on the moved subtree; lists, because the
     # sums iterate them and an array('d') makes a new float for each item it yields
     moved_cost = list(cost)
     moved_risk = list(risk)
     for m in range(inst.n_mr):
-        feasible, subtree = _reattach_options(inst, choices, up, children, m)
+        feasible, subtree = _reattach_options(inst, choices, m)
         if not feasible:
             continue
         lo = min(subtree)

@@ -19,9 +19,7 @@ from survroute.errors import ContractViolation, InstanceError, OracleScopeError,
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
-    _children,
     _forest_depths,
-    _parent_mrs,
     _reattach_options,
     assignment_from_parent_map,
     assignment_from_string,
@@ -38,7 +36,7 @@ from survroute.netmodel import (
     random_assignment,
 )
 
-from conftest import GridProblem, layered_net_text, synthetic_net_text
+from conftest import INSTANCE_DIR, GridProblem, layered_net_text, synthetic_net_text
 
 MINIMAL = """
 BS bs1 0.2
@@ -144,6 +142,21 @@ def walk_heavy(inst, a, rng):
         if feasible:
             work = work[:m] + (feasible[int(rng.integers(len(feasible)))],) + work[m + 1:]
     return RouteAssignment(work)
+
+
+def naive_subtree(inst, a, m):
+    """The MRs whose id-level parent walk under ``a`` (a valid forest) passes MR m, m included."""
+    pm = parents_of(inst, a)
+    target = inst.mobile_routers[m]
+    found = set()
+    for i, mr in enumerate(inst.mobile_routers):
+        cur = mr
+        while cur in pm:
+            if cur == target:
+                found.add(i)
+                break
+            cur = pm[cur]
+    return found
 
 
 def reference_walks(inst, choices):
@@ -500,20 +513,26 @@ class TestMutate:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_reattach_matches_walk_per_alternative(self, data):
-        n_mr = data.draw(st.integers(1, 40))
-        inst, a = forest_instance(
-            random.Random(data.draw(st.integers(0, 2**32 - 1))),
-            n_mr, data.draw(st.integers(1, 2)), data.draw(st.integers(1, n_mr + 1)),
-        )
+        if data.draw(st.booleans()):
+            n_mr = data.draw(st.integers(1, 40))
+            inst, a = forest_instance(
+                random.Random(data.draw(st.integers(0, 2**32 - 1))),
+                n_mr, data.draw(st.integers(1, 2)), data.draw(st.integers(1, n_mr + 1)),
+            )
+        else:
+            # 8 levels of 10 MRs, from the all-up forest (each MR's min_link): its subtrees are 7 links high
+            inst = parse_instance(layered_net_text(8, 10, 8, data.draw(st.integers(0, 2**32 - 1))))
+            a = RouteAssignment(inst.compiled.min_link)
+            depth = _forest_depths(inst, a.choices)
+            assert max(max(depth[i] for i in naive_subtree(inst, a, m)) - depth[m] for m in range(inst.n_mr)) == 7
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(6):
             assert invalid_reason(inst, a) is None
-            up = _parent_mrs(inst, a.choices)
-            children = _children(up)
-            for m in range(n_mr):
-                assert _reattach_options(inst, a.choices, up, children, m)[0] == walk_feasible(inst, a.choices, m)
-                assert _reattach_options(inst, list(a.choices), up, children, m)[0] == walk_feasible(inst, a.choices, m)
+            for m in range(inst.n_mr):
+                assert _reattach_options(inst, a.choices, m)[0] == walk_feasible(inst, a.choices, m)
+                assert _reattach_options(inst, list(a.choices), m)[0] == walk_feasible(inst, a.choices, m)
+                assert _reattach_options(inst, a.choices, m)[1] == naive_subtree(inst, a, m)
             if step % 2:
                 a, expected = heavy_reattach(inst, a, rng), walk_heavy(inst, a, ref_rng)
             else:
@@ -528,11 +547,42 @@ class TestMutate:
             a = assignment_from_string(inst, "m1=m2;m2=m1")
             rng = np.random.default_rng(0)
             with _time_limit(20):
-                up = _parent_mrs(inst, a.choices)
                 for m in range(inst.n_mr):
-                    assert _reattach_options(inst, a.choices, up, _children(up), m)[0] in ([], [0])
+                    assert _reattach_options(inst, a.choices, m)[0] in ([], [0])
                 assert len(mutate_reattach(inst, a, rng).choices) == 2
                 assert len(heavy_reattach(inst, a, rng).choices) == 2
+
+
+class TestReverseLinks:
+    @staticmethod
+    def assert_inverse(inst):
+        """``mr_users`` lists, per MR, each MR with a link to it once, ascending; links to ARs are left out."""
+        index = {mr: i for i, mr in enumerate(inst.mobile_routers)}
+        expected = [[] for _ in inst.mobile_routers]
+        for link in inst.links:
+            if link.parent in index:
+                expected[index[link.parent]].append(index[link.child])
+        users = inst.compiled.mr_users
+        assert type(users) is tuple and all(type(row) is tuple for row in users)
+        assert all(len(set(row)) == len(row) for row in users)
+        assert [list(row) for row in users] == [sorted(row) for row in expected]
+        # the exact inverse of mr_parents' MR entries
+        mr_parents = inst.compiled.mr_parents
+        assert [list(row) for row in users] == [[i for i, ps in enumerate(mr_parents) if p in ps] for p in range(inst.n_mr)]
+
+    @pytest.mark.parametrize("name", ["trivial_1mr", "standard_3mr", "stress_5mr"])
+    def test_shipped_instances(self, name):
+        self.assert_inverse(load_instance(INSTANCE_DIR / f"{name}.net"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_forest_instances(self, data):
+        n_mr = data.draw(st.integers(1, 40))
+        inst, _witness = forest_instance(
+            random.Random(data.draw(st.integers(0, 2**32 - 1))),
+            n_mr, data.draw(st.integers(1, 2)), data.draw(st.integers(1, n_mr + 1)),
+        )
+        self.assert_inverse(inst)
 
 
 class TestCrossover:
