@@ -23,9 +23,12 @@ each, where its cost stays nearly flat (the subtree's in-links plus radix
 times depth, not the MR count), against a reference that decides each
 candidate by a full route walk. An all-to-all row (200 MRs x 200 links)
 shows the dense trade-off: there each subtree MR has up to n in-links to
-scan. ``heavy_reattach`` and ``random_assignment`` (initialization:
-randomized attachment of every MR; it does not walk) are timed per call,
-as is ``assignment_string`` (every solution's key: one label per MR) on the
+scan. ``heavy_reattach`` is timed per call at 200 MRs, and
+``random_assignment`` (initialization: randomized attachment of every MR,
+one index draw per attached MR from one drawer; it does not walk) per call
+at 40, 200 and 1000 MRs, beside ``crossover_parentmix`` (a uniform mix of
+two parents' links, whose broken MRs the same attachment repairs) at 40
+and 200 MRs. ``assignment_string`` is timed per call (every solution's key: one label per MR) on the
 genotypes ``random_assignment`` makes. The full walks of a generation are
 timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
 ``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
@@ -33,9 +36,11 @@ and ``RouteProblem.evaluate_many`` (batch check, batch walk and batch sums)
 against a scalar walk and an ``evaluate`` per genotype, after a check that
 both give the same objectives. The
 genotypes the operator rows start from are evaluated in one batch first, so
-they carry their terms, as in a run. ``kernels.draw_index`` is
-timed over 10000 index draws beside the numpy call whose draws it
-reproduces, ``int(rng.integers(n))``, after a check that both give the same
+they carry their terms, as in a run. Index draws are timed over 10000
+draws: one ``kernels.index_draws`` drawer bound for all of them, as the
+operators bind one per call, beside ``kernels.draw_index``, which binds
+a drawer per draw, and the numpy call whose draws both reproduce,
+``int(rng.integers(n))``, after a check that all three give the same
 sequence. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
 genotype, then a re-walk of the moved subtree per neighbor) against one full
@@ -64,8 +69,8 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, _walked, assignment_string, brute_force_pareto, heavy_reattach, iter_neighbors,
-    mutate_reattach, parse_instance, random_assignment,
+    RouteAssignment, RouteProblem, _walked, assignment_string, brute_force_pareto, crossover_parentmix, heavy_reattach,
+    iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
 
 
@@ -248,15 +253,26 @@ def main() -> None:
     t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
     print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
 
-    # initialization: every MR attached in a random order, one index draw each
-    for n_mr in (40, 200):
+    # initialization: every MR attached in a random order, one index draw each;
+    # crossover: two parents' links mixed, and the broken MRs attached again
+    for n_mr in (40, 200, 1000):
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
 
         def assign_many():
             draws = np.random.default_rng(2)
             return [random_assignment(inst, draws) for _ in range(50)]
 
-        print(f"random_assignment per call at {n_mr:>3} MRs: {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
+        print(f"random_assignment per call at {n_mr:>4} MRs:   {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
+        if n_mr == 1000:
+            continue
+        mates = assign_many()
+
+        def cross_many():
+            draws = np.random.default_rng(3)
+            return [crossover_parentmix(inst, a, b, draws) for a, b in zip(mates, mates[1:])]
+
+        t_cross = best_of(cross_many, args.repeats) / (len(mates) - 1)
+        print(f"crossover_parentmix per call at {n_mr:>4} MRs: {t_cross * 1e3:>7.3f}ms")
 
     # a generation's full walks: one batch walk, or one scalar walk per genotype
     print("full walks of 100 random genotypes, one batch vs a scalar walk each:")
@@ -291,19 +307,24 @@ def main() -> None:
     # index draws, n as the operators and selection see them: feasible-link counts to population sizes
     sizes = np.random.default_rng(3).integers(1, 201, size=10000).tolist()
 
-    def draw_all(draw):
-        draws = np.random.default_rng(4)
-        return [draw(draws, n) for n in sizes]
+    def draw_all(drawer):
+        draw = drawer(np.random.default_rng(4))
+        return [draw(n) for n in sizes]
 
-    def numpy_draw(rng, n):
-        return int(rng.integers(n))
+    def single_draws(rng):
+        return lambda n: kernels.draw_index(rng, n)
 
-    if draw_all(kernels.draw_index) != draw_all(numpy_draw):
-        raise AssertionError("draw_index disagrees with int(rng.integers(n))")
-    t_ours = best_of(lambda: draw_all(kernels.draw_index), args.repeats)
-    t_numpy = best_of(lambda: draw_all(numpy_draw), args.repeats)
-    print(f"draw_index x10000             {t_ours * 1e3:>8.2f}ms")
-    print(f"int(rng.integers(n)) x10000   {t_numpy * 1e3:>8.2f}ms  ({t_numpy / t_ours:.1f}x)")
+    def numpy_draws(rng):
+        return lambda n: int(rng.integers(n))
+
+    if not draw_all(kernels.index_draws) == draw_all(single_draws) == draw_all(numpy_draws):
+        raise AssertionError("index_draws, draw_index and int(rng.integers(n)) disagree")
+    t_bound = best_of(lambda: draw_all(kernels.index_draws), args.repeats)
+    t_single = best_of(lambda: draw_all(single_draws), args.repeats)
+    t_numpy = best_of(lambda: draw_all(numpy_draws), args.repeats)
+    print(f"index_draws, one drawer x10000 {t_bound * 1e3:>8.2f}ms")
+    print(f"draw_index x10000              {t_single * 1e3:>8.2f}ms  ({t_single / t_bound:.1f}x)")
+    print(f"int(rng.integers(n)) x10000    {t_numpy * 1e3:>8.2f}ms  ({t_numpy / t_bound:.1f}x)")
 
     # delta scoring: one term walk per genotype, then only the moved subtree per neighbor;
     # local search pulls at most its budget (20) of the lazy neighborhood

@@ -120,10 +120,11 @@ def cmd_run(args) -> int:
     params = _build_params(settings)
 
     instance = load_instance(settings["instance"])
-    result = run(RouteProblem(instance), params)
-
+    # an unusable --out fails here, before the run, and an instance error leaves no directory behind
     out_dir = Path(settings.get("out", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run(RouteProblem(instance), params)
+
     write_front_csv(
         out_dir / "front.csv",
         [(m.objectives[0], m.objectives[1], m.genotype_key) for m in result.archive.members],

@@ -28,7 +28,7 @@ from .archive import (
     survival_order,
 )
 from .errors import ConfigError
-from .kernels import draw_index
+from .kernels import index_draws
 from .measures import ReferencePoint
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
@@ -162,16 +162,17 @@ def select_from(
     union = list(pop) + list(arch.members)
     if not union:
         raise ConfigError("cannot select from an empty population")
+    draw = index_draws(rng)
     if operator == "uniform":
-        return [union[draw_index(rng, len(union))] for _ in range(count)]
+        return [union[draw(len(union))] for _ in range(count)]
     if operator != "tournament":
         raise ConfigError(f"unknown selection operator {operator!r}")
     ranks, crowd = rank_and_crowding(union)
     keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
     parents = []
     for _ in range(count):
-        i = draw_index(rng, len(union))
-        j = draw_index(rng, len(union))
+        i = draw(len(union))
+        j = draw(len(union))
         parents.append(union[i] if keys[i] <= keys[j] else union[j])
     return parents
 

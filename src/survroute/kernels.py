@@ -33,10 +33,13 @@ objective kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of
 (z1, z2) pairs and run in plain Python: the engine calls them on small
 fronts, where numpy's per-call conversion would cost more than the work.
 
-``draw_index`` is the one way the package draws a uniform index: numpy's
-bounded-integer algorithm (Lemire's) on the generator's own 32-bit outputs,
-so it returns what numpy's ``Generator.integers(n)`` returns and leaves the
-generator in the same state, without numpy's per-call cost.
+``index_draws`` is the one way the package draws a uniform index: it binds
+a generator's 32-bit output function once and returns a drawer that runs
+numpy's bounded-integer algorithm (Lemire's) on those outputs, so each draw
+returns what numpy's ``Generator.integers(n)`` returns and leaves the
+generator in the same state, without numpy's per-call cost. Each operator
+binds one drawer per call and draws from it; ``draw_index`` is a single
+draw through a drawer of its own.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -49,37 +52,49 @@ from functools import reduce
 
 import numpy as np
 
-def draw_index(rng, n):
-    """A uniform index in [0, n) from the numpy ``Generator`` ``rng``: the int its ``integers(n)`` gives.
+def index_draws(rng):
+    """A drawer ``draw(n)`` of uniform indices in [0, n) from the numpy ``Generator`` ``rng``: the ints its ``integers(n)`` gives.
 
-    It makes the same draws as that call and leaves ``rng.bit_generator.state``
-    the same, ``has_uint32`` and ``uinteger`` included. For 1 < n <= 2**32 - 1
-    numpy's ``integers`` runs Lemire's bounded draw ("Fast Random Integer
-    Generation in an Interval", ACM TOMACS 2019) on the bit generator's
-    ``next_uint32``: with m = x * n for a 32-bit output x, it redraws while the
-    low 32 bits of m are below (2**32 - n) % n and returns the high 32 bits.
-    This does the same through the bit generator's ctypes interface, which
-    skips numpy's scalar-call overhead, most of the cost of that call. For
-    n == 1 numpy returns 0 without drawing, and so does this; any other n, or
-    one that is not a plain ``int``, goes to ``Generator.integers`` itself,
-    which raises for n <= 0.
+    Each ``draw(n)`` makes the same draws as ``rng.integers(n)`` and leaves
+    ``rng.bit_generator.state`` the same, ``has_uint32`` and ``uinteger``
+    included, so draws from the drawer and calls on ``rng`` itself may
+    interleave. For 1 < n <= 2**32 - 1 numpy's ``integers`` runs Lemire's
+    bounded draw ("Fast Random Integer Generation in an Interval", ACM TOMACS
+    2019) on the bit generator's ``next_uint32``: with m = x * n for a 32-bit
+    output x, it redraws while the low 32 bits of m are below
+    (2**32 - n) % n and returns the high 32 bits. The drawer does the same
+    through the bit generator's ctypes interface, bound once here, which
+    skips numpy's scalar-call overhead and the interface lookups, most of the
+    cost of a draw. For n == 1 numpy returns 0 without drawing, and so does
+    the drawer; any other n, or one that is not a plain ``int``, goes to
+    ``Generator.integers`` itself, which raises for n <= 0.
 
-    Unlike ``Generator.integers`` it does not take the bit generator's lock,
-    so two threads must not draw from one generator at once; the engine runs
-    in one thread.
+    The drawer holds ``rng``, so the state address it holds stays valid for
+    as long as the drawer lives. Unlike ``Generator.integers`` it does not
+    take the bit generator's lock, so two threads must not draw from one
+    generator at once; the engine runs in one thread.
     """
-    if type(n) is int and 1 < n <= 0xFFFFFFFF:
-        c = rng.bit_generator.ctypes
-        next_uint32, state = c.next_uint32, c.state_address
-        m = next_uint32(state) * n
-        if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip the modulo, as numpy's do
-            threshold = (0x100000000 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * n
-        return m >> 32
-    if n == 1 and type(n) is int:
-        return 0
-    return int(rng.integers(n))
+    c = rng.bit_generator.ctypes
+    next_uint32, state = c.next_uint32, c.state_address
+
+    def draw(n):
+        if type(n) is int and 1 < n <= 0xFFFFFFFF:
+            m = next_uint32(state) * n
+            if m & 0xFFFFFFFF < n:  # n bounds the threshold, so most draws skip the modulo, as numpy's do
+                threshold = (0x100000000 - n) % n
+                while m & 0xFFFFFFFF < threshold:
+                    m = next_uint32(state) * n
+            return m >> 32
+        if n == 1 and type(n) is int:
+            return 0
+        return int(rng.integers(n))
+
+    return draw
+
+
+def draw_index(rng, n):
+    """One index in [0, n) from ``rng``, as ``rng.integers(n)`` gives it: ``index_draws(rng)(n)``, for a single draw."""
+    return index_draws(rng)(n)
 
 
 def eval_route(choices, tables):

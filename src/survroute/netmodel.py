@@ -32,8 +32,12 @@ reattach test finds a moved MR's subtree through the static reverse links
 genotype's choices, so a mutation or neighborhood move builds no per-genotype
 parent or child lists: it costs its subtree's in-links plus the MR's radix
 times the depth, not the number of MRs. Every
-random pick among links or MRs is one ``kernels.draw_index`` call, the draw
-numpy's ``Generator.integers`` makes.
+random pick among links or MRs is one draw from a ``kernels.index_draws``
+drawer, bound once per operator call, the draw numpy's
+``Generator.integers`` makes. Attachment reads each MR's (link, parent)
+pairs (``_Compiled.enumerated_parents``) and one level table that holds the
+access routers' 0 behind the MRs' depths, so deciding a link is one lookup
+and one comparison.
 
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
@@ -85,9 +89,12 @@ class _Compiled:
     candidate link, in link order, so a genotype's choice k indexes it
     directly. The kernels' route walks take the value whole
     (``kernels.route_terms``); the batch walk reads padded numpy copies of
-    three tables (``padded_tables``). ``mr_users`` is the one table indexed
-    the other way, by parent MR; the reattach test reads subtrees from it,
-    so a move never builds child lists for the whole forest.
+    three tables (``padded_tables``), and attachment reads ``mr_parents``
+    as (link, parent) pairs (``enumerated_parents``); both are built on
+    first use, so loading an instance and the oracle never build them.
+    ``mr_users`` is the one table indexed the other way, by parent MR; the
+    reattach test reads subtrees from it, so a move never builds child lists
+    for the whole forest.
     """
 
     radices: tuple[int, ...]  # candidate links per MR
@@ -118,6 +125,11 @@ class _Compiled:
             np.array([row + (0,) * (width - len(row)) for row in table], dtype).reshape(len(table), width)
             for table, dtype in ((self.mr_parents, np.int64), (self.mr_costs, np.float64), (self.mr_survs, np.float64))
         )
+
+    @cached_property
+    def enumerated_parents(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per MR, ``tuple(enumerate(mr_parents[m]))``: its (link, parent) pairs, in link order, for ``_attach``."""
+        return tuple(tuple(enumerate(ps)) for ps in self.mr_parents)
 
 
 def _shortest_paths(mr_parents) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -494,48 +506,55 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def _attach(inst: NetworkInstance, rng, choices: list[int], depth: list[int], pending: list[int]) -> None:
+def _attach(inst: NetworkInstance, rng, choices: list[int], level: list[int], pending: list[int]) -> None:
     """Randomized topological attachment of the MRs in ``pending``, in place; ``choices`` ends a valid forest.
 
-    ``depth`` holds each MR's depth, 0 for an MR not rooted yet (every MR in
-    ``pending``), and the other MRs form a valid forest. Sweeps ``pending``
-    in order. Each MR picks uniformly among its candidate links whose parent
-    is rooted (an AR, or an MR of nonzero depth) without exceeding
-    max_depth, and takes its depth; an MR with no such link waits for the
-    next sweep.
+    ``level`` holds one entry per MR, its depth, or max_depth + 1 while it
+    is not rooted (every MR in ``pending``), then a 0 for each access
+    router, which a link's negative parent index reads from the end; the
+    MRs not pending form a valid forest. A link is then feasible exactly
+    when its parent's level is below max_depth: the parent is an AR, or a
+    rooted MR with room below it. Sweeps ``pending`` in order. Each MR picks
+    uniformly among its feasible links, one draw of one drawer bound for
+    the call, and takes its parent's level plus one; an MR with no feasible
+    link waits for the next sweep.
 
     When a sweep attaches none, each MR left, and each of its ancestors
     in the shortest-path tree down to an AR or to an MR already at its
-    ``min_depth`` d*, is put on its ``min_link`` at depth d*, with no draw.
-    The forest stays valid: a reset MR has depth d* <= max_depth, any other
-    depth can only fall, and the reset links run down the shortest-path
-    tree, so they close no cycle. ``depth`` may then overstate some depths.
+    ``min_depth`` d*, is put on its ``min_link`` at level d*, with no draw.
+    The sentinel max_depth + 1 is above every d* of a feasible instance, so
+    no MR left counts as settled already. The forest stays valid: a reset
+    MR has depth d* <= max_depth, any other depth can only fall, and the
+    reset links run down the shortest-path tree, so they close no cycle.
+    ``level`` may then overstate some depths.
     Raises InstanceError at that point on an infeasible instance.
     """
     c = inst.compiled
     max_depth = inst.max_depth
-    mr_parents = c.mr_parents
-    draw_index = kernels.draw_index
+    mr_parents, enumerated_parents = c.mr_parents, c.enumerated_parents
+    draw = kernels.index_draws(rng)
     while pending:
         deferred = []
         for m in pending:
-            ps = mr_parents[m]
-            # a link is feasible under an AR, or under a rooted MR (depth > 0) with room below max_depth
-            feasible = [k for k, p in enumerate(ps) if p < 0 or 0 < depth[p] < max_depth]
+            # a loop, not a comprehension: CPython 3.11 runs each comprehension in a frame of its own,
+            # and this one runs once per MR per sweep (about 15% of a random_assignment at 40-1000 MRs)
+            feasible = []
+            for k, p in enumerated_parents[m]:
+                if level[p] < max_depth:
+                    feasible.append(k)
             if feasible:
-                k = feasible[draw_index(rng, len(feasible))]
+                k = feasible[draw(len(feasible))]
                 choices[m] = k
-                p = ps[k]
-                depth[m] = 1 if p < 0 else depth[p] + 1
+                level[m] = level[mr_parents[m][k]] + 1
             else:
                 deferred.append(m)
         if len(deferred) == len(pending):
             _check_feasible(inst)
             min_depth, min_link = c.min_depth, c.min_link
             for m in deferred:
-                while m >= 0 and depth[m] != min_depth[m]:
+                while m >= 0 and level[m] != min_depth[m]:
                     choices[m] = min_link[m]
-                    depth[m] = min_depth[m]
+                    level[m] = min_depth[m]
                     m = mr_parents[m][choices[m]]
             return
         pending = deferred
@@ -546,8 +565,10 @@ def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
 
     Raises InstanceError on an infeasible instance (``parse_instance`` never returns one).
     """
-    choices = [0] * inst.n_mr
-    _attach(inst, rng, choices, [0] * inst.n_mr, rng.permutation(inst.n_mr).tolist())
+    n = inst.n_mr
+    choices = [0] * n
+    level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
+    _attach(inst, rng, choices, level, rng.permutation(n).tolist())
     return RouteAssignment(tuple(choices))
 
 
@@ -608,11 +629,12 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     """
     if inst.n_mr == 0:
         return a
-    m = kernels.draw_index(rng, inst.n_mr)
+    draw = kernels.index_draws(rng)
+    m = draw(inst.n_mr)
     feasible, subtree = _reattach_options(inst, a.choices, m)
     if not feasible:
         return a
-    k = feasible[kernels.draw_index(rng, len(feasible))]
+    k = feasible[draw(len(feasible))]
     choices = a.choices[:m] + (k,) + a.choices[m + 1:]
     if a._terms is None:
         return RouteAssignment(choices)
@@ -636,10 +658,11 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
         return a
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
+    draw = kernels.index_draws(rng)
     for m in rng.permutation(inst.n_mr)[:count].tolist():
         feasible = _reattach_options(inst, work, m)[0]
         if feasible:
-            work[m] = feasible[kernels.draw_index(rng, len(feasible))]
+            work[m] = feasible[draw(len(feasible))]
     return _walked(inst, work)
 
 
@@ -655,12 +678,13 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
         return a
     coins = rng.random(inst.n_mr).tolist()  # the same doubles as one rng.random() per MR
     child = [ka if u < 0.5 else kb for ka, kb, u in zip(a.choices, b.choices, coins)]
-    max_depth = inst.max_depth
-    # intact MRs keep their depth; broken ones (cycle, or too deep) get 0, unrooted
-    depth = [d if 0 < d <= max_depth else 0 for d in _forest_depths(inst, child)]
-    broken = [m for m, d in enumerate(depth) if not d]
+    unrooted = inst.max_depth + 1
+    # _attach's level table: intact MRs keep their depth; broken ones (cycle, or too deep) are unrooted
+    level = [d if 0 < d < unrooted else unrooted for d in _forest_depths(inst, child)]
+    broken = [m for m, d in enumerate(level) if d == unrooted]
     if broken:  # most children need no repair; rng.permutation(0) draws nothing but costs a numpy call
-        _attach(inst, rng, child, depth, [broken[i] for i in rng.permutation(len(broken)).tolist()])
+        level += [0] * len(inst.access_routers)
+        _attach(inst, rng, child, level, [broken[i] for i in rng.permutation(len(broken)).tolist()])
     return RouteAssignment(tuple(child))
 
 

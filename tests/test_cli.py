@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from survroute import cli, engine
 from survroute.cli import build_parser, main, read_front_csv, write_front_csv
 from survroute.netmodel import DEFAULT_ORACLE_GUARD, brute_force_pareto
 
@@ -101,6 +102,22 @@ class TestRun:
         bad = tmp_path / "bad.net"
         bad.write_text("BS b 1.5\n")
         assert run_cli("run", "--instance", str(bad), "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+    def test_unusable_out_exits_3_before_the_run(self, where, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the optimization started before --out was checked")
+
+        monkeypatch.setattr(engine, "run", no_run)
+        monkeypatch.setattr(cli, "run", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken if where == "a_file" else taken / "out"
+        assert run_cli("run", "--instance", STANDARD, "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("survroute: ") and str(taken) in captured.err
+        assert taken.read_text() == ""
 
     def test_bad_param_exits_2(self, tmp_path):
         assert run_cli("run", "--instance", STANDARD, "--out", str(tmp_path / "o"),

@@ -376,10 +376,14 @@ def _twins(bit_generator, seed=2024):
     return tuple(np.random.Generator(bit_generator(seed)) for _ in range(2))
 
 
-@pytest.mark.parametrize("n", DRAW_SIZES)
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_draw_index_equals_numpy_integers(bit_generator, n):
+def _single_draws(rng):
+    """``draw_index`` as a drawer: one bound drawer per draw."""
+    return lambda n: kernels.draw_index(rng, n)
+
+
+def _equals_numpy_integers(drawers, bit_generator, n):
     ours, twin = _twins(bit_generator)
+    draw = drawers(ours)
     for i in range(200):
         # doubles come from 64-bit outputs, permutations partly from the buffered 32-bit half
         # (has_uint32, uinteger) that the index draws also use
@@ -389,18 +393,18 @@ def test_draw_index_equals_numpy_integers(bit_generator, n):
             assert ours.random(3).tolist() == twin.random(3).tolist()
         if i % 11 == 3:
             assert ours.permutation(5).tolist() == twin.permutation(5).tolist()
-        k = kernels.draw_index(ours, n)
+        k = draw(n)
         assert type(k) is int
         assert k == int(twin.integers(n))
         assert _same_state(ours.bit_generator.state, twin.bit_generator.state)
 
 
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_draw_index_redraws_like_numpy(bit_generator):
+def _redraws_like_numpy(drawers, bit_generator):
     # count the 32-bit outputs 100 draws at n = 2**31 + 1 take: rejections must really occur
     ours, counter = _twins(bit_generator)
+    draw = drawers(ours)
     for _ in range(100):
-        kernels.draw_index(ours, 2**31 + 1)
+        draw(2**31 + 1)
     c = counter.bit_generator.ctypes
     used = 0
     while not _same_state(counter.bit_generator.state, ours.bit_generator.state):
@@ -410,19 +414,75 @@ def test_draw_index_redraws_like_numpy(bit_generator):
     assert used > 120
 
 
-@pytest.mark.parametrize("n", (2**32, 2**32 + 1, 3 * 2**40, 2**63 - 1, np.int64(5), np.uint32(7)))
-def test_draw_index_beyond_32_bits_or_not_an_int_is_numpy(n):
+def _beyond_32_bits_or_not_an_int_is_numpy(drawers, n):
     ours, twin = _twins(np.random.PCG64)
+    draw = drawers(ours)
     for _ in range(20):
-        assert kernels.draw_index(ours, n) == int(twin.integers(n))
+        assert draw(n) == int(twin.integers(n))
     assert _same_state(ours.bit_generator.state, twin.bit_generator.state)
 
 
-@pytest.mark.parametrize("n", (0, -1, -(2**40), 2**64))
-def test_draw_index_raises_as_numpy(n):
+def _raises_as_numpy(drawers, n):
     ours, twin = _twins(np.random.PCG64)
+    draw = drawers(ours)
     with pytest.raises(ValueError) as ours_error:
-        kernels.draw_index(ours, n)
+        draw(n)
     with pytest.raises(ValueError) as numpy_error:
         twin.integers(n)
     assert str(ours_error.value) == str(numpy_error.value)
+
+
+WIDE_SIZES = (2**32, 2**32 + 1, 3 * 2**40, 2**63 - 1, np.int64(5), np.uint32(7))
+BAD_SIZES = (0, -1, -(2**40), 2**64)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_draw_index_equals_numpy_integers(bit_generator, n):
+    _equals_numpy_integers(_single_draws, bit_generator, n)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_draw_index_redraws_like_numpy(bit_generator):
+    _redraws_like_numpy(_single_draws, bit_generator)
+
+
+@pytest.mark.parametrize("n", WIDE_SIZES)
+def test_draw_index_beyond_32_bits_or_not_an_int_is_numpy(n):
+    _beyond_32_bits_or_not_an_int_is_numpy(_single_draws, n)
+
+
+@pytest.mark.parametrize("n", BAD_SIZES)
+def test_draw_index_raises_as_numpy(n):
+    _raises_as_numpy(_single_draws, n)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_draws_equals_numpy_integers(bit_generator, n):
+    _equals_numpy_integers(kernels.index_draws, bit_generator, n)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_draws_redraws_like_numpy(bit_generator):
+    _redraws_like_numpy(kernels.index_draws, bit_generator)
+
+
+@pytest.mark.parametrize("n", WIDE_SIZES)
+def test_index_draws_beyond_32_bits_or_not_an_int_is_numpy(n):
+    _beyond_32_bits_or_not_an_int_is_numpy(kernels.index_draws, n)
+
+
+@pytest.mark.parametrize("n", BAD_SIZES)
+def test_index_draws_raises_as_numpy(n):
+    _raises_as_numpy(kernels.index_draws, n)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_draws_keeps_its_generator_alive(bit_generator):
+    # the drawer holds the only reference to its generator; the state address it draws from must stay valid
+    draw = kernels.index_draws(np.random.Generator(bit_generator(2024)))
+    gc.collect()
+    twins = [np.random.Generator(bit_generator(2024)) for _ in range(20)]  # they would take a freed state's memory
+    sizes = [*range(1, 9), 2**31 + 1, 2**32 - 1] * 5
+    assert [draw(n) for n in sizes] == [int(twins[-1].integers(n)) for n in sizes]

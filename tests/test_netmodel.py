@@ -1055,17 +1055,28 @@ def test_synthetic_net_text_rejects_more_links_than_mrs():
     assert parse_instance(synthetic_net_text(6, 6, 6, 0)).compiled.radices == (6,) * 6
 
 
-def _numpy_draw(rng, n):
-    return int(rng.integers(n))
-
-
 class TestDrawIndexKeepsTheDraws:
-    """Operators and runs are the same with ``kernels.draw_index`` as with the numpy call it reproduces."""
+    """Operators and runs are the same with ``kernels.index_draws`` as with the numpy call it reproduces."""
 
     @staticmethod
     def use_numpy_draws(monkeypatch):
-        monkeypatch.setattr(kernels, "draw_index", _numpy_draw)
-        monkeypatch.setattr(engine, "draw_index", _numpy_draw)
+        """Put one ``int(rng.integers(n))`` per index in place of the drawer in ``kernels`` and ``engine``.
+
+        Returns the list of the substitute's draws: a draw that does not go
+        through the patched drawer is not counted, and an empty list means
+        the comparison ran our drawer against itself.
+        """
+        calls = []
+
+        def numpy_draws(rng):
+            def draw(n):
+                calls.append(n)
+                return int(rng.integers(n))
+            return draw
+
+        monkeypatch.setattr(kernels, "index_draws", numpy_draws)
+        monkeypatch.setattr(engine, "index_draws", numpy_draws)
+        return calls
 
     @staticmethod
     def operator_chain(inst, seed):
@@ -1092,8 +1103,11 @@ class TestDrawIndexKeepsTheDraws:
             # only the up links reach the access router: attachment stalls and takes shortest-path links
             (layered_net_text(8, 10, 8, seed=1), True),
             (layered_net_text(6, 4, 6, seed=2), True),
+            # two MRs a level, so many stall, and the deepest at d* == MAXDEPTH: a stalled MR there must
+            # not read as settled at its d*, or it keeps a link that is no forest
+            (layered_net_text(5, 2, 5, seed=5), True),
         ],
-        ids=["synthetic40", "synthetic200", "layered80", "layered24"],
+        ids=["synthetic40", "synthetic200", "layered80", "layered24", "layered10_at_maxdepth"],
     )
     def test_operators(self, monkeypatch, text, stalls):
         inst = parse_instance(text)
@@ -1106,10 +1120,14 @@ class TestDrawIndexKeepsTheDraws:
 
         monkeypatch.setattr(netmodel, "_check_feasible", counting)
         ours = [self.operator_chain(inst, seed) for seed in range(3)]
-        self.use_numpy_draws(monkeypatch)
+        numpy_draws = self.use_numpy_draws(monkeypatch)
         assert ours == [self.operator_chain(inst, seed) for seed in range(3)]
+        assert len(numpy_draws) > 0
         assert all(terms is not None for chain, _state in ours for _choices, terms in chain)
+        assert all(invalid_reason(inst, RouteAssignment(choices)) is None for chain, _state in ours for choices, _terms in chain)
         assert bool(stalled) == stalls
+        if stalls:
+            assert max(inst.compiled.min_depth) == inst.max_depth
 
     @pytest.mark.parametrize(
         "text", [synthetic_net_text(12, 4, 4, seed=3), layered_net_text(6, 4, 6, seed=2)], ids=["synthetic12", "layered24"]
@@ -1143,8 +1161,9 @@ class TestDrawIndexKeepsTheDraws:
 
         ours = run()
         immigrant_batches = len(batches)
-        self.use_numpy_draws(monkeypatch)
+        numpy_draws = self.use_numpy_draws(monkeypatch)
         assert ours == run()
+        assert len(numpy_draws) > 0
         # both selection operators ran, and immigration did
         assert min(ours[3]["SEL"]["trials"]) > 0
         assert immigrant_batches > 0
