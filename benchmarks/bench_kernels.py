@@ -38,8 +38,8 @@ both give the same objectives. The
 genotypes the operator rows start from are evaluated in one batch first, so
 they carry their terms, as in a run. Index draws are timed over 10000
 draws: one ``kernels.index_draws`` drawer bound for all of them, as the
-operators bind one per call, beside ``kernels.draw_index``, which binds
-a drawer per draw, and the numpy call whose draws both reproduce,
+operators bind one per call, beside ``kernels.index_draws(rng)`` bound
+anew for each draw, and the numpy call whose draws both reproduce,
 ``int(rng.integers(n))``, after a check that all three give the same
 sequence. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
@@ -312,18 +312,18 @@ def main() -> None:
         return [draw(n) for n in sizes]
 
     def single_draws(rng):
-        return lambda n: kernels.draw_index(rng, n)
+        return lambda n: kernels.index_draws(rng)(n)
 
     def numpy_draws(rng):
         return lambda n: int(rng.integers(n))
 
     if not draw_all(kernels.index_draws) == draw_all(single_draws) == draw_all(numpy_draws):
-        raise AssertionError("index_draws, draw_index and int(rng.integers(n)) disagree")
+        raise AssertionError("one drawer, a drawer per draw and int(rng.integers(n)) disagree")
     t_bound = best_of(lambda: draw_all(kernels.index_draws), args.repeats)
     t_single = best_of(lambda: draw_all(single_draws), args.repeats)
     t_numpy = best_of(lambda: draw_all(numpy_draws), args.repeats)
     print(f"index_draws, one drawer x10000 {t_bound * 1e3:>8.2f}ms")
-    print(f"draw_index x10000              {t_single * 1e3:>8.2f}ms  ({t_single / t_bound:.1f}x)")
+    print(f"a drawer per draw x10000       {t_single * 1e3:>8.2f}ms  ({t_single / t_bound:.1f}x)")
     print(f"int(rng.integers(n)) x10000    {t_numpy * 1e3:>8.2f}ms  ({t_numpy / t_bound:.1f}x)")
 
     # delta scoring: one term walk per genotype, then only the moved subtree per neighbor;

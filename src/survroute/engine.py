@@ -1,10 +1,11 @@
 """Memetic optimization loop: selection, variation, local search, replacement,
 archive update, and stagnation-triggered random immigrants.
 
-Selection, variation, local search and replacement each pick their operator
-from a success-driven scheduler pool (``POOL_OPERATORS``); the archive update
-has one truncation, ``archive.reduce``, and immigration one operator, fresh
-random genotypes (``random_immigrants``). The run is fully deterministic
+Selection, variation and replacement each pick their operator from a
+success-driven scheduler pool (``POOL_OPERATORS``); local search has one
+operator, Pareto descent (``local_search``), the archive update one
+truncation, ``archive.reduce``, and immigration one operator, fresh random
+genotypes (``random_immigrants``). The run is fully deterministic
 for a given seed: one PRNG is threaded through the pipeline in a fixed draw
 order (see ``run``).
 """
@@ -35,13 +36,11 @@ from .scheduler import OperatorPool, choose, probabilities, report
 
 SELECTION_OPERATORS = ("tournament", "uniform")
 VARIATION_OPERATORS = ("mutate", "crossover")
-LOCAL_SEARCH_OPERATORS = ("chebyshev", "pareto_step")
 REPLACEMENT_OPERATORS = ("elitist", "generational_elite1")
 
 POOL_OPERATORS = {
     "SEL": SELECTION_OPERATORS,
     "VAR": VARIATION_OPERATORS,
-    "LS": LOCAL_SEARCH_OPERATORS,
     "REP": REPLACEMENT_OPERATORS,
 }
 
@@ -201,43 +200,22 @@ def vary(
     return list(zip(children, evaluator.evaluate_many(children)))
 
 
-def _simplex_weights(rng) -> tuple[float, float]:
-    # exponential trick; two uniform draws, strictly positive components
-    w1 = max(-math.log(1.0 - rng.random()), 1e-12)
-    w2 = max(-math.log(1.0 - rng.random()), 1e-12)
-    total = w1 + w2
-    return w1 / total, w2 / total
-
-
 def local_search(
     offspring: Sequence[tuple[Any, ObjectiveVector]],
     problem: Problem,
-    operator: str,
     budget: int,
-    rng,
     evaluator: Evaluator,
 ) -> list[CandidateSolution]:
-    """Improve each (genotype, objectives) pair by a first-improvement walk over the problem neighborhood.
+    """Pareto descent from each (genotype, objectives) pair over the problem neighborhood.
 
-    chebyshev: descend max_i(w_i * z_i) for a per-individual random simplex
-    weight w (strictly positive, so an accepted move can never be dominated
-    by the walk's starting point). pareto_step: accept the first neighbor
-    that Pareto-dominates the current point. ``budget`` caps neighbor
-    evaluations per individual; the run budget gates each evaluation too.
-    Returns one solution per pair, where its walk ended, keyed once; a
-    neighbor that is scored and dropped builds no key.
+    Each walk moves to the first neighbor that Pareto-dominates its current
+    point, until no neighbor does. ``budget`` caps neighbor evaluations per
+    individual; the run budget gates each evaluation too. Returns one
+    solution per pair, where its walk ended, keyed once; a neighbor that is
+    scored and dropped builds no key.
     """
-    if operator not in LOCAL_SEARCH_OPERATORS:
-        raise ConfigError(f"unknown local-search operator {operator!r}")
     out = []
     for genotype, objectives in offspring:
-        if operator == "chebyshev":
-            w1, w2 = _simplex_weights(rng)
-
-            def score(values: tuple[float, ...]) -> float:
-                return max(w1 * values[0], w2 * values[1])
-
-            current_score = score(objectives.values)
         used = 0
         improved = True
         while improved and used < budget and evaluator.remaining > 0:
@@ -245,13 +223,7 @@ def local_search(
             for g, known in problem.neighborhood(genotype):
                 cand = evaluator.evaluate(g, known)
                 used += 1
-                if operator == "chebyshev":
-                    cand_score = score(cand.values)
-                    if cand_score < current_score:
-                        genotype, objectives, current_score = g, cand, cand_score
-                        improved = True
-                        break
-                elif dominates(cand, objectives) is Dominance.DOMINATES:
+                if dominates(cand, objectives) is Dominance.DOMINATES:
                     genotype, objectives = g, cand
                     improved = True
                     break
@@ -348,26 +320,25 @@ def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
 def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     """Optimize until the evaluation budget is exhausted; returns the final archive.
 
-    Ranking, the archive, local-search weights and the hypervolume are all
+    Ranking, dominance, the archive and the hypervolume are all
     two-objective: ``evaluate`` returns an ``ObjectiveVector``, which holds
     exactly two components. The seed is ``params.seed``.
 
     Structure: an outer loop of inner passes; each inner iteration runs
     SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
-    into the archive, then credits every scheduler pool. When the archive
-    hypervolume stalls for ``stagnation_window`` iterations, the inner loop
-    ends and random immigrants refresh the population (each outer pass runs
-    at least one inner iteration, so a zero immigrant fraction cannot wedge
-    the loop).
+    into the archive, then credits each scheduler pool (SEL, VAR, REP). When
+    the archive hypervolume stalls for ``stagnation_window`` iterations, the
+    inner loop ends and random immigrants refresh the population (each outer
+    pass runs at least one inner iteration, so a zero immigrant fraction
+    cannot wedge the loop).
 
     Draw order per inner iteration, from one seeded generator: SEL choose
     (1 draw), selection (1-2 index draws per parent), VAR choose, variation
-    operator draws, LS choose, local-search draws (simplex weights for
-    chebyshev), REP choose. Immigration adds the draws of each immigrant's
-    random genotype, and chooses nothing. This order is part of the
-    reproducibility contract.
+    operator draws, REP choose; local search draws nothing. Immigration adds
+    the draws of each immigrant's random genotype, and chooses nothing. This
+    order is part of the reproducibility contract.
 
-    Credit: SEL/VAR/LS score one outcome per offspring (accepted into the
+    Credit: SEL and VAR score one outcome per offspring (accepted into the
     archive or not), reported to each pool as one batch per iteration; REP
     scores whether the population's archive-nondominated fraction strictly
     improved.
@@ -406,10 +377,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
             parents = select_from(pop, arch, sel_op, params.offspring_size, rng)
             var_op = choose(pools["VAR"], rng)
             offspring = vary(parents, problem, var_op, rng, evaluator)
-            ls_op = choose(pools["LS"], rng)
-            offspring = local_search(
-                offspring, problem, ls_op, params.local_search_budget, rng, evaluator
-            )
+            offspring = local_search(offspring, problem, params.local_search_budget, evaluator)
             rep_op = choose(pools["REP"], rng)
             new_pop = replace(pop, offspring, rep_op)
             accepted = []
@@ -420,7 +388,6 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
 
             note("SEL", sel_op, *accepted)
             note("VAR", var_op, *accepted)
-            note("LS", ls_op, *accepted)
             note("REP", rep_op, _nondominated_fraction(new_pop, arch) > _nondominated_fraction(pop, arch))
 
             pop = new_pop

@@ -38,8 +38,7 @@ a generator's 32-bit output function once and returns a drawer that runs
 numpy's bounded-integer algorithm (Lemire's) on those outputs, so each draw
 returns what numpy's ``Generator.integers(n)`` returns and leaves the
 generator in the same state, without numpy's per-call cost. Each operator
-binds one drawer per call and draws from it; ``draw_index`` is a single
-draw through a drawer of its own.
+binds one drawer per call and draws from it.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -90,11 +89,6 @@ def index_draws(rng):
         return int(rng.integers(n))
 
     return draw
-
-
-def draw_index(rng, n):
-    """One index in [0, n) from ``rng``, as ``rng.integers(n)`` gives it: ``index_draws(rng)(n)``, for a single draw."""
-    return index_draws(rng)(n)
 
 
 def eval_route(choices, tables):

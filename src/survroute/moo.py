@@ -115,7 +115,7 @@ class Problem:
     def crossover(self, a, b, rng):
         raise NotImplementedError
 
-    # local-move neighborhood (LS pools walk this in the returned order)
+    # local-move neighborhood (local search walks this in the returned order)
     def neighborhood(self, genotype) -> Iterable[tuple[Any, ObjectiveVector]]:
         """Valid neighbors of ``genotype`` as ``(neighbor, objectives)`` pairs, in a fixed order.
 

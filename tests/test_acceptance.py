@@ -225,9 +225,8 @@ def test_criterion_7_operator_closure(stress_instance):
     starts = [evaluator.solution(random_assignment(inst, rng)) for _ in range(100)]
     ls_outputs = 0
     while ls_outputs < 10_000:
-        op = "chebyshev" if ls_outputs % 2 else "pareto_step"
         batch = [starts[int(rng.integers(len(starts)))] for _ in range(100)]
-        for out in local_search([(s.genotype, s.objectives) for s in batch], problem, op, 3, rng, evaluator):
+        for out in local_search([(s.genotype, s.objectives) for s in batch], problem, 3, evaluator):
             invalid += invalid_reason(inst, out.genotype) is not None
             ls_outputs += 1
 

@@ -1,7 +1,5 @@
 """Pipeline stages and full runs: determinism, budget accounting, oracle recovery."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +8,10 @@ from scipy import stats as scipy_stats
 from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, nondom, survival_order
 from survroute.engine import (
-    LOCAL_SEARCH_OPERATORS,
     POOL_OPERATORS,
     Evaluator,
     RunParams,
     _nondominated_fraction,
-    _simplex_weights,
     initialize,
     local_search,
     random_immigrants,
@@ -203,18 +199,16 @@ class TestLocalSearch:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
         sols = [evaluator.solution(problem.random_genotype(rng)) for _ in range(5)]
-        for op in ("chebyshev", "pareto_step"):
-            out = local_search(pairs(sols), problem, op, 0, rng, evaluator)
-            assert out == sols
-            assert [s.genotype for s in out] == [s.genotype for s in sols]
+        out = local_search(pairs(sols), problem, 0, evaluator)
+        assert out == sols
+        assert [s.genotype for s in out] == [s.genotype for s in sols]
 
     def test_pareto_front_point_is_fixed(self, standard_instance):
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
-        rng = np.random.default_rng(1)
         witness = brute_force_pareto(standard_instance)[0][1]
         start = evaluator.solution(witness)
-        out = local_search(pairs([start]), problem, "pareto_step", 50, rng, evaluator)
+        out = local_search(pairs([start]), problem, 50, evaluator)
         assert out[0].genotype == witness
 
     def test_pareto_step_output_dominates_or_equals_start(self, standard_instance):
@@ -224,20 +218,11 @@ class TestLocalSearch:
         # worst assignment by both objectives among valid ones
         starts = [evaluator.solution(problem.random_genotype(rng)) for _ in range(50)]
         for start in starts:
-            out = local_search(pairs([start]), problem, "pareto_step", 30, rng, evaluator)[0]
+            out = local_search(pairs([start]), problem, 30, evaluator)[0]
             assert dominates(out.objectives, start.objectives) in (
                 Dominance.DOMINATES,
                 Dominance.EQUAL,
             )
-
-    def test_chebyshev_never_dominated_by_start(self, standard_instance):
-        problem = RouteProblem(standard_instance)
-        evaluator = Evaluator(problem)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            start = evaluator.solution(problem.random_genotype(rng))
-            out = local_search(pairs([start]), problem, "chebyshev", 30, rng, evaluator)[0]
-            assert dominates(out.objectives, start.objectives) is not Dominance.DOMINATED_BY
 
     def test_respects_global_budget_gate(self, standard_instance):
         problem = RouteProblem(standard_instance)
@@ -245,7 +230,7 @@ class TestLocalSearch:
         evaluator.count = 0
         rng = np.random.default_rng(4)
         start = Evaluator(problem).solution(problem.random_genotype(rng))
-        local_search(pairs([start, start]), problem, "pareto_step", 100, rng, evaluator)
+        local_search(pairs([start, start]), problem, 100, evaluator)
         assert evaluator.count <= 3
 
 
@@ -262,13 +247,11 @@ def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeyp
         return result
 
     monkeypatch.setattr(kernels, "eval_route", counting_eval_route)
-    for op in LOCAL_SEARCH_OPERATORS:
-        evaluator = Evaluator(problem)
-        walks[True] = walks[False] = 0
-        local_search(pairs(starts), problem, op, 20, np.random.default_rng(6), evaluator)
-        assert evaluator.count > 0
-        # each walk is either a neighbor that was evaluated or an invalid one that was skipped
-        assert walks[True] + walks[False] <= evaluator.count + walks[False]
+    evaluator = Evaluator(problem)
+    local_search(pairs(starts), problem, 20, evaluator)
+    assert evaluator.count > 0
+    # each walk is either a neighbor that was evaluated or an invalid one that was skipped
+    assert walks[True] + walks[False] <= evaluator.count + walks[False]
 
 
 def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
@@ -282,36 +265,22 @@ def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
 
     problem.genotype_key = counting_key
     rng = np.random.default_rng(7)
-    for op in LOCAL_SEARCH_OPERATORS:
-        starts = [problem.random_genotype(rng) for _ in range(8)]
-        offspring = vary([CandidateSolution(g, problem.evaluate(g), "") for g in starts], problem, "mutate", rng,
-                         Evaluator(problem))
-        assert keyed == []  # variation builds no key
-        evaluator = Evaluator(problem)
-        out = local_search(offspring, problem, op, 3, rng, evaluator)
-        assert evaluator.count > len(out)  # candidates were scored and dropped
-        moved = [s for s, (g, _objectives) in zip(out, offspring) if s.genotype is not g]
-        assert 0 < len(moved) < len(out)
-        # one key per output, moved or not, built once; a dropped neighbor builds none
-        assert keyed == [s.genotype for s in out]
-        for s, (g, objectives) in zip(out, offspring):
-            if s.genotype is g:
-                assert s.objectives is objectives  # a walk that did not move keeps its pair
-            assert s.genotype_key == build_key(s.genotype)
-            assert s.objectives.values == problem.evaluate(s.genotype).values
-        keyed.clear()
-
-
-def test_simplex_weights_match_numpy_form():
-    # the weights and the draws they consume are those of the numpy form they replace
-    for seed in range(2000):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        raw = np.array([-math.log(1.0 - ref_rng.random()) for _ in range(2)])
-        raw = np.maximum(raw, 1e-12)
-        expected = raw / raw.sum()
-        w = _simplex_weights(rng)
-        assert [x.hex() for x in w] == [float(x).hex() for x in expected]
-        assert rng.random() == ref_rng.random()
+    starts = [problem.random_genotype(rng) for _ in range(8)]
+    offspring = vary([CandidateSolution(g, problem.evaluate(g), "") for g in starts], problem, "mutate", rng,
+                     Evaluator(problem))
+    assert keyed == []  # variation builds no key
+    evaluator = Evaluator(problem)
+    out = local_search(offspring, problem, 10, evaluator)
+    assert evaluator.count > len(out)  # candidates were scored and dropped
+    moved = [s for s, (g, _objectives) in zip(out, offspring) if s.genotype is not g]
+    assert 0 < len(moved) < len(out)
+    # one key per output, moved or not, built once; a dropped neighbor builds none
+    assert keyed == [s.genotype for s in out]
+    for s, (g, objectives) in zip(out, offspring):
+        if s.genotype is g:
+            assert s.objectives is objectives  # a walk that did not move keeps its pair
+        assert s.genotype_key == build_key(s.genotype)
+        assert s.objectives.values == problem.evaluate(s.genotype).values
 
 
 grid = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -532,13 +501,13 @@ class TestRun:
     def test_scheduler_stats_consistent(self, standard_instance):
         problem = RouteProblem(standard_instance)
         result = run(problem, RunParams(population_size=10, offspring_size=10, evaluation_budget=1500, seed=8))
-        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "LS", "REP"}
+        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "REP"}
         for kind, entry in result.scheduler_stats.items():
             assert entry["operators"] == list(POOL_OPERATORS[kind])
             assert len(entry["operators"]) == 2
             assert abs(sum(entry["probabilities"]) - 1.0) < 1e-9
             assert all(t >= s for t, s in zip(entry["trials"], entry["successes"]))
-        # SEL/VAR/LS each get one report per offspring per iteration
+        # SEL and VAR each get one report per offspring per iteration
         sel_trials = sum(result.scheduler_stats["SEL"]["trials"])
         var_trials = sum(result.scheduler_stats["VAR"]["trials"])
         assert sel_trials == var_trials

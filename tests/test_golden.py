@@ -10,7 +10,6 @@ A deliberate change of results must update these values and say why.
 """
 
 import hashlib
-import json
 
 import pytest
 
@@ -40,34 +39,35 @@ CASES = {
 }
 GOLDEN = {
     "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
-    "stress_5mr": "05eca8fc89c5464bbbd8ff902da0e0f4cf9fd10e",
-    "synthetic_40mr": "618c9c89bdc2bf00779839b8b0ec4e7111b850b1",
+    "stress_5mr": "6694ce4efcad78467ec6ed006fff3564b5e47980",
+    "synthetic_40mr": "8609174830706d676d3e63257262d5cec4bc4399",
     "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
-    "200mr_without_local_search": "c7cd660b0e5ce051cc6224eb59c8f6209aaacff4",
+    "200mr_without_local_search": "6f448752996af60e8d191c5735daf23689c3b10d",
+    "small_archive_with_immigration": "c536f13acded22d96eb7c05dc5c5aa8d757f34cd",
+}
+
+# The results of the engine that chose its local search from a pool, LS (a Chebyshev walk or
+# Pareto descent), with one draw right after variation, when that pool always returned Pareto
+# descent, the one local search left.
+WITH_LS_DRAW = {
+    "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
+    "stress_5mr": "8d59da2f551592fdb9d4611e408c053379d36669",
+    "synthetic_40mr": "8609174830706d676d3e63257262d5cec4bc4399",
+    "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
+    "200mr_without_local_search": "ea69597d9e7c2834112a62be6b663e74f3c78637",
     "small_archive_with_immigration": "c536f13acded22d96eb7c05dc5c5aa8d757f34cd",
 }
 
 # The results of the engine that chose its archive truncation from a sixth pool, RED, with one
 # more draw right after the REP choice. Its two truncations removed the same member, since an
-# insert overflows the archive by at most one, so that draw was the only difference. Those cases
-# make no immigrants; the six-pool run of the case that does chose heavy mutation, now deleted.
+# insert overflows the archive by at most one, so that draw was the only difference. That engine
+# also drew an LS choice, which could pick the deleted Chebyshev walk; only the cases whose
+# front does not depend on it can be reproduced. The case that makes immigrants is left out: its
+# six-pool run chose heavy mutation, now deleted.
 WITH_RED_DRAW = {
     "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
-    "stress_5mr": "1d95d5c42a8551db42ebb0ed50994be92fb1a604",
-    "synthetic_40mr": "3b8d331e7435727bf6e615dfb68ebded47bce1f1",
     "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
-    "200mr_without_local_search": "203363065ac6798c4c91690da826fc4153dec94f",
 }
-
-# The results of the engine that chose immigration from a pool, IMM (fresh random or heavy
-# mutation), with one draw before each batch, when that pool always returned fresh random:
-# the front's sha1, and the sha1 of summary.json (sorted-key JSON) without "wall_clock_seconds",
-# "instance" (checked on its own) and the IMM pool's scheduler entry.
-WITH_IMM_DRAW = (
-    "small_archive_with_immigration",
-    "1e2de941042a83c6c3c306f5282dc76e70620e59",
-    "0926929622a2c0c80ba99cfc8bbcb56dbf9526d2",
-)
 
 
 def _run(case, tmp_path):
@@ -104,10 +104,32 @@ def test_front_hash_small_archive_with_immigration(tmp_path):
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
 
 
+def _draw_after_vary(monkeypatch):
+    """Put one draw back right after each variation, where the LS choice drew."""
+    vary = engine.vary
+
+    def vary_then_draw(parents, problem, operator, rng, evaluator):
+        offspring = vary(parents, problem, operator, rng, evaluator)
+        rng.random()
+        return offspring
+
+    monkeypatch.setattr(engine, "vary", vary_then_draw)
+
+
+@pytest.mark.parametrize("case", sorted(WITH_LS_DRAW))
+def test_ls_draw_restores_the_pareto_step_results(case, tmp_path, monkeypatch):
+    # with the LS choice's draw put back before each local search, every front is that of the
+    # pooled engine choosing Pareto descent: deleting the pool changed the random stream only
+    _draw_after_vary(monkeypatch)
+    _path, out = _run(case, tmp_path)
+    assert _sha1(out / "front.csv") == WITH_LS_DRAW[case]
+
+
 @pytest.mark.parametrize("case", sorted(WITH_RED_DRAW))
 def test_red_draw_restores_the_six_pool_results(case, tmp_path, monkeypatch):
-    # with the RED choice's draw put back after each REP choice, every front is that of
-    # the six-pool engine: deleting RED changed the random stream only
+    # with the LS choice's draw and the RED choice's draw after each REP choice put back, these
+    # fronts are those of the six-pool engine: deleting RED changed the random stream only
+    _draw_after_vary(monkeypatch)
     choose = engine.choose
 
     def choose_then_draw(pool, rng):
@@ -119,28 +141,3 @@ def test_red_draw_restores_the_six_pool_results(case, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "choose", choose_then_draw)
     _path, out = _run(case, tmp_path)
     assert _sha1(out / "front.csv") == WITH_RED_DRAW[case]
-
-
-def test_imm_draw_restores_fresh_random_results(tmp_path, monkeypatch):
-    # with the IMM choice's draw put back before each immigrant batch, the front and the
-    # summary are those of the pooled engine choosing fresh random: deleting the pool and
-    # heavy mutation changed the random stream only
-    case, front_sha1, summary_sha1 = WITH_IMM_DRAW
-    random_immigrants = engine.random_immigrants
-    batches = []  # one entry per immigrant batch
-
-    def draw_then_immigrants(pop, problem, fraction, rng, evaluator, max_new=None):
-        rng.random()
-        batches.append(None)
-        return random_immigrants(pop, problem, fraction, rng, evaluator, max_new)
-
-    monkeypatch.setattr(engine, "random_immigrants", draw_then_immigrants)
-    path, out = _run(case, tmp_path)
-    assert batches  # the case makes immigrants
-    assert _sha1(out / "front.csv") == front_sha1
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    assert summary.pop("instance") == str(path)
-    del summary["wall_clock_seconds"]
-    assert sorted(summary["scheduler"]) == ["LS", "REP", "SEL", "VAR"]
-    digest = hashlib.sha1(json.dumps(summary, sort_keys=True).encode()).hexdigest()
-    assert digest == summary_sha1

@@ -377,8 +377,8 @@ def _twins(bit_generator, seed=2024):
 
 
 def _single_draws(rng):
-    """``draw_index`` as a drawer: one bound drawer per draw."""
-    return lambda n: kernels.draw_index(rng, n)
+    """A drawer that binds ``kernels.index_draws(rng)`` anew for each draw."""
+    return lambda n: kernels.index_draws(rng)(n)
 
 
 def _equals_numpy_integers(drawers, bit_generator, n):
@@ -436,6 +436,7 @@ WIDE_SIZES = (2**32, 2**32 + 1, 3 * 2**40, 2**63 - 1, np.int64(5), np.uint32(7))
 BAD_SIZES = (0, -1, -(2**40), 2**64)
 
 
+# "draw_index": one index draw through a drawer of its own, bound for that draw only
 @pytest.mark.parametrize("n", DRAW_SIZES)
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
 def test_draw_index_equals_numpy_integers(bit_generator, n):

@@ -863,7 +863,7 @@ def family_instance(data):
 
 def uniform_choices(inst, rng):
     """Choices drawn uniformly per MR: often a cycle, or a path longer than MAXDEPTH."""
-    return tuple(kernels.draw_index(rng, r) for r in inst.compiled.radices)
+    return tuple(kernels.index_draws(rng)(r) for r in inst.compiled.radices)
 
 
 def outcome(evaluate_all):

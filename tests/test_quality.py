@@ -43,18 +43,18 @@ SETTINGS = {
 }
 # (setting, instance, run seed) -> (exact_hv_ratio, exact_front_recall)
 GOLDEN = {
-    ("default_10000", "8x5", 1): (0.9961166076639347, 0.8666666666666667),
-    ("default_10000", "8x5", 2): (0.993804853008924, 0.8666666666666667),
-    ("default_10000", "10x4", 1): (0.9313963196746728, 0.56),
-    ("default_10000", "10x4", 2): (0.9395648098465781, 0.44),
-    ("default_10000", "12x3", 1): (0.9745978419250062, 0.5555555555555556),
-    ("default_10000", "12x3", 2): (0.9815692116623703, 0.6296296296296297),
-    ("stagnating_5000", "8x5", 1): (1.0, 1.0),
-    ("stagnating_5000", "8x5", 2): (0.9934903251890549, 0.7333333333333333),
-    ("stagnating_5000", "10x4", 1): (0.9464598408611175, 0.68),
-    ("stagnating_5000", "10x4", 2): (0.970045462834522, 0.76),
-    ("stagnating_5000", "12x3", 1): (0.9978809435938626, 0.9259259259259259),
-    ("stagnating_5000", "12x3", 2): (0.997713534843031, 0.9259259259259259),
+    ("default_10000", "8x5", 1): (0.9937175760735631, 0.8),
+    ("default_10000", "8x5", 2): (0.9716041336258903, 0.5333333333333333),
+    ("default_10000", "10x4", 1): (0.9409918104796177, 0.68),
+    ("default_10000", "10x4", 2): (0.9322093823342263, 0.56),
+    ("default_10000", "12x3", 1): (0.9684416829892456, 0.5925925925925926),
+    ("default_10000", "12x3", 2): (0.9825109079715169, 0.5555555555555556),
+    ("stagnating_5000", "8x5", 1): (0.996550667594933, 0.8),
+    ("stagnating_5000", "8x5", 2): (1.0, 1.0),
+    ("stagnating_5000", "10x4", 1): (0.9979571027723646, 0.96),
+    ("stagnating_5000", "10x4", 2): (0.9902426959921067, 0.84),
+    ("stagnating_5000", "12x3", 1): (0.9996746559548589, 0.9629629629629629),
+    ("stagnating_5000", "12x3", 2): (0.9926956486384504, 0.8518518518518519),
 }
 
 
