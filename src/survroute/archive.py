@@ -117,15 +117,6 @@ def insert(archive: NondominatedArchive, s: CandidateSolution) -> tuple[Nondomin
     return out, True
 
 
-def count_dominated(archive: NondominatedArchive, solutions: Iterable[CandidateSolution]) -> int:
-    """How many of ``solutions`` some archive member dominates (``insert``'s staircase test)."""
-    members = archive.members
-    z1s = [m.objectives.values[0] for m in members]
-    return sum(
-        _dominated_at(members, bisect_right(z1s, s.objectives.values[0]), s.objectives.values) for s in solutions
-    )
-
-
 def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
     """The indices of the z1 minimizer and the z2 minimizer (ties: canonically smallest)."""
     by_z1 = min(range(len(members)), key=lambda k: members[k].sort_key())

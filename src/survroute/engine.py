@@ -1,13 +1,15 @@
 """Memetic optimization loop: selection, variation, local search, replacement,
 archive update, and stagnation-triggered random immigrants.
 
-Selection, variation and replacement each pick their operator from a
-success-driven scheduler pool (``POOL_OPERATORS``); local search has one
-operator, Pareto descent (``local_search``), the archive update one
-truncation, ``archive.reduce``, and immigration one operator, fresh random
-genotypes (``random_immigrants``). The run is fully deterministic
-for a given seed: one PRNG is threaded through the pipeline in a fixed draw
-order (see ``run``).
+Variation picks its operator from a success-driven scheduler pool
+(``POOL_OPERATORS``); every other stage has one operator. Mating and
+survival are those of NSGA-II (Deb et al. 2002): a binary tournament on
+(rank, crowding) (``select_from``) and elitist rank-then-crowding survival
+(``replace``). Local search is Pareto descent (``local_search``), the
+archive update has one truncation (``archive.reduce``), and immigration
+makes fresh random genotypes (``random_immigrants``). The run is fully
+deterministic for a given seed: one PRNG is threaded through the pipeline
+in a fixed draw order (see ``run``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from . import measures
 from .archive import (
     NondominatedArchive,
-    count_dominated,
     insert as archive_insert,
     nondom,
     rank_and_crowding,
@@ -34,15 +35,9 @@ from .measures import ReferencePoint
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
 
-SELECTION_OPERATORS = ("tournament", "uniform")
 VARIATION_OPERATORS = ("mutate", "crossover")
-REPLACEMENT_OPERATORS = ("elitist", "generational_elite1")
 
-POOL_OPERATORS = {
-    "SEL": SELECTION_OPERATORS,
-    "VAR": VARIATION_OPERATORS,
-    "REP": REPLACEMENT_OPERATORS,
-}
+POOL_OPERATORS = {"VAR": VARIATION_OPERATORS}
 
 
 @dataclass(frozen=True)
@@ -130,12 +125,8 @@ class Evaluator:
         batch = self.problem.evaluate_many(genotypes)
         return [self.evaluate(g, objectives) for g, objectives in zip(genotypes, batch, strict=True)]
 
-    def solution(self, genotype) -> CandidateSolution:
-        """Evaluate ``genotype`` (one count) and wrap it with its key."""
-        return CandidateSolution(genotype, self.evaluate(genotype), self.problem.genotype_key(genotype))
-
     def solutions(self, genotypes: Sequence) -> list[CandidateSolution]:
-        """``solution`` of each genotype, evaluated as one batch (``evaluate_many``)."""
+        """Each genotype with its objectives and key, evaluated as one batch (``evaluate_many``)."""
         key = self.problem.genotype_key
         return [CandidateSolution(g, objectives, key(g)) for g, objectives in zip(genotypes, self.evaluate_many(genotypes))]
 
@@ -149,23 +140,18 @@ def initialize(problem: Problem, params: RunParams, rng, evaluator: Evaluator | 
 def select_from(
     pop: Sequence[CandidateSolution],
     arch: NondominatedArchive,
-    operator: str,
     count: int,
     rng,
 ) -> list[CandidateSolution]:
-    """Draw ``count`` parents from population + archive with the given SEL operator.
+    """Draw ``count`` parents from population + archive by binary tournament.
 
-    tournament: two uniform picks per slot, winner by (rank, crowding, key);
-    uniform: one uniform pick per slot.
+    Two uniform picks per slot; the winner is the smaller (rank, -crowding,
+    key) over the union.
     """
     union = list(pop) + list(arch.members)
     if not union:
         raise ConfigError("cannot select from an empty population")
     draw = index_draws(rng)
-    if operator == "uniform":
-        return [union[draw(len(union))] for _ in range(count)]
-    if operator != "tournament":
-        raise ConfigError(f"unknown selection operator {operator!r}")
     ranks, crowd = rank_and_crowding(union)
     keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
     parents = []
@@ -234,37 +220,10 @@ def local_search(
     return out
 
 
-def replace(
-    pop: Sequence[CandidateSolution], offspring: Sequence[CandidateSolution], operator: str
-) -> list[CandidateSolution]:
-    """Survival selection over population + offspring, keeping len(pop) members.
-
-    elitist: nondominated rank then crowding truncation. generational_elite1:
-    the offspring survive (topped up by rank order if undersized), with the
-    union's best-ranked member guaranteed a slot.
-    """
-    n = len(pop)
+def replace(pop: Sequence[CandidateSolution], offspring: Sequence[CandidateSolution]) -> list[CandidateSolution]:
+    """Elitist survival over population + offspring: the len(pop) best by rank, then crowding."""
     union = list(pop) + list(offspring)
-    order = survival_order(union)
-    if operator == "elitist":
-        return [union[i] for i in order[:n]]
-    if operator != "generational_elite1":
-        raise ConfigError(f"unknown replacement operator {operator!r}")
-    chosen = list(range(len(pop), len(union)))[:n]
-    if len(chosen) < n:
-        taken = set(chosen)
-        for i in order:
-            if len(chosen) == n:
-                break
-            if i not in taken:
-                chosen.append(i)
-                taken.add(i)
-    best = order[0]
-    if best not in set(chosen):
-        position = {idx: p for p, idx in enumerate(order)}
-        worst = max(chosen, key=lambda i: position[i])
-        chosen[chosen.index(worst)] = best
-    return [union[i] for i in chosen]
+    return [union[i] for i in survival_order(union)[: len(pop)]]
 
 
 def stagnation(hv_trace: Sequence[float], window: int, tolerance: float) -> bool:
@@ -301,12 +260,6 @@ def random_immigrants(
     return survivors + evaluator.solutions([problem.random_genotype(rng) for _ in range(k)])
 
 
-def _nondominated_fraction(pop: Sequence[CandidateSolution], arch: NondominatedArchive) -> float:
-    if not pop:
-        return 0.0
-    return 1.0 - count_dominated(arch, pop) / len(pop)
-
-
 def _reference_from(pop: Sequence[CandidateSolution]) -> ReferencePoint:
     """Frozen hypervolume reference: 10% beyond the worst value of each objective.
 
@@ -326,22 +279,20 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
 
     Structure: an outer loop of inner passes; each inner iteration runs
     SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
-    into the archive, then credits each scheduler pool (SEL, VAR, REP). When
+    into the archive, then credits the variation pool (VAR). When
     the archive hypervolume stalls for ``stagnation_window`` iterations, the
     inner loop ends and random immigrants refresh the population (each outer
     pass runs at least one inner iteration, so a zero immigrant fraction
     cannot wedge the loop).
 
-    Draw order per inner iteration, from one seeded generator: SEL choose
-    (1 draw), selection (1-2 index draws per parent), VAR choose, variation
-    operator draws, REP choose; local search draws nothing. Immigration adds
-    the draws of each immigrant's random genotype, and chooses nothing. This
+    Draw order per inner iteration, from one seeded generator: selection
+    (two index draws per parent), VAR choose (1 draw), variation operator
+    draws; local search and replacement draw nothing. Immigration adds the
+    draws of each immigrant's random genotype, and chooses nothing. This
     order is part of the reproducibility contract.
 
-    Credit: SEL and VAR score one outcome per offspring (accepted into the
-    archive or not), reported to each pool as one batch per iteration; REP
-    scores whether the population's archive-nondominated fraction strictly
-    improved.
+    Credit: VAR scores one outcome per offspring (accepted into the archive
+    or not), reported to its pool as one batch per iteration.
     """
     params = params or RunParams()
     rng = np.random.default_rng(params.seed)
@@ -373,24 +324,18 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
                 break
             forced = False
 
-            sel_op = choose(pools["SEL"], rng)
-            parents = select_from(pop, arch, sel_op, params.offspring_size, rng)
+            parents = select_from(pop, arch, params.offspring_size, rng)
             var_op = choose(pools["VAR"], rng)
             offspring = vary(parents, problem, var_op, rng, evaluator)
             offspring = local_search(offspring, problem, params.local_search_budget, evaluator)
-            rep_op = choose(pools["REP"], rng)
-            new_pop = replace(pop, offspring, rep_op)
+            pop = replace(pop, offspring)
             accepted = []
             for s in offspring:
                 arch, ok = archive_insert(arch, s)
                 accepted.append(ok)
             hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
 
-            note("SEL", sel_op, *accepted)
             note("VAR", var_op, *accepted)
-            note("REP", rep_op, _nondominated_fraction(new_pop, arch) > _nondominated_fraction(pop, arch))
-
-            pop = new_pop
             trace.append(hv)
 
         if evaluator.remaining > 0 and params.immigrant_fraction > 0:

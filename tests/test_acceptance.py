@@ -222,7 +222,7 @@ def test_criterion_7_operator_closure(stress_instance):
         invalid += invalid_reason(inst, child) is not None
 
     evaluator = Evaluator(problem)
-    starts = [evaluator.solution(random_assignment(inst, rng)) for _ in range(100)]
+    starts = evaluator.solutions([random_assignment(inst, rng) for _ in range(100)])
     ls_outputs = 0
     while ls_outputs < 10_000:
         batch = [starts[int(rng.integers(len(starts)))] for _ in range(100)]
@@ -230,7 +230,7 @@ def test_criterion_7_operator_closure(stress_instance):
             invalid += invalid_reason(inst, out.genotype) is not None
             ls_outputs += 1
 
-    pop = [evaluator.solution(random_assignment(inst, rng)) for _ in range(10)]
+    pop = evaluator.solutions([random_assignment(inst, rng) for _ in range(10)])
     for _ in range(10_000):
         pop = random_immigrants(pop, problem, 0.3, rng, evaluator)
         invalid += sum(invalid_reason(inst, s.genotype) is not None for s in pop)

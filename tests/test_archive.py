@@ -62,7 +62,7 @@ class TestNondom:
         for choices in itertools.product(*ranges):
             a = RouteAssignment(choices)
             if invalid_reason(standard_instance, a) is None:
-                solutions.append(Evaluator(problem).solution(a))
+                solutions += Evaluator(problem).solutions([a])
         arch = nondom(solutions)
         oracle = {ov.values for ov, _ in brute_force_pareto(standard_instance)}
         assert objective_set(arch) == oracle

@@ -42,7 +42,7 @@ class TestRun:
         }
         assert summary["evaluations"] >= 2000
         assert summary["final_hypervolume"] == summary["hypervolume_trace"][-1]
-        assert sorted(summary["scheduler"]) == ["REP", "SEL", "VAR"]
+        assert sorted(summary["scheduler"]) == ["VAR"]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--instance", STANDARD, "--budget", "1500", "--population", "12",

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy import stats as scipy_stats
 
 from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, nondom, survival_order
@@ -11,7 +9,6 @@ from survroute.engine import (
     POOL_OPERATORS,
     Evaluator,
     RunParams,
-    _nondominated_fraction,
     initialize,
     local_search,
     random_immigrants,
@@ -128,7 +125,7 @@ class TestSelectFrom:
     def test_empty_archive_selects_from_population(self):
         pop = [make_sol(i, 10 - i, key=f"p{i}") for i in range(5)]
         arch = NondominatedArchive(members=())
-        parents = select_from(pop, arch, "uniform", 20, np.random.default_rng(0))
+        parents = select_from(pop, arch, 20, np.random.default_rng(0))
         assert len(parents) == 20
         assert {p.genotype_key for p in parents} <= {p.genotype_key for p in pop}
 
@@ -138,21 +135,10 @@ class TestSelectFrom:
         u = len(pop) + 1
         expected = 1.0 - (1.0 - 1.0 / u) ** 2  # wins whenever it is paired
         n = 10_000
-        parents = select_from(pop, arch, "tournament", n, np.random.default_rng(2))
+        parents = select_from(pop, arch, n, np.random.default_rng(2))
         freq = sum(p.genotype_key == "star" for p in parents) / n
         assert freq == pytest.approx(expected, abs=0.02)
         assert freq >= expected - 0.02
-
-    def test_uniform_is_uniform_chi_square(self):
-        pop = [make_sol(i, 10 - i, key=f"p{i}") for i in range(5)]
-        arch = NondominatedArchive(members=())
-        rng = np.random.default_rng(3)
-        counts = {f"p{i}": 0 for i in range(5)}
-        for _ in range(10_000):
-            for p in select_from(pop, arch, "uniform", 5, rng):
-                counts[p.genotype_key] += 1
-        result = scipy_stats.chisquare(list(counts.values()))
-        assert result.pvalue > 0.001
 
 
 class TestVary:
@@ -160,7 +146,7 @@ class TestVary:
         problem = GridProblem(8, move_prob=0.0)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
-        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(6)]
+        parents = evaluator.solutions([problem.random_genotype(rng) for _ in range(6)])
         offspring = vary(parents, problem, "mutate", rng, evaluator)
         assert [g for g, _objectives in offspring] == [p.genotype for p in parents]
 
@@ -168,7 +154,7 @@ class TestVary:
         problem = GridProblem(8)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(1)
-        twin = evaluator.solution((3, 4))
+        [twin] = evaluator.solutions([(3, 4)])
         offspring = vary([twin, twin], problem, "crossover", rng, evaluator)
         assert offspring == [((3, 4), twin.objectives)] * 2
 
@@ -176,7 +162,7 @@ class TestVary:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(2)
-        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(10)]
+        parents = evaluator.solutions([problem.random_genotype(rng) for _ in range(10)])
         for op in ("mutate", "crossover"):
             for _ in range(100):
                 for child, objectives in vary(parents, problem, op, rng, evaluator):
@@ -187,7 +173,7 @@ class TestVary:
         problem = GridProblem(8)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(3)
-        parents = [evaluator.solution(problem.random_genotype(rng)) for _ in range(7)]
+        parents = evaluator.solutions([problem.random_genotype(rng) for _ in range(7)])
         before = evaluator.count
         vary(parents, problem, "mutate", rng, evaluator)
         assert evaluator.count - before == 7
@@ -198,7 +184,7 @@ class TestLocalSearch:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(0)
-        sols = [evaluator.solution(problem.random_genotype(rng)) for _ in range(5)]
+        sols = evaluator.solutions([problem.random_genotype(rng) for _ in range(5)])
         out = local_search(pairs(sols), problem, 0, evaluator)
         assert out == sols
         assert [s.genotype for s in out] == [s.genotype for s in sols]
@@ -207,7 +193,7 @@ class TestLocalSearch:
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         witness = brute_force_pareto(standard_instance)[0][1]
-        start = evaluator.solution(witness)
+        [start] = evaluator.solutions([witness])
         out = local_search(pairs([start]), problem, 50, evaluator)
         assert out[0].genotype == witness
 
@@ -216,7 +202,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(2)
         # worst assignment by both objectives among valid ones
-        starts = [evaluator.solution(problem.random_genotype(rng)) for _ in range(50)]
+        starts = evaluator.solutions([problem.random_genotype(rng) for _ in range(50)])
         for start in starts:
             out = local_search(pairs([start]), problem, 30, evaluator)[0]
             assert dominates(out.objectives, start.objectives) in (
@@ -229,7 +215,7 @@ class TestLocalSearch:
         evaluator = Evaluator(problem, budget=3)
         evaluator.count = 0
         rng = np.random.default_rng(4)
-        start = Evaluator(problem).solution(problem.random_genotype(rng))
+        [start] = Evaluator(problem).solutions([problem.random_genotype(rng)])
         local_search(pairs([start, start]), problem, 100, evaluator)
         assert evaluator.count <= 3
 
@@ -237,7 +223,7 @@ class TestLocalSearch:
 def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeypatch):
     problem = RouteProblem(synthetic40_instance)
     rng = np.random.default_rng(5)
-    starts = [Evaluator(problem).solution(problem.random_genotype(rng)) for _ in range(4)]
+    starts = Evaluator(problem).solutions([problem.random_genotype(rng) for _ in range(4)])
     walks = {True: 0, False: 0}
     original = kernels.eval_route
 
@@ -283,26 +269,6 @@ def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):
         assert s.objectives.values == problem.evaluate(s.genotype).values
 
 
-grid = st.tuples(st.integers(0, 5), st.integers(0, 5))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(grid, max_size=25), st.lists(grid, max_size=25))
-def test_nondominated_fraction_equals_pairwise_count(pop_points, arch_points):
-    pop = [make_sol(*p, key=f"p{i}") for i, p in enumerate(pop_points)]
-    arch = nondom([make_sol(*p, key=f"a{i}") for i, p in enumerate(arch_points)])
-    if not pop:
-        expected = 0.0
-    elif not arch.members:
-        expected = 1.0
-    else:
-        dominated = sum(
-            any(dominates(a.objectives, s.objectives) is Dominance.DOMINATES for a in arch.members) for s in pop
-        )
-        expected = 1.0 - dominated / len(pop)
-    assert _nondominated_fraction(pop, arch) == expected
-
-
 def _naive_rank(front):
     pts = [s.objectives.values for s in front]
     remaining = set(range(len(pts)))
@@ -330,43 +296,28 @@ class TestReplace:
     def test_elitist_keeps_population_when_offspring_dominated(self):
         pop = [make_sol(i, 4 - i, key=f"p{i}") for i in range(5)]  # mutually nondominated
         offspring = [make_sol(i + 5, 9 - i, key=f"o{i}") for i in range(5)]
-        survivors = replace(pop, offspring, "elitist")
+        survivors = replace(pop, offspring)
         assert {s.genotype_key for s in survivors} == {s.genotype_key for s in pop}
 
     def test_elitist_full_turnover(self):
         pop = [make_sol(i + 5, 9 - i, key=f"p{i}") for i in range(5)]
         offspring = [make_sol(i, 4 - i, key=f"o{i}") for i in range(5)]
-        survivors = replace(pop, offspring, "elitist")
+        survivors = replace(pop, offspring)
         assert {s.genotype_key for s in survivors} == {s.genotype_key for s in offspring}
 
     def test_elitist_survivor_ranks_match_naive_ranking(self, standard_instance):
         problem = RouteProblem(standard_instance)
         evaluator = Evaluator(problem)
         rng = np.random.default_rng(5)
-        pop = [evaluator.solution(problem.random_genotype(rng)) for _ in range(12)]
-        off = [evaluator.solution(problem.random_genotype(rng)) for _ in range(12)]
+        pop = evaluator.solutions([problem.random_genotype(rng) for _ in range(12)])
+        off = evaluator.solutions([problem.random_genotype(rng) for _ in range(12)])
         union = pop + off
         ranks = dict(zip([id(s) for s in union], _naive_rank(union)))
-        survivors = replace(pop, off, "elitist")
+        survivors = replace(pop, off)
         survivor_ids = {id(s) for s in survivors}
         worst_kept = max(ranks[id(s)] for s in survivors)
         best_dropped = min(ranks[id(s)] for s in union if id(s) not in survivor_ids)
         assert worst_kept <= best_dropped
-
-    def test_generational_retains_best(self):
-        pop = [make_sol(0, 0, key="best")] + [make_sol(9, 9, key=f"p{i}") for i in range(4)]
-        offspring = [make_sol(5, 5, key=f"o{i}") for i in range(5)]
-        survivors = replace(pop, offspring, "generational_elite1")
-        keys = {s.genotype_key for s in survivors}
-        assert "best" in keys
-        assert len(survivors) == 5
-
-    def test_generational_tops_up_small_offspring(self):
-        pop = [make_sol(i, 9 - i, key=f"p{i}") for i in range(6)]
-        offspring = [make_sol(3, 3, key="o0")]
-        survivors = replace(pop, offspring, "generational_elite1")
-        assert len(survivors) == 6
-        assert "o0" in {s.genotype_key for s in survivors}
 
 
 class TestStagnation:
@@ -383,7 +334,7 @@ class TestStagnation:
 
 class TestRandomImmigrants:
     def _population(self, problem, evaluator, rng, n):
-        return [evaluator.solution(problem.random_genotype(rng)) for _ in range(n)]
+        return evaluator.solutions([problem.random_genotype(rng) for _ in range(n)])
 
     def test_replaces_exact_ceiling(self, standard_instance):
         problem = RouteProblem(standard_instance)
@@ -501,16 +452,14 @@ class TestRun:
     def test_scheduler_stats_consistent(self, standard_instance):
         problem = RouteProblem(standard_instance)
         result = run(problem, RunParams(population_size=10, offspring_size=10, evaluation_budget=1500, seed=8))
-        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"SEL", "VAR", "REP"}
+        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"VAR"}
         for kind, entry in result.scheduler_stats.items():
             assert entry["operators"] == list(POOL_OPERATORS[kind])
             assert len(entry["operators"]) == 2
             assert abs(sum(entry["probabilities"]) - 1.0) < 1e-9
             assert all(t >= s for t, s in zip(entry["trials"], entry["successes"]))
-        # SEL and VAR each get one report per offspring per iteration
-        sel_trials = sum(result.scheduler_stats["SEL"]["trials"])
-        var_trials = sum(result.scheduler_stats["VAR"]["trials"])
-        assert sel_trials == var_trials
+        # VAR gets one report per offspring per iteration, and each iteration appends one HV
+        assert sum(result.scheduler_stats["VAR"]["trials"]) == 10 * (len(result.hv_trace) - 1)
 
     def test_undeclared_third_objective_is_a_contract_violation(self):
         class ReturnsThree(GridProblem):

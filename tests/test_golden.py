@@ -39,34 +39,24 @@ CASES = {
 }
 GOLDEN = {
     "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
-    "stress_5mr": "6694ce4efcad78467ec6ed006fff3564b5e47980",
-    "synthetic_40mr": "8609174830706d676d3e63257262d5cec4bc4399",
-    "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
-    "200mr_without_local_search": "6f448752996af60e8d191c5735daf23689c3b10d",
-    "small_archive_with_immigration": "c536f13acded22d96eb7c05dc5c5aa8d757f34cd",
+    "stress_5mr": "0ff61869c2bb88b628868e88c702638fe2587d97",
+    "synthetic_40mr": "23659751cfce8e8d5e888cb7573a0d03281fb085",
+    "synthetic_200mr": "a5cc2edf4ec5864c5f23c287fda1c408aa042be0",
+    "200mr_without_local_search": "7a8c263e5424d38b15312bdc73e3756cebeb7dc8",
+    "small_archive_with_immigration": "4e06c7ee4626b856b8563f3cf981e952449fd05a",
 }
 
-# The results of the engine that chose its local search from a pool, LS (a Chebyshev walk or
-# Pareto descent), with one draw right after variation, when that pool always returned Pareto
-# descent, the one local search left.
-WITH_LS_DRAW = {
-    "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
-    "stress_5mr": "8d59da2f551592fdb9d4611e408c053379d36669",
-    "synthetic_40mr": "8609174830706d676d3e63257262d5cec4bc4399",
-    "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
-    "200mr_without_local_search": "ea69597d9e7c2834112a62be6b663e74f3c78637",
+# The results of the engine that chose its selection (tournament or uniform) and its replacement
+# (elitist or generational_elite1) from two scheduler pools, when those pools always returned
+# tournament and elitist, the two operators left. Each choice made one draw: right before
+# selection, and right after local search, which draws nothing, so right after variation.
+# standard_3mr is left out: its front is the same with or without those draws.
+WITH_CHOOSE_DRAWS = {
+    "stress_5mr": "9a483fe7e614df9627f78fb6ae4fa6f07c1a0673",
+    "synthetic_40mr": "3f83ca0c724ad55e590a1f4fc4d7787b9725c9a0",
+    "synthetic_200mr": "69d0f445fc62fbfc790bed40646f7e2b86b52f7d",
+    "200mr_without_local_search": "0f4c9913d163290c56516c6bc05b0ca6772660e2",
     "small_archive_with_immigration": "c536f13acded22d96eb7c05dc5c5aa8d757f34cd",
-}
-
-# The results of the engine that chose its archive truncation from a sixth pool, RED, with one
-# more draw right after the REP choice. Its two truncations removed the same member, since an
-# insert overflows the archive by at most one, so that draw was the only difference. That engine
-# also drew an LS choice, which could pick the deleted Chebyshev walk; only the cases whose
-# front does not depend on it can be reproduced. The case that makes immigrants is left out: its
-# six-pool run chose heavy mutation, now deleted.
-WITH_RED_DRAW = {
-    "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
-    "synthetic_200mr": "4a6adbc52e3037797fde01f17520f8668e7ee05b",
 }
 
 
@@ -104,40 +94,23 @@ def test_front_hash_small_archive_with_immigration(tmp_path):
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
 
 
-def _draw_after_vary(monkeypatch):
-    """Put one draw back right after each variation, where the LS choice drew."""
-    vary = engine.vary
+@pytest.mark.parametrize("case", sorted(WITH_CHOOSE_DRAWS))
+def test_choose_draws_restore_the_fixed_choice_results(case, tmp_path, monkeypatch):
+    # with the SEL choice's draw put back before each selection and the REP choice's draw after
+    # each variation, every front is that of the pooled engine choosing tournament and elitist:
+    # deleting the two pools changed the random stream only
+    select_from, vary = engine.select_from, engine.vary
+
+    def draw_then_select(pop, arch, count, rng):
+        rng.random()
+        return select_from(pop, arch, count, rng)
 
     def vary_then_draw(parents, problem, operator, rng, evaluator):
         offspring = vary(parents, problem, operator, rng, evaluator)
         rng.random()
         return offspring
 
+    monkeypatch.setattr(engine, "select_from", draw_then_select)
     monkeypatch.setattr(engine, "vary", vary_then_draw)
-
-
-@pytest.mark.parametrize("case", sorted(WITH_LS_DRAW))
-def test_ls_draw_restores_the_pareto_step_results(case, tmp_path, monkeypatch):
-    # with the LS choice's draw put back before each local search, every front is that of the
-    # pooled engine choosing Pareto descent: deleting the pool changed the random stream only
-    _draw_after_vary(monkeypatch)
     _path, out = _run(case, tmp_path)
-    assert _sha1(out / "front.csv") == WITH_LS_DRAW[case]
-
-
-@pytest.mark.parametrize("case", sorted(WITH_RED_DRAW))
-def test_red_draw_restores_the_six_pool_results(case, tmp_path, monkeypatch):
-    # with the LS choice's draw and the RED choice's draw after each REP choice put back, these
-    # fronts are those of the six-pool engine: deleting RED changed the random stream only
-    _draw_after_vary(monkeypatch)
-    choose = engine.choose
-
-    def choose_then_draw(pool, rng):
-        op = choose(pool, rng)
-        if pool.operators == engine.REPLACEMENT_OPERATORS:
-            rng.random()
-        return op
-
-    monkeypatch.setattr(engine, "choose", choose_then_draw)
-    _path, out = _run(case, tmp_path)
-    assert _sha1(out / "front.csv") == WITH_RED_DRAW[case]
+    assert _sha1(out / "front.csv") == WITH_CHOOSE_DRAWS[case]

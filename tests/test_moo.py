@@ -129,7 +129,7 @@ class TestEvaluate:
 def test_evaluator_solution_carries_key():
     problem = GridProblem(4)
     evaluator = Evaluator(problem)
-    s = evaluator.solution((1, 2))
+    [s] = evaluator.solutions([(1, 2)])
     assert s.genotype_key == "1,2"
     assert s.objectives.values == (3.0, 4.0)
     assert math.isfinite(s.objectives[0])

@@ -1164,6 +1164,6 @@ class TestDrawIndexKeepsTheDraws:
         numpy_draws = self.use_numpy_draws(monkeypatch)
         assert ours == run()
         assert len(numpy_draws) > 0
-        # both selection operators ran, and immigration did
-        assert min(ours[3]["SEL"]["trials"]) > 0
+        # both variation operators ran, and immigration did
+        assert min(ours[3]["VAR"]["trials"]) > 0
         assert immigrant_batches > 0

@@ -43,18 +43,18 @@ SETTINGS = {
 }
 # (setting, instance, run seed) -> (exact_hv_ratio, exact_front_recall)
 GOLDEN = {
-    ("default_10000", "8x5", 1): (0.9937175760735631, 0.8),
-    ("default_10000", "8x5", 2): (0.9716041336258903, 0.5333333333333333),
-    ("default_10000", "10x4", 1): (0.9409918104796177, 0.68),
-    ("default_10000", "10x4", 2): (0.9322093823342263, 0.56),
-    ("default_10000", "12x3", 1): (0.9684416829892456, 0.5925925925925926),
-    ("default_10000", "12x3", 2): (0.9825109079715169, 0.5555555555555556),
-    ("stagnating_5000", "8x5", 1): (0.996550667594933, 0.8),
+    ("default_10000", "8x5", 1): (0.9937104538939933, 0.8),
+    ("default_10000", "8x5", 2): (0.998823969595297, 0.8666666666666667),
+    ("default_10000", "10x4", 1): (0.9918449159980113, 0.8),
+    ("default_10000", "10x4", 2): (0.958325672910448, 0.68),
+    ("default_10000", "12x3", 1): (0.9916577983834972, 0.7407407407407407),
+    ("default_10000", "12x3", 2): (0.9725634178529196, 0.5185185185185185),
+    ("stagnating_5000", "8x5", 1): (1.0, 1.0),
     ("stagnating_5000", "8x5", 2): (1.0, 1.0),
-    ("stagnating_5000", "10x4", 1): (0.9979571027723646, 0.96),
-    ("stagnating_5000", "10x4", 2): (0.9902426959921067, 0.84),
-    ("stagnating_5000", "12x3", 1): (0.9996746559548589, 0.9629629629629629),
-    ("stagnating_5000", "12x3", 2): (0.9926956486384504, 0.8518518518518519),
+    ("stagnating_5000", "10x4", 1): (0.9976704854386322, 0.92),
+    ("stagnating_5000", "10x4", 2): (0.9925805777326179, 0.92),
+    ("stagnating_5000", "12x3", 1): (0.997713534843031, 0.9259259259259259),
+    ("stagnating_5000", "12x3", 2): (1.0, 1.0),
 }
 
 
