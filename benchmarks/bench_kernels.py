@@ -10,7 +10,11 @@ instance's link tables (``inst.compiled``: per MR, plain tuples indexed by
 the MR's choice). Beside the 200-MR
 walks, ``RouteProblem.evaluate`` is timed on 400 ``mutate_reattach``
 children, which carry their per-MR terms, so it adds them instead of
-walking; their objectives are checked against a full walk first.
+walking; their objectives are checked against a full walk first. Two rows
+take 100 of those 200-MR parents, carrying their terms as in a run: 100
+``crossover_parentmix`` children of consecutive pairs, and the 100 keys
+``RouteProblem.genotype_key`` builds for them (the engine keys every kept
+solution).
 ``enumerate_routes``, the oracle's walk of each MR's path tree, is timed
 against one ``eval_route`` walk per assignment of a 6-MR space, and alone
 at the ``oracle_n8`` workload's size (8 MRs x 5 links, 390,625
@@ -28,8 +32,8 @@ scan. ``heavy_reattach`` is timed per call at 200 MRs, and
 one index draw per attached MR from one drawer; it does not walk) per call
 at 40, 200 and 1000 MRs, beside ``crossover_parentmix`` (a uniform mix of
 two parents' links, whose broken MRs the same attachment repairs) at 40
-and 200 MRs. ``assignment_string`` is timed per call (every solution's key: one label per MR) on the
-genotypes ``random_assignment`` makes. The full walks of a generation are
+and 200 MRs. ``assignment_string`` is timed per call (one label per MR; ``run`` writes one per
+``front.csv`` row) on the genotypes ``random_assignment`` makes. The full walks of a generation are
 timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
 ``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
 and ``RouteProblem.evaluate_many`` (batch check, batch walk and batch sums)
@@ -173,6 +177,10 @@ def main() -> None:
         if problem200.evaluate(child).values != kernels.eval_route(child.choices, inst200.compiled)[:2]:
             raise AssertionError("evaluate of carried terms disagrees with a full walk")
 
+    def cross100():
+        mix = np.random.default_rng(3)
+        return [crossover_parentmix(inst200, a, b, mix) for a, b in zip(parents[:100], parents[1:101])]
+
     # batch objective-space kernels; the plain-Python ones take (z1, z2) tuples of floats, as the engine passes them
     F = rng.random((200, 2))
     pairs = [tuple(p) for p in F.tolist()]
@@ -192,6 +200,8 @@ def main() -> None:
         ("eval_route x2000 (40 MRs)", eval_many(40)),
         ("eval_route x400 (200 MRs)", eval_many(200)),
         ("RouteProblem.evaluate x400 (200 MRs, carried)", lambda: [problem200.evaluate(c) for c in children]),
+        ("crossover_parentmix x100 (200 MRs)", cross100),
+        ("RouteProblem.genotype_key x100 (200 MRs, carried)", lambda: [problem200.genotype_key(a) for a in parents[:100]]),
         ("dominance_matrix (200x2)", lambda: kernels.dominance_matrix(F)),
         ("archive.pareto_ranks (200x2, ties)", lambda: pareto_ranks(ties)),
         ("archive.insert x1000 (100-member archive)", lambda: [insert(archive, s) for s in newcomers]),
@@ -200,9 +210,9 @@ def main() -> None:
         ("hypervolume_clipped (100-member archive)",
          lambda: measures.hypervolume_clipped(archive_values, (101.0, 101.0))),
     ]
-    print(f"{'kernel':<46} {'time':>12}")
+    print(f"{'kernel':<52} {'time':>12}")
     for name, fn in cases:
-        print(f"{name:<46} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
+        print(f"{name:<52} {best_of(fn, args.repeats) * 1e3:>10.2f}ms")
 
     # exhaustive enumeration (the oracle's inner loop) against a walk per assignment
     small = synthetic_instance(n_mr=6, links_per_mr=5, seed=2)
@@ -295,7 +305,7 @@ def main() -> None:
         print(f"            evaluate_many    {t_many * 1e3:>7.2f}ms  _walked + evaluate x100 {t_each * 1e3:>7.2f}ms"
               f"  ({t_each / t_many:.1f}x)")
 
-    # serialization: every kept solution's key joins one label per MR
+    # serialization: each front.csv row joins one label per MR
     for n_mr in (40, 200):
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
         draws = np.random.default_rng(2)

@@ -69,7 +69,7 @@ def nondom(
     """
     if capacity is not None and capacity < 1:
         raise ConfigError(f"archive capacity must be >= 1, got {capacity}")
-    unique: dict[str, CandidateSolution] = {}
+    unique: dict[object, CandidateSolution] = {}
     for s in sorted(solutions, key=lambda s: s.sort_key()):
         unique.setdefault(s.genotype_key, s)
     pool = list(unique.values())  # canonical order

@@ -127,7 +127,7 @@ def cmd_run(args) -> int:
 
     write_front_csv(
         out_dir / "front.csv",
-        [(m.objectives[0], m.objectives[1], m.genotype_key) for m in result.archive.members],
+        [(m.objectives[0], m.objectives[1], assignment_string(instance, m.genotype)) for m in result.archive.members],
     )
     summary = {
         "instance": str(settings["instance"]),

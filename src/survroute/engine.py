@@ -2,7 +2,7 @@
 archive update, and stagnation-triggered random immigrants.
 
 Variation picks its operator from a success-driven scheduler pool
-(``POOL_OPERATORS``); every other stage has one operator. Mating and
+(``VARIATION_OPERATORS``); every other stage has one operator. Mating and
 survival are those of NSGA-II (Deb et al. 2002): a binary tournament on
 (rank, crowding) (``select_from``) and elitist rank-then-crowding survival
 (``replace``). Local search is Pareto descent (``local_search``), the
@@ -30,14 +30,11 @@ from .archive import (
     survival_order,
 )
 from .errors import ConfigError
-from .kernels import index_draws
 from .measures import ReferencePoint
 from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominates
 from .scheduler import OperatorPool, choose, probabilities, report
 
 VARIATION_OPERATORS = ("mutate", "crossover")
-
-POOL_OPERATORS = {"VAR": VARIATION_OPERATORS}
 
 
 @dataclass(frozen=True)
@@ -145,21 +142,17 @@ def select_from(
 ) -> list[CandidateSolution]:
     """Draw ``count`` parents from population + archive by binary tournament.
 
-    Two uniform picks per slot; the winner is the smaller (rank, -crowding,
-    key) over the union.
+    Two uniform picks per slot, all 2 x ``count`` from one
+    ``rng.integers`` call, which draws what as many single draws would; the
+    winner is the smaller (rank, -crowding, key) over the union.
     """
     union = list(pop) + list(arch.members)
     if not union:
         raise ConfigError("cannot select from an empty population")
-    draw = index_draws(rng)
     ranks, crowd = rank_and_crowding(union)
     keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
-    parents = []
-    for _ in range(count):
-        i = draw(len(union))
-        j = draw(len(union))
-        parents.append(union[i] if keys[i] <= keys[j] else union[j])
-    return parents
+    picks = iter(rng.integers(len(union), size=2 * count).tolist())  # zip(picks, picks): (i, j) per slot
+    return [union[i] if keys[i] <= keys[j] else union[j] for i, j in zip(picks, picks)]
 
 
 def vary(
@@ -286,7 +279,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     cannot wedge the loop).
 
     Draw order per inner iteration, from one seeded generator: selection
-    (two index draws per parent), VAR choose (1 draw), variation operator
+    (two index draws per parent, in one call), VAR choose (1 draw), variation operator
     draws; local search and replacement draw nothing. Immigration adds the
     draws of each immigrant's random genotype, and chooses nothing. This
     order is part of the reproducibility contract.
@@ -299,16 +292,9 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     started = time.perf_counter()
 
     evaluator = Evaluator(problem, params.evaluation_budget)
-    pools = {
-        kind: OperatorPool(operators=ops, window=params.scheduler_window, p_min=params.scheduler_floor)
-        for kind, ops in POOL_OPERATORS.items()
-    }
-    stats = {kind: {op: [0, 0] for op in ops} for kind, ops in POOL_OPERATORS.items()}
-
-    def note(kind: str, op: str, *successes: bool) -> None:
-        pools[kind] = report(pools[kind], op, *successes)
-        stats[kind][op][0] += len(successes)
-        stats[kind][op][1] += sum(map(int, successes))
+    pool = OperatorPool(operators=VARIATION_OPERATORS, window=params.scheduler_window, p_min=params.scheduler_floor)
+    trials = dict.fromkeys(VARIATION_OPERATORS, 0)
+    successes = dict.fromkeys(VARIATION_OPERATORS, 0)
 
     pop = initialize(problem, params, rng, evaluator)
     arch = nondom(pop, capacity=params.archive_capacity)
@@ -325,7 +311,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
             forced = False
 
             parents = select_from(pop, arch, params.offspring_size, rng)
-            var_op = choose(pools["VAR"], rng)
+            var_op = choose(pool, rng)
             offspring = vary(parents, problem, var_op, rng, evaluator)
             offspring = local_search(offspring, problem, params.local_search_budget, evaluator)
             pop = replace(pop, offspring)
@@ -335,7 +321,9 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
                 accepted.append(ok)
             hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
 
-            note("VAR", var_op, *accepted)
+            pool = report(pool, var_op, *accepted)
+            trials[var_op] += len(accepted)
+            successes[var_op] += sum(accepted)
             trace.append(hv)
 
         if evaluator.remaining > 0 and params.immigrant_fraction > 0:
@@ -343,14 +331,12 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
                 pop, problem, params.immigrant_fraction, rng, evaluator, max_new=int(evaluator.remaining)
             )
 
-    scheduler_stats = {}
-    for kind, pool in pools.items():
-        scheduler_stats[kind] = {
-            "operators": list(pool.operators),
-            "probabilities": probabilities(pool),
-            "trials": [stats[kind][op][0] for op in pool.operators],
-            "successes": [stats[kind][op][1] for op in pool.operators],
-        }
+    scheduler_stats = {"VAR": {
+        "operators": list(VARIATION_OPERATORS),
+        "probabilities": probabilities(pool),
+        "trials": list(trials.values()),
+        "successes": list(successes.values()),
+    }}
 
     return RunResult(
         archive=arch,

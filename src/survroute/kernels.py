@@ -38,7 +38,9 @@ a generator's 32-bit output function once and returns a drawer that runs
 numpy's bounded-integer algorithm (Lemire's) on those outputs, so each draw
 returns what numpy's ``Generator.integers(n)`` returns and leaves the
 generator in the same state, without numpy's per-call cost. Each operator
-binds one drawer per call and draws from it.
+that draws its indices one at a time binds one drawer per call and draws
+from it; tournament selection, which knows all its indices at once, takes
+them from one ``Generator.integers`` call, which draws the same values.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """

@@ -55,17 +55,17 @@ class ObjectiveVector:
 class CandidateSolution:
     """An evaluated solution: genotype plus its objective vector.
 
-    ``genotype_key`` is the problem's canonical serialization of the
-    genotype; it drives duplicate detection and deterministic tie-breaking,
-    and with the objectives it defines equality (the raw genotype may be
-    any opaque object and is not compared).
+    ``genotype_key`` is the problem's key of the genotype (``Problem.genotype_key``):
+    it drives duplicate detection and deterministic tie-breaking, and with
+    the objectives it defines equality (the raw genotype may be any opaque
+    object and is not compared).
     """
 
     genotype: Any = field(compare=False)
     objectives: ObjectiveVector
-    genotype_key: str
+    genotype_key: Any
 
-    def sort_key(self) -> tuple[tuple[float, float], str]:
+    def sort_key(self) -> tuple[tuple[float, float], Any]:
         return (self.objectives.values, self.genotype_key)
 
 
@@ -105,7 +105,15 @@ class Problem:
         """
         raise NotImplementedError
 
-    def genotype_key(self, genotype) -> str:
+    def genotype_key(self, genotype):
+        """A canonical key of ``genotype``: hashable, totally ordered, and equal exactly when the genotypes are equal.
+
+        The archive drops a genotype whose key it holds, and every order
+        breaks ties of equal objectives by key, so the keys of one run must
+        be comparable with each other. This default is ``repr``; a problem
+        whose genotypes have a cheaper canonical value (``RouteProblem``:
+        the choice tuple) returns that.
+        """
         return repr(genotype)
 
     # variation operators (VAR pool)

@@ -37,7 +37,12 @@ drawer, bound once per operator call, the draw numpy's
 ``Generator.integers`` makes. Attachment reads each MR's (link, parent)
 pairs (``_Compiled.enumerated_parents``) and one level table that holds the
 access routers' 0 behind the MRs' depths, so deciding a link is one lookup
-and one comparison.
+and one comparison; crossover repair takes that table's MR part from the
+one depth sweep that finds its broken MRs (``_forest_depths``).
+
+``RouteProblem.genotype_key`` is the choice tuple, which the archive
+compares and orders; ``assignment_string`` is built only where a front is
+written.
 
 Includes the exhaustive-enumeration oracle used to verify engine output on
 small instances.
@@ -436,41 +441,52 @@ def _choice_matrix(inst: NetworkInstance, genotypes) -> np.ndarray | None:
 
 
 def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
-    """Per MR, the number of links on its path to an access router, or -1 when that path runs into a cycle.
+    """Per MR, the number of links on its path to an access router, or max_depth + 1 when that path is broken.
 
-    Depths are not capped at max_depth. Each sweep gives every pending MR
-    whose parent's depth is known that depth plus one; the MRs left when a
-    sweep settles none lead into a cycle.
+    A path is broken when it is longer than max_depth links or runs into a
+    cycle. The list is ``_attach``'s level table for the MRs: the intact
+    ones at their depths, the broken ones unrooted. Each sweep gives every
+    pending MR whose parent has room below it that depth plus one, reading
+    an access router's 0 from the end of the table; the MRs left when a
+    sweep settles none are broken.
     """
-    # per MR, the MR its chosen link attaches to, or a negative number for an access router
-    up = [ps[k] for ps, k in zip(inst.compiled.mr_parents, choices)]
-    depth = [1 if p < 0 else 0 for p in up]  # 0: not known yet
-    pending = [m for m, p in enumerate(up) if p >= 0]
+    n, max_depth = inst.n_mr, inst.max_depth
+    # per MR, the MR its chosen link attaches to, or ar - n_ar < 0 for access router ar
+    up = list(map(operator.getitem, inst.compiled.mr_parents, choices))
+    depth = [max_depth + 1] * n + [0] * len(inst.access_routers)
+    pending = range(n)
     while pending:
         left = []
         for m in pending:
             d = depth[up[m]]
-            if d:
+            if d < max_depth:
                 depth[m] = d + 1
             else:
                 left.append(m)
         if len(left) == len(pending):
-            for m in left:
-                depth[m] = -1
             break
         pending = left
+    del depth[n:]
     return depth
 
 
 def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
-    """None when the assignment is a valid forest, else 'cycle' or 'depth' for the first failing MR in index order."""
+    """None when the assignment is a valid forest, else 'cycle' or 'depth' for the first failing MR in index order.
+
+    The failing MR is the first one ``_forest_depths`` finds broken. Only
+    then is its path walked, up to n_mr links: one that reaches an access
+    router is too deep, one that does not runs into a cycle.
+    """
     _check_choices(inst, a)
-    max_depth = inst.max_depth
-    for d in _forest_depths(inst, a.choices):
-        if d < 0:
+    choices, mr_parents = a.choices, inst.compiled.mr_parents
+    for m, d in enumerate(_forest_depths(inst, choices)):
+        if d > inst.max_depth:
+            p = m
+            for _ in range(inst.n_mr):
+                p = mr_parents[p][choices[p]]
+                if p < 0:
+                    return "depth"
             return "cycle"
-        if d > max_depth:
-            return "depth"
     return None
 
 
@@ -669,20 +685,22 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
 def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssignment, rng) -> RouteAssignment:
     """Uniform parent-link mix of two assignments, with topological repair.
 
-    Each MR inherits its link from a or b with probability 1/2; MRs left on
-    broken paths (cycles or excessive depth) are re-attached in a random
-    order by randomized topological attachment (``_attach``), which always
-    finishes. The child carries no terms.
+    Each MR inherits its link from a or b with probability 1/2, one double
+    per MR; MRs left on broken paths (cycles or excessive depth) are
+    re-attached in a random order by randomized topological attachment
+    (``_attach``), which always finishes. One ``_forest_depths`` sweep finds
+    them, and its list is the level table ``_attach`` starts from. The
+    child carries no terms.
     """
-    if inst.n_mr == 0:
+    n = inst.n_mr
+    if n == 0:
         return a
-    coins = rng.random(inst.n_mr).tolist()  # the same doubles as one rng.random() per MR
-    child = [ka if u < 0.5 else kb for ka, kb, u in zip(a.choices, b.choices, coins)]
-    unrooted = inst.max_depth + 1
-    # _attach's level table: intact MRs keep their depth; broken ones (cycle, or too deep) are unrooted
-    level = [d if 0 < d < unrooted else unrooted for d in _forest_depths(inst, child)]
-    broken = [m for m, d in enumerate(level) if d == unrooted]
-    if broken:  # most children need no repair; rng.permutation(0) draws nothing but costs a numpy call
+    # the same doubles as one rng.random() per MR; a pick of 1 (u >= 0.5) takes b's link
+    child = list(map(operator.getitem, zip(a.choices, b.choices), (rng.random(n) >= 0.5).tolist()))
+    level = _forest_depths(inst, child)  # _attach's level table: intact MRs at their depth, broken ones unrooted
+    max_depth = inst.max_depth
+    broken = [m for m, d in enumerate(level) if d > max_depth]
+    if broken:  # a child with no broken MR skips rng.permutation(0), which draws nothing but costs a numpy call
         level += [0] * len(inst.access_routers)
         _attach(inst, rng, child, level, [broken[i] for i in rng.permutation(len(broken)).tolist()])
     return RouteAssignment(tuple(child))
@@ -888,8 +906,11 @@ class RouteProblem(Problem):
     def random_genotype(self, rng) -> RouteAssignment:
         return random_assignment(self.instance, rng)
 
-    def genotype_key(self, genotype) -> str:
-        return assignment_string(self.instance, genotype)
+    def genotype_key(self, genotype) -> tuple[int, ...]:
+        """The genotype's choice tuple; ``assignment_string`` is built only where a front is written."""
+        if genotype._terms is None:  # a genotype that carries terms was built valid here
+            _check_choices(self.instance, genotype)
+        return genotype.choices
 
     def mutate(self, genotype, rng) -> RouteAssignment:
         return mutate_reattach(self.instance, genotype, rng)

@@ -1,7 +1,7 @@
 """Adaptive operator selection: per-pool success windows and probability matching.
 
-Variation picks its operator from a pool (the engine's ``POOL_OPERATORS``:
-VAR); every other engine stage has one operator. A pool tracks a sliding window
+Variation picks its operator from one pool, VAR (the engine's
+``VARIATION_OPERATORS``); every other engine stage has one operator. A pool tracks a sliding window
 of outcome flags per operator; selection samples operators proportionally
 to Laplace-smoothed window success rates, with a probability floor so no
 operator starves. Everything here is plain Python on lists of floats.

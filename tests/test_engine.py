@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from survroute import kernels, measures
-from survroute.archive import NondominatedArchive, nondom, survival_order
+from survroute.archive import NondominatedArchive, nondom, rank_and_crowding, survival_order
 from survroute.engine import (
-    POOL_OPERATORS,
+    VARIATION_OPERATORS,
     Evaluator,
     RunParams,
     initialize,
@@ -139,6 +139,33 @@ class TestSelectFrom:
         freq = sum(p.genotype_key == "star" for p in parents) / n
         assert freq == pytest.approx(expected, abs=0.02)
         assert freq >= expected - 0.02
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_integers_call_draws_what_single_draws_would(self, seed):
+        # the 2 x count picks of one rng.integers call are those of 2 x count index_draws draws, and
+        # leave the generator in the same state, a buffered 32-bit half (has_uint32) included
+        def select_by_single_draws(pop, arch, count, rng):
+            union = list(pop) + list(arch.members)
+            ranks, crowd = rank_and_crowding(union)
+            keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
+            draw = kernels.index_draws(rng)
+            parents = []
+            for _ in range(count):
+                i, j = draw(len(union)), draw(len(union))
+                parents.append(union[i] if keys[i] <= keys[j] else union[j])
+            return parents
+
+        sizes = np.random.default_rng(seed).integers(1, 12, size=2).tolist()
+        pop = [make_sol(i % 5, 9 - i % 7, key=f"p{i}") for i in range(sizes[0])]
+        arch = nondom([make_sol(i, 4 - i, key=f"a{i}") for i in range(sizes[1] % 5)])
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            for rng in (ours, reference):
+                kernels.index_draws(rng)(7)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        for count in (1, 7, 50):
+            assert select_from(pop, arch, count, ours) == select_by_single_draws(pop, arch, count, reference)
+            assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestVary:
@@ -452,12 +479,11 @@ class TestRun:
     def test_scheduler_stats_consistent(self, standard_instance):
         problem = RouteProblem(standard_instance)
         result = run(problem, RunParams(population_size=10, offspring_size=10, evaluation_budget=1500, seed=8))
-        assert result.scheduler_stats.keys() == POOL_OPERATORS.keys() == {"VAR"}
-        for kind, entry in result.scheduler_stats.items():
-            assert entry["operators"] == list(POOL_OPERATORS[kind])
-            assert len(entry["operators"]) == 2
-            assert abs(sum(entry["probabilities"]) - 1.0) < 1e-9
-            assert all(t >= s for t, s in zip(entry["trials"], entry["successes"]))
+        assert result.scheduler_stats.keys() == {"VAR"}
+        entry = result.scheduler_stats["VAR"]
+        assert entry["operators"] == list(VARIATION_OPERATORS) == ["mutate", "crossover"]
+        assert abs(sum(entry["probabilities"]) - 1.0) < 1e-9
+        assert all(t >= s for t, s in zip(entry["trials"], entry["successes"]))
         # VAR gets one report per offspring per iteration, and each iteration appends one HV
         assert sum(result.scheduler_stats["VAR"]["trials"]) == 10 * (len(result.hv_trace) - 1)
 

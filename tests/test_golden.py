@@ -1,8 +1,8 @@
 """Golden front hashes: `survroute run` output pinned across code changes.
 
-Each case runs the CLI with a fixed seed (default local search, the
-evolutionary-only settings of the 200-MR case, or the small-archive
-settings of the last case) and compares the sha1 of the written
+Each case runs the CLI with a fixed seed (default local search, with a
+population of 6 in the 3-MR case, the evolutionary-only settings of the
+200-MR case, or the small-archive settings of the last case) and compares the sha1 of the written
 ``front.csv`` bytes with a recorded value.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
@@ -21,7 +21,9 @@ from conftest import INSTANCE_DIR, synthetic_net_text
 
 # case -> (shipped instance name, or (MRs, seed) of a synthetic one; CLI flags)
 CASES = {
-    "standard_3mr": ("standard_3mr", ["--budget", "5000", "--seed", "7"]),
+    # a population of 6 and budget 100 leave its front one point short of the exact one, so the front
+    # depends on the draw order (test_standard_3mr_pins_the_draw_order)
+    "standard_3mr": ("standard_3mr", ["--budget", "100", "--seed", "3", "--population", "6", "--offspring", "6"]),
     "stress_5mr": ("stress_5mr", ["--budget", "5000", "--seed", "7"]),
     "synthetic_40mr": ((40, 11), ["--budget", "2000", "--seed", "3"]),
     "synthetic_200mr": ((200, 13), ["--budget", "1000", "--seed", "5"]),
@@ -38,7 +40,7 @@ CASES = {
     ]),
 }
 GOLDEN = {
-    "standard_3mr": "e536b57affe97bb7a7b9f7422d8d6330aae2bf84",
+    "standard_3mr": "1560bf14ea0ff4f6e8b462eedadab634044619ad",
     "stress_5mr": "0ff61869c2bb88b628868e88c702638fe2587d97",
     "synthetic_40mr": "23659751cfce8e8d5e888cb7573a0d03281fb085",
     "synthetic_200mr": "a5cc2edf4ec5864c5f23c287fda1c408aa042be0",
@@ -50,7 +52,8 @@ GOLDEN = {
 # (elitist or generational_elite1) from two scheduler pools, when those pools always returned
 # tournament and elitist, the two operators left. Each choice made one draw: right before
 # selection, and right after local search, which draws nothing, so right after variation.
-# standard_3mr is left out: its front is the same with or without those draws.
+# standard_3mr is left out: at its settings then (budget 5000, seed 7), its front was the exact one with
+# or without those draws.
 WITH_CHOOSE_DRAWS = {
     "stress_5mr": "9a483fe7e614df9627f78fb6ae4fa6f07c1a0673",
     "synthetic_40mr": "3f83ca0c724ad55e590a1f4fc4d7787b9725c9a0",
@@ -92,6 +95,20 @@ def test_front_hash_200mr_without_local_search(tmp_path):
 def test_front_hash_small_archive_with_immigration(tmp_path):
     _path, out = _run("small_archive_with_immigration", tmp_path)
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
+
+
+def test_standard_3mr_pins_the_draw_order(tmp_path, monkeypatch):
+    # one more draw after each variation gives another front: the case pins the order of the draws
+    vary = engine.vary
+
+    def vary_then_draw(parents, problem, operator, rng, evaluator):
+        offspring = vary(parents, problem, operator, rng, evaluator)
+        rng.random()
+        return offspring
+
+    monkeypatch.setattr(engine, "vary", vary_then_draw)
+    _path, out = _run("standard_3mr", tmp_path)
+    assert _sha1(out / "front.csv") != GOLDEN["standard_3mr"]
 
 
 @pytest.mark.parametrize("case", sorted(WITH_CHOOSE_DRAWS))

@@ -339,11 +339,10 @@ MAXDEPTH 2
         walks = reference_walks(inst, choices)
         first = next((reason for reason, _steps in walks if reason is not None), None)
         assert invalid_reason(inst, RouteAssignment(choices)) == first
-        # the split crossover repair makes: intact MRs (depth in 1..max_depth) are those whose walk
-        # succeeds, with its length; broken ones are None
-        depths = _forest_depths(inst, list(choices))
-        assert [d if 0 < d <= inst.max_depth else None for d in depths] == [
-            steps if reason is None else None for reason, steps in walks
+        # _attach's level table, which crossover repair reads: an intact MR's walk length, and
+        # max_depth + 1 for an MR whose walk fails, by a cycle or by depth
+        assert _forest_depths(inst, list(choices)) == [
+            steps if reason is None else inst.max_depth + 1 for reason, steps in walks
         ]
 
 
@@ -445,6 +444,56 @@ class TestSerialization:
         text = ";".join(f"{mr}={parent}" for mr, parent in mapping.items())
         with pytest.raises(ContractViolation, match="has no candidate link"):
             assignment_from_string(standard_instance, text)
+
+
+
+# m0's candidate parents are m1 and m10, and m0 is not the last MR, so its choice tuples and its
+# assignment strings sort differently: "m0=m10;..." < "m0=m1;..." since "0" < ";"
+PREFIX_IDS = """
+BS b0 0.1
+AR a0 b0
+MR m0
+MR m1
+MR m10
+LINK m0 m1 1.0 0.1
+LINK m0 m10 1.0 0.1
+LINK m1 a0 2.0 0.1
+LINK m10 a0 2.0 0.1
+"""
+
+
+class TestKeys:
+    @settings(max_examples=40, deadline=None)
+    @given(n_mr=st.integers(1, 60), links=st.integers(1, 6), instance_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_choice_tuples_sort_as_assignment_strings(self, n_mr, links, instance_seed, seed):
+        # zero-padded ids, as every committed and synthetic instance has: the two orders agree
+        inst = parse_instance(synthetic_net_text(n_mr, min(links, n_mr), 6, instance_seed))
+        problem = RouteProblem(inst)
+        rng = np.random.default_rng(seed)
+        genotypes = [random_assignment(inst, rng) for _ in range(30)]
+        by_key = sorted(genotypes, key=problem.genotype_key)
+        assert by_key == sorted(genotypes, key=lambda g: assignment_string(inst, g))
+        # and two keys are equal exactly when the strings are
+        assert len({problem.genotype_key(g) for g in genotypes}) == len({assignment_string(inst, g) for g in genotypes})
+
+    def test_a_parent_id_extended_by_a_digit_orders_keys_and_strings_apart(self, tmp_path):
+        inst = parse_instance(PREFIX_IDS)
+        problem = RouteProblem(inst)
+        under_m1, under_m10 = RouteAssignment((0, 0, 0)), RouteAssignment((1, 0, 0))
+        assert problem.evaluate(under_m1) == problem.evaluate(under_m10)
+        assert problem.genotype_key(under_m1) < problem.genotype_key(under_m10)
+        assert assignment_string(inst, under_m10) < assignment_string(inst, under_m1)
+        # the archive keeps both in key order; front.csv is still sorted by the strings
+        result = engine.run(problem, engine.RunParams(evaluation_budget=100, seed=0))
+        assert [m.genotype_key for m in result.archive.members] == [(0, 0, 0), (1, 0, 0)]
+        path = tmp_path / "prefix.net"
+        path.write_text(PREFIX_IDS, encoding="utf-8")
+        assert cli_main(["run", "--instance", str(path), "--out", str(tmp_path / "out"), "--budget", "100"]) == 0
+        rows = (tmp_path / "out" / "front.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [
+            assignment_string(inst, under_m10), assignment_string(inst, under_m1),
+        ]
 
 
 class TestRandomAssignment:
@@ -598,6 +647,32 @@ class TestCrossover:
             i, j = rng.integers(len(pool)), rng.integers(len(pool))
             child = crossover_parentmix(stress_instance, pool[int(i)], pool[int(j)], rng)
             assert invalid_reason(stress_instance, child) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_mr_coins_and_walks(self, data):
+        # the child of one rng.random() per MR, whose broken MRs (by a per-MR walk) _attach repairs
+        # in a random order, with the intact ones at their walk lengths in its level table
+        inst, _witness = forest_instance(
+            random.Random(data.draw(st.integers(0, 2**32 - 1))),
+            data.draw(st.integers(1, 30)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4)),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        parents = [random_assignment(inst, rng) for _ in range(2)]
+        assert parents == [random_assignment(inst, ref_rng) for _ in range(2)]
+        for _ in range(4):
+            a, b = parents[-2:]
+            child = [ka if ref_rng.random() < 0.5 else kb for ka, kb in zip(a.choices, b.choices)]
+            walks = reference_walks(inst, child)
+            broken = [m for m, (reason, _steps) in enumerate(walks) if reason is not None]
+            if broken:
+                level = [steps if reason is None else inst.max_depth + 1 for reason, steps in walks]
+                order = [broken[i] for i in ref_rng.permutation(len(broken)).tolist()]
+                netmodel._attach(inst, ref_rng, child, level + [0] * len(inst.access_routers), order)
+            parents.append(crossover_parentmix(inst, a, b, rng))
+            assert parents[-1] == RouteAssignment(tuple(child))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_inherits_from_parents_when_no_repair_possible(self):
         # star topology (every link goes straight to an AR): never needs repair
@@ -1009,7 +1084,9 @@ def test_route_problem_surface(standard_instance):
     g = problem.random_genotype(rng)
     assert invalid_reason(standard_instance, g) is None
     assert len(problem.evaluate(g)) == 2
-    assert problem.genotype_key(g) == assignment_string(standard_instance, g)
+    # the key is the choice tuple, which the archive compares; front.csv gets the assignment string
+    assert problem.genotype_key(g) == g.choices
+    assert assignment_from_string(standard_instance, assignment_string(standard_instance, g)).choices == g.choices
     assert invalid_reason(standard_instance, problem.mutate(g, rng)) is None
     assert invalid_reason(standard_instance, problem.crossover(g, problem.random_genotype(rng), rng)) is None
     for n, objectives in problem.neighborhood(g):
@@ -1060,7 +1137,10 @@ class TestDrawIndexKeepsTheDraws:
 
     @staticmethod
     def use_numpy_draws(monkeypatch):
-        """Put one ``int(rng.integers(n))`` per index in place of the drawer in ``kernels`` and ``engine``.
+        """Put one ``int(rng.integers(n))`` per index in place of the drawer in ``kernels``.
+
+        The operators bind their drawer from there; selection draws all its
+        indices from one ``rng.integers`` call and binds none.
 
         Returns the list of the substitute's draws: a draw that does not go
         through the patched drawer is not counted, and an empty list means
@@ -1075,7 +1155,6 @@ class TestDrawIndexKeepsTheDraws:
             return draw
 
         monkeypatch.setattr(kernels, "index_draws", numpy_draws)
-        monkeypatch.setattr(engine, "index_draws", numpy_draws)
         return calls
 
     @staticmethod
