@@ -29,10 +29,13 @@ candidate by a full route walk. An all-to-all row (200 MRs x 200 links)
 shows the dense trade-off: there each subtree MR has up to n in-links to
 scan. ``heavy_reattach`` is timed per call at 200 MRs, and
 ``random_assignment`` (initialization: randomized attachment of every MR,
-one index draw per attached MR from one drawer; it does not walk) per call
-at 40, 200 and 1000 MRs, beside ``crossover_parentmix`` (a uniform mix of
-two parents' links, whose broken MRs the same attachment repairs) at 40
-and 200 MRs. ``assignment_string`` is timed per call (one label per MR; ``run`` writes one per
+whose index draws the sweep makes in place from one ``kernels.IndexBlock``
+of raw outputs; it does not walk) per call at 40, 200 and 1000 MRs, beside
+the same attachment with one ``kernels.index_draws`` drawer called per
+draw, after a check that both give the same genotypes and leave the
+generator in the same state; and ``crossover_parentmix`` (a uniform mix of
+two parents' links, whose broken MRs the same attachment repairs, with a
+drawer) at 40 and 200 MRs. ``assignment_string`` is timed per call (one label per MR; ``run`` writes one per
 ``front.csv`` row) on the genotypes ``random_assignment`` makes. The full walks of a generation are
 timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
 ``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
@@ -42,10 +45,11 @@ both give the same objectives. The
 genotypes the operator rows start from are evaluated in one batch first, so
 they carry their terms, as in a run. Index draws are timed over 10000
 draws: one ``kernels.index_draws`` drawer bound for all of them, as the
-operators bind one per call, beside ``kernels.index_draws(rng)`` bound
-anew for each draw, and the numpy call whose draws both reproduce,
-``int(rng.integers(n))``, after a check that all three give the same
-sequence. A last case times the
+operators bind one per call, beside one ``kernels.IndexBlock`` of 10000
+outputs read in place, as random attachment reads it,
+``kernels.index_draws(rng)`` bound anew for each draw, and the numpy call
+whose draws all three reproduce, ``int(rng.integers(n))``, after a check
+that all four give the same sequence. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
 genotype, then a re-walk of the moved subtree per neighbor) against one full
 route walk per candidate, at 40, 200 and 1000 MRs, both for the first 20
@@ -73,8 +77,8 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, _walked, assignment_string, brute_force_pareto, crossover_parentmix, heavy_reattach,
-    iter_neighbors, mutate_reattach, parse_instance, random_assignment,
+    RouteAssignment, RouteProblem, _attach, _walked, assignment_string, brute_force_pareto, crossover_parentmix,
+    heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
 
 
@@ -131,6 +135,15 @@ def walk_mutate(inst, a, rng):
         return a
     work[m] = feasible[int(rng.integers(len(feasible)))]
     return RouteAssignment(tuple(work))
+
+
+def per_draw_assignment(inst, rng):
+    """``random_assignment`` with each index draw from one ``kernels.index_draws`` drawer in place of its block."""
+    n = inst.n_mr
+    choices = [0] * n
+    level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
+    _attach(inst, choices, level, rng.permutation(n).tolist(), kernels.index_draws(rng))
+    return RouteAssignment(tuple(choices))
 
 
 def walk_neighbors(inst, a):
@@ -263,19 +276,25 @@ def main() -> None:
     t_heavy = best_of(lambda: [heavy_reattach(inst, a, np.random.default_rng(2)) for a in starts], args.repeats)
     print(f"heavy_reattach per call at 200 MRs: {t_heavy / len(starts) * 1e3:>8.2f}ms")
 
-    # initialization: every MR attached in a random order, one index draw each;
-    # crossover: two parents' links mixed, and the broken MRs attached again
+    # initialization: every MR attached in a random order, its index draws read from one block of raw
+    # outputs, beside a drawer call per draw; crossover: two parents' links mixed, and the broken MRs
+    # attached again
     for n_mr in (40, 200, 1000):
         inst = synthetic_instance(n_mr=n_mr, links_per_mr=6, seed=1)
 
-        def assign_many():
+        def assign_many(assign):
             draws = np.random.default_rng(2)
-            return [random_assignment(inst, draws) for _ in range(50)]
+            return [assign(inst, draws) for _ in range(50)], draws.bit_generator.state
 
-        print(f"random_assignment per call at {n_mr:>4} MRs:   {best_of(assign_many, args.repeats) / 50 * 1e3:>7.3f}ms")
+        if assign_many(random_assignment) != assign_many(per_draw_assignment):
+            raise AssertionError("random_assignment disagrees with a drawer call per draw")
+        t_block = best_of(lambda: assign_many(random_assignment), args.repeats) / 50
+        t_drawer = best_of(lambda: assign_many(per_draw_assignment), args.repeats) / 50
+        print(f"random_assignment per call at {n_mr:>4} MRs:   {t_block * 1e3:>7.3f}ms"
+              f"  drawer per draw {t_drawer * 1e3:>7.3f}ms  ({t_drawer / t_block:.2f}x)")
         if n_mr == 1000:
             continue
-        mates = assign_many()
+        mates = assign_many(random_assignment)[0]
 
         def cross_many():
             draws = np.random.default_rng(3)
@@ -321,18 +340,36 @@ def main() -> None:
         draw = drawer(np.random.default_rng(4))
         return [draw(n) for n in sizes]
 
+    def draw_block():
+        # the draw random attachment makes in place (kernels.IndexBlock)
+        with kernels.IndexBlock(np.random.default_rng(4), len(sizes)) as block:
+            outputs, i, picks = block.outputs, 0, []
+            for n in sizes:
+                if n == 1:
+                    picks.append(0)
+                    continue
+                m = outputs[i] * n
+                i += 1
+                if m & 0xFFFFFFFF < n:
+                    m, i = block.redraw(n, m, i)
+                picks.append(m >> 32)
+            block.used = i
+        return picks
+
     def single_draws(rng):
         return lambda n: kernels.index_draws(rng)(n)
 
     def numpy_draws(rng):
         return lambda n: int(rng.integers(n))
 
-    if not draw_all(kernels.index_draws) == draw_all(single_draws) == draw_all(numpy_draws):
-        raise AssertionError("one drawer, a drawer per draw and int(rng.integers(n)) disagree")
+    if not draw_all(kernels.index_draws) == draw_block() == draw_all(single_draws) == draw_all(numpy_draws):
+        raise AssertionError("one drawer, one block, a drawer per draw and int(rng.integers(n)) disagree")
     t_bound = best_of(lambda: draw_all(kernels.index_draws), args.repeats)
+    t_block = best_of(draw_block, args.repeats)
     t_single = best_of(lambda: draw_all(single_draws), args.repeats)
     t_numpy = best_of(lambda: draw_all(numpy_draws), args.repeats)
     print(f"index_draws, one drawer x10000 {t_bound * 1e3:>8.2f}ms")
+    print(f"IndexBlock, in place x10000    {t_block * 1e3:>8.2f}ms  ({t_block / t_bound:.2f}x)")
     print(f"a drawer per draw x10000       {t_single * 1e3:>8.2f}ms  ({t_single / t_bound:.1f}x)")
     print(f"int(rng.integers(n)) x10000    {t_numpy * 1e3:>8.2f}ms  ({t_numpy / t_bound:.1f}x)")
 

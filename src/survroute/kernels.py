@@ -33,14 +33,18 @@ objective kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of
 (z1, z2) pairs and run in plain Python: the engine calls them on small
 fronts, where numpy's per-call conversion would cost more than the work.
 
-``index_draws`` is the one way the package draws a uniform index: it binds
+``index_draws`` states how the package draws a uniform index: it binds
 a generator's 32-bit output function once and returns a drawer that runs
 numpy's bounded-integer algorithm (Lemire's) on those outputs, so each draw
 returns what numpy's ``Generator.integers(n)`` returns and leaves the
 generator in the same state, without numpy's per-call cost. Each operator
-that draws its indices one at a time binds one drawer per call and draws
-from it; tournament selection, which knows all its indices at once, takes
-them from one ``Generator.integers`` call, which draws the same values.
+that draws a few indices one at a time binds one drawer per call and draws
+from it. ``IndexBlock`` is the same draw over one block of raw outputs taken
+at once: random attachment of every MR, which makes up to one draw per MR,
+reads its draws from a block with no call per draw, and the block hands
+back the outputs it did not use when it closes. Tournament selection, which
+knows all its indices at once, takes them from one ``Generator.integers``
+call, which draws the same values.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
@@ -91,6 +95,73 @@ def index_draws(rng):
         return int(rng.integers(n))
 
     return draw
+
+
+class IndexBlock:
+    """The draws of an ``index_draws`` drawer, read from one block of raw 32-bit outputs of the numpy ``Generator`` ``rng``.
+
+    Opening the block saves ``rng.bit_generator.state`` and takes ``size``
+    outputs at once, ``rng.integers(2**32, size=size)``, which returns the
+    bit generator's ``next_uint32`` outputs in order, a buffered 32-bit half
+    included. ``outputs`` holds them as ints. A draw of an index in [0, n),
+    for a plain int 1 < n <= 2**32 - 1, runs Lemire's step on them where it
+    is made, with no call, and keeps its own cursor ``i`` into ``outputs``::
+
+        m = outputs[i] * n
+        i += 1
+        if m & 0xFFFFFFFF < n:
+            m, i = block.redraw(n, m, i)
+        index = m >> 32
+
+    A draw with n == 1 is 0 and reads nothing, as numpy's is. The draws
+    are those ``index_draws`` makes, in the same order, as long as at most
+    ``size`` of them are made; ``redraw`` takes more outputs when its
+    redraws would leave fewer outputs than the draws still allowed. The
+    block is a context manager, and the caller stores its cursor in
+    ``used`` before the ``with`` block ends. Its end, exception or not,
+    restores the saved state and takes exactly ``used`` outputs again, so
+    ``rng`` is left where the per-draw drawer leaves it. Nothing else may
+    draw from ``rng`` while the block is open.
+
+    Taking and handing back the block costs about as much as 50 draws of a
+    drawer, so it pays only where a call makes many draws.
+    """
+
+    __slots__ = ("outputs", "used", "_rng", "_state", "_reads")
+
+    def __init__(self, rng, size):
+        self._rng = rng
+        self._state = rng.bit_generator.state
+        self.outputs = rng.integers(0x100000000, size=size).tolist()
+        self.used = 0
+        self._reads = size  # the most outputs the draws may read: size, plus one per redraw
+
+    def redraw(self, n, m, i):
+        """Finish a draw at ``n`` whose product ``m`` has its low 32 bits below n; returns (accepted product, cursor).
+
+        ``i`` is the cursor past the output of ``m``. While the low 32 bits
+        of m are below the threshold (2**32 - n) % n, m is redrawn from the
+        output at the cursor, as ``index_draws`` redraws.
+        """
+        threshold = (0x100000000 - n) % n
+        outputs = self.outputs
+        while m & 0xFFFFFFFF < threshold:
+            self._reads += 1
+            if len(outputs) < self._reads:
+                outputs.extend(self._rng.integers(0x100000000, size=self._reads - len(outputs)).tolist())
+            m = outputs[i] * n
+            i += 1
+        return m, i
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        """Leave ``rng`` as ``used`` outputs of the per-draw drawer would: hand back the outputs taken past them."""
+        if self.used < len(self.outputs):
+            self._rng.bit_generator.state = self._state
+            if self.used:
+                self._rng.integers(0x100000000, size=self.used)
 
 
 def eval_route(choices, tables):

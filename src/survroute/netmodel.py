@@ -32,9 +32,11 @@ reattach test finds a moved MR's subtree through the static reverse links
 genotype's choices, so a mutation or neighborhood move builds no per-genotype
 parent or child lists: it costs its subtree's in-links plus the MR's radix
 times the depth, not the number of MRs. Every
-random pick among links or MRs is one draw from a ``kernels.index_draws``
-drawer, bound once per operator call, the draw numpy's
-``Generator.integers`` makes. Attachment reads each MR's (link, parent)
+random pick among links or MRs is the draw numpy's ``Generator.integers``
+makes: one draw from a ``kernels.index_draws`` drawer, bound once per
+operator call, or, in ``random_assignment``, one draw the attachment sweep
+makes in place from a ``kernels.IndexBlock`` of raw outputs, with no call
+per draw. Attachment reads each MR's (link, parent)
 pairs (``_Compiled.enumerated_parents``) and one level table that holds the
 access routers' 0 behind the MRs' depths, so deciding a link is one lookup
 and one comparison; crossover repair takes that table's MR part from the
@@ -522,7 +524,7 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def _attach(inst: NetworkInstance, rng, choices: list[int], level: list[int], pending: list[int]) -> None:
+def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending: list[int], draws) -> None:
     """Randomized topological attachment of the MRs in ``pending``, in place; ``choices`` ends a valid forest.
 
     ``level`` holds one entry per MR, its depth, or max_depth + 1 while it
@@ -531,9 +533,13 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], level: list[int], pe
     MRs not pending form a valid forest. A link is then feasible exactly
     when its parent's level is below max_depth: the parent is an AR, or a
     rooted MR with room below it. Sweeps ``pending`` in order. Each MR picks
-    uniformly among its feasible links, one draw of one drawer bound for
-    the call, and takes its parent's level plus one; an MR with no feasible
-    link waits for the next sweep.
+    uniformly among its feasible links and takes its parent's level plus
+    one; an MR with no feasible link waits for the next sweep. A pick among
+    several links is one index draw from ``draws``, the caller's: a
+    ``kernels.index_draws`` drawer, called for the draw, or an open
+    ``kernels.IndexBlock`` of at least ``len(pending)`` outputs, whose draw
+    the sweep makes in place, with no call; either makes the draw numpy's
+    ``Generator.integers`` makes.
 
     When a sweep attaches none, each MR left, and each of its ancestors
     in the shortest-path tree down to an AR or to an MR already at its
@@ -548,7 +554,9 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], level: list[int], pe
     c = inst.compiled
     max_depth = inst.max_depth
     mr_parents, enumerated_parents = c.mr_parents, c.enumerated_parents
-    draw = kernels.index_draws(rng)
+    block = draws if isinstance(draws, kernels.IndexBlock) else None
+    if block is not None:
+        outputs, redraw, i = block.outputs, block.redraw, block.used
     while pending:
         deferred = []
         for m in pending:
@@ -558,33 +566,50 @@ def _attach(inst: NetworkInstance, rng, choices: list[int], level: list[int], pe
             for k, p in enumerated_parents[m]:
                 if level[p] < max_depth:
                     feasible.append(k)
-            if feasible:
-                k = feasible[draw(len(feasible))]
-                choices[m] = k
-                level[m] = level[mr_parents[m][k]] + 1
-            else:
+            if not feasible:
                 deferred.append(m)
+                continue
+            f = len(feasible)
+            if f == 1:  # a draw at 1 is 0 and takes no output
+                k = feasible[0]
+            elif block is None:
+                k = feasible[draws(f)]
+            else:  # the block's draw (kernels.IndexBlock), in place: a call per MR is a third of the sweep
+                x = outputs[i] * f
+                i += 1
+                if x & 0xFFFFFFFF < f:
+                    x, i = redraw(f, x, i)
+                k = feasible[x >> 32]
+            choices[m] = k
+            level[m] = level[mr_parents[m][k]] + 1
         if len(deferred) == len(pending):
-            _check_feasible(inst)
-            min_depth, min_link = c.min_depth, c.min_link
-            for m in deferred:
-                while m >= 0 and level[m] != min_depth[m]:
-                    choices[m] = min_link[m]
-                    level[m] = min_depth[m]
-                    m = mr_parents[m][choices[m]]
-            return
+            break
         pending = deferred
+    if block is not None:
+        block.used = i
+    if pending:
+        _check_feasible(inst)
+        min_depth, min_link = c.min_depth, c.min_link
+        for m in pending:
+            while m >= 0 and level[m] != min_depth[m]:
+                choices[m] = min_link[m]
+                level[m] = min_depth[m]
+                m = mr_parents[m][choices[m]]
 
 
 def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
     """Random valid forest, carrying no terms: ``_attach`` of all MRs, in a random order.
 
+    The order is drawn first; the attachment then reads its index draws
+    from one ``kernels.IndexBlock`` of n_mr outputs, one for each MR at most.
     Raises InstanceError on an infeasible instance (``parse_instance`` never returns one).
     """
     n = inst.n_mr
     choices = [0] * n
     level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
-    _attach(inst, rng, choices, level, rng.permutation(n).tolist())
+    order = rng.permutation(n).tolist()
+    with kernels.IndexBlock(rng, n) as block:
+        _attach(inst, choices, level, order, block)
     return RouteAssignment(tuple(choices))
 
 
@@ -702,7 +727,7 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     broken = [m for m, d in enumerate(level) if d > max_depth]
     if broken:  # a child with no broken MR skips rng.permutation(0), which draws nothing but costs a numpy call
         level += [0] * len(inst.access_routers)
-        _attach(inst, rng, child, level, [broken[i] for i in rng.permutation(len(broken)).tolist()])
+        _attach(inst, child, level, [broken[i] for i in rng.permutation(len(broken)).tolist()], kernels.index_draws(rng))
     return RouteAssignment(tuple(child))
 
 

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from survroute import engine
+from survroute import engine, netmodel
 from survroute.cli import main
 
 from conftest import INSTANCE_DIR, synthetic_net_text
@@ -109,6 +109,21 @@ def test_standard_3mr_pins_the_draw_order(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "vary", vary_then_draw)
     _path, out = _run("standard_3mr", tmp_path)
     assert _sha1(out / "front.csv") != GOLDEN["standard_3mr"]
+
+
+def test_200mr_without_local_search_pins_the_attachment_outputs(tmp_path, monkeypatch):
+    # one more raw 32-bit output after each random_assignment gives another front: random attachment
+    # must leave the generator exactly where its draws left it, not one output past or short of it
+    random_assignment = netmodel.random_assignment
+
+    def assign_then_take_one(inst, rng):
+        a = random_assignment(inst, rng)
+        rng.integers(2**32)
+        return a
+
+    monkeypatch.setattr(netmodel, "random_assignment", assign_then_take_one)
+    _path, out = _run("200mr_without_local_search", tmp_path)
+    assert _sha1(out / "front.csv") != GOLDEN["200mr_without_local_search"]
 
 
 @pytest.mark.parametrize("case", sorted(WITH_CHOOSE_DRAWS))

@@ -487,3 +487,69 @@ def test_index_draws_keeps_its_generator_alive(bit_generator):
     twins = [np.random.Generator(bit_generator(2024)) for _ in range(20)]  # they would take a freed state's memory
     sizes = [*range(1, 9), 2**31 + 1, 2**32 - 1] * 5
     assert [draw(n) for n in sizes] == [int(twins[-1].integers(n)) for n in sizes]
+
+
+def _block_draws(block, sizes):
+    """The draws at each n of ``sizes`` from the open ``kernels.IndexBlock`` ``block``, as its docstring makes them.
+
+    Reads from ``block.used`` on and stores the cursor back there.
+    """
+    outputs, i, picks = block.outputs, block.used, []
+    for n in sizes:
+        if n == 1:
+            picks.append(0)
+            continue
+        m = outputs[i] * n
+        i += 1
+        if m & 0xFFFFFFFF < n:
+            m, i = block.redraw(n, m, i)
+        picks.append(m >> 32)
+    block.used = i
+    return picks
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_block_equals_numpy_integers(bit_generator, n):
+    ours, twin = _twins(bit_generator)
+    # (outputs taken, draws made): every output used, some, or none
+    for i, (size, count) in enumerate(((1, 1), (5, 3), (40, 40), (40, 17), (3, 0), (200, 200), (200, 150))):
+        # between blocks, doubles come from 64-bit outputs, permutations partly from the buffered
+        # 32-bit half (has_uint32, uinteger) that the blocks also read
+        assert ours.random() == twin.random()
+        if i % 2:
+            assert ours.permutation(5).tolist() == twin.permutation(5).tolist()
+        with kernels.IndexBlock(ours, size) as block:
+            picks = _block_draws(block, [n] * count)
+            if n == 2**31 + 1 and count == size == 200:  # about half the outputs are redrawn
+                assert len(block.outputs) > size
+        assert all(type(k) is int for k in picks)
+        assert picks == [int(twin.integers(n)) for _ in range(count)]
+        assert _same_state(ours.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_block_that_reads_no_output_leaves_the_state(bit_generator):
+    rng = np.random.Generator(bit_generator(2024))
+    rng.integers(7)  # a buffered 32-bit half is pending where the generator keeps one
+    before = rng.bit_generator.state
+    for size in (0, 1, 50):
+        with kernels.IndexBlock(rng, size) as block:  # no draw, then draws at 1, which read nothing
+            assert _block_draws(block, []) == []
+        assert _same_state(rng.bit_generator.state, before)
+        with kernels.IndexBlock(rng, size) as block:
+            assert _block_draws(block, [1] * size) == [0] * size
+        assert _same_state(rng.bit_generator.state, before)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_index_block_closed_by_an_exception_leaves_the_per_draw_state(bit_generator):
+    ours, twin = _twins(bit_generator)
+    sizes = [3, 2**31 + 1, 6, 1, 5] * 8
+    with pytest.raises(RuntimeError, match="mid-block"):
+        with kernels.IndexBlock(ours, 60) as block:
+            picks = _block_draws(block, sizes)
+            raise RuntimeError("mid-block")
+    draw = kernels.index_draws(twin)
+    assert picks == [draw(n) for n in sizes]
+    assert _same_state(ours.bit_generator.state, twin.bit_generator.state)

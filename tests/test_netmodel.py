@@ -180,6 +180,15 @@ def reference_walks(inst, choices):
     return reasons
 
 
+def per_draw_assignment(inst, rng):
+    """``random_assignment`` with each index draw from one ``kernels.index_draws`` drawer in place of its block."""
+    n = inst.n_mr
+    choices = [0] * n
+    level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
+    netmodel._attach(inst, choices, level, rng.permutation(n).tolist(), kernels.index_draws(rng))
+    return RouteAssignment(tuple(choices))
+
+
 def forest_instance(rng, n_mr, n_ar, max_depth):
     """Random instance with MR-MR candidate links, plus one valid forest of it (its choices).
 
@@ -527,6 +536,51 @@ class TestRandomAssignment:
         with pytest.raises(InstanceError, match=message):
             random_assignment(dataclasses.replace(deep, max_depth=2), np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "text, stalls",
+        [
+            (synthetic_net_text(40, 6, 6, seed=11), False),
+            (synthetic_net_text(200, 6, 6, seed=13), False),
+            (layered_net_text(8, 10, 8, seed=1), True),
+            (layered_net_text(5, 2, 5, seed=5), True),
+        ],
+        ids=["synthetic40", "synthetic200", "layered80", "layered10_at_maxdepth"],
+    )
+    def test_block_draws_what_a_drawer_draws(self, monkeypatch, text, stalls):
+        inst = parse_instance(text)
+        stalled = []
+        check_feasible = netmodel._check_feasible
+
+        def counting(instance):  # _attach calls it only when a sweep settles no MR
+            stalled.append(instance)
+            check_feasible(instance)
+
+        monkeypatch.setattr(netmodel, "_check_feasible", counting)
+        for seed in range(4):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert random_assignment(inst, ours) == per_draw_assignment(inst, ref)
+                assert ours.bit_generator.state == ref.bit_generator.state
+        assert bool(stalled) == stalls
+
+    def test_block_on_an_infeasible_instance_raises_where_a_drawer_does(self):
+        # m1 and m2 draw among two access routers, m3 between m1 and m2, and m4's one path has 3 links
+        text = (
+            "BS b 0.0\nAR a1 b\nAR a2 b\nMR m1\nMR m2\nMR m3\nMR m4\nLINK m1 a1 1 0\nLINK m1 a2 1 0\n"
+            "LINK m2 a1 1 0\nLINK m2 a2 1 0\nLINK m3 m1 1 0\nLINK m3 m2 1 0\nLINK m4 m3 1 0\nMAXDEPTH 3\n"
+        )
+        inst = dataclasses.replace(parse_instance(text), max_depth=2)  # built past parse_instance's verdict
+        message = r"^mobile router 'm4' is 3 links from an access router, beyond MAXDEPTH 2 \(infeasible\)$"
+        for seed in range(8):
+            ours, ref, order_only = (np.random.default_rng(seed) for _ in range(3))
+            with pytest.raises(InstanceError, match=message):
+                random_assignment(inst, ours)
+            with pytest.raises(InstanceError, match=message):
+                per_draw_assignment(inst, ref)
+            assert ours.bit_generator.state == ref.bit_generator.state
+            order_only.permutation(inst.n_mr)
+            assert ours.bit_generator.state != order_only.bit_generator.state  # the draws before the stall stay drawn
+
 
 class TestMutate:
     def test_single_candidate_unchanged(self):
@@ -669,7 +723,7 @@ class TestCrossover:
             if broken:
                 level = [steps if reason is None else inst.max_depth + 1 for reason, steps in walks]
                 order = [broken[i] for i in ref_rng.permutation(len(broken)).tolist()]
-                netmodel._attach(inst, ref_rng, child, level + [0] * len(inst.access_routers), order)
+                netmodel._attach(inst, child, level + [0] * len(inst.access_routers), order, kernels.index_draws(ref_rng))
             parents.append(crossover_parentmix(inst, a, b, rng))
             assert parents[-1] == RouteAssignment(tuple(child))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -1137,24 +1191,49 @@ class TestDrawIndexKeepsTheDraws:
 
     @staticmethod
     def use_numpy_draws(monkeypatch):
-        """Put one ``int(rng.integers(n))`` per index in place of the drawer in ``kernels``.
+        """Put one ``int(rng.integers(n))`` per index in place of both draw forms in ``kernels``.
 
-        The operators bind their drawer from there; selection draws all its
-        indices from one ``rng.integers`` call and binds none.
+        The operators bind their drawer from there, and random attachment
+        opens its ``IndexBlock`` from there; selection draws all its indices
+        from one ``rng.integers`` call and binds none. The substitute block
+        takes no outputs: each output the sweep reads is a stand-in whose
+        product with n is one numpy draw at n in the high 32 bits, with low
+        bits that no redraw test catches.
 
-        Returns the list of the substitute's draws: a draw that does not go
-        through the patched drawer is not counted, and an empty list means
-        the comparison ran our drawer against itself.
+        Returns the list of the substitute's draws, as ("drawer", n) or
+        ("block", n): a draw that does not go through a substitute is not
+        counted, and a form missing from the list ran against itself.
         """
         calls = []
 
         def numpy_draws(rng):
             def draw(n):
-                calls.append(n)
+                calls.append(("drawer", n))
                 return int(rng.integers(n))
             return draw
 
+        class NumpyBlock:
+            def __init__(self, rng, size):
+                self.rng, self.outputs, self.used = rng, self, 0
+
+            def __getitem__(self, i):
+                return self
+
+            def __mul__(self, n):
+                calls.append(("block", n))
+                return int(self.rng.integers(n)) << 32 | 0xFFFFFFFF
+
+            def redraw(self, n, m, i):
+                raise AssertionError("a product whose low 32 bits are all ones needs no redraw")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
         monkeypatch.setattr(kernels, "index_draws", numpy_draws)
+        monkeypatch.setattr(kernels, "IndexBlock", NumpyBlock)
         return calls
 
     @staticmethod
@@ -1201,7 +1280,7 @@ class TestDrawIndexKeepsTheDraws:
         ours = [self.operator_chain(inst, seed) for seed in range(3)]
         numpy_draws = self.use_numpy_draws(monkeypatch)
         assert ours == [self.operator_chain(inst, seed) for seed in range(3)]
-        assert len(numpy_draws) > 0
+        assert {form for form, _n in numpy_draws} == {"drawer", "block"}
         assert all(terms is not None for chain, _state in ours for _choices, terms in chain)
         assert all(invalid_reason(inst, RouteAssignment(choices)) is None for chain, _state in ours for choices, _terms in chain)
         assert bool(stalled) == stalls
@@ -1242,7 +1321,7 @@ class TestDrawIndexKeepsTheDraws:
         immigrant_batches = len(batches)
         numpy_draws = self.use_numpy_draws(monkeypatch)
         assert ours == run()
-        assert len(numpy_draws) > 0
+        assert {form for form, _n in numpy_draws} == {"drawer", "block"}
         # both variation operators ran, and immigration did
         assert min(ours[3]["VAR"]["trials"]) > 0
         assert immigrant_batches > 0
