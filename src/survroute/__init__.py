@@ -1,9 +1,9 @@
 """Survivability-aware route optimization for nested mobile networks.
 
-A multi-objective memetic engine (nondominated archive, success-driven
-operator schedulers, stagnation-triggered random immigrants) applied to
-minimizing route cost and expected service loss when mobile routers attach
-into a forest beneath access routers.
+A multi-objective memetic engine (nondominated archive, one success-driven
+scheduler pool for the variation operator, stagnation-triggered random
+immigrants) applied to minimizing route cost and expected service loss when
+mobile routers attach into a forest beneath access routers.
 """
 
 from .archive import NondominatedArchive, insert, nondom, reduce

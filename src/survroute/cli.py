@@ -29,11 +29,8 @@ _RUN_PARAMS = {
     "offspring": ("offspring_size", int),
     "capacity": ("archive_capacity", int),
     "stagnation_window": ("stagnation_window", int),
-    "stagnation_tolerance": ("stagnation_tolerance", float),
     "immigrant_fraction": ("immigrant_fraction", float),
     "ls_budget": ("local_search_budget", int),
-    "scheduler_window": ("scheduler_window", int),
-    "scheduler_floor": ("scheduler_floor", float),
 }
 _PARAM_KEYS = {key: kind for key, (_field, kind) in _RUN_PARAMS.items()}
 _CONFIG_KEYS = {"instance": str, "out": str, **_PARAM_KEYS}

@@ -35,6 +35,7 @@ from .moo import CandidateSolution, Dominance, ObjectiveVector, Problem, dominat
 from .scheduler import OperatorPool, choose, probabilities, report
 
 VARIATION_OPERATORS = ("mutate", "crossover")
+STAGNATION_TOLERANCE = 1e-9  # a smaller hypervolume gain per iteration, relative to the hypervolume, is a stall
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,8 @@ class RunParams:
     archive_capacity: int = 100
     evaluation_budget: int = 100_000
     stagnation_window: int = 10
-    stagnation_tolerance: float = 1e-9  # relative to the current hypervolume
     immigrant_fraction: float = 0.3  # 0 disables immigration
     local_search_budget: int = 20  # neighbor evaluations per individual
-    scheduler_window: int = 50
-    scheduler_floor: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -64,16 +62,10 @@ class RunParams:
             raise ConfigError("evaluation_budget must be >= 0")
         if self.stagnation_window < 1:
             raise ConfigError("stagnation_window must be >= 1")
-        if not (math.isfinite(self.stagnation_tolerance) and self.stagnation_tolerance >= 0):
-            raise ConfigError("stagnation_tolerance must be finite and >= 0")
         if not 0.0 <= self.immigrant_fraction <= 1.0:
             raise ConfigError("immigrant_fraction must be in [0, 1]")
         if self.local_search_budget < 0:
             raise ConfigError("local_search_budget must be >= 0")
-        if self.scheduler_window < 1:
-            raise ConfigError("scheduler_window must be >= 1")
-        if not 0.0 <= self.scheduler_floor <= 0.5:
-            raise ConfigError("scheduler_floor must be in [0, 0.5] (pools have 2 operators)")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -272,8 +264,9 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
 
     Structure: an outer loop of inner passes; each inner iteration runs
     SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
-    into the archive, then credits the variation pool (VAR). When
-    the archive hypervolume stalls for ``stagnation_window`` iterations, the
+    into the archive, then credits the variation pool (VAR). When the
+    archive hypervolume gains less than ``STAGNATION_TOLERANCE`` (relative to
+    the current hypervolume) in each of ``stagnation_window`` iterations, the
     inner loop ends and random immigrants refresh the population (each outer
     pass runs at least one inner iteration, so a zero immigrant fraction
     cannot wedge the loop).
@@ -292,7 +285,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     started = time.perf_counter()
 
     evaluator = Evaluator(problem, params.evaluation_budget)
-    pool = OperatorPool(operators=VARIATION_OPERATORS, window=params.scheduler_window, p_min=params.scheduler_floor)
+    pool = OperatorPool(operators=VARIATION_OPERATORS)
     trials = dict.fromkeys(VARIATION_OPERATORS, 0)
     successes = dict.fromkeys(VARIATION_OPERATORS, 0)
 
@@ -305,7 +298,7 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     while evaluator.remaining > 0:
         forced = True  # immigration resets stagnation: always run one iteration
         while evaluator.remaining > 0:
-            tolerance = params.stagnation_tolerance * max(1.0, trace[-1])
+            tolerance = STAGNATION_TOLERANCE * max(1.0, trace[-1])
             if not forced and stagnation(trace, params.stagnation_window, tolerance):
                 break
             forced = False

@@ -273,6 +273,14 @@ def parse_instance(text: str) -> NetworkInstance:
             raise ParseError(f"malformed id {token!r}", line_no)
         return token
 
+    def new_id(token: str, line_no: int) -> str:
+        """A well-formed id that no BS, AR or MR record has declared yet, now declared."""
+        node_id = check_id(token, line_no)
+        if node_id in seen_ids:
+            raise ParseError(f"duplicate id {node_id!r}", line_no)
+        seen_ids.add(node_id)
+        return node_id
+
     def check_prob(token: str, line_no: int) -> float:
         try:
             p = float(token)
@@ -291,27 +299,15 @@ def parse_instance(text: str) -> NetworkInstance:
         if kind == "BS":
             if len(args) != 2:
                 raise ParseError("BS expects: BS <id> <fail_prob>", line_no)
-            bs_id = check_id(args[0], line_no)
-            if bs_id in seen_ids:
-                raise ParseError(f"duplicate id {bs_id!r}", line_no)
-            seen_ids.add(bs_id)
-            base_stations.append((bs_id, check_prob(args[1], line_no)))
+            base_stations.append((new_id(args[0], line_no), check_prob(args[1], line_no)))
         elif kind == "AR":
             if len(args) != 2:
                 raise ParseError("AR expects: AR <id> <bs_id>", line_no)
-            ar_id = check_id(args[0], line_no)
-            if ar_id in seen_ids:
-                raise ParseError(f"duplicate id {ar_id!r}", line_no)
-            seen_ids.add(ar_id)
-            access_routers.append((ar_id, check_id(args[1], line_no)))
+            access_routers.append((new_id(args[0], line_no), check_id(args[1], line_no)))
         elif kind == "MR":
             if len(args) != 1:
                 raise ParseError("MR expects: MR <id>", line_no)
-            mr_id = check_id(args[0], line_no)
-            if mr_id in seen_ids:
-                raise ParseError(f"duplicate id {mr_id!r}", line_no)
-            seen_ids.add(mr_id)
-            mobile_routers.append(mr_id)
+            mobile_routers.append(new_id(args[0], line_no))
         elif kind == "LINK":
             if len(args) != 4:
                 raise ParseError("LINK expects: LINK <child> <parent> <cost> <fail_prob>", line_no)

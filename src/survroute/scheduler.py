@@ -1,10 +1,11 @@
 """Adaptive operator selection: per-pool success windows and probability matching.
 
 Variation picks its operator from one pool, VAR (the engine's
-``VARIATION_OPERATORS``); every other engine stage has one operator. A pool tracks a sliding window
-of outcome flags per operator; selection samples operators proportionally
-to Laplace-smoothed window success rates, with a probability floor so no
-operator starves. Everything here is plain Python on lists of floats.
+``VARIATION_OPERATORS``); every other engine stage has one operator. A pool
+tracks the last ``WINDOW`` outcome flags per operator; selection samples
+operators proportionally to Laplace-smoothed window success rates, with a
+probability floor ``FLOOR`` so no operator starves. Everything here is plain
+Python on lists of floats.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from functools import reduce
 
 from .errors import ContractViolation
 
+WINDOW = 50  # outcome flags kept per operator
+FLOOR = 0.05  # least selection probability of any operator; a pool holds at most 1/FLOOR operators
+
 
 @dataclass(frozen=True)
 class OperatorPool:
     """Operator identifiers plus per-operator outcome windows (oldest first)."""
 
     operators: tuple[str, ...]
-    window: int = 50
-    p_min: float = 0.05
     outcomes: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
@@ -30,12 +32,8 @@ class OperatorPool:
             raise ContractViolation("operator pool must not be empty")
         if len(set(self.operators)) != len(self.operators):
             raise ContractViolation("duplicate operator identifiers in pool")
-        if self.window < 1:
-            raise ContractViolation(f"window must be >= 1, got {self.window}")
-        if not 0.0 <= self.p_min <= 1.0 / len(self.operators):
-            raise ContractViolation(
-                f"p_min must lie in [0, 1/{len(self.operators)}], got {self.p_min}"
-            )
+        if len(self.operators) * FLOOR > 1.0:
+            raise ContractViolation(f"a pool holds at most {int(1 / FLOOR)} operators, got {len(self.operators)}")
         if not self.outcomes:
             object.__setattr__(self, "outcomes", tuple(() for _ in self.operators))
         elif len(self.outcomes) != len(self.operators):
@@ -54,7 +52,7 @@ def success_rates(pool: OperatorPool) -> list[float]:
 
 
 def probabilities(pool: OperatorPool) -> list[float]:
-    """Selection probabilities: p_i = p_min + (1 - k*p_min) * s_i / sum(s).
+    """Selection probabilities: p_i = FLOOR + (1 - k*FLOOR) * s_i / sum(s).
 
     The rates are summed left to right from 0.0, as numpy sums fewer than
     eight floats, so pools of up to seven operators match ``numpy.sum`` bit
@@ -62,8 +60,8 @@ def probabilities(pool: OperatorPool) -> list[float]:
     """
     rates = success_rates(pool)
     total = reduce(operator.add, rates, 0.0)
-    scale = 1.0 - len(rates) * pool.p_min
-    return [pool.p_min + scale * r / total for r in rates]
+    scale = 1.0 - len(rates) * FLOOR
+    return [FLOOR + scale * r / total for r in rates]
 
 
 def choose(pool: OperatorPool, rng) -> str:
@@ -78,11 +76,11 @@ def choose(pool: OperatorPool, rng) -> str:
 
 
 def report(pool: OperatorPool, op: str, *successes: bool) -> OperatorPool:
-    """Push outcome flags, oldest first, into the operator's window, evicting beyond W.
+    """Push outcome flags, oldest first, into the operator's window, evicting beyond ``WINDOW``.
 
     One call with a batch of flags gives the same pool as one call per flag.
     """
     idx = pool.operator_index(op)
     windows = list(pool.outcomes)
-    windows[idx] = (windows[idx] + tuple(1 if s else 0 for s in successes))[-pool.window :]
+    windows[idx] = (windows[idx] + tuple(1 if s else 0 for s in successes))[-WINDOW:]
     return replace(pool, outcomes=tuple(windows))

@@ -24,7 +24,7 @@ from survroute.netmodel import (
     mutate_reattach,
     random_assignment,
 )
-from survroute.scheduler import OperatorPool, choose, probabilities
+from survroute.scheduler import FLOOR, OperatorPool, choose, probabilities
 
 from conftest import INSTANCE_DIR, make_sol
 
@@ -168,24 +168,23 @@ def test_criterion_5_scheduler_sanity():
     bad = 0
     for _ in range(10_000):
         k = int(rng.integers(1, 6))
-        p_min = float(rng.random()) / k
         outcomes = tuple(
             tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(0, 12)))
             for _ in range(k)
         )
-        pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), window=12, p_min=p_min, outcomes=outcomes)
+        pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), outcomes=outcomes)
         p = probabilities(pool)
-        if abs(sum(p) - 1.0) > 1e-12 or any(x < p_min - 1e-15 for x in p):
+        if abs(sum(p) - 1.0) > 1e-12 or any(x < FLOOR - 1e-15 for x in p):
             bad += 1
-    # exact (0.7, 0.3) pool: rates (0.75, 0.25) with floor 0.1
-    pool = OperatorPool(operators=("a", "b"), window=50, p_min=0.1, outcomes=((1, 1), (0, 0)))
+    # exact (0.725, 0.275) pool: rates (0.75, 0.25) with floor 0.05
+    pool = OperatorPool(operators=("a", "b"), outcomes=((1, 1), (0, 0)))
     draws = np.random.default_rng(4242)
     n = 100_000
     freq = sum(choose(pool, draws) == "a" for _ in range(n)) / n
     criterion(
         "C5 scheduler sanity",
-        bad == 0 and abs(freq - 0.7) <= 0.01,
-        f"{bad}/10000 bad windows, choose frequency {freq:.4f} vs 0.7",
+        bad == 0 and abs(freq - 0.725) <= 0.01,
+        f"{bad}/10000 bad windows, choose frequency {freq:.4f} vs 0.725",
     )
 
 

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, file formats, determinism."""
 
+import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from survroute.netmodel import DEFAULT_ORACLE_GUARD, brute_force_pareto
 
 from conftest import INSTANCE_DIR, layered_net_text
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TRIVIAL = str(INSTANCE_DIR / "trivial_1mr.net")
 STANDARD = str(INSTANCE_DIR / "standard_3mr.net")
 
@@ -36,9 +40,7 @@ class TestRun:
         # round trip: the summary echoes exactly the parameters the run used
         assert summary["params"] == {
             "population": 15, "offspring": 15, "capacity": 100, "budget": 2000,
-            "stagnation_window": 10, "stagnation_tolerance": 1e-9,
-            "immigrant_fraction": 0.3, "ls_budget": 20, "scheduler_window": 50,
-            "scheduler_floor": 0.05, "seed": 1,
+            "stagnation_window": 10, "immigrant_fraction": 0.3, "ls_budget": 20, "seed": 1,
         }
         assert summary["evaluations"] >= 2000
         assert summary["final_hypervolume"] == summary["hypervolume_trace"][-1]
@@ -374,9 +376,7 @@ def _bad_input_argv(case, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"instance = {STANDARD}\nbudget = 10\nseed = -1\n")
         return ["run", "--config", str(cfg), "--out", out]
-    if case == "tolerance_nan":
-        return ["run", "--instance", STANDARD, "--out", out, "--budget", "10", "--stagnation-tolerance", "nan"]
-    if case == "config_tolerance_nan":
+    if case == "config_tolerance_nan":  # stagnation_tolerance is no config key: any value exits 2
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"instance = {STANDARD}\nbudget = 10\nstagnation_tolerance = nan\n")
         return ["run", "--config", str(cfg), "--out", out]
@@ -394,7 +394,6 @@ def _bad_input_argv(case, tmp_path):
     ("front_not_utf8", 2),
     ("seed_negative", 2),
     ("config_seed_negative", 2),
-    ("tolerance_nan", 2),
     ("config_tolerance_nan", 2),
 ])
 def test_bad_input_exits_with_code_not_traceback(case, code, tmp_path, capsys):
@@ -445,17 +444,43 @@ def test_infeasible_instance_exits_3_at_load(command, case, tmp_path, capsys):
     assert not out.exists()
 
 
-_PARAM_DEFAULTS = {
-    "seed": 0, "budget": 100_000, "population": 50, "offspring": 50, "capacity": 100,
-    "stagnation_window": 10, "stagnation_tolerance": 1e-9, "immigrant_fraction": 0.3,
-    "ls_budget": 20, "scheduler_window": 50, "scheduler_floor": 0.05,
-}
+_PARAM_DEFAULTS = {key: getattr(engine.RunParams(), field) for key, (field, _kind) in cli._RUN_PARAMS.items()}
 # a value other than the default for each run parameter
 _PARAM_VALUES = {
     "seed": 7, "budget": 30, "population": 9, "offspring": 5, "capacity": 11,
-    "stagnation_window": 3, "stagnation_tolerance": 0.001, "immigrant_fraction": 0.5,
-    "ls_budget": 2, "scheduler_window": 7, "scheduler_floor": 0.125,
+    "stagnation_window": 3, "immigrant_fraction": 0.5, "ls_budget": 2,
 }
+
+
+def test_run_parameter_table_matches_run_params_and_readme():
+    # a run parameter that reaches RunParams, the CLI table or the README alone fails here
+    assert sorted(field for field, _kind in cli._RUN_PARAMS.values()) == sorted(
+        f.name for f in dataclasses.fields(engine.RunParams)
+    )
+    assert all(type(_PARAM_DEFAULTS[key]) is kind for key, (_field, kind) in cli._RUN_PARAMS.items())
+    text = README.read_text(encoding="utf-8")
+    sentence = text[text.index("`run` also accepts a flat `key=value` config file"):]
+    listed = re.findall(r"`(\w+)`", sentence[: sentence.index(";")].split("keys", 1)[1])
+    assert sorted(listed) == sorted(cli._CONFIG_KEYS)
+    assert _PARAM_VALUES.keys() == _PARAM_DEFAULTS.keys()
+    assert all(_PARAM_VALUES[key] != _PARAM_DEFAULTS[key] for key in _PARAM_VALUES)
+
+
+@pytest.mark.parametrize("key, value", [("scheduler_window", 49), ("scheduler_floor", 0.1), ("stagnation_tolerance", 1e-6)])
+def test_retired_run_parameter_exits_2(key, value, tmp_path, capsys):
+    # the VAR pool's window and floor and the stagnation tolerance are constants: neither a flag nor a
+    # config key sets them, and naming one is a usage error, not a traceback
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--instance", STANDARD, "--out", str(out), flag, str(value))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli("run", "--config", str(cfg), "--instance", STANDARD, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"survroute: config error: {cfg}:1: unknown config key {key!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

@@ -91,7 +91,8 @@ class TestRunParams:
             {"evaluation_budget": -1},
             {"stagnation_window": 0},
             {"immigrant_fraction": 1.5},
-            {"scheduler_floor": 0.9},
+            {"local_search_budget": -1},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

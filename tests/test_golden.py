@@ -3,13 +3,14 @@
 Each case runs the CLI with a fixed seed (default local search, with a
 population of 6 in the 3-MR case, the evolutionary-only settings of the
 200-MR case, or the small-archive settings of the last case) and compares the sha1 of the written
-``front.csv`` bytes with a recorded value.
+``front.csv`` bytes, and the VAR pool's entry in ``summary.json``, with recorded values.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
 A deliberate change of results must update these values and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -46,6 +47,19 @@ GOLDEN = {
     "synthetic_200mr": "a5cc2edf4ec5864c5f23c287fda1c408aa042be0",
     "200mr_without_local_search": "7a8c263e5424d38b15312bdc73e3756cebeb7dc8",
     "small_archive_with_immigration": "4e06c7ee4626b856b8563f3cf981e952449fd05a",
+}
+
+# summary.json["scheduler"] of each case: (probabilities, trials, successes) of the VAR pool, whose
+# operators are mutate and crossover. It is the one output that sees the pool's window and floor: a
+# floor of 0.1 changes every case's probabilities, a window of 49 those of synthetic_200mr, and
+# neither changes any front.
+SCHEDULER = {
+    "standard_3mr": ([0.65, 0.35], [6, 6], [3, 1]),
+    "stress_5mr": ([0.77, 0.22999999999999998], [150, 200], [8, 24]),
+    "synthetic_40mr": ([0.5409090909090909, 0.4590909090909091], [50, 50], [5, 4]),
+    "synthetic_200mr": ([0.8857142857142858, 0.1142857142857143], [0, 50], [0, 1]),
+    "200mr_without_local_search": ([0.275, 0.7250000000000001], [200, 200], [9, 11]),
+    "small_archive_with_immigration": ([0.4829113924050633, 0.5170886075949368], [240, 260], [170, 210]),
 }
 
 # The results of the engine that chose its selection (tournament or uniform) and its replacement
@@ -95,6 +109,18 @@ def test_front_hash_200mr_without_local_search(tmp_path):
 def test_front_hash_small_archive_with_immigration(tmp_path):
     _path, out = _run("small_archive_with_immigration", tmp_path)
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULER))
+def test_scheduler_summary(case, tmp_path):
+    _path, out = _run(case, tmp_path)
+    probabilities, trials, successes = SCHEDULER[case]
+    assert json.loads((out / "summary.json").read_text())["scheduler"] == {"VAR": {
+        "operators": ["mutate", "crossover"],
+        "probabilities": probabilities,
+        "trials": trials,
+        "successes": successes,
+    }}
 
 
 def test_standard_3mr_pins_the_draw_order(tmp_path, monkeypatch):

@@ -239,9 +239,14 @@ class TestParse:
         with pytest.raises(ParseError, match="cost"):
             parse_instance(MINIMAL + "MR mr2\nLINK mr2 ar1 -1.0 0.0\n")
 
-    def test_duplicate_id(self):
-        with pytest.raises(ParseError, match="duplicate id"):
-            parse_instance("BS x 0.0\nMR x\n")
+    @pytest.mark.parametrize(
+        "earlier, record", [("AR x b", "BS x 0.0"), ("MR x", "AR x b"), ("BS x 0.0", "MR x")], ids=["BS", "AR", "MR"]
+    )
+    def test_duplicate_id(self, earlier, record):
+        # a record of the kind under test, on line 4, repeats the id of a record of another kind
+        with pytest.raises(ParseError, match=r"^line 4: duplicate id 'x'$") as exc:
+            parse_instance(f"BS b 0.0\n{earlier}\n# comment\n{record}\n")
+        assert exc.value.line_no == 4
 
     def test_duplicate_link_pair(self):
         with pytest.raises(ParseError, match="duplicate link"):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survroute.errors import ContractViolation
-from survroute.scheduler import OperatorPool, choose, probabilities, report, success_rates
+from survroute.scheduler import FLOOR, WINDOW, OperatorPool, choose, probabilities, report, success_rates
 
 
-def pool_with(outcomes, window=50, p_min=0.1, ops=("alpha", "beta")):
-    return OperatorPool(operators=ops, window=window, p_min=p_min, outcomes=outcomes)
+def pool_with(outcomes):
+    return OperatorPool(operators=("alpha", "beta"), outcomes=outcomes)
 
 
 class _FixedDraw:
@@ -25,9 +25,12 @@ class TestPoolInvariants:
         with pytest.raises(ContractViolation):
             OperatorPool(operators=())
 
-    def test_rejects_floor_above_uniform(self):
+    def test_rejects_more_operators_than_the_floor_allows(self):
+        # every operator keeps at least FLOOR, so 1/FLOOR operators take all the probability
+        most = round(1 / FLOOR)
+        assert probabilities(OperatorPool(operators=tuple(f"op{i}" for i in range(most)))) == [FLOOR] * most
         with pytest.raises(ContractViolation):
-            OperatorPool(operators=("a", "b"), p_min=0.6)
+            OperatorPool(operators=tuple(f"op{i}" for i in range(most + 1)))
 
     def test_unknown_operator_report(self):
         pool = pool_with(())
@@ -37,37 +40,38 @@ class TestPoolInvariants:
 
 class TestProbabilities:
     def test_empty_windows_are_uniform(self):
-        pool = pool_with((), p_min=0.1)
+        pool = pool_with(())
         assert probabilities(pool) == [0.5, 0.5]
 
     def test_worked_rates(self):
         # alpha: 2 successes of 2 -> (2+1)/(2+2) = 0.75; beta: 0 of 2 -> 0.25
-        pool = pool_with(((1, 1), (0, 0)), p_min=0.1)
+        # floor 0.05: 0.05 + 0.9 * 0.75 = 0.725 and 0.05 + 0.9 * 0.25 = 0.275
+        pool = pool_with(((1, 1), (0, 0)))
         assert success_rates(pool) == [0.75, 0.25]
         p = probabilities(pool)
-        assert p[0] == pytest.approx(0.7, abs=1e-12)
-        assert p[1] == pytest.approx(0.3, abs=1e-12)
+        assert p[0] == pytest.approx(0.725, abs=1e-12)
+        assert p[1] == pytest.approx(0.275, abs=1e-12)
 
     def test_singleton_pool(self):
-        pool = OperatorPool(operators=("only",), p_min=0.3)
+        pool = OperatorPool(operators=("only",))
         assert probabilities(pool) == [1.0]
 
 
 class TestChoose:
     def test_uniform_draw_below_half_picks_first(self):
-        pool = pool_with((), p_min=0.1)
+        pool = pool_with(())
         assert choose(pool, _FixedDraw(0.4)) == "alpha"
 
     def test_draw_past_first_mass_picks_second(self):
-        pool = pool_with(((1, 1), (0, 0)), p_min=0.1)  # probabilities (0.7, 0.3)
+        pool = pool_with(((1, 1), (0, 0)))  # probabilities (0.725, 0.275)
         assert choose(pool, _FixedDraw(0.85)) == "beta"
 
     def test_monte_carlo_frequencies(self):
-        pool = pool_with(((1, 1), (0, 0)), p_min=0.1)
+        pool = pool_with(((1, 1), (0, 0)))
         rng = np.random.default_rng(123)
         n = 100_000
         hits = sum(choose(pool, rng) == "alpha" for _ in range(n))
-        assert abs(hits / n - 0.7) < 0.01
+        assert abs(hits / n - 0.725) < 0.01
 
 
 class TestReport:
@@ -78,17 +82,16 @@ class TestReport:
         assert success_rates(pool)[0] == pytest.approx(2.0 / 3.0)
 
     def test_window_eviction(self):
-        pool = pool_with((), window=4)
-        for outcome in (True, False, True, True, False):
+        pool = pool_with(())
+        for outcome in (True,) + (False, True) * (WINDOW // 2):
             pool = report(pool, "alpha", outcome)
-        assert pool.outcomes[0] == (0, 1, 1, 0)  # oldest success evicted
+        assert pool.outcomes[0] == (0, 1) * (WINDOW // 2)  # oldest success evicted
 
     def test_all_failures_full_window(self):
-        W = 6
-        pool = pool_with((), window=W)
-        for _ in range(W):
+        pool = pool_with(())
+        for _ in range(WINDOW + 3):
             pool = report(pool, "beta", False)
-        assert success_rates(pool)[1] == pytest.approx(1.0 / (W + 2))
+        assert success_rates(pool)[1] == pytest.approx(1.0 / (WINDOW + 2))
 
 
 windows = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=20).map(tuple)
@@ -104,15 +107,14 @@ def numpy_success_rates(pool):
 def numpy_probabilities(pool):
     rates = numpy_success_rates(pool)
     k = len(pool.operators)
-    return pool.p_min + (1.0 - k * pool.p_min) * rates / rates.sum()
+    return FLOOR + (1.0 - k * FLOOR) * rates / rates.sum()
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.data())
 def test_rates_and_probabilities_equal_numpy_forms(k, data):
     outcomes = data.draw(st.tuples(*[windows] * k))
-    p_min = data.draw(st.floats(min_value=0.0, max_value=1.0 / k))
-    pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), window=20, p_min=p_min, outcomes=outcomes)
+    pool = OperatorPool(operators=tuple(f"op{i}" for i in range(k)), outcomes=outcomes)
     rates, p = success_rates(pool), probabilities(pool)
     assert all(type(x) is float for x in rates + p)
     assert [x.hex() for x in rates] == [float(x).hex() for x in numpy_success_rates(pool)]
@@ -120,20 +122,18 @@ def test_rates_and_probabilities_equal_numpy_forms(k, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(windows, windows, windows), st.floats(min_value=0.0, max_value=1.0 / 3.0))
-def test_probability_axioms(outcome_triple, p_min):
-    pool = OperatorPool(operators=("a", "b", "c"), window=20, p_min=p_min, outcomes=outcome_triple)
+@given(st.tuples(windows, windows, windows))
+def test_probability_axioms(outcome_triple):
+    pool = OperatorPool(operators=("a", "b", "c"), outcomes=outcome_triple)
     p = probabilities(pool)
     assert abs(sum(p) - 1.0) < 1e-12
-    assert all(x >= p_min - 1e-15 for x in p)
-    if p_min > 0:
-        assert all(x > 0 for x in p)  # no starvation
+    assert all(x >= FLOOR - 1e-15 for x in p)  # no starvation
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(windows, windows))
 def test_success_monotonicity(outcome_pair):
-    pool = OperatorPool(operators=("a", "b"), window=25, p_min=0.05, outcomes=outcome_pair)
+    pool = OperatorPool(operators=("a", "b"), outcomes=outcome_pair)
     before = probabilities(pool)[0]
     after = probabilities(report(pool, "a", True))[0]
     assert after >= before - 1e-15
@@ -143,15 +143,14 @@ def test_success_monotonicity(outcome_pair):
 @given(
     st.lists(st.booleans(), max_size=40),
     st.lists(st.booleans(), max_size=60),
-    st.integers(min_value=1, max_value=25),
 )
-def test_batch_report_equals_one_by_one(earlier, batch, window):
+def test_batch_report_equals_one_by_one(earlier, batch):
     # flag sequences run longer than the window, so batches evict as single reports do
-    pool = OperatorPool(operators=("a", "b"), window=window, p_min=0.05)
+    pool = OperatorPool(operators=("a", "b"))
     for flag in earlier:
         pool = report(pool, "b", flag)
     one_by_one = pool
     for flag in batch:
         one_by_one = report(one_by_one, "b", flag)
     assert report(pool, "b", *batch) == one_by_one
-    assert one_by_one.outcomes[1] == tuple(int(flag) for flag in earlier + batch)[-window:]
+    assert one_by_one.outcomes[1] == tuple(int(flag) for flag in earlier + batch)[-WINDOW:]
