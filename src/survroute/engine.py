@@ -134,9 +134,11 @@ def select_from(
 ) -> list[CandidateSolution]:
     """Draw ``count`` parents from population + archive by binary tournament.
 
-    Two uniform picks per slot, all 2 x ``count`` from one
-    ``rng.integers`` call, which draws what as many single draws would; the
-    winner is the smaller (rank, -crowding, key) over the union.
+    Two uniform picks per slot, all 2 x ``count`` integers from one
+    ``rng.integers`` call, which draws what as many single
+    ``rng.integers(n)`` calls would (the operators pick from doubles
+    instead, ``netmodel``); the winner is the smaller (rank, -crowding,
+    key) over the union.
     """
     union = list(pop) + list(arch.members)
     if not union:

@@ -32,15 +32,14 @@ reattach test finds a moved MR's subtree through the static reverse links
 genotype's choices, so a mutation or neighborhood move builds no per-genotype
 parent or child lists: it costs its subtree's in-links plus the MR's radix
 times the depth, not the number of MRs. Every
-random pick among links or MRs is the draw numpy's ``Generator.integers``
-makes: one draw from a ``kernels.index_draws`` drawer, bound once per
-operator call, or, in ``random_assignment``, one draw the attachment sweep
-makes in place from a ``kernels.IndexBlock`` of raw outputs, with no call
-per draw. Attachment reads each MR's (link, parent)
+random pick among f links or MRs is ``int(u * f)`` for one uniform double u
+in [0, 1) from ``Generator.random``; its bias is below f / 2**53 per
+outcome. Attachment takes its doubles in one call, one for each MR it may
+attach, and reads each MR's (link, parent)
 pairs (``_Compiled.enumerated_parents``) and one level table that holds the
 access routers' 0 behind the MRs' depths, so deciding a link is one lookup
-and one comparison; crossover repair takes that table's MR part from the
-one depth sweep that finds its broken MRs (``_forest_depths``).
+and one comparison; crossover repair takes that table's MR part, and the
+broken MRs to repair, from one depth sweep (``_forest_depths``).
 
 ``RouteProblem.genotype_key`` is the choice tuple, which the archive
 compares and orders; ``assignment_string`` is built only where a front is
@@ -438,11 +437,11 @@ def _choice_matrix(inst: NetworkInstance, genotypes) -> np.ndarray | None:
     return choices
 
 
-def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
-    """Per MR, the number of links on its path to an access router, or max_depth + 1 when that path is broken.
+def _forest_depths(inst: NetworkInstance, choices) -> tuple[list[int], list[int]]:
+    """(depths, broken): per MR, its number of links to an access router, or max_depth + 1 when its path is broken; the broken MRs in index order.
 
     A path is broken when it is longer than max_depth links or runs into a
-    cycle. The list is ``_attach``'s level table for the MRs: the intact
+    cycle. The depths are ``_attach``'s level table for the MRs: the intact
     ones at their depths, the broken ones unrooted. Each sweep gives every
     pending MR whose parent has room below it that depth plus one, reading
     an access router's 0 from the end of the table; the MRs left when a
@@ -453,6 +452,7 @@ def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
     up = list(map(operator.getitem, inst.compiled.mr_parents, choices))
     depth = [max_depth + 1] * n + [0] * len(inst.access_routers)
     pending = range(n)
+    left = []
     while pending:
         left = []
         for m in pending:
@@ -465,7 +465,7 @@ def _forest_depths(inst: NetworkInstance, choices) -> list[int]:
             break
         pending = left
     del depth[n:]
-    return depth
+    return depth, left
 
 
 def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
@@ -477,15 +477,15 @@ def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
     """
     _check_choices(inst, a)
     choices, mr_parents = a.choices, inst.compiled.mr_parents
-    for m, d in enumerate(_forest_depths(inst, choices)):
-        if d > inst.max_depth:
-            p = m
-            for _ in range(inst.n_mr):
-                p = mr_parents[p][choices[p]]
-                if p < 0:
-                    return "depth"
-            return "cycle"
-    return None
+    broken = _forest_depths(inst, choices)[1]
+    if not broken:
+        return None
+    p = broken[0]
+    for _ in range(inst.n_mr):
+        p = mr_parents[p][choices[p]]
+        if p < 0:
+            return "depth"
+    return "cycle"
 
 
 def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
@@ -520,7 +520,7 @@ def assignment_from_string(inst: NetworkInstance, text: str) -> RouteAssignment:
     return assignment_from_parent_map(inst, mapping)
 
 
-def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending: list[int], draws) -> None:
+def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending: list[int], picks: list[float]) -> None:
     """Randomized topological attachment of the MRs in ``pending``, in place; ``choices`` ends a valid forest.
 
     ``level`` holds one entry per MR, its depth, or max_depth + 1 while it
@@ -529,17 +529,14 @@ def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending
     MRs not pending form a valid forest. A link is then feasible exactly
     when its parent's level is below max_depth: the parent is an AR, or a
     rooted MR with room below it. Sweeps ``pending`` in order. Each MR picks
-    uniformly among its feasible links and takes its parent's level plus
-    one; an MR with no feasible link waits for the next sweep. A pick among
-    several links is one index draw from ``draws``, the caller's: a
-    ``kernels.index_draws`` drawer, called for the draw, or an open
-    ``kernels.IndexBlock`` of at least ``len(pending)`` outputs, whose draw
-    the sweep makes in place, with no call; either makes the draw numpy's
-    ``Generator.integers`` makes.
+    uniformly among its f feasible links and takes its parent's level plus
+    one; an MR with no feasible link waits for the next sweep. ``picks``
+    holds ``len(pending)`` uniform doubles in [0, 1): the i-th MR attached
+    takes link ``feasible[int(picks[i] * f)]``.
 
     When a sweep attaches none, each MR left, and each of its ancestors
     in the shortest-path tree down to an AR or to an MR already at its
-    ``min_depth`` d*, is put on its ``min_link`` at level d*, with no draw.
+    ``min_depth`` d*, is put on its ``min_link`` at level d*, with no pick.
     The sentinel max_depth + 1 is above every d* of a feasible instance, so
     no MR left counts as settled already. The forest stays valid: a reset
     MR has depth d* <= max_depth, any other depth can only fall, and the
@@ -550,9 +547,7 @@ def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending
     c = inst.compiled
     max_depth = inst.max_depth
     mr_parents, enumerated_parents = c.mr_parents, c.enumerated_parents
-    block = draws if isinstance(draws, kernels.IndexBlock) else None
-    if block is not None:
-        outputs, redraw, i = block.outputs, block.redraw, block.used
+    i = 0
     while pending:
         deferred = []
         for m in pending:
@@ -565,24 +560,13 @@ def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending
             if not feasible:
                 deferred.append(m)
                 continue
-            f = len(feasible)
-            if f == 1:  # a draw at 1 is 0 and takes no output
-                k = feasible[0]
-            elif block is None:
-                k = feasible[draws(f)]
-            else:  # the block's draw (kernels.IndexBlock), in place: a call per MR is a third of the sweep
-                x = outputs[i] * f
-                i += 1
-                if x & 0xFFFFFFFF < f:
-                    x, i = redraw(f, x, i)
-                k = feasible[x >> 32]
+            k = feasible[int(picks[i] * len(feasible))]
+            i += 1
             choices[m] = k
             level[m] = level[mr_parents[m][k]] + 1
         if len(deferred) == len(pending):
             break
         pending = deferred
-    if block is not None:
-        block.used = i
     if pending:
         _check_feasible(inst)
         min_depth, min_link = c.min_depth, c.min_link
@@ -596,16 +580,15 @@ def _attach(inst: NetworkInstance, choices: list[int], level: list[int], pending
 def random_assignment(inst: NetworkInstance, rng) -> RouteAssignment:
     """Random valid forest, carrying no terms: ``_attach`` of all MRs, in a random order.
 
-    The order is drawn first; the attachment then reads its index draws
-    from one ``kernels.IndexBlock`` of n_mr outputs, one for each MR at most.
+    The order is drawn first (``rng.permutation(n)``), then one double per
+    MR (``rng.random(n)``), which the attachment picks with.
     Raises InstanceError on an infeasible instance (``parse_instance`` never returns one).
     """
     n = inst.n_mr
     choices = [0] * n
     level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
     order = rng.permutation(n).tolist()
-    with kernels.IndexBlock(rng, n) as block:
-        _attach(inst, choices, level, order, block)
+    _attach(inst, choices, level, order, rng.random(n).tolist())
     return RouteAssignment(tuple(choices))
 
 
@@ -666,12 +649,11 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
     """
     if inst.n_mr == 0:
         return a
-    draw = kernels.index_draws(rng)
-    m = draw(inst.n_mr)
+    m = int(rng.random() * inst.n_mr)
     feasible, subtree = _reattach_options(inst, a.choices, m)
     if not feasible:
         return a
-    k = feasible[draw(len(feasible))]
+    k = feasible[int(rng.random() * len(feasible))]
     choices = a.choices[:m] + (k,) + a.choices[m + 1:]
     if a._terms is None:
         return RouteAssignment(choices)
@@ -695,11 +677,10 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
         return a
     count = (inst.n_mr + 1) // 2
     work = list(a.choices)
-    draw = kernels.index_draws(rng)
     for m in rng.permutation(inst.n_mr)[:count].tolist():
         feasible = _reattach_options(inst, work, m)[0]
         if feasible:
-            work[m] = feasible[draw(len(feasible))]
+            work[m] = feasible[int(rng.random() * len(feasible))]
     return _walked(inst, work)
 
 
@@ -710,20 +691,20 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
     per MR; MRs left on broken paths (cycles or excessive depth) are
     re-attached in a random order by randomized topological attachment
     (``_attach``), which always finishes. One ``_forest_depths`` sweep finds
-    them, and its list is the level table ``_attach`` starts from. The
-    child carries no terms.
+    them, and its depths are the level table ``_attach`` starts from. For k
+    broken MRs the order is ``rng.permutation(k)`` and the picks
+    ``rng.random(k)``. The child carries no terms.
     """
     n = inst.n_mr
     if n == 0:
         return a
     # the same doubles as one rng.random() per MR; a pick of 1 (u >= 0.5) takes b's link
     child = list(map(operator.getitem, zip(a.choices, b.choices), (rng.random(n) >= 0.5).tolist()))
-    level = _forest_depths(inst, child)  # _attach's level table: intact MRs at their depth, broken ones unrooted
-    max_depth = inst.max_depth
-    broken = [m for m, d in enumerate(level) if d > max_depth]
+    level, broken = _forest_depths(inst, child)  # _attach's level table: intact MRs at their depth, broken ones unrooted
     if broken:  # a child with no broken MR skips rng.permutation(0), which draws nothing but costs a numpy call
         level += [0] * len(inst.access_routers)
-        _attach(inst, child, level, [broken[i] for i in rng.permutation(len(broken)).tolist()], kernels.index_draws(rng))
+        k = len(broken)
+        _attach(inst, child, level, [broken[i] for i in rng.permutation(k).tolist()], rng.random(k).tolist())
     return RouteAssignment(tuple(child))
 
 

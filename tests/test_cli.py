@@ -469,18 +469,36 @@ def test_run_parameter_table_matches_run_params_and_readme():
 @pytest.mark.parametrize("key, value", [("scheduler_window", 49), ("scheduler_floor", 0.1), ("stagnation_tolerance", 1e-6)])
 def test_retired_run_parameter_exits_2(key, value, tmp_path, capsys):
     # the VAR pool's window and floor and the stagnation tolerance are constants: neither a flag nor a
-    # config key sets them, and naming one is a usage error, not a traceback
+    # config key sets them, and naming one is a usage error in one line, not a traceback
     flag = "--" + key.replace("_", "-")
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("run", "--instance", STANDARD, "--out", str(out), flag, str(value))
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert run_cli("run", "--instance", STANDARD, "--out", str(out), flag, str(value)) == 2
+    assert capsys.readouterr().err == f"survroute: config error: unrecognized arguments: {flag} {value}\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {value}\n")
     assert run_cli("run", "--config", str(cfg), "--instance", STANDARD, "--out", str(out)) == 2
     assert capsys.readouterr().err == f"survroute: config error: {cfg}:1: unknown config key {key!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+    (["oracle"], "the following arguments are required: instance"),
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'run', 'oracle', 'measure')"),
+])
+def test_usage_error_is_one_line(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"survroute: config error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: survroute")
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

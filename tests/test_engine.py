@@ -143,16 +143,15 @@ class TestSelectFrom:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_one_integers_call_draws_what_single_draws_would(self, seed):
-        # the 2 x count picks of one rng.integers call are those of 2 x count index_draws draws, and
-        # leave the generator in the same state, a buffered 32-bit half (has_uint32) included
+        # the 2 x count picks of one rng.integers call are those of 2 x count single rng.integers calls,
+        # and leave the generator in the same state, a buffered 32-bit half (has_uint32) included
         def select_by_single_draws(pop, arch, count, rng):
             union = list(pop) + list(arch.members)
             ranks, crowd = rank_and_crowding(union)
             keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
-            draw = kernels.index_draws(rng)
             parents = []
             for _ in range(count):
-                i, j = draw(len(union)), draw(len(union))
+                i, j = int(rng.integers(len(union))), int(rng.integers(len(union)))
                 parents.append(union[i] if keys[i] <= keys[j] else union[j])
             return parents
 
@@ -162,7 +161,7 @@ class TestSelectFrom:
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed % 2:
             for rng in (ours, reference):
-                kernels.index_draws(rng)(7)
+                rng.integers(7)
             assert ours.bit_generator.state["has_uint32"] == 1
         for count in (1, 7, 50):
             assert select_from(pop, arch, count, ours) == select_by_single_draws(pop, arch, count, reference)

@@ -23,6 +23,7 @@ from survroute.moo import Dominance, ObjectiveVector, dominates
 from survroute.netmodel import CandidateLink, NetworkInstance, parse_instance
 
 from conftest import numpy_crowding, synthetic_net_text
+from integer_draws import IndexBlock, index_draws
 
 
 def test_compiled_tables_are_plain_tuples(standard_instance, stress_instance):
@@ -357,6 +358,8 @@ def test_hv2d_sweep_worked_example():
     assert hv2d_sweep([(1.0, 2.0), (1.0, 2.0), (1.5, 2.0), (2.0, 1.0), (2.5, 1.5)], 3.0, 3.0) == 3.0
 
 
+# The pre-change index draws (integer_draws), which test_golden's history test picks with again:
+# each must make the draws of Generator.integers and leave the generator where it does.
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 # small n as the operators draw them, and n where Lemire's draw redraws often: for n just
 # above 2**31 the threshold (2**32 - n) % n is near n, so about half of all outputs are redrawn
@@ -377,8 +380,8 @@ def _twins(bit_generator, seed=2024):
 
 
 def _single_draws(rng):
-    """A drawer that binds ``kernels.index_draws(rng)`` anew for each draw."""
-    return lambda n: kernels.index_draws(rng)(n)
+    """A drawer that binds ``index_draws(rng)`` anew for each draw."""
+    return lambda n: index_draws(rng)(n)
 
 
 def _equals_numpy_integers(drawers, bit_generator, n):
@@ -461,28 +464,28 @@ def test_draw_index_raises_as_numpy(n):
 @pytest.mark.parametrize("n", DRAW_SIZES)
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
 def test_index_draws_equals_numpy_integers(bit_generator, n):
-    _equals_numpy_integers(kernels.index_draws, bit_generator, n)
+    _equals_numpy_integers(index_draws, bit_generator, n)
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
 def test_index_draws_redraws_like_numpy(bit_generator):
-    _redraws_like_numpy(kernels.index_draws, bit_generator)
+    _redraws_like_numpy(index_draws, bit_generator)
 
 
 @pytest.mark.parametrize("n", WIDE_SIZES)
 def test_index_draws_beyond_32_bits_or_not_an_int_is_numpy(n):
-    _beyond_32_bits_or_not_an_int_is_numpy(kernels.index_draws, n)
+    _beyond_32_bits_or_not_an_int_is_numpy(index_draws, n)
 
 
 @pytest.mark.parametrize("n", BAD_SIZES)
 def test_index_draws_raises_as_numpy(n):
-    _raises_as_numpy(kernels.index_draws, n)
+    _raises_as_numpy(index_draws, n)
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
 def test_index_draws_keeps_its_generator_alive(bit_generator):
     # the drawer holds the only reference to its generator; the state address it draws from must stay valid
-    draw = kernels.index_draws(np.random.Generator(bit_generator(2024)))
+    draw = index_draws(np.random.Generator(bit_generator(2024)))
     gc.collect()
     twins = [np.random.Generator(bit_generator(2024)) for _ in range(20)]  # they would take a freed state's memory
     sizes = [*range(1, 9), 2**31 + 1, 2**32 - 1] * 5
@@ -490,7 +493,7 @@ def test_index_draws_keeps_its_generator_alive(bit_generator):
 
 
 def _block_draws(block, sizes):
-    """The draws at each n of ``sizes`` from the open ``kernels.IndexBlock`` ``block``, as its docstring makes them.
+    """The draws at each n of ``sizes`` from the open ``IndexBlock`` ``block``, as its docstring makes them.
 
     Reads from ``block.used`` on and stores the cursor back there.
     """
@@ -519,7 +522,7 @@ def test_index_block_equals_numpy_integers(bit_generator, n):
         assert ours.random() == twin.random()
         if i % 2:
             assert ours.permutation(5).tolist() == twin.permutation(5).tolist()
-        with kernels.IndexBlock(ours, size) as block:
+        with IndexBlock(ours, size) as block:
             picks = _block_draws(block, [n] * count)
             if n == 2**31 + 1 and count == size == 200:  # about half the outputs are redrawn
                 assert len(block.outputs) > size
@@ -534,10 +537,10 @@ def test_index_block_that_reads_no_output_leaves_the_state(bit_generator):
     rng.integers(7)  # a buffered 32-bit half is pending where the generator keeps one
     before = rng.bit_generator.state
     for size in (0, 1, 50):
-        with kernels.IndexBlock(rng, size) as block:  # no draw, then draws at 1, which read nothing
+        with IndexBlock(rng, size) as block:  # no draw, then draws at 1, which read nothing
             assert _block_draws(block, []) == []
         assert _same_state(rng.bit_generator.state, before)
-        with kernels.IndexBlock(rng, size) as block:
+        with IndexBlock(rng, size) as block:
             assert _block_draws(block, [1] * size) == [0] * size
         assert _same_state(rng.bit_generator.state, before)
 
@@ -547,9 +550,9 @@ def test_index_block_closed_by_an_exception_leaves_the_per_draw_state(bit_genera
     ours, twin = _twins(bit_generator)
     sizes = [3, 2**31 + 1, 6, 1, 5] * 8
     with pytest.raises(RuntimeError, match="mid-block"):
-        with kernels.IndexBlock(ours, 60) as block:
+        with IndexBlock(ours, 60) as block:
             picks = _block_draws(block, sizes)
             raise RuntimeError("mid-block")
-    draw = kernels.index_draws(twin)
+    draw = index_draws(twin)
     assert picks == [draw(n) for n in sizes]
     assert _same_state(ours.bit_generator.state, twin.bit_generator.state)

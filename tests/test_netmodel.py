@@ -19,6 +19,7 @@ from survroute.errors import ContractViolation, InstanceError, OracleScopeError,
 from survroute.netmodel import (
     RouteAssignment,
     RouteProblem,
+    _check_feasible,
     _forest_depths,
     _reattach_options,
     assignment_from_parent_map,
@@ -126,11 +127,11 @@ def walk_feasible(inst, choices, m):
 
 def walk_mutate(inst, a, rng):
     """mutate_reattach with walk_feasible: the same RNG draws in the same order."""
-    m = int(rng.integers(inst.n_mr))
+    m = int(rng.random() * inst.n_mr)
     feasible = walk_feasible(inst, a.choices, m)
     if not feasible:
         return a
-    k = feasible[int(rng.integers(len(feasible)))]
+    k = feasible[int(rng.random() * len(feasible))]
     return RouteAssignment(a.choices[:m] + (k,) + a.choices[m + 1:])
 
 
@@ -140,7 +141,7 @@ def walk_heavy(inst, a, rng):
     for m in rng.permutation(inst.n_mr)[: (inst.n_mr + 1) // 2].tolist():
         feasible = walk_feasible(inst, work, m)
         if feasible:
-            work = work[:m] + (feasible[int(rng.integers(len(feasible)))],) + work[m + 1:]
+            work = work[:m] + (feasible[int(rng.random() * len(feasible))],) + work[m + 1:]
     return RouteAssignment(work)
 
 
@@ -180,12 +181,38 @@ def reference_walks(inst, choices):
     return reasons
 
 
-def per_draw_assignment(inst, rng):
-    """``random_assignment`` with each index draw from one ``kernels.index_draws`` drawer in place of its block."""
-    n = inst.n_mr
-    choices = [0] * n
-    level = [inst.max_depth + 1] * n + [0] * len(inst.access_routers)
-    netmodel._attach(inst, choices, level, rng.permutation(n).tolist(), kernels.index_draws(rng))
+def pick_rule_assignment(inst, rng):
+    """``random_assignment`` by its rule, with a depth map in place of the level table.
+
+    The order is ``rng.permutation(n)`` and the picks ``rng.random(n)``; the
+    i-th MR attached takes ``int(picks[i] * f)`` of its f feasible links.
+    Each MR left when a sweep attaches none, and its shortest-path ancestors
+    until one already sits at its shortest depth, take their shortest links.
+    """
+    c, max_depth = inst.compiled, inst.max_depth
+    order = rng.permutation(inst.n_mr).tolist()
+    picks = iter(rng.random(inst.n_mr).tolist())
+    choices, depth = [0] * inst.n_mr, {}  # depth: MR -> its depth, once attached
+    pending = order
+    while pending:
+        left = []
+        for m in pending:
+            feasible = [k for k, p in enumerate(c.mr_parents[m]) if p < 0 or depth.get(p, max_depth) < max_depth]
+            if not feasible:
+                left.append(m)
+                continue
+            choices[m] = feasible[int(next(picks) * len(feasible))]
+            p = c.mr_parents[m][choices[m]]
+            depth[m] = 1 if p < 0 else depth[p] + 1
+        if len(left) == len(pending):
+            break
+        pending = left
+    if pending:
+        _check_feasible(inst)  # bound at import: a test that counts the package's calls does not count this one
+    for m in pending:
+        while m >= 0 and depth.get(m) != c.min_depth[m]:
+            choices[m], depth[m] = c.min_link[m], c.min_depth[m]
+            m = c.mr_parents[m][choices[m]]
     return RouteAssignment(tuple(choices))
 
 
@@ -354,10 +381,11 @@ MAXDEPTH 2
         first = next((reason for reason, _steps in walks if reason is not None), None)
         assert invalid_reason(inst, RouteAssignment(choices)) == first
         # _attach's level table, which crossover repair reads: an intact MR's walk length, and
-        # max_depth + 1 for an MR whose walk fails, by a cycle or by depth
-        assert _forest_depths(inst, list(choices)) == [
-            steps if reason is None else inst.max_depth + 1 for reason, steps in walks
-        ]
+        # max_depth + 1 for an MR whose walk fails, by a cycle or by depth; and those MRs, in index order
+        assert _forest_depths(inst, list(choices)) == (
+            [steps if reason is None else inst.max_depth + 1 for reason, steps in walks],
+            [m for m, (reason, _steps) in enumerate(walks) if reason is not None],
+        )
 
 
 class TestObjectives:
@@ -541,6 +569,14 @@ class TestRandomAssignment:
         with pytest.raises(InstanceError, match=message):
             random_assignment(dataclasses.replace(deep, max_depth=2), np.random.default_rng(0))
 
+    def test_a_pick_stays_in_its_list(self):
+        # Generator.random gives doubles in [0, 1): the largest, 1 - 2**-53, times f rounds below f
+        u_max = float(np.nextafter(1.0, 0.0))
+        assert u_max == 1.0 - 2.0**-53
+        for f in range(1, 10_001):
+            assert int(u_max * f) == f - 1
+            assert int(0.0 * f) == 0
+
     @pytest.mark.parametrize(
         "text, stalls",
         [
@@ -551,7 +587,7 @@ class TestRandomAssignment:
         ],
         ids=["synthetic40", "synthetic200", "layered80", "layered10_at_maxdepth"],
     )
-    def test_block_draws_what_a_drawer_draws(self, monkeypatch, text, stalls):
+    def test_equals_the_pick_rule_reference(self, monkeypatch, text, stalls):
         inst = parse_instance(text)
         stalled = []
         check_feasible = netmodel._check_feasible
@@ -564,12 +600,14 @@ class TestRandomAssignment:
         for seed in range(4):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(10):
-                assert random_assignment(inst, ours) == per_draw_assignment(inst, ref)
+                a = random_assignment(inst, ours)
+                assert a == pick_rule_assignment(inst, ref)
+                assert invalid_reason(inst, a) is None
                 assert ours.bit_generator.state == ref.bit_generator.state
         assert bool(stalled) == stalls
 
-    def test_block_on_an_infeasible_instance_raises_where_a_drawer_does(self):
-        # m1 and m2 draw among two access routers, m3 between m1 and m2, and m4's one path has 3 links
+    def test_infeasible_instance_raises_after_its_draws(self):
+        # m1 and m2 pick among two access routers, m3 between m1 and m2, and m4's one path has 3 links
         text = (
             "BS b 0.0\nAR a1 b\nAR a2 b\nMR m1\nMR m2\nMR m3\nMR m4\nLINK m1 a1 1 0\nLINK m1 a2 1 0\n"
             "LINK m2 a1 1 0\nLINK m2 a2 1 0\nLINK m3 m1 1 0\nLINK m3 m2 1 0\nLINK m4 m3 1 0\nMAXDEPTH 3\n"
@@ -577,14 +615,16 @@ class TestRandomAssignment:
         inst = dataclasses.replace(parse_instance(text), max_depth=2)  # built past parse_instance's verdict
         message = r"^mobile router 'm4' is 3 links from an access router, beyond MAXDEPTH 2 \(infeasible\)$"
         for seed in range(8):
-            ours, ref, order_only = (np.random.default_rng(seed) for _ in range(3))
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             with pytest.raises(InstanceError, match=message):
                 random_assignment(inst, ours)
             with pytest.raises(InstanceError, match=message):
-                per_draw_assignment(inst, ref)
+                pick_rule_assignment(inst, ref)
             assert ours.bit_generator.state == ref.bit_generator.state
-            order_only.permutation(inst.n_mr)
-            assert ours.bit_generator.state != order_only.bit_generator.state  # the draws before the stall stay drawn
+            ref = np.random.default_rng(seed)
+            ref.permutation(inst.n_mr)
+            ref.random(inst.n_mr)
+            assert ours.bit_generator.state == ref.bit_generator.state  # the order and one double per MR
 
 
 class TestMutate:
@@ -631,7 +671,7 @@ class TestMutate:
             # 8 levels of 10 MRs, from the all-up forest (each MR's min_link): its subtrees are 7 links high
             inst = parse_instance(layered_net_text(8, 10, 8, data.draw(st.integers(0, 2**32 - 1))))
             a = RouteAssignment(inst.compiled.min_link)
-            depth = _forest_depths(inst, a.choices)
+            depth = _forest_depths(inst, a.choices)[0]
             assert max(max(depth[i] for i in naive_subtree(inst, a, m)) - depth[m] for m in range(inst.n_mr)) == 7
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -710,8 +750,9 @@ class TestCrossover:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_per_mr_coins_and_walks(self, data):
-        # the child of one rng.random() per MR, whose broken MRs (by a per-MR walk) _attach repairs
-        # in a random order, with the intact ones at their walk lengths in its level table
+        # the child of one rng.random() per MR, whose k broken MRs (by a per-MR walk) _attach repairs
+        # in the order rng.permutation(k) with the picks rng.random(k), with the intact ones at their
+        # walk lengths in its level table
         inst, _witness = forest_instance(
             random.Random(data.draw(st.integers(0, 2**32 - 1))),
             data.draw(st.integers(1, 30)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 4)),
@@ -728,7 +769,8 @@ class TestCrossover:
             if broken:
                 level = [steps if reason is None else inst.max_depth + 1 for reason, steps in walks]
                 order = [broken[i] for i in ref_rng.permutation(len(broken)).tolist()]
-                netmodel._attach(inst, child, level + [0] * len(inst.access_routers), order, kernels.index_draws(ref_rng))
+                picks = ref_rng.random(len(broken)).tolist()
+                netmodel._attach(inst, child, level + [0] * len(inst.access_routers), order, picks)
             parents.append(crossover_parentmix(inst, a, b, rng))
             assert parents[-1] == RouteAssignment(tuple(child))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -997,7 +1039,7 @@ def family_instance(data):
 
 def uniform_choices(inst, rng):
     """Choices drawn uniformly per MR: often a cycle, or a path longer than MAXDEPTH."""
-    return tuple(kernels.index_draws(rng)(r) for r in inst.compiled.radices)
+    return tuple(int(rng.integers(r)) for r in inst.compiled.radices)
 
 
 def outcome(evaluate_all):
@@ -1189,144 +1231,3 @@ def test_synthetic_net_text_rejects_more_links_than_mrs():
     with pytest.raises(ValueError):
         synthetic_net_text(1, 6, 6, 0)
     assert parse_instance(synthetic_net_text(6, 6, 6, 0)).compiled.radices == (6,) * 6
-
-
-class TestDrawIndexKeepsTheDraws:
-    """Operators and runs are the same with ``kernels.index_draws`` as with the numpy call it reproduces."""
-
-    @staticmethod
-    def use_numpy_draws(monkeypatch):
-        """Put one ``int(rng.integers(n))`` per index in place of both draw forms in ``kernels``.
-
-        The operators bind their drawer from there, and random attachment
-        opens its ``IndexBlock`` from there; selection draws all its indices
-        from one ``rng.integers`` call and binds none. The substitute block
-        takes no outputs: each output the sweep reads is a stand-in whose
-        product with n is one numpy draw at n in the high 32 bits, with low
-        bits that no redraw test catches.
-
-        Returns the list of the substitute's draws, as ("drawer", n) or
-        ("block", n): a draw that does not go through a substitute is not
-        counted, and a form missing from the list ran against itself.
-        """
-        calls = []
-
-        def numpy_draws(rng):
-            def draw(n):
-                calls.append(("drawer", n))
-                return int(rng.integers(n))
-            return draw
-
-        class NumpyBlock:
-            def __init__(self, rng, size):
-                self.rng, self.outputs, self.used = rng, self, 0
-
-            def __getitem__(self, i):
-                return self
-
-            def __mul__(self, n):
-                calls.append(("block", n))
-                return int(self.rng.integers(n)) << 32 | 0xFFFFFFFF
-
-            def redraw(self, n, m, i):
-                raise AssertionError("a product whose low 32 bits are all ones needs no redraw")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                pass
-
-        monkeypatch.setattr(kernels, "index_draws", numpy_draws)
-        monkeypatch.setattr(kernels, "IndexBlock", NumpyBlock)
-        return calls
-
-    @staticmethod
-    def operator_chain(inst, seed):
-        """Every genotype, with its carried terms, of a seeded chain of the attaching operators, and the generator state after it.
-
-        Random and crossover genotypes get their terms from the batch evaluation, which draws nothing.
-        """
-        rng = np.random.default_rng(seed)
-        problem = RouteProblem(inst)
-        made = [random_assignment(inst, rng), random_assignment(inst, rng)]
-        problem.evaluate_many(made)
-        for _ in range(6):
-            child = crossover_parentmix(inst, made[-2], made[-1], rng)
-            problem.evaluate_many([child])
-            made += [child, mutate_reattach(inst, child, rng), heavy_reattach(inst, child, rng)]
-        return [(g.choices, g._terms) for g in made], rng.bit_generator.state
-
-    @pytest.mark.parametrize(
-        "text, stalls",
-        [
-            # every MR has an access-router link, so attachment never stalls
-            (synthetic_net_text(40, 6, 6, seed=11), False),
-            (synthetic_net_text(200, 6, 6, seed=13), False),
-            # only the up links reach the access router: attachment stalls and takes shortest-path links
-            (layered_net_text(8, 10, 8, seed=1), True),
-            (layered_net_text(6, 4, 6, seed=2), True),
-            # two MRs a level, so many stall, and the deepest at d* == MAXDEPTH: a stalled MR there must
-            # not read as settled at its d*, or it keeps a link that is no forest
-            (layered_net_text(5, 2, 5, seed=5), True),
-        ],
-        ids=["synthetic40", "synthetic200", "layered80", "layered24", "layered10_at_maxdepth"],
-    )
-    def test_operators(self, monkeypatch, text, stalls):
-        inst = parse_instance(text)
-        stalled = []
-        check_feasible = netmodel._check_feasible
-
-        def counting(instance):  # _attach calls it only when a sweep settles no MR
-            stalled.append(instance)
-            check_feasible(instance)
-
-        monkeypatch.setattr(netmodel, "_check_feasible", counting)
-        ours = [self.operator_chain(inst, seed) for seed in range(3)]
-        numpy_draws = self.use_numpy_draws(monkeypatch)
-        assert ours == [self.operator_chain(inst, seed) for seed in range(3)]
-        assert {form for form, _n in numpy_draws} == {"drawer", "block"}
-        assert all(terms is not None for chain, _state in ours for _choices, terms in chain)
-        assert all(invalid_reason(inst, RouteAssignment(choices)) is None for chain, _state in ours for choices, _terms in chain)
-        assert bool(stalled) == stalls
-        if stalls:
-            assert max(inst.compiled.min_depth) == inst.max_depth
-
-    @pytest.mark.parametrize(
-        "text", [synthetic_net_text(12, 4, 4, seed=3), layered_net_text(6, 4, 6, seed=2)], ids=["synthetic12", "layered24"]
-    )
-    def test_run(self, monkeypatch, text):
-        params = engine.RunParams(
-            population_size=20, offspring_size=20, archive_capacity=10, evaluation_budget=4000,
-            stagnation_window=2, local_search_budget=5, seed=4,
-        )
-        generators = []  # each generator engine.run makes, to read its state after the run
-        default_rng = np.random.default_rng
-
-        def kept_rng(seed):
-            generators.append(default_rng(seed))
-            return generators[-1]
-
-        monkeypatch.setattr(np.random, "default_rng", kept_rng)
-        batches = []  # one entry per immigrant batch
-        random_immigrants = engine.random_immigrants
-
-        def counted_immigrants(*args, **kwargs):
-            batches.append(None)
-            return random_immigrants(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "random_immigrants", counted_immigrants)
-
-        def run():
-            result = engine.run(RouteProblem(parse_instance(text)), params)
-            members = [(s.objectives, s.genotype_key, s.genotype._terms) for s in result.archive.members]
-            return members, result.hv_trace, result.evaluations, result.scheduler_stats, generators[-1].bit_generator.state
-
-        ours = run()
-        immigrant_batches = len(batches)
-        numpy_draws = self.use_numpy_draws(monkeypatch)
-        assert ours == run()
-        assert {form for form, _n in numpy_draws} == {"drawer", "block"}
-        # both variation operators ran, and immigration did
-        assert min(ours[3]["VAR"]["trials"]) > 0
-        assert immigrant_batches > 0

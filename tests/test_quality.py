@@ -43,18 +43,18 @@ SETTINGS = {
 }
 # (setting, instance, run seed) -> (exact_hv_ratio, exact_front_recall)
 GOLDEN = {
-    ("default_10000", "8x5", 1): (0.9937104538939933, 0.8),
-    ("default_10000", "8x5", 2): (0.998823969595297, 0.8666666666666667),
-    ("default_10000", "10x4", 1): (0.9918449159980113, 0.8),
-    ("default_10000", "10x4", 2): (0.958325672910448, 0.68),
-    ("default_10000", "12x3", 1): (0.9916577983834972, 0.7407407407407407),
-    ("default_10000", "12x3", 2): (0.9725634178529196, 0.5185185185185185),
-    ("stagnating_5000", "8x5", 1): (1.0, 1.0),
+    ("default_10000", "8x5", 1): (0.9972864405897596, 0.8),
+    ("default_10000", "8x5", 2): (0.9961166076639347, 0.8666666666666667),
+    ("default_10000", "10x4", 1): (0.9997026474151284, 0.96),
+    ("default_10000", "10x4", 2): (0.9937517373453398, 0.92),
+    ("default_10000", "12x3", 1): (0.9990068912283384, 0.9259259259259259),
+    ("default_10000", "12x3", 2): (0.992394309374886, 0.8148148148148148),
+    ("stagnating_5000", "8x5", 1): (0.9914058214185525, 0.8),
     ("stagnating_5000", "8x5", 2): (1.0, 1.0),
-    ("stagnating_5000", "10x4", 1): (0.9976704854386322, 0.92),
-    ("stagnating_5000", "10x4", 2): (0.9925805777326179, 0.92),
-    ("stagnating_5000", "12x3", 1): (0.997713534843031, 0.9259259259259259),
-    ("stagnating_5000", "12x3", 2): (1.0, 1.0),
+    ("stagnating_5000", "10x4", 1): (0.9999891112035345, 0.96),
+    ("stagnating_5000", "10x4", 2): (0.9999891112035345, 0.96),
+    ("stagnating_5000", "12x3", 1): (0.9996504645223403, 0.9629629629629629),
+    ("stagnating_5000", "12x3", 2): (0.9997528054546957, 0.9629629629629629),
 }
 
 
