@@ -18,8 +18,9 @@ solution).
 ``enumerate_routes``, the oracle's walk of each MR's path tree, is timed
 against one ``eval_route`` walk per assignment of a 6-MR space, and alone
 at the ``oracle_n8`` workload's size (8 MRs x 5 links, 390,625
-assignments), beside ``front_rows`` on its valid rows and the whole
-oracle, ``brute_force_pareto``, which runs both and builds the witnesses.
+assignments) and at 9 MRs x 5 links (1,953,125), beside ``front_rows`` on
+its valid rows and the whole oracle, ``brute_force_pareto``, which runs
+both and builds the witnesses; the 9-MR row shows how each scales.
 ``mutate_reattach``, which finds the moved MR's subtree through the
 instance's static reverse links (``mr_users``) and decides each candidate
 link on the forest, is timed per call at 40, 200 and 1000 MRs with 6 links
@@ -218,18 +219,19 @@ def main() -> None:
     print(f"enumerate_routes over {sc.search_space} assignments (6 MRs):")
     print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
     print(f"  eval_route per assignment  {t_loop * 1e3:>8.2f}ms  ({t_loop / t_tree:.1f}x)")
-    large = synthetic_instance(n_mr=8, links_per_mr=5, seed=2)
-    lc = large.compiled
-    t_tree = best_of(lambda: kernels.enumerate_routes(lc), args.repeats)
-    valid, z1, z2 = kernels.enumerate_routes(lc)
-    idx = np.flatnonzero(valid)
-    z1, z2 = z1[idx], z2[idx]
-    t_front = best_of(lambda: kernels.front_rows(z1, z2, idx), args.repeats)
-    t_oracle = best_of(lambda: brute_force_pareto(large), args.repeats)
-    print(f"enumerate_routes over {lc.search_space} assignments (8 MRs, the oracle_n8 size):")
-    print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
-    print(f"  {f'front_rows ({idx.size} valid)':<27}{t_front * 1e3:>8.2f}ms")
-    print(f"  brute_force_pareto         {t_oracle * 1e3:>8.2f}ms")
+    for n_mr, note in ((8, ", the oracle_n8 size"), (9, "")):
+        large = synthetic_instance(n_mr=n_mr, links_per_mr=5, seed=2)
+        lc = large.compiled
+        t_tree = best_of(lambda: kernels.enumerate_routes(lc), args.repeats)
+        valid, z1, z2 = kernels.enumerate_routes(lc)
+        idx = np.flatnonzero(valid)
+        z1, z2 = z1[idx], z2[idx]
+        t_front = best_of(lambda: kernels.front_rows(z1, z2, idx), args.repeats)
+        t_oracle = best_of(lambda: brute_force_pareto(large), args.repeats)
+        print(f"enumerate_routes over {lc.search_space} assignments ({n_mr} MRs{note}):")
+        print(f"  path-tree walk             {t_tree * 1e3:>8.2f}ms")
+        print(f"  {f'front_rows ({idx.size} valid)':<27}{t_front * 1e3:>8.2f}ms")
+        print(f"  brute_force_pareto         {t_oracle * 1e3:>8.2f}ms")
 
     # mutation: the forest check against one route walk per candidate link
     print("mutate_reattach per call, forest check vs a route walk per candidate:")

@@ -23,12 +23,17 @@ evaluated one at a time. ``enumerate_routes``, the oracle's
 exhaustive enumeration, walks each MR's tree of possible paths over the same
 per-MR tables and adds each path's terms into the box of assignments that
 take it, with the same floating-point operations per MR in the same order,
-so its objectives are bit-identical to ``eval_route``'s. A walk that runs
+so its objectives are bit-identical to ``eval_route``'s. It holds z1 + i z2
+in one complex array, so a path pays one numpy call for both terms: numpy
+adds complex numbers part by part, one IEEE double add each, which is the
+add ``eval_route`` makes. A walk that runs
 into a cycle not through its own MR is cut there, unmarked: the tree of the
 MR where that cycle closes marks those assignments invalid, so the leaves
 of one MR's tree cover only part of the space, and all the trees together
 decide validity. ``front_rows`` extracts the oracle's 2-D Pareto front from
-those arrays; its result does not depend on how a sort orders ties. The
+those arrays. A linear-time pass first drops the rows a row of a smaller z1
+bucket strictly dominates, so only a few rows are sorted; its result does
+not depend on how a sort orders ties. The
 objective kernels, ``crowding_distance`` and ``hv2d_sweep``, take lists of
 (z1, z2) pairs and run in plain Python: the engine calls them on small
 fronts, where numpy's per-call conversion would cost more than the work.
@@ -157,12 +162,18 @@ def enumerate_routes(tables):
     fastest), matching np.unravel_index; z1 and z2 are unspecified on
     invalid rows (they may hold the partial sums of the MRs walked so far).
 
-    The arrays are built with one axis per MR that does not have exactly one
+    The objectives are built as one complex128 array z = z1 + i z2, and
+    returned as its ``real`` and ``imag`` views. A leaf adds c + i r in place:
+    numpy's complex add is the two IEEE double adds of the parts, z1 + c and
+    z2 + r, with no other rounding, so each part gets exactly the add two
+    float arrays would, at one numpy call instead of two. The arrays are
+    built with one axis per MR that does not have exactly one
     link (an MR with one link fixes nothing, and leaving it out keeps the
     axes within numpy's dimension cap: an instance the oracle guard admits
     has at most log2(search space) MRs with two links or more), so a set of
     assignments that fix some MRs' choices and leave the others free is one
-    basic-index box.
+    basic-index box; its index ends with ``...``, so a box that fixes every
+    axis is a 0-d view, which the in-place add can write through.
     For each MR m in index order, the tree of paths m's walk can take is
     walked with an explicit stack: a leaf that reaches an access router adds
     the path's cost and risk into its box, and a leaf whose walk returns to
@@ -186,9 +197,8 @@ def enumerate_routes(tables):
         if r != 1:
             shape.append(r)
     valid = np.ones(shape, np.bool_)
-    z1 = np.zeros(shape, np.float64)
-    z2 = np.zeros(shape, np.float64)
-    whole = (slice(None),) * len(shape)
+    z = np.zeros(shape, np.complex128)  # z1 + i z2
+    whole = (slice(None),) * len(shape) + (...,)
     for m in range(len(radices)):
         # (MR the walk is at, box of assignments on this path, MRs on the path as bits, cost, survival, links taken)
         stack = [(m, whole, 1 << m, 0.0, 1.0, 0)]
@@ -204,13 +214,14 @@ def enumerate_routes(tables):
                 s = surv * survs[cur][k]
                 if p < 0:
                     s *= ar_bs_surv[n_ar + p]
-                    z1[sub] += c
-                    z2[sub] += 1.0 - s
+                    view = z[sub]
+                    np.add(view, complex(c, 1.0 - s), out=view)
                 elif p == m:
                     valid[sub] = False
                 elif not on_path >> p & 1:  # a cycle that misses m is p's tree's to mark
                     stack.append((p, sub, on_path | 1 << p, c, s, depth + 1))
-    return valid.reshape(-1), z1.reshape(-1), z2.reshape(-1)
+    z = z.reshape(-1)
+    return valid.reshape(-1), z.real, z.imag
 
 
 def dominance(a, b):
@@ -229,6 +240,9 @@ def dominance_matrix(F):
     return dominance(F[:, None], F[None])
 
 
+_FRONT_BUCKETS = 1024  # front_rows' prefilter: z1 buckets, each keeping its least z2
+
+
 def front_rows(z1, z2, key):
     """Rows of the Pareto front of points (z1, z2), one per distinct point, in ascending z1.
 
@@ -242,8 +256,30 @@ def front_rows(z1, z2, key):
     the running minimum wherever the sort puts it among its ties. Every row
     dropped is weakly dominated by a front row that precedes it in (z1, z2,
     key) order, so the scan gives the same rows with or without it.
+
+    A linear-time prefilter runs first (Bentley, Clarkson & Levine 1993): z1
+    is cut into ``_FRONT_BUCKETS`` buckets by ``(z1 - lo) * scale``, rounded
+    down, which is monotone in z1, so a row in an earlier bucket has a
+    strictly smaller z1. A row is dropped when its z2 is at or above the least
+    z2 of an earlier bucket: the row holding that z2 strictly dominates it and
+    comes before it in (z1, z2, key) order, so the running minimum is already
+    at or below its z2 when the scan reaches it. It is not on the front, and
+    dropping it changes no running minimum, so the rows returned are the
+    same. Equal rows share a bucket and a verdict, so ties still go by
+    ``key``. The filter is skipped when z1 has no finite, positive span to cut.
     """
-    order = np.argsort(z1)
+    rows = None
+    if z1.size:
+        lo, hi = float(z1.min()), float(z1.max())
+        scale = (_FRONT_BUCKETS - 1) / (hi - lo) if hi > lo else 0.0
+        if 0.0 < scale < math.inf:  # an overflowing span or scale leaves every row in the sort
+            # below _FRONT_BUCKETS: (hi - lo) * scale is _FRONT_BUCKETS - 1 within rounding
+            bucket = ((z1 - lo) * scale).astype(np.intp)
+            least = np.full(_FRONT_BUCKETS, np.inf)
+            np.minimum.at(least, bucket, z2)
+            earlier = np.minimum.accumulate(np.r_[np.inf, least[:-1]])  # the least z2 of all earlier buckets
+            rows = np.flatnonzero(z2 < earlier[bucket])
+    order = np.argsort(z1) if rows is None else rows[np.argsort(z1[rows])]
     z2_order = z2[order]
     order = order[z2_order == np.minimum.accumulate(z2_order)]
     order = order[np.lexsort((key[order], z2[order], z1[order]))]

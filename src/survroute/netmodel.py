@@ -73,9 +73,9 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 DEFAULT_MAX_DEPTH = 4
 _NUMPY_MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # an ndarray's dimension cap
-_ORACLE_ROW_BYTES = 17  # kernels.enumerate_routes holds a bool and two float64 per assignment
+_ORACLE_ROW_BYTES = 17  # kernels.enumerate_routes holds a bool and a complex128 (z1 + i z2) per assignment
 # the largest search space brute_force_pareto and `survroute oracle` enumerate unless told otherwise:
-# about half a second and 175 MB of peak RSS for the whole `oracle` call on a 2-vCPU host (README)
+# about 0.4 s and 170 MB of peak RSS for the whole `oracle` call on a 2-vCPU host (README)
 DEFAULT_ORACLE_GUARD = 5_000_000
 
 
@@ -780,7 +780,8 @@ def brute_force_pareto(
     Witnesses are deterministic (smallest enumeration index). Raises
     ``OracleScopeError`` for a search space larger than ``guard``, or one
     numpy cannot hold: more MRs with several links than an array has axes,
-    or arrays larger than physical memory or than numpy can allocate. The
+    or arrays larger than physical memory or than numpy can allocate, in the
+    enumeration or the front extraction. The
     physical-memory test comes before any allocation, since an allocation
     the OS grants need not be backed; it is skipped where ``os.sysconf``
     cannot tell.
@@ -802,9 +803,9 @@ def brute_force_pareto(
         valid, z1, z2 = kernels.enumerate_routes(c)
         idx = np.flatnonzero(valid)
         z1, z2 = z1[idx], z2[idx]  # frees the full-space arrays before sorting, to keep peak memory down
+        rows = kernels.front_rows(z1, z2, idx)
     except MemoryError:
         raise OracleScopeError(f"search space {c.search_space} does not fit in memory") from None
-    rows = kernels.front_rows(z1, z2, idx)
     return [
         (ObjectiveVector((float(z1[i]), float(z2[i]))), RouteAssignment(_unravel(flat, c.radices)))
         for i, flat in zip(rows.tolist(), idx[rows].tolist())

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from survroute import cli, engine
+from survroute import cli, engine, kernels
 from survroute.cli import build_parser, main, read_front_csv, write_front_csv
 from survroute.netmodel import DEFAULT_ORACLE_GUARD, brute_force_pareto
 
@@ -249,6 +249,17 @@ class TestOracle:
             raise MemoryError
 
         monkeypatch.setattr(np, "ones", no_memory)  # the oracle's first full-space array
+        out = tmp_path / "front.csv"
+        assert run_cli("oracle", STANDARD, "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == "survroute: search space 64 does not fit in memory\n"
+        assert not out.exists()
+
+    def test_front_extraction_out_of_memory_exits_4(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(kernels, "front_rows", no_memory)
         out = tmp_path / "front.csv"
         assert run_cli("oracle", STANDARD, "--out", str(out)) == 4
         err = capsys.readouterr().err

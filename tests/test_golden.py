@@ -1,9 +1,11 @@
-"""Golden front hashes: `survroute run` output pinned across code changes.
+"""Golden front hashes: `survroute run` and `survroute oracle` output pinned across code changes.
 
 Each case runs the CLI with a fixed seed (default local search, with a
 population of 6 in the 3-MR case, the evolutionary-only settings of the
 200-MR case, or the small-archive settings of the last case) and compares the sha1 of the written
 ``front.csv`` bytes, and the VAR pool's entry in ``summary.json``, with recorded values.
+``ORACLE_GOLDEN`` pins `survroute oracle`'s ``front.csv`` the same way, on
+synthetic spaces of up to 390,625 assignments.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
 A deliberate change of results must update these values and say why.
@@ -87,6 +89,18 @@ WITH_CHOOSE_DRAWS = {
     "synthetic_200mr": "69d0f445fc62fbfc790bed40646f7e2b86b52f7d",
     "200mr_without_local_search": "0f4c9913d163290c56516c6bc05b0ca6772660e2",
     "small_archive_with_immigration": "c536f13acded22d96eb7c05dc5c5aa8d757f34cd",
+}
+
+# sha1 of `survroute oracle`'s front.csv on synthetic_net_text(MRs, links per MR, MAXDEPTH, seed): spaces of
+# 262,144 to 390,625 assignments, where test_committed_oracle_fronts_are_fresh reaches only 1,024. At
+# MAXDEPTH 3 the walk cap marks 112,457 more assignments invalid than at 6 and leaves the same front;
+# at MAXDEPTH 2 it changes the front.
+ORACLE_GOLDEN = {
+    (8, 5, 6, 1): "7c11382603c5be81dbb4e7e0d4cf089d3704c689",
+    (8, 5, 6, 2): "15021ee24dad9f69904da02b030da2cc9f832d43",
+    (9, 4, 6, 1): "5593aa654b5e392d39f2ecfeede496f0dea2a236",
+    (8, 5, 3, 1): "7c11382603c5be81dbb4e7e0d4cf089d3704c689",
+    (8, 5, 2, 1): "4a96da2841bf42fd3b27a68f64fcbcb6a8e0d33e",
 }
 
 
@@ -198,6 +212,14 @@ def _sha1(path):
 def test_front_hash(case, tmp_path):
     _path, out = _run(case, tmp_path)
     assert _sha1(out / "front.csv") == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN))
+def test_oracle_front_hash(case, tmp_path):
+    path, out = tmp_path / "synthetic.net", tmp_path / "front.csv"
+    path.write_text(synthetic_net_text(*case), encoding="utf-8")
+    assert main(["oracle", str(path), "--out", str(out)]) == 0
+    assert _sha1(out) == ORACLE_GOLDEN[case]
 
 
 def test_front_hash_200mr_without_local_search(tmp_path):

@@ -297,6 +297,7 @@ def test_front_rows_match_sequential_scan(data):
 
 def _sequential_front(z1, z2, key):
     """The rows that lower the best z2 seen so far, in (z1, z2, key) order."""
+    z1, z2, key = z1.tolist(), z2.tolist(), key.tolist()  # Python floats sort the same, and much faster
     expected, best = [], math.inf
     for j in sorted(range(len(z1)), key=lambda j: (z1[j], z2[j], key[j])):
         if z2[j] < best:
@@ -317,6 +318,81 @@ def test_front_rows_ignore_tie_order():
     for seed in range(5):  # the same rows, as keys, whatever order the rows come in
         perm = np.random.default_rng(seed).permutation(n)
         assert key[perm][front_rows(z1[perm], z2[perm], key[perm])].tolist() == key[rows].tolist()
+
+
+def _assert_front_rows_sequential(z1, z2, key=None):
+    key = np.arange(z1.size, dtype=np.int64)[::-1] if key is None else key
+    assert front_rows(z1, z2, key).tolist() == _sequential_front(z1, z2, key)
+
+
+def test_front_rows_no_rows_and_one_row():
+    empty = np.array([], np.float64)
+    assert front_rows(empty, empty, np.array([], np.int64)).tolist() == []
+    _assert_front_rows_sequential(np.array([2.5]), np.array([0.5]))
+
+
+def test_front_rows_all_z1_equal():
+    # no z1 span: every row goes to the sort, and the least z2 with the least key wins
+    z2 = np.random.default_rng(3).integers(0, 5, 500).astype(np.float64)
+    _assert_front_rows_sequential(np.full(500, 7.25), z2)
+    assert front_rows(np.full(500, 7.25), z2, np.arange(500)).tolist() == [int(np.argmin(z2))]
+
+
+def test_front_rows_one_ulp_apart_at_bucket_edges():
+    # z1 spans 0 to 1023, so the prefilter's buckets start at the integers; each edge gets the value
+    # on it and its neighbours one ulp either side, with z2 values that tie across them
+    rng = np.random.default_rng(4)
+    edges = np.arange(1024, dtype=np.float64)
+    z1 = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    z1 = np.clip(z1, 0.0, 1023.0)
+    for _ in range(5):
+        z2 = rng.integers(0, 4, z1.size) - np.linspace(0.0, 3.0, z1.size)
+        _assert_front_rows_sequential(z1, z2)
+        _assert_front_rows_sequential(z1, -z2)
+    # a staircase one ulp a step across the edge at 512 (where the ulp doubles): every row is on the front
+    steps = [512.0]
+    for _ in range(32):
+        steps.insert(0, float(np.nextafter(steps[0], -np.inf)))
+    for _ in range(31):
+        steps.append(float(np.nextafter(steps[-1], np.inf)))
+    z1 = np.array(steps + [0.0, 1023.0])
+    z2 = np.r_[np.linspace(1.0, 0.5, 64), 2.0, 0.0]
+    assert front_rows(z1, z2, np.arange(66)).tolist() == [64] + list(range(64)) + [65]
+    _assert_front_rows_sequential(z1, z2)
+
+
+def test_front_rows_one_far_outlier():
+    # one z1 far above the rest puts almost every row in the first bucket
+    rng = np.random.default_rng(5)
+    z1 = np.r_[rng.integers(0, 50, 5000) / 16, 1e9]
+    z2 = np.r_[rng.integers(0, 50, 5000) / 16, -1.0]
+    _assert_front_rows_sequential(z1, z2)
+    _assert_front_rows_sequential(z1[::-1], z2[::-1])
+    # a z1 span too wide for a double (max - min overflows) and one too narrow to scale (1023 / span overflows)
+    z2 = np.array([3.0, 1.0, 2.0, 0.0, 1.0])
+    _assert_front_rows_sequential(np.array([-1e308, 0.0, 5.0, 1e308, 1e308]), z2)
+    _assert_front_rows_sequential(np.array([0.0, 0.0, 5e-324, 5e-324, 1e-323]), z2)
+
+
+def test_front_rows_negative_values():
+    rng = np.random.default_rng(6)
+    z1 = 25.0 - rng.integers(0, 200, 3000) / 4  # either side of zero
+    z1[rng.integers(0, 3000, 50)] = -0.0  # tied with the rows at 0.0
+    z2 = -rng.integers(0, 200, 3000) / 4  # -0.0 where the draw is 0
+    _assert_front_rows_sequential(z1, z2)
+    _assert_front_rows_sequential(z1 - 1e3, z2)
+
+
+def test_front_rows_many_rows_with_ties():
+    rng = np.random.default_rng(7)
+    n = 200_000
+    z1 = rng.integers(0, 3000, n) / 8
+    z2 = rng.integers(0, 3000, n) / 8
+    key = rng.permutation(n).astype(np.int64)
+    _assert_front_rows_sequential(z1, z2, key)
+    # a front of many rows: points near the anti-diagonal
+    z2 = np.floor(3000.0 - z1 * 8 + rng.integers(0, 40, n)) / 8
+    _assert_front_rows_sequential(z1, z2, key)
 
 
 def test_crowding_distance_hand_case():

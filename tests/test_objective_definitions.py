@@ -9,7 +9,9 @@ The package, the oracle and the test helpers all compute z2 from one product
 formula per path. Here z2 is the definition itself: every failure scenario of
 the instance's links and base stations is enumerated, weighted by its
 probability, and the MRs it cuts off are counted. Validity is decided by a
-walk of each MR's parent chain over the text's ids.
+walk of each MR's parent chain over the text's ids. On an instance too large
+to enumerate, failure scenarios are sampled instead, and z2 must lie within
+a few standard errors of the mean number of MRs cut off.
 """
 
 import itertools
@@ -17,9 +19,11 @@ import itertools
 import numpy as np
 import pytest
 
-from survroute.netmodel import RouteProblem, assignment_from_parent_map, invalid_reason, load_instance
+from survroute.netmodel import (
+    RouteProblem, assignment_from_parent_map, invalid_reason, load_instance, parse_instance, random_assignment,
+)
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, synthetic_net_text
 
 DEFAULT_MAX_DEPTH = 4  # the README's default for an instance without a MAXDEPTH record
 
@@ -106,3 +110,31 @@ def test_objectives_match_their_definitions(name, scenarios):
         assert got[0] == z1
         assert abs(got[1] - z2) < 1e-12
     assert valid > 0
+
+
+def test_z2_matches_sampled_failure_scenarios():
+    # 40 MRs x 6 links: 242 components, far too many scenarios to enumerate
+    text = synthetic_net_text(40, 6, 6, 13)
+    stations, routers, mrs, links, max_depth = read_records(text)
+    components = [(child, parent) for child, parent, _cost, _p in links] + list(stations)
+    column = {c: j for j, c in enumerate(components)}
+    fail = np.array([p for _child, _parent, _cost, p in links] + list(stations.values()))
+    inst = parse_instance(text)
+    problem = RouteProblem(inst)
+    rng = np.random.default_rng(2024)
+    samples, chunk = 20_000, 5_000
+    for a in (random_assignment(inst, rng) for _ in range(3)):
+        parent = {mr: labels[k].split("=")[1] for mr, labels, k in zip(mrs, inst.compiled.mr_labels, a.choices)}
+        # needs[j, i]: MR i is cut off when component j fails (a link of its path, or its access router's station)
+        needs = np.zeros((len(components), len(mrs)))
+        for i, mr in enumerate(mrs):
+            path = path_of(mr, parent, routers, max_depth)
+            for j in [column[link] for link in path] + [column[routers[path[-1][1]]]]:
+                needs[j, i] = 1.0
+        # each component fails on its own, with its own probability; count the MRs each scenario cuts off
+        cut_off = np.concatenate([
+            ((rng.random((chunk, len(components))) < fail) @ needs > 0).sum(axis=1)
+            for _ in range(samples // chunk)
+        ])
+        error = cut_off.std(ddof=1) / np.sqrt(samples)
+        assert abs(cut_off.mean() - problem.evaluate(a).values[1]) < 5 * error
