@@ -36,10 +36,11 @@ it does not walk) per call at 40, 200 and 1000 MRs; and
 MRs the same attachment repairs) at 40 and 200 MRs. ``assignment_string`` is timed per call (one label per MR; ``run`` writes one per
 ``front.csv`` row) on the genotypes ``random_assignment`` makes. The full walks of a generation are
 timed at 40, 200 and 1000 MRs on 100 random genotypes: the batch walk
-``kernels.route_terms_many`` against 100 scalar walks (``netmodel._walked``),
+``kernels.route_terms_many`` against 100 scalar walks (``netmodel._terms_of``,
+which checks a genotype that carries no terms and walks every MR once),
 and ``RouteProblem.evaluate_many`` (batch check, batch walk and batch sums)
-against a scalar walk and an ``evaluate`` per genotype, after a check that
-both give the same objectives. The
+against an ``evaluate`` per genotype (that check and walk, then the sums),
+after a check that both give the same objectives. The
 genotypes the operator rows start from are evaluated in one batch first, so
 they carry their terms, as in a run. A last case times the
 delta-scored neighborhood (``iter_neighbors``: one term walk of the
@@ -69,7 +70,7 @@ from survroute import kernels, measures
 from survroute.archive import NondominatedArchive, insert, pareto_ranks
 from survroute.moo import CandidateSolution, ObjectiveVector
 from survroute.netmodel import (
-    RouteAssignment, RouteProblem, _walked, assignment_string, brute_force_pareto, crossover_parentmix,
+    RouteAssignment, RouteProblem, _terms_of, assignment_string, brute_force_pareto, crossover_parentmix,
     heavy_reattach, iter_neighbors, mutate_reattach, parse_instance, random_assignment,
 )
 
@@ -291,16 +292,16 @@ def main() -> None:
         rows = [random_assignment(inst, draws).choices for _ in range(100)]
         choices = np.array(rows, np.int64)
         if problem.evaluate_many([RouteAssignment(row) for row in rows]) != [
-            problem.evaluate(_walked(inst, row)) for row in rows
+            problem.evaluate(RouteAssignment(row)) for row in rows
         ]:
             raise AssertionError("evaluate_many disagrees with a scalar walk per genotype")
         t_kernel = best_of(lambda: kernels.route_terms_many(choices, inst.compiled), args.repeats)
-        t_walked = best_of(lambda: [_walked(inst, row) for row in rows], args.repeats)
+        t_walked = best_of(lambda: [_terms_of(inst, RouteAssignment(row)) for row in rows], args.repeats)
         t_many = best_of(lambda: problem.evaluate_many([RouteAssignment(row) for row in rows]), args.repeats)
-        t_each = best_of(lambda: [problem.evaluate(_walked(inst, row)) for row in rows], args.repeats)
-        print(f"  {n_mr:>4} MRs: route_terms_many {t_kernel * 1e3:>7.2f}ms  _walked x100 {t_walked * 1e3:>7.2f}ms"
+        t_each = best_of(lambda: [problem.evaluate(RouteAssignment(row)) for row in rows], args.repeats)
+        print(f"  {n_mr:>4} MRs: route_terms_many {t_kernel * 1e3:>7.2f}ms  _terms_of x100 {t_walked * 1e3:>7.2f}ms"
               f"  ({t_walked / t_kernel:.1f}x)")
-        print(f"            evaluate_many    {t_many * 1e3:>7.2f}ms  _walked + evaluate x100 {t_each * 1e3:>7.2f}ms"
+        print(f"            evaluate_many    {t_many * 1e3:>7.2f}ms  evaluate x100 {t_each * 1e3:>7.2f}ms"
               f"  ({t_each / t_many:.1f}x)")
 
     # serialization: each front.csv row joins one label per MR

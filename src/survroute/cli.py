@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser("measure", help="compare two front CSVs")
     p_measure.add_argument("front_a")
     p_measure.add_argument("front_b")
-    p_measure.add_argument("--ref", required=True, help="reference point, e.g. 10,5")
+    p_measure.add_argument("--ref", required=True, help="reference point, e.g. 10,5, or --ref=-1,5 if negative")
     p_measure.set_defaults(func=cmd_measure)
 
     return parser

@@ -1,8 +1,10 @@
 """Memetic optimization loop: selection, variation, local search, replacement,
 archive update, and stagnation-triggered random immigrants.
 
-Variation picks its operator from a success-driven scheduler pool
-(``VARIATION_OPERATORS``); every other stage has one operator. Mating and
+``run`` is one loop: each iteration runs the stages in that order, then
+immigrates when the archive hypervolume has stalled. Variation picks its
+operator from a success-driven scheduler pool (``VARIATION_OPERATORS``);
+every other stage has one operator. Mating and
 survival are those of NSGA-II (Deb et al. 2002): a binary tournament on
 (rank, crowding) (``select_from``) and elitist rank-then-crowding survival
 (``replace``). Local search is Pareto descent (``local_search``), the
@@ -264,20 +266,21 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     two-objective: ``evaluate`` returns an ``ObjectiveVector``, which holds
     exactly two components. The seed is ``params.seed``.
 
-    Structure: an outer loop of inner passes; each inner iteration runs
-    SelectFrom -> Vary -> LocalSearch -> Replace and folds the offspring
-    into the archive, then credits the variation pool (VAR). When the
-    archive hypervolume gains less than ``STAGNATION_TOLERANCE`` (relative to
-    the current hypervolume) in each of ``stagnation_window`` iterations, the
-    inner loop ends and random immigrants refresh the population (each outer
-    pass runs at least one inner iteration, so a zero immigrant fraction
-    cannot wedge the loop).
+    Structure: one loop, run while budget remains. Each iteration runs
+    SelectFrom -> Vary -> LocalSearch -> Replace, folds the offspring into
+    the archive, appends the archive hypervolume to the trace and credits
+    the variation pool (VAR). It ends with the stagnation test: when budget
+    remains, the immigrant fraction is above 0, and the hypervolume has
+    gained less than ``STAGNATION_TOLERANCE`` (relative to the current
+    hypervolume) in each of the last ``stagnation_window`` iterations,
+    random immigrants refresh the population. The next test comes after the
+    next iteration, so every immigration is followed by one iteration.
 
-    Draw order per inner iteration, from one seeded generator: selection
+    Draw order per iteration, from one seeded generator: selection
     (two index draws per parent, in one call), VAR choose (1 draw), variation operator
-    draws; local search and replacement draw nothing. Immigration adds the
-    draws of each immigrant's random genotype, and chooses nothing. This
-    order is part of the reproducibility contract.
+    draws; local search and replacement draw nothing. An immigration that
+    ends the iteration adds the draws of each immigrant's random genotype,
+    and chooses nothing. This order is part of the reproducibility contract.
 
     Credit: VAR scores one outcome per offspring (accepted into the archive
     or not), reported to its pool as one batch per iteration.
@@ -298,30 +301,24 @@ def run(problem: Problem, params: RunParams | None = None) -> RunResult:
     trace = [hv]
 
     while evaluator.remaining > 0:
-        forced = True  # immigration resets stagnation: always run one iteration
-        while evaluator.remaining > 0:
-            tolerance = STAGNATION_TOLERANCE * max(1.0, trace[-1])
-            if not forced and stagnation(trace, params.stagnation_window, tolerance):
-                break
-            forced = False
+        parents = select_from(pop, arch, params.offspring_size, rng)
+        var_op = choose(pool, rng)
+        offspring = vary(parents, problem, var_op, rng, evaluator)
+        offspring = local_search(offspring, problem, params.local_search_budget, evaluator)
+        pop = replace(pop, offspring)
+        accepted = []
+        for s in offspring:
+            arch, ok = archive_insert(arch, s)
+            accepted.append(ok)
+        hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
 
-            parents = select_from(pop, arch, params.offspring_size, rng)
-            var_op = choose(pool, rng)
-            offspring = vary(parents, problem, var_op, rng, evaluator)
-            offspring = local_search(offspring, problem, params.local_search_budget, evaluator)
-            pop = replace(pop, offspring)
-            accepted = []
-            for s in offspring:
-                arch, ok = archive_insert(arch, s)
-                accepted.append(ok)
-            hv = measures.hypervolume_clipped([m.objectives for m in arch.members], ref)
+        pool = report(pool, var_op, *accepted)
+        trials[var_op] += len(accepted)
+        successes[var_op] += sum(accepted)
+        trace.append(hv)
 
-            pool = report(pool, var_op, *accepted)
-            trials[var_op] += len(accepted)
-            successes[var_op] += sum(accepted)
-            trace.append(hv)
-
-        if evaluator.remaining > 0 and params.immigrant_fraction > 0:
+        if (evaluator.remaining > 0 and params.immigrant_fraction > 0
+                and stagnation(trace, params.stagnation_window, STAGNATION_TOLERANCE * max(1.0, hv))):
             pop = random_immigrants(
                 pop, problem, params.immigrant_fraction, rng, evaluator, max_new=int(evaluator.remaining)
             )

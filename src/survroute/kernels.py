@@ -18,8 +18,9 @@ floating-point operations per MR in the same order; ``netmodel``'s
 it. The genotypes keep their terms: a new genotype is walked once, and a
 mutation or a local-search neighbor re-walks just the subtree its move
 changes with ``route_terms``; its evaluation then adds the terms in the
-same order, so ``eval_route`` walks only genotypes that carry none and are
-evaluated one at a time. ``enumerate_routes``, the oracle's
+same order as ``eval_route``. No package code calls ``eval_route``: a
+genotype that carries no terms is walked with ``route_terms`` over every
+MR, and ``eval_route`` stays as the tests' reference. ``enumerate_routes``, the oracle's
 exhaustive enumeration, walks each MR's tree of possible paths over the same
 per-MR tables and adds each path's terms into the box of assignments that
 take it, with the same floating-point operations per MR in the same order,

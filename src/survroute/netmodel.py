@@ -19,7 +19,9 @@ neighbor copy the parent's terms and re-walk only the moved MR's subtree.
 ``kernels.eval_route`` gives, and ``evaluate_many`` makes the same
 additions for the whole batch. A genotype from anywhere else (user input,
 ``assignment_from_string``, an oracle witness) carries none, and is
-checked and walked in full.
+checked and walked in full by ``_terms_of``, the one place that raises
+for an invalid forest: ``evaluate`` (and so ``evaluate_many``'s fallback),
+``iter_neighbors`` and heavy mutation call it.
 
 ``parse_instance`` rejects an infeasible instance, one where some MR has no
 path of at most MAXDEPTH links to an access router; one breadth-first search
@@ -247,14 +249,23 @@ def _carry(a: RouteAssignment, cost: array, risk: array) -> RouteAssignment:
     return a
 
 
-def _walked(inst: NetworkInstance, choices) -> RouteAssignment:
-    """A genotype of ``choices`` carrying the terms of one full walk, or none when the walk fails."""
+def _terms_of(inst: NetworkInstance, a: RouteAssignment) -> tuple[array, array]:
+    """The per-MR (cost, risk) terms of ``a``: the ones it carries, or else those of one check and one full walk.
+
+    A genotype that carries none is checked (``_check_choices`` raises
+    ContractViolation) and every MR is walked once (``kernels.route_terms``);
+    a walk that fails raises ValidityError. The walked terms are returned,
+    not carried: ``a`` is left as it was.
+    """
+    if a._terms is not None:
+        return a._terms
+    _check_choices(inst, a)
     # the walk writes a list faster than an array('d'); one copy into arrays then costs less
     cost = [0.0] * inst.n_mr
     risk = [0.0] * inst.n_mr
-    if not kernels.route_terms(choices, range(inst.n_mr), inst.compiled, cost, risk):
-        return RouteAssignment(tuple(choices))  # invalid: evaluate walks it and says why
-    return _carry(RouteAssignment(tuple(choices)), array("d", cost), array("d", risk))
+    if not kernels.route_terms(a.choices, range(inst.n_mr), inst.compiled, cost, risk):
+        raise ValidityError(f"invalid assignment ({invalid_reason(inst, a)})")
+    return array("d", cost), array("d", risk)
 
 
 def parse_instance(text: str) -> NetworkInstance:
@@ -681,7 +692,8 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
         feasible = _reattach_options(inst, work, m)[0]
         if feasible:
             work[m] = feasible[int(rng.random() * len(feasible))]
-    return _walked(inst, work)
+    b = RouteAssignment(tuple(work))
+    return _carry(b, *_terms_of(inst, b))
 
 
 def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssignment, rng) -> RouteAssignment:
@@ -711,12 +723,13 @@ def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssig
 def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[RouteAssignment, ObjectiveVector]]:
     """Valid single-MR reattachments with their objectives, lazily, in (MR index, link index) order.
 
-    Precondition: ``a`` is a valid forest; an invalid one raises
-    ContractViolation here, before anything is yielded.
+    Precondition: ``a`` is a valid forest. Bad choices raise
+    ContractViolation and an invalid forest raises ValidityError, here,
+    before anything is yielded.
 
     The objectives are delta-scored from each MR's path cost and risk under
     ``a``: the terms ``a`` carries, or else one check and one walk of ``a``
-    (``kernels.route_terms``). A neighbor that moves MR m re-walks only the
+    (``_terms_of``). A neighbor that moves MR m re-walks only the
     MRs of m's subtree, the only paths that change, and continues the
     running sums of ``a``'s terms from the subtree's smallest MR index,
     adding in MR order as ``kernels.eval_route`` does; so the objectives are
@@ -726,12 +739,7 @@ def iter_neighbors(inst: NetworkInstance, a: RouteAssignment) -> Iterator[tuple[
     invalid candidate is never walked, and a consumer that stops early walks
     no further ones.
     """
-    if a._terms is None:
-        _check_choices(inst, a)
-        a = _walked(inst, a.choices)
-        if a._terms is None:
-            raise ContractViolation(f"invalid assignment ({invalid_reason(inst, a)})")
-    return _delta_neighbors(inst, a.choices, *a._terms)
+    return _delta_neighbors(inst, a.choices, *_terms_of(inst, a))
 
 
 def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
@@ -740,9 +748,8 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
     z1_prefix = list(itertools.accumulate(cost, initial=0.0))
     z2_prefix = list(itertools.accumulate(risk, initial=0.0))
     tables = inst.compiled
-    work = list(choices)
-    # the terms under work, which differ from cost only on the moved subtree; lists, because the
-    # sums iterate them and an array('d') makes a new float for each item it yields
+    # the terms of the neighbor being scored, which differ from cost only on the moved subtree; lists,
+    # because the sums iterate them and an array('d') makes a new float for each item it yields
     moved_cost = list(cost)
     moved_risk = list(risk)
     for m in range(inst.n_mr):
@@ -751,17 +758,15 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
             continue
         lo = min(subtree)
         for k in feasible:
-            work[m] = k
-            kernels.route_terms(work, subtree, tables, moved_cost, moved_risk)
+            moved = choices[:m] + (k,) + choices[m + 1:]
+            kernels.route_terms(moved, subtree, tables, moved_cost, moved_risk)
             z1 = reduce(operator.add, moved_cost[lo:], z1_prefix[lo])
             z2 = reduce(operator.add, moved_risk[lo:], z2_prefix[lo])
             neighbor_cost, neighbor_risk = cost[:], risk[:]
             for i in subtree:
                 neighbor_cost[i] = moved_cost[i]
                 neighbor_risk[i] = moved_risk[i]
-            neighbor = _carry(RouteAssignment(choices[:m] + (k,) + choices[m + 1:]), neighbor_cost, neighbor_risk)
-            yield neighbor, ObjectiveVector((z1, z2))
-        work[m] = choices[m]
+            yield _carry(RouteAssignment(moved), neighbor_cost, neighbor_risk), ObjectiveVector((z1, z2))
         for i in subtree:
             moved_cost[i] = cost[i]
             moved_risk[i] = risk[i]
@@ -874,16 +879,9 @@ class RouteProblem(Problem):
         self.instance = instance
 
     def evaluate(self, genotype: RouteAssignment) -> ObjectiveVector:
-        """The (z1, z2) of ``kernels.eval_route``; carried terms are added in MR order as it adds them."""
-        if genotype._terms is not None:
-            cost, risk = genotype._terms
-            return ObjectiveVector((reduce(operator.add, cost, 0.0), reduce(operator.add, risk, 0.0)))
-        inst = self.instance
-        _check_choices(inst, genotype)
-        z1, z2, ok = kernels.eval_route(genotype.choices, inst.compiled)
-        if not ok:
-            raise ValidityError(f"invalid assignment ({invalid_reason(inst, genotype)})")
-        return ObjectiveVector((float(z1), float(z2)))
+        """The (z1, z2) of ``kernels.eval_route``: the terms of ``_terms_of``, added in MR order as it adds them."""
+        cost, risk = _terms_of(self.instance, genotype)
+        return ObjectiveVector((reduce(operator.add, cost, 0.0), reduce(operator.add, risk, 0.0)))
 
     def evaluate_many(self, genotypes) -> list[ObjectiveVector]:
         """``[self.evaluate(g) for g in genotypes]``, bit for bit, from batch walks and batch sums.

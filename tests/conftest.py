@@ -1,13 +1,15 @@
-"""Shared fixtures: instance paths, parsed instances, a seeded synthetic instance, a toy grid problem, a crowding reference."""
+"""Shared fixtures: instance paths, parsed instances, a seeded synthetic instance, a run that stalls, a toy grid problem, a crowding reference."""
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from survroute.cli import main
 from survroute.moo import CandidateSolution, ObjectiveVector, Problem
 from survroute.netmodel import load_instance, parse_instance
 
@@ -72,6 +74,29 @@ def layered_net_text(levels: int, width: int, max_depth: int, seed: int) -> str:
                 lines.append(f"LINK {m} {p} {rng.uniform(0.5, 5.0):.3f} {rng.uniform(0.0, 0.3):.3f}")
     lines.append(f"MAXDEPTH {max_depth}")
     return "\n".join(lines) + "\n"
+
+
+def run_stagnating(tmp_path, monkeypatch, window: int, fraction: str, ls_budget: int) -> Path:
+    """Run `survroute run` on a 12-MR instance whose archive stalls within its 600 evaluations; returns the output directory.
+
+    The run works in ``tmp_path`` with relative paths, so ``summary.json``
+    names the same instance file on every run.
+    """
+    monkeypatch.chdir(tmp_path)
+    Path("stagnating.net").write_text(synthetic_net_text(12, 3, 4, 7), encoding="utf-8")
+    assert main([
+        "run", "--instance", "stagnating.net", "--out", "out",
+        "--population", "8", "--offspring", "6", "--capacity", "5", "--budget", "600", "--seed", "1",
+        "--stagnation-window", str(window), "--immigrant-fraction", fraction, "--ls-budget", str(ls_budget),
+    ]) == 0
+    return tmp_path / "out"
+
+
+def summary_without_clock(out) -> dict:
+    """``out``'s summary.json, less wall_clock_seconds: what two runs of one seed must agree on."""
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    del summary["wall_clock_seconds"]
+    return summary
 
 
 @pytest.fixture(scope="session")

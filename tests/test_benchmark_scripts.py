@@ -1,6 +1,6 @@
 """The scripts under ``benchmarks/`` still compile and import against the package.
 
-``bench_kernels.py`` imports private names such as ``netmodel._walked``, and
+``bench_kernels.py`` imports private names such as ``netmodel._terms_of``, and
 ``yardstick.py`` imports ``cli._RUN_PARAMS`` and ``cli._build_params``, so
 deleting or renaming one would break a script that no other test runs. Each
 file is compiled and run here as source text under a name other than

@@ -335,6 +335,15 @@ class TestMeasure:
         f = self._write(tmp_path / "a.csv", [(1.0, 2.0, "g")])
         assert run_cli("measure", f, f, "--ref", "banana") == 2
 
+    def test_negative_first_ref_component_is_written_with_equals(self, tmp_path, capsys):
+        f = self._write(tmp_path / "a.csv", [(-3.0, 2.0, "g1"), (-2.0, 1.0, "g2")])
+        assert run_cli("measure", f, f, "--ref=-1,5") == 0
+        assert json.loads(capsys.readouterr().out)["hypervolume_a"] == 7.0
+        # as an argument of its own, -1,5 is read as a flag
+        assert run_cli("measure", f, f, "--ref", "-1,5") == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "survroute: config error: argument --ref: expected one argument\n")
+
     def test_ref_not_dominating_exits_2(self, tmp_path):
         f = self._write(tmp_path / "a.csv", [(5.0, 5.0, "g")])
         assert run_cli("measure", f, f, "--ref", "3,3") == 2

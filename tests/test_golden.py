@@ -5,7 +5,8 @@ population of 6 in the 3-MR case, the evolutionary-only settings of the
 200-MR case, or the small-archive settings of the last case) and compares the sha1 of the written
 ``front.csv`` bytes, and the VAR pool's entry in ``summary.json``, with recorded values.
 ``ORACLE_GOLDEN`` pins `survroute oracle`'s ``front.csv`` the same way, on
-synthetic spaces of up to 390,625 assignments.
+synthetic spaces of up to 390,625 assignments, and ``STAGNATION_GOLDEN`` pins
+`survroute run`'s front and summary on runs that stall and immigrate.
 The other determinism tests compare two runs of the same code; this one
 fails when a refactor changes any front, RNG draw order or tie-break.
 A deliberate change of results must update these values and say why.
@@ -20,7 +21,7 @@ import pytest
 from survroute import engine, netmodel
 from survroute.cli import main
 
-from conftest import INSTANCE_DIR, synthetic_net_text
+from conftest import INSTANCE_DIR, run_stagnating, summary_without_clock, synthetic_net_text
 from integer_draws import IndexBlock, index_draws
 
 
@@ -101,6 +102,25 @@ ORACLE_GOLDEN = {
     (9, 4, 6, 1): "5593aa654b5e392d39f2ecfeede496f0dea2a236",
     (8, 5, 3, 1): "7c11382603c5be81dbb4e7e0d4cf089d3704c689",
     (8, 5, 2, 1): "4a96da2841bf42fd3b27a68f64fcbcb6a8e0d33e",
+}
+
+# The stagnation path, which no benchmark workload and one GOLDEN case reach: conftest.run_stagnating
+# with (stagnation window, immigrant fraction, local-search budget) -> sha1 of front.csv, and of
+# summary.json without wall_clock_seconds (its HV trace, evaluations and VAR pool). Each run with a
+# fraction above 0 immigrates 1 to 55 times; with a fraction of 0 a stall only lets the run go on.
+STAGNATION_GOLDEN = {
+    (1, "0", 0): ("c3c7d04f14ba3546aa54a9a77b948e7afb8fb1d3", "a80ff6acf4a06adc75c6f90b2cf9b11cf5908a28"),
+    (1, "0", 3): ("c4e7327b9f1c7fb4a3f1595f1d00d3dade144d18", "13af75e940f20be7299fd93bffef81a021c15885"),
+    (1, "0.3", 0): ("9a5b7121d067dfcaaddd521572796bd6ad4964ed", "d8e58ac393295d32b34a50cec1c88fd90cf4338a"),
+    (1, "0.3", 3): ("1a9f6f6bbb97514299d656016c077ec7ab29da50", "25613e28d9ff4d5f18826ad899f423372864d830"),
+    (1, "1.0", 0): ("aefaba0919b6f53373ca5ee3d21ff439c252790c", "e28eda3c5e32ad866cb2ef56f202f68bee4e3d4a"),
+    (1, "1.0", 3): ("15e81825cb8beb7220a883540111dc5c426926d7", "477dc9a05eb1aba5a9fe6db6b371023342136ef1"),
+    (3, "0", 0): ("c3c7d04f14ba3546aa54a9a77b948e7afb8fb1d3", "9ba4419b07153d3ef6123de9504b139f22e7c605"),
+    (3, "0", 3): ("c4e7327b9f1c7fb4a3f1595f1d00d3dade144d18", "a292db4213541789deb6a06462373043ad114bd8"),
+    (3, "0.3", 0): ("aefaba0919b6f53373ca5ee3d21ff439c252790c", "6bdc411126281cebd114cd200449db10368649ce"),
+    (3, "0.3", 3): ("087cf9ecfaf5688968dfbd73b87ad6198737690d", "d665ce54ba25ce5e375ef3f65d8a2970dc70900d"),
+    (3, "1.0", 0): ("be40a7d1001bc167c344dc084c8dd3e31d4e450d", "5045befb28aa0207fe310bfdab4f166865bd52f1"),
+    (3, "1.0", 3): ("087cf9ecfaf5688968dfbd73b87ad6198737690d", "c54b8ebf28ed51748db33dc37af92d6bfbcff274"),
 }
 
 
@@ -230,6 +250,13 @@ def test_front_hash_200mr_without_local_search(tmp_path):
 def test_front_hash_small_archive_with_immigration(tmp_path):
     _path, out = _run("small_archive_with_immigration", tmp_path)
     assert _sha1(out / "front.csv") == GOLDEN["small_archive_with_immigration"]
+
+
+@pytest.mark.parametrize("case", sorted(STAGNATION_GOLDEN), ids=lambda case: "window{}-fraction{}-ls{}".format(*case))
+def test_stagnation_hash(case, tmp_path, monkeypatch):
+    out = run_stagnating(tmp_path, monkeypatch, *case)
+    summary = json.dumps(summary_without_clock(out), sort_keys=True).encode()
+    assert (_sha1(out / "front.csv"), hashlib.sha1(summary).hexdigest()) == STAGNATION_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(SCHEDULER))

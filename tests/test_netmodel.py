@@ -871,7 +871,7 @@ class TestNeighborhood:
     def test_invalid_genotype_raises(self):
         for depth in (2, 1_000_000_000):
             inst = parse_instance(CYCLE_2MR.format(depth=depth))
-            with pytest.raises(ContractViolation, match="cycle"):
+            with pytest.raises(ValidityError, match="cycle"):
                 iter_neighbors(inst, assignment_from_string(inst, "m1=m2;m2=m1"))
 
 
@@ -889,15 +889,16 @@ def assert_carries_fresh_terms(inst, g):
 
 @pytest.fixture
 def counted_walks(monkeypatch):
-    """The number of full route walks (``kernels.eval_route`` calls) made so far."""
+    """The full route walks made so far: ``kernels.route_terms`` calls that walk every MR."""
     walks = []
-    original = kernels.eval_route
+    original = kernels.route_terms
 
-    def counting(*args):
-        walks.append(args)
-        return original(*args)
+    def counting(choices, mrs, *args):
+        if set(mrs) == set(range(len(choices))):
+            walks.append(choices)
+        return original(choices, mrs, *args)
 
-    monkeypatch.setattr(kernels, "eval_route", counting)
+    monkeypatch.setattr(kernels, "route_terms", counting)
     return walks
 
 
@@ -968,6 +969,7 @@ class TestCarriedTerms:
             del counted_walks[:]
             assert problem.evaluate(g) == problem.evaluate(RouteAssignment(g.choices))
             assert len(counted_walks) == 2
+            assert g._terms is None  # evaluate walks it and carries nothing into it
         # checked: a bad choice is reported, where carried terms would have hidden it
         bad = dataclasses.replace(a, choices=(99,) + a.choices[1:])
         for check in (problem.evaluate, problem.genotype_key):

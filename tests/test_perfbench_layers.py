@@ -9,6 +9,8 @@ source text: nothing is imported from, or written to, ``perfbench/``.
 import importlib
 from pathlib import Path
 
+from conftest import run_stagnating, summary_without_clock
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -43,3 +45,25 @@ def test_install_then_uninstall_restores_every_binding():
     finally:
         tracer.uninstall()
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_a_traced_run_that_immigrates_counts_every_evaluation_and_writes_the_same_files(tmp_path, monkeypatch):
+    # no benchmark workload stalls, so none reaches immigration; this run immigrates 9 times
+    spans = _spans_namespace()
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    plain.mkdir()
+    traced.mkdir()
+    run_stagnating(plain, monkeypatch, 1, "0.3", 3)
+    tracer = spans["Tracer"]()
+    tracer.call = 1
+    try:
+        tracer.install()
+        run_stagnating(traced, monkeypatch, 1, "0.3", 3)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1)
+    summary = summary_without_clock(traced / "out")
+    assert sum(metrics[f"{stage}.evals"] for stage in spans["EVAL_STAGES"]) == summary["evaluations"]
+    assert metrics["engine.random_immigrants.calls"] > 0
+    assert (traced / "out" / "front.csv").read_bytes() == (plain / "out" / "front.csv").read_bytes()
+    assert summary == summary_without_clock(plain / "out")
