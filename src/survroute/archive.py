@@ -2,14 +2,16 @@
 
 The archive is a value: every operation returns a new archive. Members are
 kept in canonical order (objectives lexicographic, then genotype key) so a
-run's archive iterates identically regardless of insertion history.
+run's archive iterates identically regardless of insertion history; in that
+order they form a staircase, which ``_dominated_at`` (for ``nondom`` and
+``insert``) and ``reduce``'s extremes read.
 
-Objectives are two-dimensional throughout, as ``ObjectiveVector`` enforces;
-``pareto_ranks`` also takes raw pairs, so it checks their length. Ranking
-and insertion are 2-D sweeps over sorted points (``pareto_ranks``,
-``insert``), with no all-pairs dominance matrix. Everything here is plain Python on (z1, z2) tuples: ranks are a
-list of ints, and crowding is ``kernels.crowding_distance`` on each front's
-list of pairs.
+Objectives are two-dimensional throughout, as ``ObjectiveVector`` enforces.
+Ranking is one 2-D sweep over sorted points (``pareto_ranks``), with no
+all-pairs dominance matrix, and ``crowded_keys`` is NSGA-II's one
+crowded-comparison key. Everything here is plain Python on (z1, z2) tuples:
+ranks are a list of ints, and crowding is ``kernels.crowding_distance`` on
+each front's list of pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 from .moo import CandidateSolution
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ def nondom(
 ) -> NondominatedArchive:
     """Archive of the input's nondominated members, genotype duplicates collapsed.
 
-    The members are rank 0 of ``pareto_ranks``, so members with equal
+    One sweep in canonical order keeps each solution that the members kept
+    before it do not dominate (``_dominated_at``), so members with equal
     objective vectors are all kept. If ``capacity`` is given and exceeded,
     ``reduce`` truncates it so the returned archive satisfies its own
     invariant.
@@ -72,11 +75,11 @@ def nondom(
     unique: dict[object, CandidateSolution] = {}
     for s in sorted(solutions, key=lambda s: s.sort_key()):
         unique.setdefault(s.genotype_key, s)
-    pool = list(unique.values())  # canonical order
-    if pool:
-        ranks = pareto_ranks([s.objectives.values for s in pool])
-        pool = [s for s, rank in zip(pool, ranks) if rank == 0]
-    arch = NondominatedArchive(members=tuple(pool), capacity=capacity)
+    kept: list[CandidateSolution] = []
+    for s in unique.values():  # canonical order
+        if not _dominated_at(kept, len(kept), s.objectives.values):
+            kept.append(s)
+    arch = NondominatedArchive(members=tuple(kept), capacity=capacity)
     if capacity is not None and len(arch) > capacity:
         arch = reduce(arch)
     return arch
@@ -117,21 +120,15 @@ def insert(archive: NondominatedArchive, s: CandidateSolution) -> tuple[Nondomin
     return out, True
 
 
-def _extreme_witnesses(members: Sequence[CandidateSolution]) -> set[int]:
-    """The indices of the z1 minimizer and the z2 minimizer (ties: canonically smallest)."""
-    by_z1 = min(range(len(members)), key=lambda k: members[k].sort_key())
-    by_z2 = min(range(len(members)), key=lambda k: (members[k].objectives.values[1], members[k].sort_key()))
-    return {by_z1, by_z2}
-
-
 def reduce(archive: NondominatedArchive) -> NondominatedArchive:
     """Truncate to capacity by crowding distance, keeping the extremes of both objectives.
 
     Removes the least-crowded member one at a time, recomputing crowding
     after each removal; ties drop the canonically largest member. With
-    capacity >= 2 the two extreme witnesses (one per objective) are
-    protected; that leaves at least len - 2 >= 1 members to remove from.
-    With capacity 1 the lexicographically smallest member survives.
+    capacity >= 2 the extremes are protected: on the staircase, the first
+    member (least z1) and the first of the last run of equal vectors (least
+    z2). That leaves at least len - 2 >= 1 members to remove from. With
+    capacity 1 the lexicographically smallest member survives.
     """
     capacity = archive.capacity
     if capacity is None or len(archive) <= capacity:
@@ -141,28 +138,24 @@ def reduce(archive: NondominatedArchive) -> NondominatedArchive:
 
     members = list(archive.members)
     while len(members) > capacity:
-        protected = _extreme_witnesses(members) if capacity >= 2 else set()
+        protected = {0, bisect_left(members, _z1(members[-1]), key=_z1)} if capacity >= 2 else set()
         dist = kernels.crowding_distance([m.objectives.values for m in members])
         candidates = [i for i in range(len(members)) if i not in protected]
         del members[max(candidates, key=lambda i: (-dist[i], members[i].sort_key()))]
     return NondominatedArchive(members=tuple(members), capacity=capacity)
 
 
-def pareto_ranks(F) -> list[int]:
-    """Nondominated-sorting rank (0 = best front) of each 2-D point of F, as a list of ints.
+def pareto_ranks(points: Sequence[tuple[float, float]]) -> list[int]:
+    """Nondominated-sorting rank (0 = best front) of each (z1, z2) tuple, as a list of ints.
 
-    ``F`` is an (n, 2) array or a sequence of (z1, z2) pairs. A sort and
-    sweep (Jensen 2003, "Reducing the run-time complexity of multiobjective
-    EAs"): in (z1, z2) order, a point is dominated by a front exactly when
+    The tuples are ``ObjectiveVector.values``, which checks the count. A
+    sort and sweep (Jensen 2003, "Reducing the run-time complexity of
+    multiobjective EAs"): in (z1, z2) order, a point is dominated by a front exactly when
     that front's last member so far has z2 <= its own and is not equal to
     it. The fronts' last z2 values do not decrease with rank, so the point
     joins the first front whose last z2 exceeds its own, found by bisection.
     Equal points do not dominate each other and share a rank.
     """
-    points = [tuple(p) for p in F]
-    for p in points:
-        if len(p) != 2:
-            raise ContractViolation(f"Pareto ranks take 2 objectives, got {len(p)}")
     ranks = [0] * len(points)
     last_z2: list[float] = []  # per front, the z2 of its last member so far
     prev = None
@@ -194,10 +187,12 @@ def rank_and_crowding(solutions: Sequence[CandidateSolution]) -> tuple[list[int]
     return ranks, crowd
 
 
-def survival_order(solutions: Sequence[CandidateSolution]) -> list[int]:
-    """Indices sorted best-first: rank asc, crowding desc, canonical key asc."""
+def crowded_keys(solutions: Sequence[CandidateSolution]) -> list[tuple]:
+    """NSGA-II's crowded-comparison key of each solution, smaller is better: (rank, -crowding, canonical key)."""
     ranks, crowd = rank_and_crowding(solutions)
-    return sorted(
-        range(len(solutions)),
-        key=lambda i: (ranks[i], -crowd[i], solutions[i].sort_key()),
-    )
+    return [(rank, -d, s.sort_key()) for rank, d, s in zip(ranks, crowd, solutions)]
+
+
+def survival_order(solutions: Sequence[CandidateSolution]) -> list[int]:
+    """Indices sorted best-first by ``crowded_keys``: rank asc, crowding desc, canonical key asc."""
+    return sorted(range(len(solutions)), key=crowded_keys(solutions).__getitem__)

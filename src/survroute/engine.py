@@ -26,9 +26,9 @@ import numpy as np
 from . import measures
 from .archive import (
     NondominatedArchive,
+    crowded_keys,
     insert as archive_insert,
     nondom,
-    rank_and_crowding,
     survival_order,
 )
 from .errors import ConfigError
@@ -139,14 +139,13 @@ def select_from(
     Two uniform picks per slot, all 2 x ``count`` integers from one
     ``rng.integers`` call, which draws what as many single
     ``rng.integers(n)`` calls would (the operators pick from doubles
-    instead, ``netmodel``); the winner is the smaller (rank, -crowding,
-    key) over the union.
+    instead, ``netmodel``); the winner has the smaller ``crowded_keys``
+    key, (rank, -crowding, canonical key), over the union.
     """
     union = list(pop) + list(arch.members)
     if not union:
         raise ConfigError("cannot select from an empty population")
-    ranks, crowd = rank_and_crowding(union)
-    keys = [(ranks[i], -crowd[i], union[i].sort_key()) for i in range(len(union))]
+    keys = crowded_keys(union)
     picks = iter(rng.integers(len(union), size=2 * count).tolist())  # zip(picks, picks): (i, j) per slot
     return [union[i] if keys[i] <= keys[j] else union[j] for i, j in zip(picks, picks)]
 

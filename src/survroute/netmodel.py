@@ -17,11 +17,13 @@ mutation walks its result itself, while mutation and each local-search
 neighbor copy the parent's terms and re-walk only the moved MR's subtree.
 ``evaluate`` adds the carried terms in MR order, the bytes
 ``kernels.eval_route`` gives, and ``evaluate_many`` makes the same
-additions for the whole batch. A genotype from anywhere else (user input,
-``assignment_from_string``, an oracle witness) carries none, and is
-checked and walked in full by ``_terms_of``, the one place that raises
-for an invalid forest: ``evaluate`` (and so ``evaluate_many``'s fallback),
-``iter_neighbors`` and heavy mutation call it.
+additions for the whole batch. The terms belong to the route tables that
+walked them (``_carried``): a genotype from anywhere else (user input,
+``assignment_from_string``, an oracle witness, another instance) carries
+none for this one, and is checked and walked in full by ``_terms_of``,
+the one place that raises for an invalid forest: ``evaluate`` (and so
+``evaluate_many``'s fallback), ``iter_neighbors`` and heavy mutation call
+it.
 
 ``parse_instance`` rejects an infeasible instance, one where some MR has no
 path of at most MAXDEPTH links to an access router; one breadth-first search
@@ -228,37 +230,48 @@ class NetworkInstance:
 class RouteAssignment:
     """Genotype: per MR (in instance order), the index of its chosen candidate link.
 
-    ``_terms`` is private to this module: the per-MR (cost, risk) path terms
-    of ``choices``, two ``array('d')``, that a route walk
-    (``kernels.route_terms`` or ``route_terms_many``) writes. Only the
-    operators and ``RouteProblem.evaluate_many`` set it (``_carry``), on a
-    genotype they built valid or walked; ``evaluate`` then adds the terms
-    instead of walking, and nothing checks the choices again. The
-    constructor and ``dataclasses.replace`` leave it None, so any other
-    genotype is checked and walked in full. The terms belong to the instance
-    whose operator or problem set them. They are not compared, hashed or shown.
+    ``_terms`` is private to this module: the route tables a walk read
+    (``inst.compiled``) and the per-MR (cost, risk) path terms of
+    ``choices``, two ``array('d')``, that the walk (``kernels.route_terms``
+    or ``route_terms_many``) wrote. Only the operators and
+    ``RouteProblem.evaluate_many`` set it (``_carry``), on a genotype they
+    built valid or walked. The terms belong to the tables that walked them:
+    on those tables (``_carried``) ``evaluate`` adds them instead of walking
+    and nothing checks the choices again, while on any other instance the
+    genotype is checked and walked as if it carried none. The constructor
+    and ``dataclasses.replace`` leave it None. It is not compared, hashed or
+    shown.
     """
 
     choices: tuple[int, ...]
-    _terms: tuple[array, array] | None = field(default=None, init=False, compare=False, repr=False)
+    _terms: tuple[_Compiled, array, array] | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _carry(a: RouteAssignment, cost: array, risk: array) -> RouteAssignment:
-    """``a``, whose choices are valid, now carrying their per-MR terms; the one place ``_terms`` is set."""
-    object.__setattr__(a, "_terms", (cost, risk))
+def _carry(inst: NetworkInstance, a: RouteAssignment, cost: array, risk: array) -> RouteAssignment:
+    """``a``, whose choices are valid on ``inst``, now carrying their per-MR terms; the one place ``_terms`` is set."""
+    object.__setattr__(a, "_terms", (inst.compiled, cost, risk))
     return a
 
 
+def _carried(inst: NetworkInstance, a: RouteAssignment) -> tuple[array, array] | None:
+    """The (cost, risk) terms ``a`` carries from a walk on ``inst``'s tables (compared by identity), else None."""
+    terms = a._terms
+    if terms is None or terms[0] is not inst.compiled:
+        return None
+    return terms[1:]
+
+
 def _terms_of(inst: NetworkInstance, a: RouteAssignment) -> tuple[array, array]:
-    """The per-MR (cost, risk) terms of ``a``: the ones it carries, or else those of one check and one full walk.
+    """The per-MR (cost, risk) terms of ``a``: the ones it carries from ``inst``, or else those of one check and one full walk.
 
     A genotype that carries none is checked (``_check_choices`` raises
     ContractViolation) and every MR is walked once (``kernels.route_terms``);
     a walk that fails raises ValidityError. The walked terms are returned,
     not carried: ``a`` is left as it was.
     """
-    if a._terms is not None:
-        return a._terms
+    terms = _carried(inst, a)
+    if terms is not None:
+        return terms
     _check_choices(inst, a)
     # the walk writes a list faster than an array('d'); one copy into arrays then costs less
     cost = [0.0] * inst.n_mr
@@ -501,7 +514,7 @@ def invalid_reason(inst: NetworkInstance, a: RouteAssignment) -> str | None:
 
 def assignment_string(inst: NetworkInstance, a: RouteAssignment) -> str:
     """Canonical 'mr=parent;...' serialization (MRs in sorted id order)."""
-    if a._terms is None:  # a genotype that carries terms was built valid here
+    if _carried(inst, a) is None:  # a genotype that carries terms was built valid here
         _check_choices(inst, a)
     return ";".join([labels[k] for labels, k in zip(inst.compiled.mr_labels, a.choices)])
 
@@ -655,8 +668,8 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
 
     Precondition: ``a`` is a valid forest (the result is then valid too).
     Returns the input unchanged when the drawn MR has no feasible alternative.
-    When ``a`` carries its terms, the child carries a copy of them with only
-    the moved MR's subtree re-walked; otherwise it carries none.
+    When ``a`` carries terms walked on ``inst``, the child carries a copy of
+    them with only the moved MR's subtree re-walked; otherwise it carries none.
     """
     if inst.n_mr == 0:
         return a
@@ -666,11 +679,12 @@ def mutate_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssi
         return a
     k = feasible[int(rng.random() * len(feasible))]
     choices = a.choices[:m] + (k,) + a.choices[m + 1:]
-    if a._terms is None:
+    terms = _carried(inst, a)
+    if terms is None:
         return RouteAssignment(choices)
-    cost, risk = (terms[:] for terms in a._terms)
+    cost, risk = (t[:] for t in terms)
     kernels.route_terms(choices, subtree, inst.compiled, cost, risk)
-    return _carry(RouteAssignment(choices), cost, risk)
+    return _carry(inst, RouteAssignment(choices), cost, risk)
 
 
 def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssignment:
@@ -693,7 +707,7 @@ def heavy_reattach(inst: NetworkInstance, a: RouteAssignment, rng) -> RouteAssig
         if feasible:
             work[m] = feasible[int(rng.random() * len(feasible))]
     b = RouteAssignment(tuple(work))
-    return _carry(b, *_terms_of(inst, b))
+    return _carry(inst, b, *_terms_of(inst, b))
 
 
 def crossover_parentmix(inst: NetworkInstance, a: RouteAssignment, b: RouteAssignment, rng) -> RouteAssignment:
@@ -766,7 +780,7 @@ def _delta_neighbors(inst: NetworkInstance, choices, cost: array, risk: array):
             for i in subtree:
                 neighbor_cost[i] = moved_cost[i]
                 neighbor_risk[i] = moved_risk[i]
-            yield _carry(RouteAssignment(moved), neighbor_cost, neighbor_risk), ObjectiveVector((z1, z2))
+            yield _carry(inst, RouteAssignment(moved), neighbor_cost, neighbor_risk), ObjectiveVector((z1, z2))
         for i in subtree:
             moved_cost[i] = cost[i]
             moved_risk[i] = risk[i]
@@ -853,7 +867,7 @@ def _walk_and_sum(inst: NetworkInstance, genotypes: list[RouteAssignment]) -> li
     from 0.0 in MR order.
     """
     n = inst.n_mr
-    fresh = [g for g in genotypes if g._terms is None]
+    fresh = [g for g in genotypes if _carried(inst, g) is None]
     if fresh:
         choices = _choice_matrix(inst, fresh)
         if choices is None:
@@ -863,11 +877,11 @@ def _walk_and_sum(inst: NetworkInstance, genotypes: list[RouteAssignment]) -> li
             return None
         cost, risk = array("d", cost.tobytes()), array("d", risk.tobytes())
         for i, g in enumerate(fresh):
-            _carry(g, cost[i * n:(i + 1) * n], risk[i * n:(i + 1) * n])
+            _carry(inst, g, cost[i * n:(i + 1) * n], risk[i * n:(i + 1) * n])
     # each genotype's cost and risk terms after a 0.0 column: accumulate adds left to right, one
     # element at a time (np.sum adds pairwise), and from 0.0, as reduce(operator.add, terms, 0.0) does
     terms = np.zeros((len(genotypes), 2, n + 1))
-    carried = b"".join([t.tobytes() for g in genotypes for t in g._terms])
+    carried = b"".join([t.tobytes() for g in genotypes for t in _carried(inst, g)])
     terms[:, :, 1:] = np.frombuffer(carried, np.float64).reshape(len(genotypes), 2, n)
     return [ObjectiveVector(sums) for sums in np.add.accumulate(terms, axis=2)[:, :, -1].tolist()]
 
@@ -909,7 +923,7 @@ class RouteProblem(Problem):
 
     def genotype_key(self, genotype) -> tuple[int, ...]:
         """The genotype's choice tuple; ``assignment_string`` is built only where a front is written."""
-        if genotype._terms is None:  # a genotype that carries terms was built valid here
+        if _carried(self.instance, genotype) is None:  # a genotype that carries terms was built valid here
             _check_choices(self.instance, genotype)
         return genotype.choices
 

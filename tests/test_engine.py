@@ -251,20 +251,21 @@ def test_local_search_walks_only_neighbors_it_uses(synthetic40_instance, monkeyp
     problem = RouteProblem(synthetic40_instance)
     rng = np.random.default_rng(5)
     starts = Evaluator(problem).solutions([problem.random_genotype(rng) for _ in range(4)])
-    walks = {True: 0, False: 0}
-    original = kernels.eval_route
+    walks = []
+    original = kernels.route_terms
 
-    def counting_eval_route(*args):
-        result = original(*args)
-        walks[bool(result[2])] += 1
-        return result
+    def counting_route_terms(*args):
+        walks.append(original(*args))
+        return walks[-1]
 
-    monkeypatch.setattr(kernels, "eval_route", counting_eval_route)
+    monkeypatch.setattr(kernels, "route_terms", counting_route_terms)
     evaluator = Evaluator(problem)
     local_search(pairs(starts), problem, 20, evaluator)
     assert evaluator.count > 0
-    # each walk is either a neighbor that was evaluated or an invalid one that was skipped
-    assert walks[True] + walks[False] <= evaluator.count + walks[False]
+    # the starts carry their terms: each walk re-walks the moved subtree of one evaluated neighbor,
+    # and an invalid neighbor is rejected by the forest test before any walk
+    assert all(walks)
+    assert len(walks) == evaluator.count
 
 
 def test_local_search_builds_keys_only_for_kept_solutions(synthetic40_instance):

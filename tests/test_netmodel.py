@@ -877,11 +877,12 @@ class TestNeighborhood:
 
 def assert_carries_fresh_terms(inst, g):
     """``g`` carries exactly the terms of a fresh full walk, and ``evaluate`` gives eval_route's bytes."""
-    assert g._terms is not None
+    terms = netmodel._carried(inst, g)
+    assert terms is not None
     cost, risk = [0.0] * inst.n_mr, [0.0] * inst.n_mr
     assert kernels.route_terms(g.choices, range(inst.n_mr), inst.compiled, cost, risk)
-    assert [x.hex() for x in g._terms[0]] == [x.hex() for x in cost]
-    assert [x.hex() for x in g._terms[1]] == [x.hex() for x in risk]
+    assert [x.hex() for x in terms[0]] == [x.hex() for x in cost]
+    assert [x.hex() for x in terms[1]] == [x.hex() for x in risk]
     z1, z2, ok = kernels.eval_route(g.choices, inst.compiled)
     assert ok
     assert [x.hex() for x in RouteProblem(inst).evaluate(g)] == [z1.hex(), z2.hex()]
@@ -1001,6 +1002,42 @@ class TestCarriedTerms:
         z1, z2, _ok = kernels.eval_route(child.choices, stress_instance.compiled)
         assert problem.evaluate(child).values == (z1, z2)
         assert len(counted_walks) == 2  # the reference walk above, and evaluate's own
+
+    def test_terms_walked_on_other_costs_are_not_added(self):
+        a_inst = parse_instance(synthetic_net_text(12, 3, 4, 7))
+        b_inst = dataclasses.replace(a_inst, links=tuple(dataclasses.replace(l, cost=2 * l.cost) for l in a_inst.links))
+        a = RouteAssignment(random_assignment(a_inst, np.random.default_rng(1)).choices)
+        on_a, on_b = RouteProblem(a_inst), RouteProblem(b_inst)
+        expected_a = on_a.evaluate(a)
+        expected_b = on_b.evaluate(a)
+        assert expected_a != expected_b
+        on_b.evaluate_many([a])  # a now carries the terms of b_inst's tables
+        assert on_a.evaluate(a) == expected_a
+        assert on_a.evaluate_many([a]) == [expected_a]
+        assert on_b.evaluate(a) == expected_b
+        # a now carries a_inst's terms: a child or a neighbor made on b_inst takes none of them
+        child = mutate_reattach(b_inst, a, np.random.default_rng(2))
+        assert child != a
+        assert on_b.evaluate(child) == on_b.evaluate(RouteAssignment(child.choices))
+        assert list(iter_neighbors(b_inst, a)) == list(iter_neighbors(b_inst, RouteAssignment(a.choices)))
+
+    def test_terms_walked_where_a_choice_existed_do_not_hide_it_out_of_range(self):
+        a_inst = parse_instance(synthetic_net_text(12, 3, 4, 7))
+        assert a_inst.compiled.radices[0] == 3
+        # drop m000's last link: its radix falls to 2, and choice 2 no longer exists
+        b_inst = dataclasses.replace(a_inst, links=a_inst.links[:2] + a_inst.links[3:])
+        assert b_inst.compiled.radices[0] == 2
+        seed = 0
+        while (a := random_assignment(a_inst, np.random.default_rng(seed))).choices[0] != 2:
+            seed += 1
+        a = RouteAssignment(a.choices)
+        RouteProblem(a_inst).evaluate_many([a])  # a now carries the terms of a_inst's tables
+        problem = RouteProblem(b_inst)
+        for check in (problem.evaluate, problem.genotype_key, lambda g: assignment_string(b_inst, g)):
+            with pytest.raises(ContractViolation, match="out of range"):
+                check(a)
+        with pytest.raises(ContractViolation, match="out of range"):
+            problem.evaluate(RouteAssignment(a.choices))
 
 
 CYCLE_2MR = """
